@@ -1,8 +1,8 @@
 """Command-line front end: run, detect, fix, eval, oracle.
 
 Exit codes: 0 success, 1 for bad input (arguments, program text, domain
-errors), 2 for anything unexpected.  Diagnostics go to stderr; machine
-output goes to stdout or --output.
+errors, programs the engine cannot run), 2 for anything unexpected.
+Diagnostics go to stderr; machine output goes to stdout or --output.
 """
 
 from __future__ import annotations
@@ -346,7 +346,8 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except (CliError, tac.TacSyntaxError, tac.TacValidationError,
-            mp.ParseError, tr.DomainError, detector.NoConvergence) as exc:
+            mp.ParseError, tr.DomainError, detector.NoConvergence,
+            engine.EngineError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - exit-code contract

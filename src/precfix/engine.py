@@ -6,11 +6,27 @@ at p_shadow bits with unbounded exponent.  Control flow is decided by the
 original lane only, so both lanes follow the same path.  A per-instruction
 relative error sample is produced whenever a float destination is written.
 
+The original lane has two representations, chosen by p_orig through one
+lane-ops table (`_LANES`) that the single compile path reads.  At
+p_orig = 53 it is a host float: arithmetic, comparisons and square roots
+are the host's IEEE binary64 operations, with the cases where Python
+departs from IEEE (division by zero, square root of a negative) handled
+explicitly.  At any other p_orig it is an `MPFloat` computed by the
+`mpfloat` primitives.  The shadow lane is always an `MPFloat`; fadd, fsub
+and fmul on two normal shadows are rounded inline, and every other case
+goes to `mpfloat`.  A host-float original crosses back to `MPFloat` only
+where a caller or the shadow needs one: `RunTrace.result`,
+`ErrorSample.original`, and the shadow side of barriered and word-write
+instructions.  Stream-mode errors are computed from the host float
+directly and equal the `MPFloat` computation bit for bit.
+
 Word-level bit operations (get_hi/get_lo/make_f/set_hi/set_lo) act on the
-binary64 encoding of the original lane.  A partial word write generally
-cannot be mirrored in the shadow, which is then left untouched and marked
-stale; the exception is a source whose shadow still equals its original
-value exactly, where the write is replayed cleanly on the shadow too.
+binary64 encoding of the original lane, so they need p_orig = 53; every
+NaN reads as the canonical pattern 0x7FF8 << 48.  A partial word write
+generally cannot be mirrored in the shadow, which is then left untouched
+and marked stale; the exception is a source whose shadow still equals its
+original value exactly, where the write is replayed cleanly on the shadow
+too.
 
 Precision barriers demote an instruction's shadow computation: operands
 are rounded down to p_orig, the operation runs at p_orig, and the result
@@ -24,13 +40,20 @@ pay the dispatch cost only once.
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import mpfloat as mp
 from .mpfloat import MPFloat
 
 _INT_MASK = (1 << 64) - 1
 _INT_SIGN = 1 << 63
+_NAN_BITS = 0x7FF8 << 48
+_DOUBLE = struct.Struct("<d")
+_WORD64 = struct.Struct("<Q")
+_EXP_LIMIT = mp._EXP_LIMIT
 
 
 class EngineError(Exception):
@@ -101,20 +124,76 @@ def _orig_policy(p_orig):
 
 
 def make_dual(value, cfg):
-    """Admit a value into the engine: round to p_orig, extend the shadow."""
+    """Admit a value into the engine: round to p_orig, extend the shadow.
+    At p_orig = 53 the original lane is the rounded value as a host
+    float."""
     o = mp.round_to(value, cfg.p_orig, _orig_policy(cfg.p_orig))
-    return DualValue(o, mp.extend(o, cfg.p_shadow))
+    s = mp.extend(o, cfg.p_shadow)
+    return DualValue(o.to_float() if cfg.p_orig == 53 else o, s)
 
 
-def sync_down(dv, cfg):
-    """Overwrite the original lane with the rounded shadow."""
-    o = mp.round_to(dv.shadow, cfg.p_orig, _orig_policy(cfg.p_orig))
-    return DualValue(o, dv.shadow, False)
+# -- the host-float original lane (p_orig = 53) ------------------------------
+# Operations take the (p, policy) arguments of their mpfloat counterparts so
+# that both lanes are called the same way; the host lane ignores them.
 
 
-def sync_up(dv, cfg):
-    """Overwrite the shadow with the extended original lane."""
-    return DualValue(dv.orig, mp.extend(dv.orig, cfg.p_shadow), False)
+def _float_bits(x):
+    """binary64 encoding of a host float; every NaN gives _NAN_BITS."""
+    if x != x:
+        return _NAN_BITS
+    return _WORD64.unpack(_DOUBLE.pack(x))[0]
+
+
+def _bits_float(bits):
+    return _DOUBLE.unpack(_WORD64.pack(bits))[0]
+
+
+def _host_add(a, b, p, policy):
+    return a + b
+
+
+def _host_sub(a, b, p, policy):
+    return a - b
+
+
+def _host_mul(a, b, p, policy):
+    return a * b
+
+
+def _host_div(a, b, p, policy):
+    try:
+        return a / b
+    except ZeroDivisionError:
+        # IEEE: 0/0 and NaN/0 are NaN, anything else is an infinity
+        if a != a or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _host_sqrt(x, p, policy):
+    if x < 0.0:
+        return math.nan
+    return math.sqrt(x)
+
+
+def _host_floor(x, p, policy):
+    if x - x != 0.0:
+        raise ValueError("floor needs a finite value")
+    return float(math.floor(x))
+
+
+def _host_cmp(a, b):
+    if a < b:
+        return -1
+    if a > b:
+        return 1
+    if a == b:
+        return 0
+    return None
+
+
+def _mp_floor(v, p, policy):
+    return mp.round_to(mp.floor(v), p, policy)
 
 
 def _rel_err_float(shadow, orig, p_shadow):
@@ -133,7 +212,10 @@ def _rel_err_float(shadow, orig, p_shadow):
             d = a - b if shadow.sign == orig.sign else a + b
             if d == 0:
                 return 0.0
-            return float(abs(d)) / float(a)
+            try:
+                return float(abs(d)) / float(a)
+            except OverflowError:
+                pass  # too wide for a host float: take the quotient below
     if shadow.cls == mp.NAN or orig.cls == mp.NAN:
         return math.inf
     if shadow.cls == mp.INF or orig.cls == mp.INF:
@@ -145,7 +227,7 @@ def _rel_err_float(shadow, orig, p_shadow):
         return 0.0 if orig.cls == mp.ZERO else math.inf
     if orig.cls == mp.ZERO:
         return 1.0
-    # exponents beyond host-float range: take the quotient first
+    # exponents or significands beyond host-float range: quotient first
     d = mp.sub(shadow, orig, p_shadow)
     if d.cls == mp.ZERO:
         return 0.0
@@ -153,7 +235,57 @@ def _rel_err_float(shadow, orig, p_shadow):
     return q if q == q else math.inf
 
 
+def _rel_err_host(shadow, orig, p_shadow):
+    """_rel_err_float(shadow, mp.from_float(orig), p_shadow) for a host
+    float `orig`, without building the MPFloat on the common path."""
+    if shadow.cls == mp.NORMAL and orig - orig == 0.0:
+        if not orig:
+            return 1.0
+        f, e = math.frexp(orig)
+        # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
+        t = shadow.exp - shadow.prec + 54 - e
+        if -600 < t < 600:
+            b = int(f * 9007199254740992.0)
+            if t >= 0:
+                a = shadow.mant << t
+            else:
+                a = shadow.mant
+                b <<= -t
+            d = a - b if shadow.sign > 0 else a + b
+            if d == 0:
+                return 0.0
+            try:
+                return float(abs(d)) / float(a)
+            except OverflowError:
+                pass
+    return _rel_err_float(shadow, mp.from_float(orig), p_shadow)
+
+
+class _LaneOps(NamedTuple):
+    """How the original lane computes.  Binary operations are called as
+    f(a, b, p_orig, policy), sqrt and floor as f(v, p_orig, policy)."""
+    host: bool        # values are host floats (else MPFloat)
+    fbin: dict        # fadd/fsub/fmul/fdiv
+    sqrt: object
+    floor: object
+    neg: object
+    abs: object
+    cmp: object       # -1/0/1, None when unordered
+    rel_err: object   # (shadow, orig, p_shadow) -> float, for stream mode
+
+
 _FBIN = {"fadd": mp.add, "fsub": mp.sub, "fmul": mp.mul, "fdiv": mp.div}
+
+_LANES = {
+    True: _LaneOps(
+        True, {"fadd": _host_add, "fsub": _host_sub, "fmul": _host_mul,
+               "fdiv": _host_div},
+        _host_sqrt, _host_floor, operator.neg, abs, _host_cmp,
+        _rel_err_host),
+    False: _LaneOps(
+        False, _FBIN, mp.sqrt, _mp_floor, mp.neg, mp.abs_, mp.cmp,
+        _rel_err_float),
+}
 
 
 class _Ctx:
@@ -177,7 +309,8 @@ def _compile(prog, cfg, barriers, mode):
     p_o = cfg.p_orig
     p_s = cfg.p_shadow
     policy = _orig_policy(p_o)
-    word_ok = (p_o == 53)
+    lane = _LANES[p_o == 53]
+    host = lane.host
     n = len(prog.instrs)
 
     var_types = {p: "f" for p in prog.params}
@@ -208,20 +341,27 @@ def _compile(prog, cfg, barriers, mode):
     if mode == "full":
         def make_emit(iid, dst):
             def emit(ctx, dv):
+                o = mp.from_float(dv.orig) if host else dv.orig
                 ctx.samples.append(ErrorSample(
-                    iid, ctx.run_index, dst, dv.orig, dv.shadow,
-                    mp.relative_error(dv.shadow, dv.orig, p_s)))
+                    iid, ctx.run_index, dst, o, dv.shadow,
+                    mp.relative_error(dv.shadow, o, p_s)))
             return emit
     elif mode == "stream":
+        rel_err = lane.rel_err
+
         def make_emit(iid, dst):
             def emit(ctx, dv):
-                ctx.agg(iid, dst, _rel_err_float(dv.shadow, dv.orig, p_s))
+                ctx.agg(iid, dst, rel_err(dv.shadow, dv.orig, p_s))
             return emit
     else:
         def make_emit(iid, dst):
             def emit(ctx, dv):
                 pass
             return emit
+
+    def check_word_op():
+        if not host:
+            raise EngineError("word operations need p_orig = 53")
 
     code = []
     labels = prog.labels
@@ -234,38 +374,101 @@ def _compile(prog, cfg, barriers, mode):
         emit = make_emit(iid, dst) if dst is not None else None
 
         if op in _FBIN:
+            fo = lane.fbin[op]
             fn = _FBIN[op]
             ga = f_getter(instr.srcs[0])
             gb = f_getter(instr.srcs[1])
             if barrier:
-                def step(env, ctx, fn=fn, ga=ga, gb=gb, dst=dst, iid=iid,
-                         nxt=nxt, emit=emit):
+                def step(env, ctx, fo=fo, fn=fn, ga=ga, gb=gb, dst=dst,
+                         iid=iid, nxt=nxt, emit=emit):
                     ctx.counts[iid] += 1
                     a = ga(env)
                     b = gb(env)
-                    o = fn(a.orig, b.orig, p_o, policy)
                     s = mp.extend(fn(mp.round_to(a.shadow, p_o, policy),
                                      mp.round_to(b.shadow, p_o, policy),
                                      p_o, policy), p_s)
-                    dv = DualValue(o, s)
+                    dv = DualValue(fo(a.orig, b.orig, p_o, policy), s)
+                    env[dst] = dv
+                    emit(ctx, dv)
+                    return nxt
+            elif op == "fdiv":
+                def step(env, ctx, fo=fo, fn=fn, ga=ga, gb=gb, dst=dst,
+                         iid=iid, nxt=nxt, emit=emit):
+                    ctx.counts[iid] += 1
+                    a = ga(env)
+                    b = gb(env)
+                    dv = DualValue(fo(a.orig, b.orig, p_o, policy),
+                                   fn(a.shadow, b.shadow, p_s))
                     env[dst] = dv
                     emit(ctx, dv)
                     return nxt
             else:
-                def step(env, ctx, fn=fn, ga=ga, gb=gb, dst=dst, iid=iid,
-                         nxt=nxt, emit=emit):
+                # The shadow of fadd/fsub/fmul on two normal operands is
+                # mp.add/sub/mul at p_s inlined: the exact result is formed
+                # on integer significands and rounded nearest-even here.
+                # Other operand classes, and results outside the exponent
+                # range, go to mpfloat.
+                def step(env, ctx, fo=fo, fn=fn, ga=ga, gb=gb, dst=dst,
+                         iid=iid, nxt=nxt, emit=emit, mul=(op == "fmul"),
+                         flip=(-1 if op == "fsub" else 1)):
                     ctx.counts[iid] += 1
                     a = ga(env)
                     b = gb(env)
-                    dv = DualValue(fn(a.orig, b.orig, p_o, policy),
-                                   fn(a.shadow, b.shadow, p_s))
+                    x = a.shadow
+                    y = b.shadow
+                    if x.cls == 1 and y.cls == 1:  # mp.NORMAL
+                        if mul:
+                            sign = x.sign * y.sign
+                            m = x.mant * y.mant
+                            e = x.exp - x.prec + y.exp - y.prec + 2
+                        else:
+                            ex = x.exp - x.prec
+                            ey = y.exp - y.prec
+                            mx = x.mant if x.sign > 0 else -x.mant
+                            my = y.mant if y.sign == flip else -y.mant
+                            if ex > ey:
+                                m = (mx << (ex - ey)) + my
+                                e = ey + 1
+                            else:
+                                m = mx + (my << (ey - ex))
+                                e = ex + 1
+                            sign = 1
+                            if m < 0:
+                                sign = -1
+                                m = -m
+                        if m:
+                            nb = m.bit_length()
+                            top = e + nb - 1
+                            if nb > p_s:
+                                # q keeps the rounding bit as its lowest bit
+                                sh = nb - p_s - 1
+                                q = m >> sh
+                                if q & 1 and (q & 2 or m & ((1 << sh) - 1)):
+                                    q = (q >> 1) + 1
+                                    if q >> p_s:
+                                        q >>= 1
+                                        top += 1
+                                else:
+                                    q >>= 1
+                            else:
+                                q = m << (p_s - nb)
+                            if -_EXP_LIMIT < top < _EXP_LIMIT:
+                                s = MPFloat(1, sign, top, q, p_s)
+                            else:
+                                s = fn(x, y, p_s)
+                        else:
+                            s = MPFloat(0, 1, 0, 0, p_s)  # mp.zero(p_s)
+                    else:
+                        s = fn(x, y, p_s)
+                    dv = DualValue(fo(a.orig, b.orig, p_o, policy), s)
                     env[dst] = dv
                     emit(ctx, dv)
                     return nxt
         elif op in ("fconst", "fmov", "fneg", "fabs"):
             ga = f_getter(instr.srcs[0])
             un = {"fconst": None, "fmov": None,
-                  "fneg": mp.neg, "fabs": mp.abs_}[op]
+                  "fneg": (lane.neg, mp.neg),
+                  "fabs": (lane.abs, mp.abs_)}[op]
 
             def step(env, ctx, ga=ga, un=un, dst=dst, iid=iid, nxt=nxt,
                      emit=emit):
@@ -274,24 +477,22 @@ def _compile(prog, cfg, barriers, mode):
                 if un is None:
                     dv = DualValue(a.orig, a.shadow, a.stale)
                 else:
-                    dv = DualValue(un(a.orig), un(a.shadow), a.stale)
+                    dv = DualValue(un[0](a.orig), un[1](a.shadow), a.stale)
                 env[dst] = dv
                 emit(ctx, dv)
                 return nxt
         elif op in ("fsqrt", "ffloor"):
             ga = f_getter(instr.srcs[0])
             if op == "fsqrt":
-                def oper(v, p, pol):
-                    return mp.sqrt(v, p, pol)
+                oper_o, oper = lane.sqrt, mp.sqrt
             else:
-                def oper(v, p, pol):
-                    return mp.round_to(mp.floor(v), p, pol)
+                oper_o, oper = lane.floor, _mp_floor
 
-            def step(env, ctx, ga=ga, oper=oper, dst=dst, iid=iid, nxt=nxt,
-                     emit=emit, barrier=barrier):
+            def step(env, ctx, ga=ga, oper_o=oper_o, oper=oper, dst=dst,
+                     iid=iid, nxt=nxt, emit=emit, barrier=barrier):
                 ctx.counts[iid] += 1
                 a = ga(env)
-                o = oper(a.orig, p_o, policy)
+                o = oper_o(a.orig, p_o, policy)
                 if barrier:
                     s = mp.extend(oper(mp.round_to(a.shadow, p_o, policy),
                                        p_o, policy), p_s)
@@ -302,19 +503,17 @@ def _compile(prog, cfg, barriers, mode):
                 emit(ctx, dv)
                 return nxt
         elif op in ("get_hi", "get_lo"):
-            if not word_ok:
-                raise EngineError("word operations need p_orig = 53")
+            check_word_op()
             ga = f_getter(instr.srcs[0])
             hi = (op == "get_hi")
 
             def step(env, ctx, ga=ga, hi=hi, dst=dst, iid=iid, nxt=nxt):
                 ctx.counts[iid] += 1
-                bits = mp.to_binary64_bits(ga(env).orig)
+                bits = _float_bits(ga(env).orig)
                 env[dst] = (bits >> 32) if hi else (bits & 0xFFFFFFFF)
                 return nxt
         elif op == "make_f":
-            if not word_ok:
-                raise EngineError("word operations need p_orig = 53")
+            check_word_op()
             gh = i_getter(instr.srcs[0])
             gl = i_getter(instr.srcs[1])
 
@@ -322,14 +521,13 @@ def _compile(prog, cfg, barriers, mode):
                      emit=emit):
                 ctx.counts[iid] += 1
                 bits = ((gh(env) & 0xFFFFFFFF) << 32) | (gl(env) & 0xFFFFFFFF)
-                o = mp.from_binary64_bits(bits)
-                dv = DualValue(o, mp.extend(o, p_s))
+                dv = DualValue(_bits_float(bits),
+                               mp.extend(mp.from_binary64_bits(bits), p_s))
                 env[dst] = dv
                 emit(ctx, dv)
                 return nxt
         elif op in ("set_hi", "set_lo"):
-            if not word_ok:
-                raise EngineError("word operations need p_orig = 53")
+            check_word_op()
             ga = f_getter(instr.srcs[0])
             gw = i_getter(instr.srcs[1])
             hi = (op == "set_hi")
@@ -340,20 +538,22 @@ def _compile(prog, cfg, barriers, mode):
                 a = ga(env)
                 w = gw(env) & 0xFFFFFFFF
 
-                def write(val):
-                    bits = mp.to_binary64_bits(val)
+                def write(bits):
                     if hi:
-                        bits = (bits & 0xFFFFFFFF) | (w << 32)
-                    else:
-                        bits = (bits >> 32 << 32) | w
-                    return mp.from_binary64_bits(bits)
+                        return (bits & 0xFFFFFFFF) | (w << 32)
+                    return (bits >> 32 << 32) | w
 
-                o = write(a.orig)
+                bits = write(_float_bits(a.orig))
+                o = _bits_float(bits)
                 if barrier:
+                    sbits = write(mp.to_binary64_bits(
+                        mp.round_to(a.shadow, p_o, policy)))
                     dv = DualValue(o, mp.extend(
-                        write(mp.round_to(a.shadow, p_o, policy)), p_s))
-                elif not a.stale and mp.cmp(a.shadow, a.orig) == 0:
-                    dv = DualValue(o, mp.extend(o, p_s))
+                        mp.from_binary64_bits(sbits), p_s))
+                elif not a.stale \
+                        and mp.cmp(a.shadow, mp.from_float(a.orig)) == 0:
+                    dv = DualValue(o, mp.extend(
+                        mp.from_binary64_bits(bits), p_s))
                 else:
                     dv = DualValue(o, a.shadow, True)
                 env[dst] = dv
@@ -410,10 +610,10 @@ def _compile(prog, cfg, barriers, mode):
                 ga = f_getter(xo)
                 gb = f_getter(yo)
 
-                def step(env, ctx, ga=ga, gb=gb, pred=pred, dst=dst,
-                         iid=iid, nxt=nxt):
+                def step(env, ctx, ga=ga, gb=gb, cmp=lane.cmp, pred=pred,
+                         dst=dst, iid=iid, nxt=nxt):
                     ctx.counts[iid] += 1
-                    c = mp.cmp(ga(env).orig, gb(env).orig)
+                    c = cmp(ga(env).orig, gb(env).orig)
                     if c is None:
                         r = pred == "ne"
                     elif pred == "lt":
@@ -510,7 +710,7 @@ def _compiled(prog, cfg, barriers, mode):
 def _check_barriers(prog, barriers):
     n = len(prog.instrs)
     for b in barriers:
-        if not isinstance(b, int) or not 0 <= b < n:
+        if isinstance(b, bool) or not isinstance(b, int) or not 0 <= b < n:
             raise BadBarrier("barrier ids must name instructions of %s"
                              % prog.name)
         if prog.instrs[b].dst is None:
@@ -548,7 +748,11 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
             raise StepBudgetExceeded("%s exceeded %d steps"
                                      % (prog.name, budget))
         pc = code[pc](env, ctx)
-    return RunTrace(prog.name, run_index, list(inputs), ctx.result,
+    result = ctx.result
+    if result is not None and cfg.p_orig == 53:
+        result = DualValue(mp.from_float(result.orig), result.shadow,
+                           result.stale)
+    return RunTrace(prog.name, run_index, list(inputs), result,
                     ctx.samples, ctx.counts, steps)
 
 

@@ -266,14 +266,6 @@ def test_determinism():
     assert engine.format_trace(a) == engine.format_trace(b)
 
 
-def test_sync_primitives():
-    dv = engine.DualValue(dec("3.0"), mp.extend(dec("2.6", 53), 120), False)
-    down = engine.sync_down(dv, CFG)
-    assert down.orig.to_float() == pytest.approx(2.6)
-    up = engine.sync_up(dv, CFG)
-    assert up.shadow.to_float() == 3.0
-
-
 def test_run_batch_collects_failures():
     prog = tac.parse_program(ROUND)
     cfg = engine.EngineConfig(max_steps=1)
