@@ -9,6 +9,7 @@ negative controls whose errors stay well below any detection threshold
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,8 +234,9 @@ class Kernel:
     oracle_fn: str | None
     domain: tuple  # (lo, hi, count) with lo/hi as decimal strings
 
-    @property
+    @functools.cached_property
     def program(self):
+        """The parsed program, parsed once per kernel."""
         return tac.parse_program(self.source)
 
 

@@ -133,8 +133,9 @@ class InstrStats:
     first_ordinal: int
 
 
-def _stats_one(iid, acc, n, e0, p0, p1):
-    k = acc.inf_count + sum(1 for e in acc.errors if e > e0)
+def _moments(acc):
+    """(mean, max) of an instruction's errors; mean is None without finite
+    errors."""
     finite = len(acc.errors)
     if finite:
         try:
@@ -144,6 +145,18 @@ def _stats_one(iid, acc, n, e0, p0, p1):
     else:
         mean = None
     mx = math.inf if acc.inf_count else (max(acc.errors) if finite else 0.0)
+    return mean, mx
+
+
+def _stats_one(iid, acc, n, e0, p0, p1, memo):
+    # what does not depend on p0 is computed once per memo: the moments
+    # per instruction, k per instruction and threshold
+    if iid not in memo:
+        memo[iid] = _moments(acc)
+    if (iid, e0) not in memo:
+        memo[iid, e0] = acc.inf_count + sum(1 for e in acc.errors if e > e0)
+    mean, mx = memo[iid]
+    k = memo[iid, e0]
     err_ratio = k / acc.m if acc.m else 0.0
     exec_ratio = acc.m / n if n else 0.0
     flagged = acc.m > 0 and err_ratio > p0 and exec_ratio >= p1
@@ -153,9 +166,12 @@ def _stats_one(iid, acc, n, e0, p0, p1):
                       else -1)
 
 
-def stats_for(agg, e0, p0=0.5, p1=0.1):
-    """Per-instruction statistics at one threshold, in static id order."""
-    return [_stats_one(iid, acc, agg.n, e0, p0, p1)
+def stats_for(agg, e0, p0=0.5, p1=0.1, memo=None):
+    """Per-instruction statistics at one threshold, in static id order.
+    Callers that try many thresholds on one aggregate share a `memo` dict
+    between the calls."""
+    memo = {} if memo is None else memo
+    return [_stats_one(iid, acc, agg.n, e0, p0, p1, memo)
             for iid, acc in sorted(agg.instrs.items())]
 
 
@@ -204,10 +220,10 @@ class DetectionReport:
         }
 
 
-def detect(agg, cfg=DetectionConfig(), e0=None, p0=None):
+def detect(agg, cfg=DetectionConfig(), e0=None, p0=None, memo=None):
     e0 = cfg.e0 if e0 is None else e0
     p0 = cfg.p0 if p0 is None else p0
-    stats = stats_for(agg, e0, p0, cfg.p1)
+    stats = stats_for(agg, e0, p0, cfg.p1, memo)
     flagged = [s.instr_id for s in stats if s.flagged]
     first = None
     if flagged:
@@ -230,11 +246,12 @@ class SweepEntry:
 def sweep(agg, cfg=DetectionConfig()):
     """For each e0, report at the strictest p0 that flags something (the
     last p0 otherwise)."""
+    memo = {}
     entries = []
     for e0 in cfg.e0_sweep:
         chosen = None
         for p0 in cfg.p0_sweep:
-            r = detect(agg, cfg, e0=e0, p0=p0)
+            r = detect(agg, cfg, e0=e0, p0=p0, memo=memo)
             chosen = SweepEntry(e0, p0, r)
             if r.flagged:
                 break

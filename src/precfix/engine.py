@@ -13,9 +13,9 @@ are the host's IEEE binary64 operations, with the cases where Python
 departs from IEEE (division by zero, square root of a negative) handled
 explicitly.  At any other p_orig it is an `MPFloat` computed by the
 `mpfloat` primitives.  The shadow lane is always an `MPFloat`; fadd, fsub
-and fmul on two normal shadows are rounded inline, and every other case
-goes to `mpfloat`.  A host-float original crosses back to `MPFloat` only
-where a caller or the shadow needs one: `RunTrace.result`,
+and fmul on two normal shadows are rounded by one integer helper, and every
+other case goes to `mpfloat`.  A host-float original crosses back to
+`MPFloat` only where a caller or the shadow needs one: `RunTrace.result`,
 `ErrorSample.original`, and the shadow side of barriered and word-write
 instructions.  Stream-mode errors are computed from the host float
 directly and equal the `MPFloat` computation bit for bit.
@@ -33,12 +33,21 @@ are rounded down to p_orig, the operation runs at p_orig, and the result
 is carried back up exactly.
 
 Programs are compiled once per (program, config, barriers, sampling mode)
-into a list of closures, one per instruction, so batches over many inputs
-pay the dispatch cost only once.
+into one generated Python function, kept in a bounded cache on the program.
+Registers become locals named by index: o<k> and s<k> for the two lanes of
+a float, t<k> for its staleness in programs with word writes, and i<k> for
+an integer.  Constants are admitted at compile time and bound into the
+function's namespace; no text of the program reaches the generated
+source.  The program is split into basic blocks, dispatched by a balanced
+`if` tree on the block index inside one loop; exec counts are kept per
+block and the step budget is checked once per block, against its length.  Host-lane
+fadd/fsub/fmul/fneg/fabs are infix float expressions; every other
+operation calls a lane helper or an `mpfloat` primitive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -47,9 +56,9 @@ from typing import NamedTuple
 
 from . import mpfloat as mp
 from .mpfloat import MPFloat
+from .tac import OPCODES
 
 _INT_MASK = (1 << 64) - 1
-_INT_SIGN = 1 << 63
 _NAN_BITS = 0x7FF8 << 48
 _DOUBLE = struct.Struct("<d")
 _WORD64 = struct.Struct("<Q")
@@ -68,6 +77,10 @@ class BadBarrier(EngineError):
     pass
 
 
+class NonFiniteFloor(EngineError, ValueError):
+    """ffloor of an infinity or a NaN, in either lane."""
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     p_orig: int = 53
@@ -77,6 +90,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.p_orig < 2 or self.p_shadow < self.p_orig:
             raise ValueError("need 2 <= p_orig <= p_shadow")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 class DualValue:
@@ -178,7 +193,7 @@ def _host_sqrt(x, p, policy):
 
 def _host_floor(x, p, policy):
     if x - x != 0.0:
-        raise ValueError("floor needs a finite value")
+        raise NonFiniteFloor("floor needs a finite value")
     return float(math.floor(x))
 
 
@@ -193,6 +208,8 @@ def _host_cmp(a, b):
 
 
 def _mp_floor(v, p, policy):
+    if v.cls == mp.INF or v.cls == mp.NAN:
+        raise NonFiniteFloor("floor needs a finite value")
     return mp.round_to(mp.floor(v), p, policy)
 
 
@@ -288,423 +305,374 @@ _LANES = {
 }
 
 
-class _Ctx:
-    """Mutable per-run state shared by the compiled closures."""
+def _shadow_arith(x, y, flip, p):
+    """The shadow of fadd (flip 1), fsub (flip -1) or fmul (flip 0) at p
+    bits: the same MPFloat as mp.add/sub/mul.  For two normal operands the
+    exact result is formed on integer significands and rounded nearest-even
+    here; other operand classes, and results outside the exponent range, go
+    to mpfloat."""
+    if x.cls == 1 and y.cls == 1:  # mp.NORMAL
+        if flip:
+            ex = x.exp - x.prec
+            ey = y.exp - y.prec
+            mx = x.mant if x.sign > 0 else -x.mant
+            my = y.mant if y.sign == flip else -y.mant
+            if ex > ey:
+                m = (mx << (ex - ey)) + my
+                e = ey + 1
+            else:
+                m = mx + (my << (ey - ex))
+                e = ex + 1
+            sign = 1
+            if m < 0:
+                sign = -1
+                m = -m
+            if not m:
+                return MPFloat(0, 1, 0, 0, p)  # mp.zero(p)
+        else:
+            sign = x.sign * y.sign
+            m = x.mant * y.mant
+            e = x.exp - x.prec + y.exp - y.prec + 2
+        nb = m.bit_length()
+        top = e + nb - 1
+        if nb > p:
+            # q keeps the rounding bit as its lowest bit
+            sh = nb - p - 1
+            q = m >> sh
+            if q & 1 and (q & 2 or m & ((1 << sh) - 1)):
+                q = (q >> 1) + 1
+                if q >> p:
+                    q >>= 1
+                    top += 1
+            else:
+                q >>= 1
+        else:
+            q = m << (p - nb)
+        if -_EXP_LIMIT < top < _EXP_LIMIT:
+            return MPFloat(1, sign, top, q, p)
+    return _ARITH[flip](x, y, p)
 
-    __slots__ = ("samples", "counts", "run_index", "agg", "result")
 
-    def __init__(self, n_instrs):
-        self.samples = []
-        self.counts = [0] * n_instrs
-        self.run_index = 0
-        self.agg = None
-        self.result = None
+_ARITH = (mp.mul, mp.add, mp.sub)  # indexed by flip
+
+
+def _put_word(bits, w, hi):
+    if hi:
+        return (bits & 0xFFFFFFFF) | (w << 32)
+    return (bits >> 32 << 32) | w
+
+
+def _set_word(o, s, stale, w, hi, barrier, p_s):
+    """set_hi (hi true) or set_lo: the host-lane original o with one word
+    replaced by w, and its (shadow, stale) as the module docstring says."""
+    w &= 0xFFFFFFFF
+    bits = _put_word(_float_bits(o), w, hi)
+    if barrier:
+        sbits = _put_word(mp.to_binary64_bits(
+            mp.round_to(s, 53, mp.BINARY64)), w, hi)
+        return (_bits_float(bits),
+                mp.extend(mp.from_binary64_bits(sbits), p_s), False)
+    if not stale and mp.cmp(s, mp.from_float(o)) == 0:
+        return (_bits_float(bits),
+                mp.extend(mp.from_binary64_bits(bits), p_s), False)
+    return _bits_float(bits), s, True
+
+
+def _make_word(h, l, p_s):
+    bits = ((h & 0xFFFFFFFF) << 32) | (l & 0xFFFFFFFF)
+    return _bits_float(bits), mp.extend(mp.from_binary64_bits(bits), p_s)
+
+
+def _full_sample(iid, run_index, dst, o, s, p_s):
+    if isinstance(o, float):
+        o = mp.from_float(o)
+    return ErrorSample(iid, run_index, dst, o, s,
+                       mp.relative_error(s, o, p_s))
+
+
+def _namespace(lane):
+    """The helpers generated code calls: _o_<op> computes the original lane,
+    _m_<op> is the mpfloat operation the shadow uses."""
+    ns = {"_arith": _shadow_arith, "_rel": lane.rel_err,
+          "_sample": _full_sample,
+          "_pol": mp.BINARY64 if lane.host else mp.UNBOUNDED,
+          "_unb": mp.UNBOUNDED, "_rnd": mp.round_to, "_ext": mp.extend,
+          "_fbits": _float_bits, "_setw": _set_word, "_makef": _make_word,
+          "_ocmp": lane.cmp, "_o_fsqrt": lane.sqrt, "_o_ffloor": lane.floor,
+          "_o_fneg": lane.neg, "_o_fabs": lane.abs, "_m_fsqrt": mp.sqrt,
+          "_m_ffloor": _mp_floor, "_m_fneg": mp.neg, "_m_fabs": mp.abs_}
+    for op, fn in _FBIN.items():
+        ns["_o_" + op] = lane.fbin[op]
+        ns["_m_" + op] = fn
+    return ns
+
+
+_NAMESPACES = {host: _namespace(lane) for host, lane in _LANES.items()}
+
+# Templates.  Host-lane fadd/fsub/fmul/fneg/fabs are infix expressions on
+# floats; {0} and {1} are operand expressions.
+_HOST_INFIX = {"fadd": "{0} + {1}", "fsub": "{0} - {1}", "fmul": "{0} * {1}",
+               "fneg": "-{0}", "fabs": "abs({0})"}
+_FLIP = {"fadd": 1, "fsub": -1, "fmul": 0}
+_COPIES = ("fconst", "fmov", "fneg", "fabs")  # keep the source's staleness
+_DEMOTED = ("fadd", "fsub", "fmul", "fdiv", "fsqrt", "ffloor")  # by barriers
+_WORD_OPS = ("get_hi", "get_lo", "make_f", "set_hi", "set_lo")
+_M = str(_INT_MASK)
+_INT_EXPR = {"iadd": "({0} + {1}) & " + _M, "isub": "({0} - {1}) & " + _M,
+             "iand": "{0} & {1}", "ior": "{0} | {1}", "ixor": "{0} ^ {1}",
+             "ishl": "({0} << ({1} & 63)) & " + _M,
+             "ishr": "(({0} - ({0} >> 63 << 64)) >> ({1} & 63)) & " + _M}
+_INT_PRED = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==",
+             "ne": "!="}
+# the lane's cmp results (-1/0/1, None when unordered) each predicate accepts
+_CMP_PRED = {"lt": "(-1,)", "le": "(-1, 0)", "gt": "(1,)", "ge": "(0, 1)",
+             "eq": "(0,)", "ne": "(-1, 1, None)"}
 
 
 def _compile(prog, cfg, barriers, mode):
-    """mode: "full" (exact ErrorSample objects), "none", "stream"
-    (float errors pushed to ctx.agg)."""
-    from . import tac as _tac
+    """One Python function run(ins, sink, run_index) for the program.  `ins`
+    holds the admitted inputs as DualValues; `sink` takes (instr_id, dst,
+    err) in "stream" mode and ErrorSamples in "full" mode.  It returns
+    (orig, shadow, stale, steps, exec_counts) of the run."""
+    p_o, p_s = cfg.p_orig, cfg.p_shadow
+    host = p_o == 53
+    instrs = prog.instrs
+    n = len(instrs)
+    if not n:
+        raise EngineError("%s has no instructions" % prog.name)
+    ns = dict(_NAMESPACES[host])
+    ns["_over"] = functools.partial(
+        StepBudgetExceeded, "%s exceeded %d steps" % (prog.name,
+                                                      cfg.max_steps))
+    ns["_fell"] = functools.partial(
+        EngineError, "control falls off the end of %s" % prog.name)
 
-    p_o = cfg.p_orig
-    p_s = cfg.p_shadow
-    policy = _orig_policy(p_o)
-    lane = _LANES[p_o == 53]
-    host = lane.host
-    n = len(prog.instrs)
+    def bind(value):
+        name = "k%d" % len(ns)
+        ns[name] = value
+        return name
 
-    var_types = {p: "f" for p in prog.params}
-    for instr in prog.instrs:
+    regs = {}
+
+    def reg(name):
+        return regs.setdefault(name, len(regs))
+
+    types = {}
+    for name in prog.params:
+        types[reg(name)] = "f"
+    for instr in instrs:
         if instr.dst is not None:
-            var_types.setdefault(instr.dst, _tac.OPCODES[instr.op][1])
+            types.setdefault(reg(instr.dst), OPCODES[instr.op][1])
+    track = any(instr.op in ("set_hi", "set_lo") for instr in instrs)
 
-    const_duals = {}
-
-    def f_getter(operand):
+    def fop(operand):
+        """(orig, shadow, stale) expressions of a float operand."""
         if operand[0] == "var":
-            name = operand[1]
-            return lambda env, _n=name: env[_n]
-        key = id(operand)
-        dv = const_duals.get(key)
-        if dv is None:
-            dv = make_dual(operand[1], cfg)
-            const_duals[key] = dv
-        return lambda env, _dv=dv: _dv
+            k = reg(operand[1])
+            return "o%d" % k, "s%d" % k, "t%d" % k if track else "False"
+        dv = make_dual(operand[1], cfg)
+        return bind(dv.orig), bind(dv.shadow), "False"
 
-    def i_getter(operand):
+    def iop(operand):
         if operand[0] == "var":
-            name = operand[1]
-            return lambda env, _n=name: env[_n]
-        val = operand[1] & _INT_MASK
-        return lambda env, _v=val: _v
+            return "i%d" % reg(operand[1])
+        return "%d" % (operand[1] & _INT_MASK)
 
-    if mode == "full":
-        def make_emit(iid, dst):
-            def emit(ctx, dv):
-                o = mp.from_float(dv.orig) if host else dv.orig
-                ctx.samples.append(ErrorSample(
-                    iid, ctx.run_index, dst, o, dv.shadow,
-                    mp.relative_error(dv.shadow, o, p_s)))
-            return emit
-    elif mode == "stream":
-        rel_err = lane.rel_err
+    def signed(operand):
+        if operand[0] == "var":
+            return "({0} - ({0} >> 63 << 64))".format(iop(operand))
+        v = operand[1] & _INT_MASK
+        return "(%d)" % (v - (v >> 63 << 64))
 
-        def make_emit(iid, dst):
-            def emit(ctx, dv):
-                ctx.agg(iid, dst, rel_err(dv.shadow, dv.orig, p_s))
-            return emit
-    else:
-        def make_emit(iid, dst):
-            def emit(ctx, dv):
-                pass
-            return emit
+    def is_float(operand):
+        if operand[0] == "var":
+            return types.get(reg(operand[1]), "f") == "f"
+        return operand[0] != "ilit"
 
-    def check_word_op():
-        if not host:
+    def emit(iid, k, dst):
+        if mode == "stream":
+            return ["sink(%d, %s, _rel(s%d, o%d, %d))"
+                    % (iid, bind(dst), k, k, p_s)]
+        if mode == "full":
+            return ["sink(_sample(%d, ri, %s, o%d, s%d, %d))"
+                    % (iid, bind(dst), k, k, p_s)]
+        return []
+
+    def lines(instr):
+        op, srcs = instr.op, instr.srcs
+        if op in _WORD_OPS and not host:
             raise EngineError("word operations need p_orig = 53")
-
-    code = []
-    labels = prog.labels
-    for instr in prog.instrs:
-        iid = instr.id
-        op = instr.op
-        dst = instr.dst
-        nxt = iid + 1
-        barrier = iid in barriers
-        emit = make_emit(iid, dst) if dst is not None else None
-
-        if op in _FBIN:
-            fo = lane.fbin[op]
-            fn = _FBIN[op]
-            ga = f_getter(instr.srcs[0])
-            gb = f_getter(instr.srcs[1])
-            if barrier:
-                def step(env, ctx, fo=fo, fn=fn, ga=ga, gb=gb, dst=dst,
-                         iid=iid, nxt=nxt, emit=emit):
-                    ctx.counts[iid] += 1
-                    a = ga(env)
-                    b = gb(env)
-                    s = mp.extend(fn(mp.round_to(a.shadow, p_o, policy),
-                                     mp.round_to(b.shadow, p_o, policy),
-                                     p_o, policy), p_s)
-                    dv = DualValue(fo(a.orig, b.orig, p_o, policy), s)
-                    env[dst] = dv
-                    emit(ctx, dv)
-                    return nxt
-            elif op == "fdiv":
-                def step(env, ctx, fo=fo, fn=fn, ga=ga, gb=gb, dst=dst,
-                         iid=iid, nxt=nxt, emit=emit):
-                    ctx.counts[iid] += 1
-                    a = ga(env)
-                    b = gb(env)
-                    dv = DualValue(fo(a.orig, b.orig, p_o, policy),
-                                   fn(a.shadow, b.shadow, p_s))
-                    env[dst] = dv
-                    emit(ctx, dv)
-                    return nxt
+        k = regs.get(instr.dst)
+        if op in _COPIES or op in _DEMOTED:
+            args = [fop(s) for s in srcs]
+            o_args = [a[0] for a in args]
+            s_args = [a[1] for a in args]
+            if host and op in _HOST_INFIX:
+                orig = _HOST_INFIX[op].format(*o_args)
+            elif op in ("fneg", "fabs"):
+                orig = "_o_%s(%s)" % (op, o_args[0])
+            elif op in _DEMOTED:
+                orig = "_o_%s(%s, %d, _pol)" % (op, ", ".join(o_args), p_o)
             else:
-                # The shadow of fadd/fsub/fmul on two normal operands is
-                # mp.add/sub/mul at p_s inlined: the exact result is formed
-                # on integer significands and rounded nearest-even here.
-                # Other operand classes, and results outside the exponent
-                # range, go to mpfloat.
-                def step(env, ctx, fo=fo, fn=fn, ga=ga, gb=gb, dst=dst,
-                         iid=iid, nxt=nxt, emit=emit, mul=(op == "fmul"),
-                         flip=(-1 if op == "fsub" else 1)):
-                    ctx.counts[iid] += 1
-                    a = ga(env)
-                    b = gb(env)
-                    x = a.shadow
-                    y = b.shadow
-                    if x.cls == 1 and y.cls == 1:  # mp.NORMAL
-                        if mul:
-                            sign = x.sign * y.sign
-                            m = x.mant * y.mant
-                            e = x.exp - x.prec + y.exp - y.prec + 2
-                        else:
-                            ex = x.exp - x.prec
-                            ey = y.exp - y.prec
-                            mx = x.mant if x.sign > 0 else -x.mant
-                            my = y.mant if y.sign == flip else -y.mant
-                            if ex > ey:
-                                m = (mx << (ex - ey)) + my
-                                e = ey + 1
-                            else:
-                                m = mx + (my << (ey - ex))
-                                e = ex + 1
-                            sign = 1
-                            if m < 0:
-                                sign = -1
-                                m = -m
-                        if m:
-                            nb = m.bit_length()
-                            top = e + nb - 1
-                            if nb > p_s:
-                                # q keeps the rounding bit as its lowest bit
-                                sh = nb - p_s - 1
-                                q = m >> sh
-                                if q & 1 and (q & 2 or m & ((1 << sh) - 1)):
-                                    q = (q >> 1) + 1
-                                    if q >> p_s:
-                                        q >>= 1
-                                        top += 1
-                                else:
-                                    q >>= 1
-                            else:
-                                q = m << (p_s - nb)
-                            if -_EXP_LIMIT < top < _EXP_LIMIT:
-                                s = MPFloat(1, sign, top, q, p_s)
-                            else:
-                                s = fn(x, y, p_s)
-                        else:
-                            s = MPFloat(0, 1, 0, 0, p_s)  # mp.zero(p_s)
-                    else:
-                        s = fn(x, y, p_s)
-                    dv = DualValue(fo(a.orig, b.orig, p_o, policy), s)
-                    env[dst] = dv
-                    emit(ctx, dv)
-                    return nxt
-        elif op in ("fconst", "fmov", "fneg", "fabs"):
-            ga = f_getter(instr.srcs[0])
-            un = {"fconst": None, "fmov": None,
-                  "fneg": (lane.neg, mp.neg),
-                  "fabs": (lane.abs, mp.abs_)}[op]
-
-            def step(env, ctx, ga=ga, un=un, dst=dst, iid=iid, nxt=nxt,
-                     emit=emit):
-                ctx.counts[iid] += 1
-                a = ga(env)
-                if un is None:
-                    dv = DualValue(a.orig, a.shadow, a.stale)
-                else:
-                    dv = DualValue(un[0](a.orig), un[1](a.shadow), a.stale)
-                env[dst] = dv
-                emit(ctx, dv)
-                return nxt
-        elif op in ("fsqrt", "ffloor"):
-            ga = f_getter(instr.srcs[0])
-            if op == "fsqrt":
-                oper_o, oper = lane.sqrt, mp.sqrt
+                orig = o_args[0]
+            if op in _DEMOTED and instr.id in barriers:
+                shadow = "_ext(_m_%s(%s, %d, _pol), %d)" % (
+                    op, ", ".join("_rnd(%s, %d, _pol)" % (s, p_o)
+                                  for s in s_args), p_o, p_s)
+            elif op in _FLIP:
+                shadow = "_arith(%s, %s, %d, %d)" % (
+                    s_args[0], s_args[1], _FLIP[op], p_s)
+            elif op in ("fneg", "fabs"):
+                shadow = "_m_%s(%s)" % (op, s_args[0])
+            elif op in _DEMOTED:
+                shadow = "_m_%s(%s, %d, _unb)" % (op, ", ".join(s_args), p_s)
             else:
-                oper_o, oper = lane.floor, _mp_floor
-
-            def step(env, ctx, ga=ga, oper_o=oper_o, oper=oper, dst=dst,
-                     iid=iid, nxt=nxt, emit=emit, barrier=barrier):
-                ctx.counts[iid] += 1
-                a = ga(env)
-                o = oper_o(a.orig, p_o, policy)
-                if barrier:
-                    s = mp.extend(oper(mp.round_to(a.shadow, p_o, policy),
-                                       p_o, policy), p_s)
-                else:
-                    s = oper(a.shadow, p_s, mp.UNBOUNDED)
-                dv = DualValue(o, s)
-                env[dst] = dv
-                emit(ctx, dv)
-                return nxt
-        elif op in ("get_hi", "get_lo"):
-            check_word_op()
-            ga = f_getter(instr.srcs[0])
-            hi = (op == "get_hi")
-
-            def step(env, ctx, ga=ga, hi=hi, dst=dst, iid=iid, nxt=nxt):
-                ctx.counts[iid] += 1
-                bits = _float_bits(ga(env).orig)
-                env[dst] = (bits >> 32) if hi else (bits & 0xFFFFFFFF)
-                return nxt
-        elif op == "make_f":
-            check_word_op()
-            gh = i_getter(instr.srcs[0])
-            gl = i_getter(instr.srcs[1])
-
-            def step(env, ctx, gh=gh, gl=gl, dst=dst, iid=iid, nxt=nxt,
-                     emit=emit):
-                ctx.counts[iid] += 1
-                bits = ((gh(env) & 0xFFFFFFFF) << 32) | (gl(env) & 0xFFFFFFFF)
-                dv = DualValue(_bits_float(bits),
-                               mp.extend(mp.from_binary64_bits(bits), p_s))
-                env[dst] = dv
-                emit(ctx, dv)
-                return nxt
+                shadow = s_args[0]
+            out = ["o%d = %s" % (k, orig), "s%d = %s" % (k, shadow)]
+            if track:
+                out.append("t%d = %s" % (k, args[0][2] if op in _COPIES
+                                          else "False"))
         elif op in ("set_hi", "set_lo"):
-            check_word_op()
-            ga = f_getter(instr.srcs[0])
-            gw = i_getter(instr.srcs[1])
-            hi = (op == "set_hi")
-
-            def step(env, ctx, ga=ga, gw=gw, hi=hi, dst=dst, iid=iid,
-                     nxt=nxt, emit=emit, barrier=barrier):
-                ctx.counts[iid] += 1
-                a = ga(env)
-                w = gw(env) & 0xFFFFFFFF
-
-                def write(bits):
-                    if hi:
-                        return (bits & 0xFFFFFFFF) | (w << 32)
-                    return (bits >> 32 << 32) | w
-
-                bits = write(_float_bits(a.orig))
-                o = _bits_float(bits)
-                if barrier:
-                    sbits = write(mp.to_binary64_bits(
-                        mp.round_to(a.shadow, p_o, policy)))
-                    dv = DualValue(o, mp.extend(
-                        mp.from_binary64_bits(sbits), p_s))
-                elif not a.stale \
-                        and mp.cmp(a.shadow, mp.from_float(a.orig)) == 0:
-                    dv = DualValue(o, mp.extend(
-                        mp.from_binary64_bits(bits), p_s))
-                else:
-                    dv = DualValue(o, a.shadow, True)
-                env[dst] = dv
-                emit(ctx, dv)
-                return nxt
+            oa, sa, ta = fop(srcs[0])
+            out = ["o%d, s%d, t%d = _setw(%s, %s, %s, %s, %d, %d, %d)" % (
+                k, k, k, oa, sa, ta, iop(srcs[1]), op == "set_hi",
+                instr.id in barriers, p_s)]
+        elif op == "make_f":
+            out = ["o%d, s%d = _makef(%s, %s, %d)"
+                   % (k, k, iop(srcs[0]), iop(srcs[1]), p_s)]
+            if track:
+                out.append("t%d = False" % k)
+        elif op in ("get_hi", "get_lo"):
+            return ["i%d = _fbits(%s) %s" % (
+                k, fop(srcs[0])[0],
+                ">> 32" if op == "get_hi" else "& 0xFFFFFFFF")]
         elif op == "iconst":
-            val = instr.srcs[0][1] & _INT_MASK
-
-            def step(env, ctx, val=val, dst=dst, iid=iid, nxt=nxt):
-                ctx.counts[iid] += 1
-                env[dst] = val
-                return nxt
-        elif op in ("iadd", "isub", "iand", "ior", "ixor", "ishl", "ishr"):
-            gx = i_getter(instr.srcs[0])
-            gy = i_getter(instr.srcs[1])
-            kind = op
-
-            def step(env, ctx, gx=gx, gy=gy, kind=kind, dst=dst, iid=iid,
-                     nxt=nxt):
-                ctx.counts[iid] += 1
-                x = gx(env)
-                y = gy(env)
-                if kind == "iadd":
-                    r = (x + y) & _INT_MASK
-                elif kind == "isub":
-                    r = (x - y) & _INT_MASK
-                elif kind == "iand":
-                    r = x & y
-                elif kind == "ior":
-                    r = x | y
-                elif kind == "ixor":
-                    r = x ^ y
-                elif kind == "ishl":
-                    r = (x << (y & 63)) & _INT_MASK
-                else:
-                    sh = y & 63
-                    if x & _INT_SIGN:
-                        r = ((x - (1 << 64)) >> sh) & _INT_MASK
-                    else:
-                        r = x >> sh
-                env[dst] = r
-                return nxt
+            return ["i%d = %s" % (k, iop(srcs[0]))]
+        elif op in _INT_EXPR:
+            return ["i%d = %s" % (k, _INT_EXPR[op].format(iop(srcs[0]),
+                                                          iop(srcs[1])))]
         elif op == "icmp":
-            pred = instr.srcs[0][1]
-            xo, yo = instr.srcs[1], instr.srcs[2]
-
-            def otype(operand):
-                if operand[0] == "var":
-                    return var_types.get(operand[1], "f")
-                return "i" if operand[0] == "ilit" else "f"
-
-            is_float = otype(xo) == "f" or otype(yo) == "f"
-            if is_float:
-                ga = f_getter(xo)
-                gb = f_getter(yo)
-
-                def step(env, ctx, ga=ga, gb=gb, cmp=lane.cmp, pred=pred,
-                         dst=dst, iid=iid, nxt=nxt):
-                    ctx.counts[iid] += 1
-                    c = cmp(ga(env).orig, gb(env).orig)
-                    if c is None:
-                        r = pred == "ne"
-                    elif pred == "lt":
-                        r = c < 0
-                    elif pred == "le":
-                        r = c <= 0
-                    elif pred == "gt":
-                        r = c > 0
-                    elif pred == "ge":
-                        r = c >= 0
-                    elif pred == "eq":
-                        r = c == 0
-                    else:
-                        r = c != 0
-                    env[dst] = 1 if r else 0
-                    return nxt
-            else:
-                gx = i_getter(xo)
-                gy = i_getter(yo)
-
-                def step(env, ctx, gx=gx, gy=gy, pred=pred, dst=dst,
-                         iid=iid, nxt=nxt):
-                    ctx.counts[iid] += 1
-                    x = gx(env)
-                    y = gy(env)
-                    if x & _INT_SIGN:
-                        x -= 1 << 64
-                    if y & _INT_SIGN:
-                        y -= 1 << 64
-                    if pred == "lt":
-                        r = x < y
-                    elif pred == "le":
-                        r = x <= y
-                    elif pred == "gt":
-                        r = x > y
-                    elif pred == "ge":
-                        r = x >= y
-                    elif pred == "eq":
-                        r = x == y
-                    else:
-                        r = x != y
-                    env[dst] = 1 if r else 0
-                    return nxt
-        elif op == "branch":
-            gc = i_getter(instr.srcs[0])
-            tgt = labels[instr.srcs[1][1]]
-
-            def step(env, ctx, gc=gc, tgt=tgt, iid=iid, nxt=nxt):
-                ctx.counts[iid] += 1
-                return tgt if gc(env) != 0 else nxt
-        elif op == "jump":
-            tgt = labels[instr.srcs[0][1]]
-
-            def step(env, ctx, tgt=tgt, iid=iid):
-                ctx.counts[iid] += 1
-                return tgt
-        elif op == "ret":
-            operand = instr.srcs[0]
-            if operand[0] == "var":
-                name = operand[1]
-                if var_types.get(name) == "i":
-                    raise EngineError("ret needs a float variable")
-
-                def step(env, ctx, name=name, iid=iid):
-                    ctx.counts[iid] += 1
-                    ctx.result = env[name]
-                    return -1
-            else:
-                g = f_getter(operand)
-
-                def step(env, ctx, g=g, iid=iid):
-                    ctx.counts[iid] += 1
-                    ctx.result = g(env)
-                    return -1
+            pred, x, y = srcs[0][1], srcs[1], srcs[2]
+            if is_float(x) or is_float(y):
+                return ["i%d = 1 if _ocmp(%s, %s) in %s else 0"
+                        % (k, fop(x)[0], fop(y)[0], _CMP_PRED[pred])]
+            return ["i%d = 1 if %s %s %s else 0"
+                    % (k, signed(x), _INT_PRED[pred], signed(y))]
         else:
             raise EngineError("unhandled opcode %r" % op)
-        code.append(step)
-    return code
+        return out + emit(instr.id, k, instr.dst)
+
+    def target(label):
+        if label not in prog.labels:
+            raise EngineError("no label %r in %s" % (label, prog.name))
+        return prog.labels[label]
+
+    # basic blocks: block ids follow program order, `end` stands for
+    # falling off the end of the program
+    leaders = {0}
+    for instr in instrs:
+        if instr.op == "jump":
+            leaders.add(target(instr.srcs[0][1]))
+        elif instr.op == "branch":
+            leaders.add(target(instr.srcs[1][1]))
+        if instr.op in ("branch", "jump", "ret"):
+            leaders.add(instr.id + 1)
+    starts = sorted(i for i in leaders if i < n)
+    end = len(starts)
+    block_at = dict(zip(starts, range(end)))
+    bounds = list(zip(starts, starts[1:] + [n]))
+
+    def block(i):
+        return block_at.get(i, end)
+
+    bodies, succs = [], []
+    for lo, hi in bounds:
+        body = [ln for instr in instrs[lo:hi - 1] for ln in lines(instr)]
+        last = instrs[hi - 1]
+        op = last.op
+        if op == "ret":
+            ret = last.srcs[0]
+            if ret[0] == "ilit" or (ret[0] == "var"
+                                    and types.get(reg(ret[1])) == "i"):
+                raise EngineError("ret needs a float variable")
+            body.append("ro, rs, rt = %s, %s, %s" % fop(ret))
+            succ = ()
+        elif op == "jump":
+            succ = (block(target(last.srcs[0][1])),)
+            body.append("b = %d" % succ[0])
+        elif op == "branch":
+            succ = (block(target(last.srcs[1][1])), block(hi))
+            body.append("b = %d if %s else %d"
+                        % (succ[0], iop(last.srcs[0]), succ[1]))
+        else:
+            body += lines(last)
+            succ = (block(hi),)
+            body.append("b = %d" % succ[0])
+        bodies.append(body)
+        succs.append(succ)
+    reached = set()
+    work = [0]
+    while work:
+        b = work.pop()
+        if b not in reached:
+            reached.add(b)
+            work.extend(succs[b] if b < end else ())
+    for body, succ in zip(bodies, succs):
+        if not succ:
+            body.append("break")
+    counts = []
+    for b, (lo, hi) in enumerate(bounds):
+        counts += ["c%d" % b if b in reached else "0"] * (hi - lo)
+
+    src = ["def run(ins, sink, ri):"]
+    for j, name in enumerate(prog.params):
+        k = regs[name]
+        src += ["    o%d = ins[%d].orig" % (k, j),
+                "    s%d = ins[%d].shadow" % (k, j)]
+        if track:
+            src.append("    t%d = ins[%d].stale" % (k, j))
+    ids = sorted(reached)
+    src += ["    n = 0", "    b = 0",
+            "    %s = 0" % " = ".join("c%d" % b for b in ids if b < end),
+            "    while True:"]
+
+    def dispatch(ids, pad):
+        if len(ids) > 1:
+            mid = len(ids) // 2
+            src.append(pad + "if b < %d:" % ids[mid])
+            dispatch(ids[:mid], pad + "    ")
+            src.append(pad + "else:")
+            dispatch(ids[mid:], pad + "    ")
+        elif ids[0] == end:
+            src.append(pad + "raise _fell()")
+        else:
+            b = ids[0]
+            lo, hi = bounds[b]
+            src.extend(pad + ln for ln in [
+                "n += %d" % (hi - lo), "if n > %d:" % cfg.max_steps,
+                "    raise _over()", "c%d += 1" % b] + bodies[b])
+
+    dispatch(ids, "        ")
+    src.append("    return ro, rs, rt, n, [%s]" % ", ".join(counts))
+    exec(compile("\n".join(src) + "\n", "<precfix>", "exec"), ns)
+    return ns["run"]
 
 
-_CACHE = {}
+# compiled functions kept per program, the oldest dropped past this many
+_CACHE_SIZE = 32
 
 
 def _compiled(prog, cfg, barriers, mode):
-    key = (id(prog), cfg.p_orig, cfg.p_shadow, barriers, mode)
-    hit = _CACHE.get(key)
-    if hit is not None and hit[0] is prog:
-        return hit[1]
-    code = _compile(prog, cfg, barriers, mode)
-    _CACHE[key] = (prog, code)  # keep prog alive so ids stay unique
-    return code
+    _check_barriers(prog, barriers)
+    cache = prog.compiled
+    key = (cfg, barriers, mode)
+    run = cache.get(key)
+    if run is None:
+        run = _compile(prog, cfg, barriers, mode)
+        if len(cache) >= _CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = run
+    return run
 
 
 def _check_barriers(prog, barriers):
@@ -723,37 +691,36 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
     objects with exact errors, "none" skips error tracking entirely, or
     pass a callable aggregator(instr_id, dst, err_float) for streaming.
     """
-    barriers = frozenset(barriers)
-    _check_barriers(prog, barriers)
+    samples = []
+    if callable(sample_mode):
+        mode, sink = "stream", sample_mode
+    elif sample_mode == "full":
+        mode, sink = "full", samples.append
+    elif sample_mode == "none":
+        mode, sink = "none", None
+    else:
+        raise ValueError("bad sample_mode %r" % sample_mode)
+    run = _compiled(prog, cfg, frozenset(barriers), mode)
     if len(inputs) != len(prog.params):
         raise EngineError("%s takes %d input(s), got %d"
                           % (prog.name, len(prog.params), len(inputs)))
-    agg = sample_mode if callable(sample_mode) else None
-    mode = "stream" if agg is not None else sample_mode
-    if mode not in ("full", "none", "stream"):
-        raise ValueError("bad sample_mode %r" % sample_mode)
-    code = _compiled(prog, cfg, barriers, mode)
-    ctx = _Ctx(len(prog.instrs))
-    ctx.run_index = run_index
-    ctx.agg = agg
-    env = {}
-    for pname, val in zip(prog.params, inputs):
-        env[pname] = make_dual(val, cfg)
-    pc = 0
-    steps = 0
-    budget = cfg.max_steps
-    while pc >= 0:
-        steps += 1
-        if steps > budget:
-            raise StepBudgetExceeded("%s exceeded %d steps"
-                                     % (prog.name, budget))
-        pc = code[pc](env, ctx)
-    result = ctx.result
-    if result is not None and cfg.p_orig == 53:
-        result = DualValue(mp.from_float(result.orig), result.shadow,
-                           result.stale)
-    return RunTrace(prog.name, run_index, list(inputs), result,
-                    ctx.samples, ctx.counts, steps)
+    try:
+        orig, shadow, stale, steps, counts = run(
+            [make_dual(v, cfg) for v in inputs], sink, run_index)
+    except NameError as exc:
+        # an UnboundLocalError, or a NameError for a register that no
+        # reached instruction assigns
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        if tb.tb_frame.f_code is not run.__code__:
+            raise
+        raise EngineError("%s reads a variable before it is assigned"
+                          % prog.name) from None
+    if cfg.p_orig == 53:
+        orig = mp.from_float(orig)
+    return RunTrace(prog.name, run_index, list(inputs),
+                    DualValue(orig, shadow, stale), samples, counts, steps)
 
 
 def run_batch(prog, input_rows, cfg=EngineConfig(), barriers=frozenset(),

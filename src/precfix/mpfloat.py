@@ -57,14 +57,8 @@ class MPFloat:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_zero(self):
-        return self.cls == ZERO
-
     def is_nan(self):
         return self.cls == NAN
-
-    def is_inf(self):
-        return self.cls == INF
 
     def is_finite(self):
         return self.cls == ZERO or self.cls == NORMAL

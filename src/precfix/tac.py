@@ -54,10 +54,6 @@ OPCODES = {
     "ret": (("v",), None),
 }
 
-FLOAT_DST_OPS = frozenset(
-    op for op, (_, d) in OPCODES.items() if d == "f"
-)
-
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9.]*$")
 _INT_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|\d+)$")
 _FUNC_RE = re.compile(r"^func\s+(\w+)\s*\(([^)]*)\)\s*->\s*(\w+)$")
@@ -114,9 +110,9 @@ class TacProgram:
     return_var: str
     labels: dict = field(default_factory=dict)
     consts: dict = field(default_factory=dict)
-
-    def instr_ids(self):
-        return range(len(self.instrs))
+    # the engine's compiled functions for this program, by (config,
+    # barriers, sample mode); bounded by the engine
+    compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _parse_float_literal(text, line_no):

@@ -158,3 +158,30 @@ def test_eval_without_reference_is_exit_1(capsys):
                            "--grid=-5,5,11")
     assert code == 1
     assert "reference" in err
+
+
+def test_repeated_commands_reuse_compiled_code(capsys, monkeypatch):
+    from precfix import corpus, engine
+    argv = ["detect", "--kernel", "cancel_kernel", "--grid=-10,10,20"]
+    run_cli(capsys, *argv)
+    cache = corpus.get_kernel("cancel_kernel").program.compiled
+    size = len(cache)
+    compiles = []
+    real = engine._compile
+    monkeypatch.setattr(engine, "_compile",
+                        lambda *a: compiles.append(a) or real(*a))
+    for _ in range(20):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(cache) == size
+    assert compiles == []
+
+
+def test_floor_of_non_finite_is_exit_1(tmp_path, capsys):
+    f = tmp_path / "fl.tac"
+    f.write_text("func fl(x) -> y\n  t = fmul x, x\n  y = ffloor t\n"
+                 "  ret y\n")
+    for argv in (["run", "--input", "single:1e300"],
+                 ["detect", "--grid=1e200,1e300,4"]):
+        code, _, err = run_cli(capsys, *argv, "--program", str(f))
+        assert code == 1
+        assert err == "error: floor needs a finite value\n"

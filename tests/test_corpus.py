@@ -120,3 +120,15 @@ def test_magic_constant_values():
     sin = corpus.get_kernel("sin_kernel").program
     assert sin.consts["invpio2"].fval.to_float() \
         == float.fromhex("0x1.45f306dc9c883p-1")
+
+
+def test_kernel_is_parsed_once(monkeypatch):
+    calls = []
+    real = tac.parse_program
+    monkeypatch.setattr(tac, "parse_program",
+                        lambda text: calls.append(text) or real(text))
+    k = corpus.get_kernel("exp_kernel")
+    fresh = corpus.Kernel(k.name, k.source, k.oracle_fn, k.domain)
+    progs = {id(fresh.program) for _ in range(50)}
+    assert len(calls) == 1 and len(progs) == 1
+    assert corpus.get_kernel("exp_kernel").program is k.program

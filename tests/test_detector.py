@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from precfix import tac, engine, corpus, detector
 from precfix import mpfloat as mp
@@ -176,3 +177,27 @@ def test_barrier_ids_stay_within_program():
     res = detector.fix_iteratively(k.program, corpus.grid("-9", "9", 30))
     n = len(k.program.instrs)
     assert all(0 <= b < n for b in res.barriers)
+
+
+SWEEP_CFG = detector.DetectionConfig()
+# errors drawn on and around every sweep threshold, plus infinities
+ERRORS = st.one_of(
+    st.sampled_from(list(SWEEP_CFG.e0_sweep) + [0.0, math.inf, math.nan]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(math.nextafter, st.sampled_from(SWEEP_CFG.e0_sweep),
+              st.sampled_from([0.0, 1.0])))
+
+
+@given(st.dictionaries(st.integers(0, 6),
+                       st.lists(ERRORS, min_size=1, max_size=40),
+                       min_size=1, max_size=5),
+       st.integers(1, 50))
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_linear_detect(per_instr, n):
+    agg = synthetic_agg({i: ("d%d" % i, errs)
+                         for i, errs in per_instr.items()}, n)
+    order = {i: list(acc.errors) for i, acc in agg.instrs.items()}
+    for entry in detector.sweep(agg, SWEEP_CFG):
+        linear = detector.detect(agg, SWEEP_CFG, entry.e0, entry.p0)
+        assert entry.report.to_dict() == linear.to_dict()
+    assert {i: list(acc.errors) for i, acc in agg.instrs.items()} == order

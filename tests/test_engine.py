@@ -331,3 +331,32 @@ def test_fconst_enters_both_lanes_rounded_once():
     tr = run(text, "0.0")
     assert tr.result.orig.to_float() == 0.1
     assert tr.samples[0].rel_err.cls == mp.ZERO
+
+
+def test_run_batch_records_non_finite_floor():
+    prog = tac.parse_program("func f(x) -> y\n  t = fmul x, x\n"
+                             "  y = ffloor t\n  ret y\n")
+    for cfg in (CFG, engine.EngineConfig(p_orig=24, p_shadow=60)):
+        traces = engine.run_batch(prog, [mp.inf(), dec("2.5", cfg.p_orig)],
+                                  cfg)
+        assert isinstance(traces[0].error, engine.NonFiniteFloor)
+        assert isinstance(traces[0].error, ValueError)
+        assert traces[1].error is None
+        assert traces[1].result.orig.to_float() == 6.0
+
+
+def test_compile_cache_is_bounded():
+    prog = tac.parse_program(ROUND)
+    for budget in range(3, engine._CACHE_SIZE + 8):
+        cfg = engine.EngineConfig(max_steps=budget)
+        engine.execute(prog, [dec("2.6")], cfg)
+    assert len(prog.compiled) == engine._CACHE_SIZE
+
+
+def test_barriers_are_checked_on_a_cache_hit():
+    # {True} and {1.0} equal {1}, so they find its compiled function
+    prog = tac.parse_program(ROUND)
+    engine.execute(prog, [dec("2.6")], barriers={1})
+    for bad in ({True}, {1.0}):
+        with pytest.raises(engine.BadBarrier):
+            engine.execute(prog, [dec("2.6")], barriers=bad)

@@ -2,7 +2,7 @@
 
 At p_orig = 53 the original lane is a host float; every operation on it
 must give the same binary64 value, bit for bit, as the mpfloat BINARY64
-policy.  The inlined shadow path for fadd/fsub/fmul must build the same
+policy.  The shadow helper for fadd/fsub/fmul must build the same
 MPFloat as mp.add/sub/mul, and the stream-mode error taken from a host
 float must equal the one taken from its MPFloat.
 """
@@ -182,15 +182,17 @@ def test_admission_rounds_to_binary64(v):
     assert fields(dv.shadow) == fields(mp.extend(want, 120))
 
 
-# -- the inlined shadow path ------------------------------------------------
+# -- the shadow helper -----------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
 def _shadow_step(op, p):
+    """The generated function of `y = op a, b`: an infix host-float
+    original and the shadow helper engine._shadow_arith."""
     prog = tac.parse_program("func f(a, b) -> y\n  y = %s a, b\n  ret y\n"
                              % op)
-    return engine._compile(prog, engine.EngineConfig(53, p), frozenset(),
-                           "none")[0]
+    return engine._compiled(prog, engine.EngineConfig(53, p), frozenset(),
+                            "none")
 
 
 OPERANDS = mpfloats(450)
@@ -242,9 +244,9 @@ def shadow_operands(draw):
 def test_inline_shadow_matches_mpfloat(case):
     op, p, a, b = case
     a, b = mp.MPFloat(*a), mp.MPFloat(*b)
-    env = {"a": engine.DualValue(1.0, a), "b": engine.DualValue(2.0, b)}
-    _shadow_step(op, p)(env, engine._Ctx(2))
-    got, orig = fields(env["y"].shadow), env["y"].orig
+    ins = [engine.DualValue(1.0, a), engine.DualValue(2.0, b)]
+    orig, shadow = _shadow_step(op, p)(ins, None, 0)[:2]
+    got = fields(shadow)
     want = fields(engine._FBIN[op](a, b, p))
     assert got == want
     assert orig == HOST.fbin[op](1.0, 2.0, 53, B64)
