@@ -9,7 +9,7 @@ evaluate the fixed program against a built-in high-precision oracle.
 from . import mpfloat, transcendental, tac, engine, detector, corpus, \
     evaluator
 from .mpfloat import MPFloat, relative_error
-from .engine import EngineConfig, DualValue, execute, run_batch
+from .engine import EngineConfig, DualValue, execute
 from .detector import DetectionConfig, detect, fix_iteratively
 from .corpus import builtin_kernels, grid
 from .evaluator import evaluate, summarize
@@ -17,7 +17,7 @@ from .evaluator import evaluate, summarize
 __all__ = [
     "mpfloat", "transcendental", "tac", "engine", "detector", "corpus",
     "evaluator", "MPFloat", "relative_error", "EngineConfig", "DualValue",
-    "execute", "run_batch", "DetectionConfig", "detect", "fix_iteratively",
+    "execute", "DetectionConfig", "detect", "fix_iteratively",
     "builtin_kernels", "grid", "evaluate", "summarize",
 ]
 

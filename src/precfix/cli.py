@@ -126,7 +126,9 @@ def _load_source(args):
         except OSError as exc:
             raise CliError(str(exc)) from exc
         prog = tac.parse_program(text)
-        return corpus.Kernel(prog.name, text, None, ("-1", "1", 1000))
+        kernel = corpus.Kernel(prog.name, text, None, ("-1", "1", 1000))
+        vars(kernel)["program"] = prog  # fill the cached property
+        return kernel
     raise CliError("need --kernel or --program")
 
 
@@ -168,11 +170,11 @@ def _engine_cfg(args):
         raise CliError(str(exc)) from exc
 
 
-def _det_cfg(args, max_iterations=None):
+def _det_cfg(args):
     kw = dict(e0=args.e0, p0=args.p0, p1=args.p1,
               first_order=args.first_order)
-    if max_iterations is not None:
-        kw["max_iterations"] = max_iterations
+    if "max_iterations" in args:  # only `fix` sets the cap
+        kw["max_iterations"] = args.max_iterations
     try:
         return detector.DetectionConfig(**kw)
     except ValueError as exc:
@@ -225,17 +227,12 @@ def cmd_run(args):
     return 0
 
 
-def _aggregate_for(args, kernel, cfg, barriers=frozenset()):
-    prog = kernel.program
-    inputs = _load_inputs(args, kernel, cfg.p_orig)
-    return detector._run_aggregate(prog, inputs, cfg, barriers), inputs
-
-
 def cmd_detect(args):
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
     det = _det_cfg(args)
-    agg, _ = _aggregate_for(args, kernel, cfg)
+    agg = detector.collect(kernel.program,
+                           _load_inputs(args, kernel, cfg.p_orig), cfg)
     if args.sweep:
         payload = [
             {"e0": e.e0, "p0": e.p0, "report": e.report.to_dict()}
@@ -250,7 +247,7 @@ def cmd_detect(args):
 def cmd_fix(args):
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
-    det = _det_cfg(args, args.max_iterations)
+    det = _det_cfg(args)
     prog = kernel.program
     inputs = _load_inputs(args, kernel, cfg.p_orig)
     result = detector.fix_iteratively(prog, inputs, cfg, det)

@@ -22,10 +22,6 @@ DEFAULT_E0_SWEEP = (1e-2, 1e-4, 1e-6, 1e-8)
 DEFAULT_P0_SWEEP = (0.7, 0.6, 0.5)
 
 
-class MixedProvenance(ValueError):
-    """Samples from different programs were aggregated together."""
-
-
 class NoConvergence(RuntimeError):
     def __init__(self, message, log):
         super().__init__(message)
@@ -49,6 +45,8 @@ class DetectionConfig:
             raise ValueError("e0 must be positive")
         if self.first_order not in ("static", "dynamic"):
             raise ValueError("first_order must be static or dynamic")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 class _InstrAcc:
@@ -84,36 +82,18 @@ class ErrorAggregate:
         else:
             acc.errors.append(err)
 
-    def collector(self):
-        """Callable suitable as the engine's streaming sample_mode."""
-        return self.add
 
-    def finish(self, n_runs):
-        self.n = n_runs
-        return self
-
-
-def aggregate(traces):
-    """Build an ErrorAggregate from RunTrace objects of a single program."""
-    if not traces:
-        raise ValueError("no traces to aggregate")
-    names = {t.program for t in traces}
-    if len(names) != 1:
-        raise MixedProvenance("traces from %s cannot be pooled"
-                              % sorted(names))
-    agg = ErrorAggregate(traces[0].program)
-    n = 0
-    for t in traces:
-        if t.error is not None:
-            continue
-        n += 1
-        for s in t.samples:
-            r = s.rel_err
-            if r.cls == mp.INF or r.cls == mp.NAN:
-                agg.add(s.instr_id, s.dst, math.inf)
-            else:
-                agg.add(s.instr_id, s.dst, abs(r.to_float()))
-    agg.n = n
+def collect(prog, rows, engine_cfg, barriers=frozenset()):
+    """Run every input row of a batch and stream each error sample into
+    one ErrorAggregate.  A failed run stops the batch and its EngineError
+    propagates."""
+    agg = ErrorAggregate(prog.name)
+    add = agg.add
+    for idx, row in enumerate(rows):
+        if isinstance(row, mp.MPFloat):
+            row = [row]
+        eng.execute(prog, row, engine_cfg, barriers, idx, sample_mode=add)
+        agg.n += 1
     return agg
 
 
@@ -225,15 +205,19 @@ def detect(agg, cfg=DetectionConfig(), e0=None, p0=None, memo=None):
     p0 = cfg.p0 if p0 is None else p0
     stats = stats_for(agg, e0, p0, cfg.p1, memo)
     flagged = [s.instr_id for s in stats if s.flagged]
-    first = None
-    if flagged:
-        if cfg.first_order == "static":
-            first = flagged[0]
-        else:
-            by_instr = {s.instr_id: s for s in stats}
-            first = min(flagged, key=lambda i: by_instr[i].first_ordinal)
-    return DetectionReport(agg.program, agg.n, e0, p0, cfg.p1,
-                           stats, flagged, first)
+    return DetectionReport(agg.program, agg.n, e0, p0, cfg.p1, stats,
+                           flagged, _first(flagged, stats, cfg.first_order))
+
+
+def _first(ids, stats, first_order):
+    """The instruction of `ids` to fix first: the lowest static id, or the
+    one whose first sample came earliest in the batch; None when empty."""
+    if not ids:
+        return None
+    if first_order == "static":
+        return min(ids)
+    ordinal = {s.instr_id: s.first_ordinal for s in stats}
+    return min(ids, key=ordinal.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -266,38 +250,21 @@ class FixResult:
     converged: bool
 
 
-def _run_aggregate(prog, inputs, engine_cfg, barriers):
-    agg = ErrorAggregate(prog.name)
-    add = agg.collector()
-    n = 0
-    for idx, row in enumerate(inputs):
-        if isinstance(row, mp.MPFloat):
-            row = [row]
-        eng.execute(prog, row, engine_cfg, barriers, idx, sample_mode=add)
-        n += 1
-    agg.n = n
-    return agg
-
-
 def fix_iteratively(prog, inputs, engine_cfg=eng.EngineConfig(),
-                    det_cfg=DetectionConfig(), max_iterations=None):
+                    det_cfg=DetectionConfig()):
     """Detect-and-barrier loop: one new barrier per iteration until no
-    instruction is flagged.  Raises NoConvergence past the iteration cap."""
-    cap = det_cfg.max_iterations if max_iterations is None else max_iterations
+    instruction is flagged.  Raises NoConvergence past
+    det_cfg.max_iterations."""
     barriers = set()
     log = []
-    for _ in range(cap):
-        agg = _run_aggregate(prog, inputs, engine_cfg, frozenset(barriers))
+    for _ in range(det_cfg.max_iterations):
+        agg = collect(prog, inputs, engine_cfg, frozenset(barriers))
         report = detect(agg, det_cfg)
         log.append(report)
-        remaining = [i for i in report.flagged if i not in barriers]
-        if not remaining:
+        first = _first([i for i in report.flagged if i not in barriers],
+                       report.stats, det_cfg.first_order)
+        if first is None:
             return FixResult(frozenset(barriers), log, True)
-        if det_cfg.first_order == "static":
-            barriers.add(remaining[0])
-        else:
-            by_instr = {s.instr_id: s for s in report.stats}
-            barriers.add(min(remaining,
-                             key=lambda i: by_instr[i].first_ordinal))
+        barriers.add(first)
     raise NoConvergence("no convergence after %d iterations on %s"
-                        % (cap, prog.name), log)
+                        % (det_cfg.max_iterations, prog.name), log)

@@ -131,7 +131,6 @@ class RunTrace:
     samples: list
     exec_counts: list
     steps: int
-    error: Exception | None = None
 
 
 def _orig_policy(p_orig):
@@ -721,22 +720,6 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
         orig = mp.from_float(orig)
     return RunTrace(prog.name, run_index, list(inputs),
                     DualValue(orig, shadow, stale), samples, counts, steps)
-
-
-def run_batch(prog, input_rows, cfg=EngineConfig(), barriers=frozenset(),
-              sample_mode="full"):
-    """Execute a list of input vectors; failures are recorded per run
-    instead of aborting the batch.  Returns a list of RunTrace."""
-    traces = []
-    for idx, row in enumerate(input_rows):
-        if isinstance(row, MPFloat):
-            row = [row]
-        try:
-            traces.append(execute(prog, row, cfg, barriers, idx, sample_mode))
-        except EngineError as exc:
-            traces.append(RunTrace(prog.name, idx, list(row), None, [],
-                                   [0] * len(prog.instrs), 0, exc))
-    return traces
 
 
 def format_sample(sample):

@@ -76,7 +76,7 @@ class TacValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    kind: str  # UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedReturn | DuplicateName | MissingReturn
+    kind: str  # UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedVariable | UnassignedReturn | DuplicateName | MissingReturn
     instr_id: int  # -1 when not tied to one instruction
     message: str
 
@@ -352,7 +352,7 @@ def validate(prog):
         diags.append(Diagnostic("UnassignedReturn", -1, "empty body"))
         return diags
 
-    # pass 3: definite assignment at each ret (forward must-analysis)
+    # pass 3: definite assignment of every operand (forward must-analysis)
     base = frozenset(prog.params)
     assigned_in = [None] * n
     assigned_in[0] = base
@@ -373,15 +373,21 @@ def validate(prog):
     for i, instr in enumerate(prog.instrs):
         if assigned_in[i] is None:
             continue  # unreachable
-        if instr.op == "ret":
-            saw_ret = True
-            operand = instr.srcs[0]
-            if operand[0] == VAR and operand[1] not in assigned_in[i] | {instr.dst}:
-                if operand[1] in prog.consts:
-                    continue
+        for operand in instr.srcs:
+            name = operand[1]
+            if (operand[0] != VAR or name in assigned_in[i]
+                    or name in prog.consts):
+                continue
+            if instr.op == "ret":
                 diags.append(Diagnostic(
                     "UnassignedReturn", instr.id,
-                    "%r may be unassigned at ret" % operand[1]))
+                    "%r may be unassigned at ret" % name))
+            elif name in var_types:  # a name never assigned is reported above
+                diags.append(Diagnostic(
+                    "UnassignedVariable", instr.id,
+                    "%r may be read before it is assigned" % name))
+        if instr.op == "ret":
+            saw_ret = True
         elif not _successors(prog, i) and instr.op not in ("jump",):
             diags.append(Diagnostic("MissingReturn", instr.id,
                                     "control falls off the end"))

@@ -117,9 +117,8 @@ def test_criterion_05_detection(kernels, default_grids):
     details = []
     ok = True
     for name, target in expect.items():
-        agg = detector._run_aggregate(kernels[name].program,
-                                      default_grids[name], CFG,
-                                      frozenset())
+        agg = detector.collect(kernels[name].program, default_grids[name],
+                               CFG)
         rep = detector.detect(agg, detector.DetectionConfig())
         if target is None:
             good = rep.flagged == []

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from precfix import cli
+from precfix import cli, tac
 
 
 def run_cli(capsys, *argv):
@@ -99,13 +99,18 @@ def test_outputs_are_deterministic(capsys):
     assert a == b
 
 
-def test_program_file_source(tmp_path, capsys):
+def test_program_file_source(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = tac.parse_program
+    monkeypatch.setattr(tac, "parse_program",
+                        lambda text: calls.append(text) or real(text))
     f = tmp_path / "prog.tac"
     f.write_text("func double_it(x) -> y\n  y = fadd x, x\n  ret y\n")
     code, out, _ = run_cli(capsys, "run", "--program", str(f),
                            "--input", "single:1.5")
     assert code == 0
     assert "OP: 3.0000000000000000e0" in out
+    assert len(calls) == 1
 
 
 def test_bad_kernel_name_is_exit_1(capsys):
@@ -122,6 +127,14 @@ def test_bad_program_file_is_exit_1(tmp_path, capsys):
                            "--input", "single:1.0")
     assert code == 1
     assert "never assigned" in err
+
+
+def test_zero_max_iterations_is_exit_1(capsys):
+    code, out, err = run_cli(capsys, "fix", "--kernel", "round_kernel",
+                             "--grid=-5,5,21", "--max-iterations", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: max_iterations must be at least 1\n"
 
 
 def test_bad_precision_order_is_exit_1(capsys):

@@ -90,31 +90,28 @@ def test_sweep_reports_empty_when_nothing_flags():
     assert [e.e0 for e in entries] == [1e-2, 1e-4, 1e-6, 1e-8]
 
 
-def test_aggregate_rejects_mixed_programs():
-    a = engine.RunTrace("p1", 0, [], None, [], [], 0)
-    b = engine.RunTrace("p2", 0, [], None, [], [], 0)
-    with pytest.raises(detector.MixedProvenance):
-        detector.aggregate([a, b])
-
-
-def test_aggregate_from_traces():
+def test_collect_from_runs():
     k = corpus.get_kernel("round_kernel")
-    prog = k.program
     xs = corpus.grid("-5", "5", 21)
-    traces = engine.run_batch(prog, xs)
-    agg = detector.aggregate(traces)
+    agg = detector.collect(k.program, xs, CFG)
     assert agg.n == 21
     assert agg.instrs[1].m == 21
     r = detector.detect(agg)
     assert r.flagged == [1]
 
 
-def test_failed_runs_excluded_from_n():
+def test_failed_runs_excluded_from_n(monkeypatch):
+    # A failed run stops the batch: collect raises and no aggregate, and so
+    # no n, is returned; no row after the failing one is run.
+    calls = []
+    real = engine.execute
+    monkeypatch.setattr(engine, "execute",
+                        lambda *a, **kw: calls.append(a[4]) or real(*a, **kw))
     k = corpus.get_kernel("accum_kernel")
-    cfg = engine.EngineConfig(max_steps=5)
-    traces = engine.run_batch(k.program, corpus.grid("0", "1", 3), cfg)
-    agg = detector.aggregate(traces)
-    assert agg.n == 0
+    with pytest.raises(engine.StepBudgetExceeded):
+        detector.collect(k.program, corpus.grid("0", "1", 3),
+                         engine.EngineConfig(max_steps=5))
+    assert calls == [0]
 
 
 def test_config_validation():
@@ -126,6 +123,8 @@ def test_config_validation():
         detector.DetectionConfig(e0=-1.0)
     with pytest.raises(ValueError):
         detector.DetectionConfig(first_order="chronological")
+    with pytest.raises(ValueError, match="max_iterations"):
+        detector.DetectionConfig(max_iterations=0)
 
 
 def test_report_serialization():
@@ -168,7 +167,8 @@ def test_no_convergence_raises_with_log():
     k = corpus.get_kernel("round_kernel")
     xs = corpus.grid("-100", "100", 250)
     with pytest.raises(detector.NoConvergence) as exc:
-        detector.fix_iteratively(k.program, xs, max_iterations=1)
+        detector.fix_iteratively(k.program, xs, CFG,
+                                 detector.DetectionConfig(max_iterations=1))
     assert len(exc.value.log) == 1
 
 

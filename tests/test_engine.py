@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from precfix import tac, engine
+from precfix import tac, engine, detector
 from precfix import mpfloat as mp
 
 CFG = engine.EngineConfig()
@@ -266,12 +266,24 @@ def test_determinism():
     assert engine.format_trace(a) == engine.format_trace(b)
 
 
-def test_run_batch_collects_failures():
+def test_run_batch_collects_failures(monkeypatch):
+    # The batch runner is detector.collect: the first failed run stops it
+    # and its EngineError propagates, on the first row or a middle one.
+    calls = []
+    real = engine.execute
+    monkeypatch.setattr(engine, "execute",
+                        lambda *a, **kw: calls.append(a[4]) or real(*a, **kw))
     prog = tac.parse_program(ROUND)
-    cfg = engine.EngineConfig(max_steps=1)
-    traces = engine.run_batch(prog, [dec("1.0"), dec("2.0")], cfg)
-    assert all(t.error is not None for t in traces)
-    assert len(traces) == 2
+    with pytest.raises(engine.StepBudgetExceeded):
+        detector.collect(prog, [dec("1.0"), dec("2.0")],
+                         engine.EngineConfig(max_steps=1))
+    assert calls == [0]
+    calls.clear()
+    prog = tac.parse_program("func f(x) -> y\n  t = fmul x, x\n"
+                             "  y = ffloor t\n  ret y\n")
+    with pytest.raises(engine.NonFiniteFloor):
+        detector.collect(prog, [dec("2.5"), mp.inf(), dec("1.0")], CFG)
+    assert calls == [0, 1]
 
 
 def test_input_arity_checked():
@@ -333,16 +345,21 @@ def test_fconst_enters_both_lanes_rounded_once():
     assert tr.samples[0].rel_err.cls == mp.ZERO
 
 
-def test_run_batch_records_non_finite_floor():
+def test_non_finite_floor_fails_the_run():
     prog = tac.parse_program("func f(x) -> y\n  t = fmul x, x\n"
                              "  y = ffloor t\n  ret y\n")
     for cfg in (CFG, engine.EngineConfig(p_orig=24, p_shadow=60)):
-        traces = engine.run_batch(prog, [mp.inf(), dec("2.5", cfg.p_orig)],
-                                  cfg)
-        assert isinstance(traces[0].error, engine.NonFiniteFloor)
-        assert isinstance(traces[0].error, ValueError)
-        assert traces[1].error is None
-        assert traces[1].result.orig.to_float() == 6.0
+        with pytest.raises(engine.NonFiniteFloor) as exc:
+            engine.execute(prog, [mp.inf()], cfg)
+        assert isinstance(exc.value, ValueError)
+        tr = engine.execute(prog, [dec("2.5", cfg.p_orig)], cfg)
+        assert tr.result.orig.to_float() == 6.0
+
+
+def test_package_exports_resolve():
+    import precfix
+    for name in precfix.__all__:
+        assert getattr(precfix, name) is not None, name
 
 
 def test_compile_cache_is_bounded():

@@ -253,35 +253,39 @@ def test_max_steps_must_be_positive():
 
 
 def test_read_before_assignment_is_an_engine_error(tmp_path, capsys):
+    # validation rejects these programs; unvalidated ones still reach the
+    # engine, which must fail the run rather than crash
     text = ("func f(x) -> y\n  c = icmp lt, x, 0.0\n  branch c, skip\n"
             "  t = fmov x\nskip:\n  y = fadd t, x\n  ret y\n")
-    prog = tac.parse_program(text)
+    prog = tac.parse_program(text, strict=False)
     assert engine.execute(prog, [mp.from_float(1.0)]).result.orig \
         .to_float() == 2.0
     with pytest.raises(engine.EngineError):
         engine.execute(prog, [mp.from_float(-1.0)])
     path = tmp_path / "f.tac"
     path.write_text(text)
-    code = cli.main(["run", "--program", str(path), "--input", "single:-1"])
+    code = cli.main(["run", "--program", str(path), "--input", "single:1"])
     assert code == 1
-    assert "before it is assigned" in capsys.readouterr().err
+    assert "UnassignedVariable(instr 3)" in capsys.readouterr().err
 
     def faulty_sink(iid, dst, err):
         del err
         return err
 
     # the only assignment is never reached, so no path assigns `t`
-    for text in ("func f(x) -> y\n  y = fadd x, t\n  ret y\n"
-                 "  t = fmov x\n",
-                 "func f(x) -> y\n  jump over\n  t = fmov x\nover:\n"
-                 "  y = fadd t, x\n  ret y\n"):
+    for text, iid in (("func f(x) -> y\n  y = fadd x, t\n  ret y\n"
+                       "  t = fmov x\n", 0),
+                      ("func f(x) -> y\n  jump over\n  t = fmov x\nover:\n"
+                       "  y = fadd t, x\n  ret y\n", 2)):
         path.write_text(text)
         with pytest.raises(engine.EngineError):
-            engine.execute(tac.parse_program(text), [mp.from_float(1.0)])
+            engine.execute(tac.parse_program(text, strict=False),
+                           [mp.from_float(1.0)])
         code = cli.main(["run", "--program", str(path), "--input",
                          "single:1"])
         assert code == 1
-        assert "before it is assigned" in capsys.readouterr().err
+        assert "UnassignedVariable(instr %d)" % iid \
+            in capsys.readouterr().err
 
     # the same error raised by a sample sink is not the program's fault
     with pytest.raises(UnboundLocalError):

@@ -134,6 +134,23 @@ skip:
     assert any(d.kind == "UnassignedReturn" for d in diags)
 
 
+@pytest.mark.parametrize("body, iid", [
+    # a skipped branch
+    ("  c = iconst 0\n  branch c, skip\n  t = fmov x\nskip:\n"
+     "  y = fadd t, x\n  ret y\n", 3),
+    # a read whose only assignment comes after the ret
+    ("  y = fadd x, t\n  ret y\n  t = fmov x\n", 0),
+    # a jumped-over assignment
+    ("  jump over\n  t = fmov x\nover:\n  y = fadd t, x\n  ret y\n", 2),
+], ids=["skipped_branch", "after_ret", "jumped_over"])
+def test_read_before_assignment_diagnostic(body, iid):
+    diags = tac.validate(tac.parse_program("func f(x) -> y\n" + body,
+                                           strict=False))
+    assert [(d.kind, d.instr_id) for d in diags] \
+        == [("UnassignedVariable", iid)]
+    assert "'t' may be read before it is assigned" in str(diags[0])
+
+
 def test_assigned_on_all_paths_is_clean():
     ok = """
 func f(x) -> y
