@@ -52,8 +52,6 @@ def _add_detection(parser):
 
 def _add_output(parser):
     parser.add_argument("--output", help="write here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
 
 
 def build_parser():
@@ -101,6 +99,8 @@ def build_parser():
     g.add_argument("--auto-fix", action="store_true",
                    help="run the iterative fixer first")
     _add_output(p)
+    p.add_argument("--format", choices=("json", "csv", "text"),
+                   default="json")
 
     p = sub.add_parser("oracle",
                        help="evaluate `fn arg1 [arg2]` lines at high "
@@ -338,8 +338,10 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its usage message
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except (CliError, tac.TacSyntaxError, tac.TacValidationError,

@@ -6,19 +6,19 @@ at p_shadow bits with unbounded exponent.  Control flow is decided by the
 original lane only, so both lanes follow the same path.  A per-instruction
 relative error sample is produced whenever a float destination is written.
 
-The original lane has two representations, chosen by p_orig through one
-lane-ops table (`_LANES`) that the single compile path reads.  At
+The original lane has two representations, chosen by p_orig.  At
 p_orig = 53 it is a host float: arithmetic, comparisons and square roots
 are the host's IEEE binary64 operations, with the cases where Python
 departs from IEEE (division by zero, square root of a negative) handled
-explicitly.  At any other p_orig it is an `MPFloat` computed by the
-`mpfloat` primitives.  The shadow lane is always an `MPFloat`; fadd, fsub
-and fmul on two normal shadows are rounded by one integer helper, and every
-other case goes to `mpfloat`.  A host-float original crosses back to
-`MPFloat` only where a caller or the shadow needs one: `RunTrace.result`,
-`ErrorSample.original`, and the shadow side of barriered and word-write
-instructions.  Stream-mode errors are computed from the host float
-directly and equal the `MPFloat` computation bit for bit.
+explicitly.  At any other p_orig it is an `MPFloat`.  The shadow lane is
+always an `MPFloat`.  Every `MPFloat` operation is an `mpfloat` call, so
+the engine has no arithmetic or rounding of its own; fadd, fsub and fmul
+call `mpfloat._nearest` directly, one call per operation.  A host-float
+original crosses back to `MPFloat` only where a caller or the shadow needs
+one: `RunTrace.result`, `ErrorSample.original`, and the shadow side of
+barriered and word-write instructions.  Stream-mode errors are computed
+from the host float directly and equal the `MPFloat` computation bit for
+bit.
 
 Word-level bit operations (get_hi/get_lo/make_f/set_hi/set_lo) act on the
 binary64 encoding of the original lane, so they need p_orig = 53; every
@@ -40,29 +40,27 @@ an integer.  Constants are admitted at compile time and bound into the
 function's namespace; no text of the program reaches the generated
 source.  The program is split into basic blocks, dispatched by a balanced
 `if` tree on the block index inside one loop; exec counts are kept per
-block and the step budget is checked once per block, against its length.  Host-lane
-fadd/fsub/fmul/fneg/fabs are infix float expressions; every other
-operation calls a lane helper or an `mpfloat` primitive.
+block and the step budget is checked once per block, against its length.
+Each float operation is emitted from one of three expression tables:
+host-float expressions for the original lane at p_orig = 53, unbounded
+`mpfloat` calls for the shadow and the `MPFloat` original lane, and
+policy-taking `mpfloat` functions for barrier demotion.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import mpfloat as mp
-from .mpfloat import MPFloat
 from .tac import OPCODES
 
 _INT_MASK = (1 << 64) - 1
 _NAN_BITS = 0x7FF8 << 48
 _DOUBLE = struct.Struct("<d")
 _WORD64 = struct.Struct("<Q")
-_EXP_LIMIT = mp._EXP_LIMIT
 
 
 class EngineError(Exception):
@@ -147,8 +145,6 @@ def make_dual(value, cfg):
 
 
 # -- the host-float original lane (p_orig = 53) ------------------------------
-# Operations take the (p, policy) arguments of their mpfloat counterparts so
-# that both lanes are called the same way; the host lane ignores them.
 
 
 def _float_bits(x):
@@ -162,19 +158,7 @@ def _bits_float(bits):
     return _DOUBLE.unpack(_WORD64.pack(bits))[0]
 
 
-def _host_add(a, b, p, policy):
-    return a + b
-
-
-def _host_sub(a, b, p, policy):
-    return a - b
-
-
-def _host_mul(a, b, p, policy):
-    return a * b
-
-
-def _host_div(a, b, p, policy):
+def _host_div(a, b):
     try:
         return a / b
     except ZeroDivisionError:
@@ -184,13 +168,13 @@ def _host_div(a, b, p, policy):
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _host_sqrt(x, p, policy):
+def _host_sqrt(x):
     if x < 0.0:
         return math.nan
     return math.sqrt(x)
 
 
-def _host_floor(x, p, policy):
+def _host_floor(x):
     if x - x != 0.0:
         raise NonFiniteFloor("floor needs a finite value")
     return float(math.floor(x))
@@ -206,7 +190,7 @@ def _host_cmp(a, b):
     return None
 
 
-def _mp_floor(v, p, policy):
+def _mp_floor(v, p, policy=mp.UNBOUNDED):
     if v.cls == mp.INF or v.cls == mp.NAN:
         raise NonFiniteFloor("floor needs a finite value")
     return mp.round_to(mp.floor(v), p, policy)
@@ -277,84 +261,6 @@ def _rel_err_host(shadow, orig, p_shadow):
     return _rel_err_float(shadow, mp.from_float(orig), p_shadow)
 
 
-class _LaneOps(NamedTuple):
-    """How the original lane computes.  Binary operations are called as
-    f(a, b, p_orig, policy), sqrt and floor as f(v, p_orig, policy)."""
-    host: bool        # values are host floats (else MPFloat)
-    fbin: dict        # fadd/fsub/fmul/fdiv
-    sqrt: object
-    floor: object
-    neg: object
-    abs: object
-    cmp: object       # -1/0/1, None when unordered
-    rel_err: object   # (shadow, orig, p_shadow) -> float, for stream mode
-
-
-_FBIN = {"fadd": mp.add, "fsub": mp.sub, "fmul": mp.mul, "fdiv": mp.div}
-
-_LANES = {
-    True: _LaneOps(
-        True, {"fadd": _host_add, "fsub": _host_sub, "fmul": _host_mul,
-               "fdiv": _host_div},
-        _host_sqrt, _host_floor, operator.neg, abs, _host_cmp,
-        _rel_err_host),
-    False: _LaneOps(
-        False, _FBIN, mp.sqrt, _mp_floor, mp.neg, mp.abs_, mp.cmp,
-        _rel_err_float),
-}
-
-
-def _shadow_arith(x, y, flip, p):
-    """The shadow of fadd (flip 1), fsub (flip -1) or fmul (flip 0) at p
-    bits: the same MPFloat as mp.add/sub/mul.  For two normal operands the
-    exact result is formed on integer significands and rounded nearest-even
-    here; other operand classes, and results outside the exponent range, go
-    to mpfloat."""
-    if x.cls == 1 and y.cls == 1:  # mp.NORMAL
-        if flip:
-            ex = x.exp - x.prec
-            ey = y.exp - y.prec
-            mx = x.mant if x.sign > 0 else -x.mant
-            my = y.mant if y.sign == flip else -y.mant
-            if ex > ey:
-                m = (mx << (ex - ey)) + my
-                e = ey + 1
-            else:
-                m = mx + (my << (ey - ex))
-                e = ex + 1
-            sign = 1
-            if m < 0:
-                sign = -1
-                m = -m
-            if not m:
-                return MPFloat(0, 1, 0, 0, p)  # mp.zero(p)
-        else:
-            sign = x.sign * y.sign
-            m = x.mant * y.mant
-            e = x.exp - x.prec + y.exp - y.prec + 2
-        nb = m.bit_length()
-        top = e + nb - 1
-        if nb > p:
-            # q keeps the rounding bit as its lowest bit
-            sh = nb - p - 1
-            q = m >> sh
-            if q & 1 and (q & 2 or m & ((1 << sh) - 1)):
-                q = (q >> 1) + 1
-                if q >> p:
-                    q >>= 1
-                    top += 1
-            else:
-                q >>= 1
-        else:
-            q = m << (p - nb)
-        if -_EXP_LIMIT < top < _EXP_LIMIT:
-            return MPFloat(1, sign, top, q, p)
-    return _ARITH[flip](x, y, p)
-
-
-_ARITH = (mp.mul, mp.add, mp.sub)  # indexed by flip
-
-
 def _put_word(bits, w, hi):
     if hi:
         return (bits & 0xFFFFFFFF) | (w << 32)
@@ -389,32 +295,31 @@ def _full_sample(iid, run_index, dst, o, s, p_s):
                        mp.relative_error(s, o, p_s))
 
 
-def _namespace(lane):
-    """The helpers generated code calls: _o_<op> computes the original lane,
-    _m_<op> is the mpfloat operation the shadow uses."""
-    ns = {"_arith": _shadow_arith, "_rel": lane.rel_err,
-          "_sample": _full_sample,
-          "_pol": mp.BINARY64 if lane.host else mp.UNBOUNDED,
-          "_unb": mp.UNBOUNDED, "_rnd": mp.round_to, "_ext": mp.extend,
-          "_fbits": _float_bits, "_setw": _set_word, "_makef": _make_word,
-          "_ocmp": lane.cmp, "_o_fsqrt": lane.sqrt, "_o_ffloor": lane.floor,
-          "_o_fneg": lane.neg, "_o_fabs": lane.abs, "_m_fsqrt": mp.sqrt,
-          "_m_ffloor": _mp_floor, "_m_fneg": mp.neg, "_m_fabs": mp.abs_}
-    for op, fn in _FBIN.items():
-        ns["_o_" + op] = lane.fbin[op]
-        ns["_m_" + op] = fn
-    return ns
-
-
-_NAMESPACES = {host: _namespace(lane) for host, lane in _LANES.items()}
-
-# Templates.  Host-lane fadd/fsub/fmul/fneg/fabs are infix expressions on
-# floats; {0} and {1} are operand expressions.
-_HOST_INFIX = {"fadd": "{0} + {1}", "fsub": "{0} - {1}", "fmul": "{0} * {1}",
-               "fneg": "-{0}", "fabs": "abs({0})"}
-_FLIP = {"fadd": 1, "fsub": -1, "fmul": 0}
+# Expression templates of the float operations: {0} and {1} are operand
+# expressions, {p} the precision.  The host-float original lane (p_orig 53):
+_HOST_EXPR = {"fconst": "{0}", "fmov": "{0}", "fadd": "{0} + {1}",
+              "fsub": "{0} - {1}", "fmul": "{0} * {1}",
+              "fdiv": "_hdiv({0}, {1})", "fsqrt": "_hsqrt({0})",
+              "ffloor": "_hfloor({0})", "fneg": "-{0}", "fabs": "abs({0})"}
+# the shadow lane and the MPFloat original lane: unbounded mpfloat calls
+_MP_EXPR = {"fconst": "{0}", "fmov": "{0}",
+            "fadd": "_near({0}, {1}, 1, {p})",
+            "fsub": "_near({0}, {1}, -1, {p})",
+            "fmul": "_near({0}, {1}, 0, {p})", "fdiv": "_div({0}, {1}, {p})",
+            "fsqrt": "_sqrt({0}, {p})", "ffloor": "_floor({0}, {p})",
+            "fneg": "_neg({0})", "fabs": "_abs({0})"}
+# the shadow of a barriered instruction: f(operands..., p_orig, _pol) on
+# operands rounded to p_orig
+_DEMOTED = {"fadd": "_add", "fsub": "_sub", "fmul": "_mul", "fdiv": "_div",
+            "fsqrt": "_sqrt", "ffloor": "_floor"}
 _COPIES = ("fconst", "fmov", "fneg", "fabs")  # keep the source's staleness
-_DEMOTED = ("fadd", "fsub", "fmul", "fdiv", "fsqrt", "ffloor")  # by barriers
+# the helpers generated code calls
+_NS = {"_near": mp._nearest, "_add": mp.add, "_sub": mp.sub, "_mul": mp.mul,
+       "_div": mp.div, "_sqrt": mp.sqrt, "_floor": _mp_floor, "_neg": mp.neg,
+       "_abs": mp.abs_, "_hdiv": _host_div, "_hsqrt": _host_sqrt,
+       "_hfloor": _host_floor, "_sample": _full_sample, "_rnd": mp.round_to,
+       "_ext": mp.extend, "_fbits": _float_bits, "_setw": _set_word,
+       "_makef": _make_word}
 _WORD_OPS = ("get_hi", "get_lo", "make_f", "set_hi", "set_lo")
 _M = str(_INT_MASK)
 _INT_EXPR = {"iadd": "({0} + {1}) & " + _M, "isub": "({0} - {1}) & " + _M,
@@ -439,7 +344,9 @@ def _compile(prog, cfg, barriers, mode):
     n = len(instrs)
     if not n:
         raise EngineError("%s has no instructions" % prog.name)
-    ns = dict(_NAMESPACES[host])
+    ns = dict(_NS, _pol=_orig_policy(p_o),
+              _rel=_rel_err_host if host else _rel_err_float,
+              _ocmp=_host_cmp if host else mp.cmp)
     ns["_over"] = functools.partial(
         StepBudgetExceeded, "%s exceeded %d steps" % (prog.name,
                                                       cfg.max_steps))
@@ -502,31 +409,17 @@ def _compile(prog, cfg, barriers, mode):
         if op in _WORD_OPS and not host:
             raise EngineError("word operations need p_orig = 53")
         k = regs.get(instr.dst)
-        if op in _COPIES or op in _DEMOTED:
+        if op in _MP_EXPR:
             args = [fop(s) for s in srcs]
-            o_args = [a[0] for a in args]
             s_args = [a[1] for a in args]
-            if host and op in _HOST_INFIX:
-                orig = _HOST_INFIX[op].format(*o_args)
-            elif op in ("fneg", "fabs"):
-                orig = "_o_%s(%s)" % (op, o_args[0])
-            elif op in _DEMOTED:
-                orig = "_o_%s(%s, %d, _pol)" % (op, ", ".join(o_args), p_o)
-            else:
-                orig = o_args[0]
+            orig = (_HOST_EXPR if host else _MP_EXPR)[op].format(
+                *[a[0] for a in args], p=p_o)
             if op in _DEMOTED and instr.id in barriers:
-                shadow = "_ext(_m_%s(%s, %d, _pol), %d)" % (
-                    op, ", ".join("_rnd(%s, %d, _pol)" % (s, p_o)
-                                  for s in s_args), p_o, p_s)
-            elif op in _FLIP:
-                shadow = "_arith(%s, %s, %d, %d)" % (
-                    s_args[0], s_args[1], _FLIP[op], p_s)
-            elif op in ("fneg", "fabs"):
-                shadow = "_m_%s(%s)" % (op, s_args[0])
-            elif op in _DEMOTED:
-                shadow = "_m_%s(%s, %d, _unb)" % (op, ", ".join(s_args), p_s)
+                shadow = "_ext(%s(%s, %d, _pol), %d)" % (
+                    _DEMOTED[op], ", ".join("_rnd(%s, %d, _pol)" % (s, p_o)
+                                            for s in s_args), p_o, p_s)
             else:
-                shadow = s_args[0]
+                shadow = _MP_EXPR[op].format(*s_args, p=p_s)
             out = ["o%d = %s" % (k, orig), "s%d = %s" % (k, shadow)]
             if track:
                 out.append("t%d = %s" % (k, args[0][2] if op in _COPIES

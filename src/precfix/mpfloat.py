@@ -5,6 +5,8 @@ number equals sign * mantissa * 2**(exponent - precision + 1) and the
 mantissa has exactly `precision` bits with the top bit set.  Two exponent
 policies exist: UNBOUNDED (exponent limited only by sanity bounds) and
 BINARY64 (IEEE double range: subnormal rounding, overflow to infinity).
+Under UNBOUNDED, add, sub and mul of two normal values round their exact
+integer result inline in `_nearest`, which the engine also calls directly.
 All values are immutable; every operation returns a fresh value.
 """
 
@@ -30,6 +32,9 @@ _B64_EMIN = -1022
 _B64_QUANTUM = -1074  # lsb exponent of the smallest subnormal
 
 _EXP_LIMIT = 1 << 31  # spec sanity bound on exponent magnitude
+# (t_inf, t_zero) per policy: a decimal literal of magnitude at least
+# 10**(t_inf - 1) overflows, one below 10**t_zero underflows
+_DEC_LIMITS = {UNBOUNDED: (646456995, -646456994), BINARY64: (310, -324)}
 
 _DEC_RE = re.compile(r"^[+-]?\d+(\.\d+)?([eE][+-]?\d+)?$")
 _HEX_RE = re.compile(
@@ -153,6 +158,8 @@ def _round_sig_b64(sign, m, e_lsb):
         return v
     # subnormal range: quantize to 2**-1074
     shift = _B64_QUANTUM - e_lsb
+    if shift > nb:  # below half the smallest subnormal
+        return zero(53, sign)
     if shift <= 0:
         n = m << -shift
     else:
@@ -272,10 +279,17 @@ def from_decimal_string(s, p, policy=UNBOUNDED):
     mant_part, _, exp_part = s.partition("e") if "e" in s else s.partition("E")
     e10 = int(exp_part) if exp_part else 0
     int_part, _, frac_part = mant_part.partition(".")
-    d = int(int_part + frac_part)
-    e10 -= len(frac_part)
-    if d == 0:
+    digits = (int_part + frac_part).lstrip("0")
+    if not digits:
         return zero(p, sign)
+    d = int(digits)
+    e10 -= len(frac_part)
+    top = e10 + len(digits)  # 10**(top - 1) <= |value| < 10**top
+    t_inf, t_zero = _DEC_LIMITS[policy]
+    if top >= t_inf:
+        return round_to(inf(sign), p, policy)
+    if top <= t_zero:
+        return round_to(zero(53, sign), p, policy)
     if e10 >= 0:
         return _round(sign, d * 5**e10, e10, p, policy)
     return _round_frac(sign, d, 5**-e10, e10, p, policy)
@@ -324,48 +338,109 @@ def extend(v, p):
 # ---------------------------------------------------------------------------
 
 
-def add(a, b, p, policy=UNBOUNDED):
+def _nearest(x, y, flip, p):
+    """x + y (flip 1), x - y (flip -1) or x * y (flip 0) at p bits, nearest
+    even, UNBOUNDED policy.  For two normal operands the exact result is
+    formed on integer significands and rounded here; other operand classes
+    go to _special."""
+    if x.cls == 1 and y.cls == 1:  # NORMAL
+        if flip:
+            ex = x.exp - x.prec
+            ey = y.exp - y.prec
+            mx = x.mant if x.sign > 0 else -x.mant
+            my = y.mant if y.sign == flip else -y.mant
+            if ex > ey:
+                m = (mx << (ex - ey)) + my
+                e = ey + 1
+            else:
+                m = mx + (my << (ey - ex))
+                e = ex + 1
+            sign = 1
+            if m < 0:
+                sign = -1
+                m = -m
+            if not m:
+                return MPFloat(0, 1, 0, 0, p)  # zero(p)
+        else:
+            sign = x.sign * y.sign
+            m = x.mant * y.mant
+            e = x.exp - x.prec + y.exp - y.prec + 2
+        nb = m.bit_length()
+        top = e + nb - 1
+        if nb > p:
+            # q keeps the rounding bit as its lowest bit
+            sh = nb - p - 1
+            q = m >> sh
+            if q & 1 and (q & 2 or m & ((1 << sh) - 1)):
+                q = (q >> 1) + 1
+                if q >> p:
+                    q >>= 1
+                    top += 1
+            else:
+                q >>= 1
+        else:
+            q = m << (p - nb)
+        if -_EXP_LIMIT < top < _EXP_LIMIT:
+            return MPFloat(1, sign, top, q, p)
+        return inf(sign, p) if top > 0 else zero(p, sign)
+    return _special(x, y, flip, p, UNBOUNDED)
+
+
+def _special(a, b, flip, p, policy):
+    """_nearest, under either policy, when an operand is not normal."""
     if a.cls == NAN or b.cls == NAN:
         return nan(p)
+    if not flip:
+        if a.cls == ZERO or b.cls == ZERO:
+            if a.cls == INF or b.cls == INF:
+                return nan(p)
+            return zero(p, a.sign * b.sign)
+        return inf(a.sign * b.sign, p)
+    sb = b.sign * flip
     if a.cls == INF or b.cls == INF:
-        if a.cls == INF and b.cls == INF:
-            return inf(a.sign, p) if a.sign == b.sign else nan(p)
-        return inf(a.sign if a.cls == INF else b.sign, p)
+        if a.cls == b.cls:
+            return inf(a.sign, p) if a.sign == sb else nan(p)
+        return inf(a.sign if a.cls == INF else sb, p)
+    if a.cls == b.cls:
+        # -0 + -0 = -0, otherwise +0
+        return zero(p, -1 if a.sign < 0 and sb < 0 else 1)
     if a.cls == ZERO:
-        if b.cls == ZERO:
-            # -0 + -0 = -0, otherwise +0
-            return zero(p, -1 if (a.sign < 0 and b.sign < 0) else 1)
-        return round_to(b, p, policy)
-    if b.cls == ZERO:
-        return round_to(a, p, policy)
-    ea = a.exp - a.prec + 1
-    eb = b.exp - b.prec + 1
+        return _round(sb, b.mant, b.exp - b.prec + 1, p, policy)
+    return round_to(a, p, policy)
+
+
+def _bounded(a, b, flip, p, policy):
+    """_nearest under a bounded exponent policy."""
+    if a.cls != NORMAL or b.cls != NORMAL:
+        return _special(a, b, flip, p, policy)
+    if not flip:
+        return _round(a.sign * b.sign, a.mant * b.mant,
+                      a.exp - a.prec + b.exp - b.prec + 2, p, policy)
+    ea = a.exp - a.prec
+    eb = b.exp - b.prec
     e = ea if ea < eb else eb
-    s = a.sign * (a.mant << (ea - e)) + b.sign * (b.mant << (eb - e))
+    s = a.sign * (a.mant << (ea - e)) + b.sign * flip * (b.mant << (eb - e))
     if s == 0:
         return zero(p)
-    if s > 0:
-        return _round(1, s, e, p, policy)
-    return _round(-1, -s, e, p, policy)
+    return _round(1 if s > 0 else -1, abs(s), e + 1, p, policy)
+
+
+def add(a, b, p, policy=UNBOUNDED):
+    if policy == UNBOUNDED:
+        return _nearest(a, b, 1, p)
+    return _bounded(a, b, 1, p, policy)
 
 
 def sub(a, b, p, policy=UNBOUNDED):
-    return add(a, neg(b), p, policy)
+    if policy == UNBOUNDED:
+        return _nearest(a, b, -1, p)
+    return _bounded(a, b, -1, p, policy)
 
 
 def mul(a, b, p, policy=UNBOUNDED):
-    if a.cls == NAN or b.cls == NAN:
-        return nan(p)
-    sign = a.sign * b.sign
-    if a.cls == INF or b.cls == INF:
-        if a.cls == ZERO or b.cls == ZERO:
-            return nan(p)
-        return inf(sign, p)
-    if a.cls == ZERO or b.cls == ZERO:
-        return zero(p, sign)
-    ea = a.exp - a.prec + 1
-    eb = b.exp - b.prec + 1
-    return _round(sign, a.mant * b.mant, ea + eb, p, policy)
+    if policy == UNBOUNDED:
+        return _nearest(a, b, 0, p)
+    return _bounded(a, b, 0, p, policy)
 
 
 def div(a, b, p, policy=UNBOUNDED):
@@ -487,28 +562,91 @@ def relative_error(exact, approx, p_work=120):
 # ---------------------------------------------------------------------------
 
 
+def _pow5_floor(k, w):
+    """(F, f) with 5**k * (1 - k * 2**(1 - w)) <= F * 2**f <= 5**k: every
+    product is truncated to w bits, and k bounds the number of truncations
+    counted with the doubling that squaring gives their errors."""
+    F, f, B, b = 1, 0, 5, 0
+    while True:
+        if k & 1:
+            F, f = F * B, f + b
+            s = F.bit_length() - w
+            if s > 0:
+                F, f = F >> s, f + s
+        k >>= 1
+        if not k:
+            return F, f
+        B, b = B * B, 2 * b
+        s = B.bit_length() - w
+        if s > 0:
+            B, b = B >> s, b + s
+
+
+def _round_scaled_exact(m, e, k):
+    """m * 2**e * 10**k rounded to an integer, ties to even."""
+    num, den = m, 1
+    if k >= 0:
+        num *= 5**k
+    else:
+        den = 5**-k
+    e2 = e + k
+    if e2 >= 0:
+        num <<= e2
+    else:
+        den <<= -e2
+    n, r = divmod(num, den)
+    r2 = r << 1
+    if r2 > den or (r2 == den and (n & 1)):
+        n += 1
+    return n
+
+
+def _round_scaled_approx(m, e, k, w):
+    """_round_scaled_exact from a w-bit bound on 5**|k|, or None when its
+    error leaves the rounding open.  The exact value x lies in
+    (lo * 2**s, hi * 2**s], and the rounding is decided when no
+    half-integer does."""
+    F, f = _pow5_floor(abs(k), w)
+    # the relative error of the bounds is below 2**-slack
+    slack = w - abs(k).bit_length() - 2
+    if k >= 0:
+        a = m * F << w
+        lo, hi = a - 1, a + (a >> slack) + 1
+        s = f + e + k - w
+    else:
+        t = w + F.bit_length() - m.bit_length()
+        q = (m << t) // F if t >= 0 else m // (F << -t)
+        lo, hi = q - (q >> slack) - 1, q + 1
+        s = e + k - f - t
+    if s >= 0 or slack < 1:
+        return None
+    half = 1 << (-s - 1)
+    n = (lo + half) >> -s
+    return n if n == (hi + half) >> -s else None
+
+
+def _round_scaled(m, e, k, digits):
+    """m * 2**e * 10**k rounded to an integer, ties to even, in time that
+    grows only with log |k|: from bounded-precision powers of five, widened
+    until the rounding is decided.  Exact integers take over once the width
+    passes |k| / 8, below which they cost no more (5**|k| has 2.3 |k|
+    bits); they also settle exact ties."""
+    w = 4 * digits + 64
+    while 8 * w < abs(k):
+        n = _round_scaled_approx(m, e, k, w)
+        if n is not None:
+            return n
+        w *= 2
+    return _round_scaled_exact(m, e, k)
+
+
 def _decimal_digits(v, digits):
     """(sign, digit string of given length, decimal exponent of first digit)."""
-    m = v.mant
-    e = v.exp - v.prec + 1
     # first estimate of floor(log10 |v|), then correct by rescaling
     d10 = math.floor(v.exp * 0.3010299956639812)
     while True:
-        k = digits - 1 - d10
-        num, den = m, 1
-        if k >= 0:
-            num *= 5**k
-        else:
-            den = 5**-k
-        e2 = e + k
-        if e2 >= 0:
-            num <<= e2
-        else:
-            den <<= -e2
-        n, r = divmod(num, den)
-        r2 = r << 1
-        if r2 > den or (r2 == den and (n & 1)):
-            n += 1
+        n = _round_scaled(v.mant, v.exp - v.prec + 1, digits - 1 - d10,
+                          digits)
         if n >= 10**digits:
             d10 += 1
             continue

@@ -1,6 +1,7 @@
 """Command-line interface tests via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -198,3 +199,42 @@ def test_floor_of_non_finite_is_exit_1(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv, "--program", str(f))
         assert code == 1
         assert err == "error: floor needs a finite value\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--kernel", "round_kernel", "--bogus"],
+    # argparse reads -1,1,5 as an option; --grid=-1,1,5 is the spelling
+    ["eval", "--kernel", "exp_kernel", "--grid", "-1,1,5"],
+    # only eval has --format
+    ["detect", "--kernel", "cancel_kernel", "--grid", "1,2,3",
+     "--format", "csv"],
+    ["fix", "--kernel", "cancel_kernel", "--grid", "1,2,3",
+     "--format", "json"],
+])
+def test_usage_errors_are_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: precfix")
+    assert "error:" in err
+
+
+def test_help_is_exit_0(capsys):
+    code, out, _ = run_cli(capsys, "detect", "--help")
+    assert code == 0
+    assert out.startswith("usage: precfix detect")
+    assert "--format" not in out
+
+
+def test_trace_of_huge_exponents_is_fast(tmp_path, capsys):
+    # the shadow of 1.5**(2**30) has a binary exponent near 6.3e8; mpmath
+    # gives 4.88544011836443e+189076549
+    f = tmp_path / "sq.tac"
+    f.write_text("func sq(x) -> y\n" + "  x = fmul x, x\n" * 30
+                 + "  y = fmov x\n  ret y\n")
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "run", "--program", str(f),
+                           "--input", "single:1.5", "--trace")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    assert "SHADOW VALUE:   4.88544011836443 * 10^189076549" in out

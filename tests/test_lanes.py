@@ -1,10 +1,11 @@
-"""Differential tests for the engine's fast lanes.
+"""Differential tests for the engine's lanes.
 
-At p_orig = 53 the original lane is a host float; every operation on it
-must give the same binary64 value, bit for bit, as the mpfloat BINARY64
-policy.  The shadow helper for fadd/fsub/fmul must build the same
-MPFloat as mp.add/sub/mul, and the stream-mode error taken from a host
-float must equal the one taken from its MPFloat.
+At p_orig = 53 the original lane is a host float; every operation on it,
+run as a generated one-instruction program, must give the same binary64
+value, bit for bit, as the mpfloat BINARY64 policy.  The shadow of
+fadd/fsub/fmul must round to nearest at p_shadow as mpmath does, and the
+stream-mode error taken from a host float must equal the one taken from
+its MPFloat.
 """
 
 import functools
@@ -16,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from precfix import cli, corpus, engine, tac
 from precfix import mpfloat as mp
+import mpmath_ref
+from mpmath_ref import fields
 
 CFG = engine.EngineConfig()
-HOST = engine._LANES[True]
 B64 = mp.BINARY64
-LIMIT = mp._EXP_LIMIT
+MP = {"fadd": mp.add, "fsub": mp.sub, "fmul": mp.mul, "fdiv": mp.div}
 
 
 def float_of(bits):
@@ -29,10 +31,6 @@ def float_of(bits):
 
 # encoding of a host-lane value, every NaN canonical as in mpfloat
 host_bits = engine._float_bits
-
-
-def fields(v):
-    return (v.cls, v.sign, v.exp, v.mant, v.prec)
 
 
 SPECIAL_BITS = [
@@ -59,29 +57,45 @@ b64_bits = st.one_of(
 # -- host-lane operations against mpfloat BINARY64 ----------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _step(op, arity, p=120):
+    """The generated function of the program `y = op a[, b]` at p_orig = 53
+    and p_shadow = p."""
+    params = ", ".join("ab"[:arity])
+    prog = tac.parse_program("func f(%s) -> y\n  y = %s %s\n  ret y\n"
+                             % (params, op, params))
+    return engine._compiled(prog, engine.EngineConfig(53, p), frozenset(),
+                            "none")
+
+
+def host_op(op, *xs):
+    """The host-float original lane of `y = op xs...`."""
+    ins = [engine.DualValue(x, mp.extend(mp.from_float(x), 120)) for x in xs]
+    return _step(op, len(xs))(ins, None, 0)[0]
+
+
 @given(b64_bits, b64_bits, st.sampled_from(["fadd", "fsub", "fmul", "fdiv"]))
 @settings(max_examples=1500, deadline=None)
 def test_host_binary_ops_match_binary64(ba, bb, op):
-    got = HOST.fbin[op](float_of(ba), float_of(bb), 53, B64)
-    want = engine._FBIN[op](mp.from_binary64_bits(ba),
-                            mp.from_binary64_bits(bb), 53, B64)
+    got = host_op(op, float_of(ba), float_of(bb))
+    want = MP[op](mp.from_binary64_bits(ba), mp.from_binary64_bits(bb), 53,
+                  B64)
     assert host_bits(got) == mp.to_binary64_bits(want)
 
 
 def test_host_division_by_zero_and_specials():
-    div = HOST.fbin["fdiv"]
-    assert div(1.0, 0.0, 53, B64) == math.inf
-    assert div(1.0, -0.0, 53, B64) == -math.inf
-    assert div(-2.0, 0.0, 53, B64) == -math.inf
-    assert div(-math.inf, -0.0, 53, B64) == math.inf
-    assert math.isnan(div(0.0, 0.0, 53, B64))
-    assert math.isnan(div(math.nan, 0.0, 53, B64))
-    assert math.isnan(HOST.fbin["fsub"](math.inf, math.inf, 53, B64))
-    assert host_bits(HOST.fbin["fadd"](-0.0, -0.0, 53, B64)) == 1 << 63
-    assert host_bits(HOST.fbin["fsub"](1.5, 1.5, 53, B64)) == 0
-    assert math.isnan(HOST.sqrt(-1.0, 53, B64))
-    assert math.isnan(HOST.sqrt(-math.inf, 53, B64))
-    assert host_bits(HOST.sqrt(-0.0, 53, B64)) == 1 << 63
+    assert host_op("fdiv", 1.0, 0.0) == math.inf
+    assert host_op("fdiv", 1.0, -0.0) == -math.inf
+    assert host_op("fdiv", -2.0, 0.0) == -math.inf
+    assert host_op("fdiv", -math.inf, -0.0) == math.inf
+    assert math.isnan(host_op("fdiv", 0.0, 0.0))
+    assert math.isnan(host_op("fdiv", math.nan, 0.0))
+    assert math.isnan(host_op("fsub", math.inf, math.inf))
+    assert host_bits(host_op("fadd", -0.0, -0.0)) == 1 << 63
+    assert host_bits(host_op("fsub", 1.5, 1.5)) == 0
+    assert math.isnan(host_op("fsqrt", -1.0))
+    assert math.isnan(host_op("fsqrt", -math.inf))
+    assert host_bits(host_op("fsqrt", -0.0)) == 1 << 63
 
 
 @given(b64_bits)
@@ -89,24 +103,24 @@ def test_host_division_by_zero_and_specials():
 def test_host_unary_ops_match_binary64(bits):
     x = float_of(bits)
     v = mp.from_binary64_bits(bits)
-    assert host_bits(HOST.sqrt(x, 53, B64)) \
+    assert host_bits(host_op("fsqrt", x)) \
         == mp.to_binary64_bits(mp.sqrt(v, 53, B64))
-    assert host_bits(HOST.neg(x)) == mp.to_binary64_bits(mp.neg(v))
-    assert host_bits(HOST.abs(x)) == mp.to_binary64_bits(mp.abs_(v))
+    assert host_bits(host_op("fneg", x)) == mp.to_binary64_bits(mp.neg(v))
+    assert host_bits(host_op("fabs", x)) == mp.to_binary64_bits(mp.abs_(v))
     if v.cls in (mp.INF, mp.NAN):
         with pytest.raises(ValueError):
             engine._mp_floor(v, 53, B64)
         with pytest.raises(ValueError):
-            HOST.floor(x, 53, B64)
+            host_op("ffloor", x)
     else:
-        assert host_bits(HOST.floor(x, 53, B64)) \
+        assert host_bits(host_op("ffloor", x)) \
             == mp.to_binary64_bits(engine._mp_floor(v, 53, B64))
 
 
 @given(b64_bits, b64_bits)
 @settings(max_examples=1000, deadline=None)
 def test_host_compare_matches_binary64(ba, bb):
-    assert HOST.cmp(float_of(ba), float_of(bb)) \
+    assert engine._host_cmp(float_of(ba), float_of(bb)) \
         == mp.cmp(mp.from_binary64_bits(ba), mp.from_binary64_bits(bb))
 
 
@@ -159,21 +173,7 @@ def test_word_ops_match_binary64_encoding(bits):
     assert engine._float_bits(engine._bits_float(bits)) == canon
 
 
-def mpfloats(max_prec=300, exps=st.integers(-1200, 1200)):
-    normal = st.builds(
-        lambda sign, prec, frac, exp: mp.MPFloat(
-            mp.NORMAL, sign, exp, (1 << (prec - 1)) | frac % (1 << (prec - 1)),
-            prec),
-        st.sampled_from([1, -1]), st.integers(2, max_prec),
-        st.integers(min_value=0), exps)
-    other = st.builds(
-        lambda cls, sign, prec: mp.MPFloat(cls, sign, 0, 0, prec),
-        st.sampled_from([mp.ZERO, mp.INF, mp.NAN]),
-        st.sampled_from([1, -1]), st.integers(2, max_prec))
-    return st.one_of(normal, normal, normal, other)
-
-
-@given(mpfloats(exps=st.integers(-1200, 1200)))
+@given(mpmath_ref.mpfloats(300, st.integers(-1200, 1200)))
 @settings(max_examples=500, deadline=None)
 def test_admission_rounds_to_binary64(v):
     dv = engine.make_dual(v, CFG)
@@ -182,80 +182,23 @@ def test_admission_rounds_to_binary64(v):
     assert fields(dv.shadow) == fields(mp.extend(want, 120))
 
 
-# -- the shadow helper -----------------------------------------------------
+# -- the shadow of fadd/fsub/fmul -------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _shadow_step(op, p):
-    """The generated function of `y = op a, b`: an infix host-float
-    original and the shadow helper engine._shadow_arith."""
-    prog = tac.parse_program("func f(a, b) -> y\n  y = %s a, b\n  ret y\n"
-                             % op)
-    return engine._compiled(prog, engine.EngineConfig(53, p), frozenset(),
-                            "none")
-
-
-OPERANDS = mpfloats(450)
-
-
-def _edge_operands(top, mul):
-    """Operands whose exact sum or product lies on either side of one end
-    of the exponent range."""
-    if mul:
-        mid = LIMIT // 2 if top else -LIMIT // 2
-        exps = st.integers(mid - 4, mid + 4)
-    elif top:
-        exps = st.integers(LIMIT - 9, LIMIT - 1)
-    else:
-        exps = st.integers(-LIMIT + 1, -LIMIT + 9)
-    return mpfloats(450, exps)
-
-
-EDGE_OPERANDS = {(top, mul): _edge_operands(top, mul)
-                 for top in (True, False) for mul in (True, False)}
-
-
-@st.composite
-def shadow_operands(draw):
-    """(op, p, a, b): independent operands, near-cancelling ones, or ones
-    whose exact result lies at either end of the exponent range; mixed
-    precisions and non-normal operands throughout."""
-    op = draw(st.sampled_from(["fadd", "fsub", "fmul"]))
-    p = draw(st.integers(54, 400))
-    kind = draw(st.sampled_from(["free", "cancel", "top", "bottom"]))
-    if kind in ("top", "bottom"):
-        edge = EDGE_OPERANDS[kind == "top", op == "fmul"]
-        a, b = draw(edge), draw(edge)
-    else:
-        a = draw(OPERANDS)
-        if kind == "cancel" and a.cls == mp.NORMAL:
-            b = mp.round_to(a, draw(st.integers(2, 450)))
-            if draw(st.booleans()):
-                b = mp.neg(b)
-        else:
-            b = draw(OPERANDS)
-    # operands travel as field tuples: printing an MPFloat near the
-    # exponent limit, as a failing example would, takes forever
-    return op, p, fields(a), fields(b)
-
-
-@given(shadow_operands())
+@given(mpmath_ref.cases(["add", "sub", "mul"], 53, 400))
 @settings(max_examples=1500, deadline=None)
-def test_inline_shadow_matches_mpfloat(case):
+def test_shadow_arith_matches_mpmath(case):
     op, p, a, b = case
-    a, b = mp.MPFloat(*a), mp.MPFloat(*b)
     ins = [engine.DualValue(1.0, a), engine.DualValue(2.0, b)]
-    orig, shadow = _shadow_step(op, p)(ins, None, 0)[:2]
-    got = fields(shadow)
-    want = fields(engine._FBIN[op](a, b, p))
-    assert got == want
-    assert orig == HOST.fbin[op](1.0, 2.0, 53, B64)
+    orig, shadow = _step("f" + op, 2, p)(ins, None, 0)[:2]
+    assert fields(shadow) == mpmath_ref.reference(op, a, b, p)
+    assert orig == {"add": 3.0, "sub": -1.0, "mul": 2.0}[op]
 
 
 # -- stream-mode errors -----------------------------------------------------
 
 
-SHADOWS = mpfloats(1200)
+SHADOWS = mpmath_ref.mpfloats(1200, st.integers(-1200, 1200))
 
 
 @st.composite

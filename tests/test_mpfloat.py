@@ -1,17 +1,21 @@
 """Tests for the arbitrary-precision float substrate.
 
 The binary64 policy is checked bit-for-bit against the host's IEEE
-doubles, which serve as an independent reference implementation.
+doubles, and the unbounded policy field for field against mpmath; both
+serve as independent reference implementations.
 """
 
 import math
 import random
 import struct
+import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from precfix import mpfloat as mp
+import mpmath_ref
 
 
 def bits_of(f):
@@ -106,6 +110,31 @@ def test_overflow_to_inf():
     assert r.cls == mp.INF and r.sign == -1
 
 
+@given(mpmath_ref.cases(["add", "sub", "mul", "div", "sqrt"], 2, 2000))
+@settings(max_examples=2000, deadline=None)
+def test_unbounded_arithmetic_matches_mpmath(case):
+    op, p, a, b = case
+    got = mp.sqrt(a, p) if op == "sqrt" else getattr(mp, op)(a, b, p)
+    assert mpmath_ref.fields(got) == mpmath_ref.reference(op, a, b, p)
+
+
+def test_binary64_rounding_far_below_subnormals_is_fast():
+    # a shadow that underflowed near the exponent limit, demoted by a
+    # barrier: no shift masks as wide as the exponent
+    tiny = mp.MPFloat(mp.NORMAL, -1, -mp._EXP_LIMIT + 2, (1 << 199) | 5, 200)
+    t0 = time.perf_counter()
+    for v in (tiny, mp.neg(tiny)):
+        r = mp.round_to(v, 53, mp.BINARY64)
+        assert (r.cls, r.sign, r.prec) == (mp.ZERO, v.sign, 53)
+    assert time.perf_counter() - t0 < 1.0
+    # the boundary: half the smallest subnormal ties to 0, above it to 5e-324
+    half = mp.from_binary64_bits(1)
+    half = mp.MPFloat(mp.NORMAL, 1, half.exp - 1, half.mant, 53)
+    assert mp.round_to(half, 53, mp.BINARY64).cls == mp.ZERO
+    above = mp.MPFloat(mp.NORMAL, 1, half.exp, (1 << 52) | 1, 53)
+    assert mp.round_to(above, 53, mp.BINARY64).to_float() == 5e-324
+
+
 def test_unbounded_policy_has_no_overflow():
     big = mp.from_float(1.5e308)
     r = mp.mul(big, big, 53)
@@ -194,6 +223,28 @@ def test_decimal_string_round_trip_17_digits():
         assert mp.from_decimal_string(s, 53, mp.BINARY64).to_float() == f
 
 
+def test_decimal_exponent_beyond_range_is_fast():
+    t0 = time.perf_counter()
+    for text, p, policy, cls, sign in [
+            ("1e-30000000", 53, mp.BINARY64, mp.ZERO, 1),
+            ("-1e-30000000", 53, mp.BINARY64, mp.ZERO, -1),
+            ("1e30000000", 53, mp.BINARY64, mp.INF, 1),
+            ("-0.001e-999999999999", 24, mp.UNBOUNDED, mp.ZERO, -1),
+            ("12.5e999999999999", 24, mp.UNBOUNDED, mp.INF, 1),
+            ("1e646456994", 24, mp.UNBOUNDED, mp.INF, 1),
+            ("9.99e-646456995", 24, mp.UNBOUNDED, mp.ZERO, 1)]:
+        v = mp.from_decimal_string(text, p, policy)
+        want = mp.round_to(mp.MPFloat(cls, sign, 0, 0, p), p, policy)
+        assert mpmath_ref.fields(v) == mpmath_ref.fields(want), text
+    assert time.perf_counter() - t0 < 1.0
+    # literals just inside the binary64 range still round as the host does
+    for text in ("1.7976931348623157e308", "1.7976931348623159e308",
+                 "9.99e308", "2.4703282292062328e-324", "2.47e-324",
+                 "4.9e-324", "0.00001e-319"):
+        v = mp.from_decimal_string(text, 53, mp.BINARY64)
+        assert bits_of(v.to_float()) == bits_of(float(text)), text
+
+
 def test_hex_literal_parsing():
     v = mp.from_hex_string("0x1.8p52")
     assert v.to_float() == 1.5 * 2 ** 52
@@ -214,6 +265,47 @@ def test_sci_string_format():
     assert mp.to_sci_string(mp.from_int(12345), 4) == "1.234e4"
     assert mp.to_sci_string(mp.from_decimal_string("-0.002", 53), 3) \
         == "-2.00e-3"
+
+
+@given(mpmath_ref.mpfloats(300, st.one_of(st.integers(7000, 40000),
+                                          st.integers(-40000, -7000))),
+       st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_bounded_decimal_digits_match_exact(v, digits):
+    if v.cls != mp.NORMAL:
+        return
+    got = mp._decimal_digits(v, digits)  # |k| > 2000: bounded powers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mp, "_round_scaled",
+                      lambda m, e, k, digits: mp._round_scaled_exact(m, e, k))
+        assert mp._decimal_digits(v, digits) == got
+
+
+@given(mpmath_ref.mpfloats(300, st.integers(-1200, 1200)),
+       st.integers(1, 40), st.integers(-2, 2), st.integers(40, 600))
+@example(mp.MPFloat(mp.NORMAL, 1, -1, 2, 2), 1, -1, 40)  # 0.5: a tie
+@settings(max_examples=1000, deadline=None)
+def test_scaled_rounding_paths_agree(v, digits, off, w):
+    if v.cls != mp.NORMAL:
+        return
+    k = digits - 1 - math.floor(v.exp * 0.3010299956639812) + off
+    e = v.exp - v.prec + 1
+    exact = mp._round_scaled_exact(v.mant, e, k)
+    approx = mp._round_scaled_approx(v.mant, e, k, w)
+    assert approx in (None, exact)
+    if approx is None and w >= 4 * digits + 64:
+        # at the starting width, open only within 2**-40 of a half-integer
+        x = Fraction(v.mant) * Fraction(2) ** e * Fraction(10) ** k
+        assert abs(x - math.floor(x) - Fraction(1, 2)) < Fraction(1, 1 << 40)
+
+
+def test_printing_near_the_exponent_limit_is_fast():
+    t0 = time.perf_counter()
+    for exp in (mp._EXP_LIMIT - 1, -mp._EXP_LIMIT + 1):
+        v = mp.MPFloat(mp.NORMAL, 1, exp, (1 << 119) | 12345, 120)
+        assert repr(v).startswith("MPFloat(")
+        assert mp.to_sci_string(v, 40).count("e") == 1
+    assert time.perf_counter() - t0 < 1.0
 
 
 # --------------------------------------------------------- relative error
