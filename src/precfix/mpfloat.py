@@ -6,7 +6,9 @@ mantissa has exactly `precision` bits with the top bit set.  Two exponent
 policies exist: UNBOUNDED (exponent limited only by sanity bounds) and
 BINARY64 (IEEE double range: subnormal rounding, overflow to infinity).
 Under UNBOUNDED, add, sub and mul of two normal values round their exact
-integer result inline in `_nearest`, which the engine also calls directly.
+integer result inline in `_nearest`, which the engine also calls directly;
+an addend too far below the other to count beyond its sign stands in as
+one bit (`_sticky`).
 All values are immutable; every operation returns a fresh value.
 """
 
@@ -186,6 +188,16 @@ def _round(sign, m, e_lsb, p, policy):
     return v
 
 
+def _round_enclosed(sign, lo, hi, e, p, policy=UNBOUNDED):
+    """The rounding shared by every value from sign * lo * 2**e to
+    sign * hi * 2**e (lo, hi > 0), or None when the two ends round apart."""
+    a = _round(sign, lo, e, p, policy)
+    b = _round(sign, hi, e, p, policy)
+    if a.cls == b.cls and a.exp == b.exp and a.mant == b.mant:
+        return a
+    return None
+
+
 def _round_frac(sign, num, den, e2, p, policy):
     """Round sign * (num/den) * 2**e2 (num, den > 0) with one rounding."""
     shift = p + 2 - (num.bit_length() - den.bit_length())
@@ -290,9 +302,30 @@ def from_decimal_string(s, p, policy=UNBOUNDED):
         return round_to(inf(sign), p, policy)
     if top <= t_zero:
         return round_to(zero(53, sign), p, policy)
+    w = p + 64
+    while 8 * w < abs(e10):
+        v = _round_decimal_approx(sign, d, e10, p, policy, w)
+        if v is not None:
+            return v
+        w *= 2
+    return _round_decimal_exact(sign, d, e10, p, policy)
+
+
+def _round_decimal_exact(sign, d, e10, p, policy):
+    """sign * d * 10**e10 rounded once to p bits under the policy."""
     if e10 >= 0:
         return _round(sign, d * 5**e10, e10, p, policy)
     return _round_frac(sign, d, 5**-e10, e10, p, policy)
+
+
+def _round_decimal_approx(sign, d, e10, p, policy, w):
+    """_round_decimal_exact from _pow5_bounds, or None when their error
+    leaves the rounding open."""
+    bounds = _pow5_bounds(d, e10, w)
+    if bounds is None:
+        return None
+    lo, hi, s = bounds
+    return _round_enclosed(sign, lo, hi, s + e10, p, policy)
 
 
 def from_hex_string(s, p=None, policy=UNBOUNDED):
@@ -349,11 +382,18 @@ def _nearest(x, y, flip, p):
             ey = y.exp - y.prec
             mx = x.mant if x.sign > 0 else -x.mant
             my = y.mant if y.sign == flip else -y.mant
-            if ex > ey:
-                m = (mx << (ex - ey)) + my
+            d = ex - ey
+            if d >= 0:
+                if d > 4096:  # far apart: maybe only y's sign counts
+                    my, ey = _sticky(x, y, my, ey, p)
+                    d = ex - ey
+                m = (mx << d) + my
                 e = ey + 1
             else:
-                m = mx + (my << (ey - ex))
+                if d < -4096:
+                    mx, ex = _sticky(y, x, mx, ex, p)
+                    d = ex - ey
+                m = mx + (my << -d)
                 e = ex + 1
             sign = 1
             if m < 0:
@@ -384,6 +424,18 @@ def _nearest(x, y, flip, p):
             return MPFloat(1, sign, top, q, p)
         return inf(sign, p) if top > 0 else zero(p, sign)
     return _special(x, y, flip, p, UNBOUNDED)
+
+
+def _sticky(x, y, my, ey, p):
+    """(my, ey) of _nearest's addend y, or of a one-bit stand-in for it
+    when y lies so far below x that only its sign can move the p-bit
+    rounding of the sum: x and every rounding boundary near it are
+    multiples of 2**g, and |y| < 2**g, so x + y and the stand-in
+    x +- 2**(g - 2) lie strictly between the same two such multiples."""
+    g = min(x.exp - x.prec + 1, x.exp - p - 2)
+    if y.exp < g:
+        return (1 if my > 0 else -1), g - 3
+    return my, ey
 
 
 def _special(a, b, flip, p, policy):
@@ -418,8 +470,22 @@ def _bounded(a, b, flip, p, policy):
                       a.exp - a.prec + b.exp - b.prec + 2, p, policy)
     ea = a.exp - a.prec
     eb = b.exp - b.prec
-    e = ea if ea < eb else eb
-    s = a.sign * (a.mant << (ea - e)) + b.sign * flip * (b.mant << (eb - e))
+    ma = a.sign * a.mant
+    mb = b.sign * flip * b.mant
+    # as in _nearest; the only bounded policy, BINARY64, rounds at 53 bits
+    d = ea - eb
+    if d >= 0:
+        if d > 4096:
+            mb, eb = _sticky(a, b, mb, eb, 53)
+            d = ea - eb
+        s = (ma << d) + mb
+        e = eb
+    else:
+        if d < -4096:
+            ma, ea = _sticky(b, a, ma, ea, 53)
+            d = ea - eb
+        s = ma + (mb << -d)
+        e = ea
     if s == 0:
         return zero(p)
     return _round(1 if s > 0 else -1, abs(s), e + 1, p, policy)
@@ -601,24 +667,34 @@ def _round_scaled_exact(m, e, k):
     return n
 
 
-def _round_scaled_approx(m, e, k, w):
-    """_round_scaled_exact from a w-bit bound on 5**|k|, or None when its
-    error leaves the rounding open.  The exact value x lies in
-    (lo * 2**s, hi * 2**s], and the rounding is decided when no
-    half-integer does."""
+def _pow5_bounds(m, k, w):
+    """(lo, hi, s) with lo * 2**s < m * 5**k <= hi * 2**s, from a w-bit
+    bound on 5**|k|, or None when w leaves no room for one.  lo and hi have
+    about w bits or more."""
     F, f = _pow5_floor(abs(k), w)
     # the relative error of the bounds is below 2**-slack
     slack = w - abs(k).bit_length() - 2
+    if slack < 1:
+        return None
     if k >= 0:
-        a = m * F << w
-        lo, hi = a - 1, a + (a >> slack) + 1
-        s = f + e + k - w
-    else:
-        t = w + F.bit_length() - m.bit_length()
-        q = (m << t) // F if t >= 0 else m // (F << -t)
-        lo, hi = q - (q >> slack) - 1, q + 1
-        s = e + k - f - t
-    if s >= 0 or slack < 1:
+        a = m * F
+        return a - 1, a + (a >> slack) + 1, f
+    t = w + F.bit_length() - m.bit_length()
+    q = (m << t) // F if t >= 0 else m // (F << -t)
+    return q - (q >> slack) - 1, q + 1, -f - t
+
+
+def _round_scaled_approx(m, e, k, w):
+    """_round_scaled_exact from _pow5_bounds, or None when their error
+    leaves the rounding open.  The exact value x lies in
+    (lo * 2**s, hi * 2**s], and the rounding is decided when no
+    half-integer does."""
+    bounds = _pow5_bounds(m << w if k >= 0 else m, k, w)
+    if bounds is None:
+        return None
+    lo, hi, s = bounds
+    s += e + k - (w if k >= 0 else 0)
+    if s >= 0:
         return None
     half = 1 << (-s - 1)
     n = (lo + half) >> -s

@@ -1,10 +1,20 @@
 """High-precision elementary functions used as the accuracy standard.
 
-Primitives (exp, ln, sin, cos, atan, pi) run internally at p_s + guard
-bits and round once to p_s.  Derived functions compose the primitives at
-p_s, mirroring how a calculator user would chain them; in particular
-pow(a, c) is literally exp(c * ln a) so the identity pow(20, 65) ==
-exp(65 * ln 20) holds bit-for-bit.
+The primitives exp, ln, sin, cos and atan, and the constants pi, ln 2 and
+ln 10, are correctly rounded (Ziv): each is evaluated on scaled Python
+integers together with a proven bound on its error, and the result is
+rounded to p_s bits (nearest, ties to even) only when both ends of the
+bound round to the same value; otherwise it is evaluated again with more
+bits.  Results keep mpfloat's exponent limit, so exp beyond it gives inf or
+0; sin and cos reject |x| >= 2**65536, whose reduction would need pi to as
+many bits.  Derived functions compose the primitives at p_s, mirroring how
+a calculator user would chain them; in particular pow(a, c) is literally
+exp(c * ln a) so the identity pow(20, 65) == exp(65 * ln 20) holds
+bit-for-bit.
+
+A fixed-point value V at scale s stands for V * 2**-s.  Each evaluator
+returns (V, err, e): the exact result lies in [(V - err) * 2**e,
+(V + err) * 2**e].
 """
 
 from __future__ import annotations
@@ -20,71 +30,57 @@ class DomainError(ValueError):
 
 
 class OracleConfig:
-    __slots__ = ("p_s", "guard")
+    __slots__ = ("p_s",)
 
-    def __init__(self, p_s=256, guard=64):
-        if p_s < 2 or guard < 32:
-            raise ValueError("need p_s >= 2 and guard >= 32")
+    def __init__(self, p_s=256):
+        if p_s < 2:
+            raise ValueError("need p_s >= 2")
         self.p_s = p_s
-        self.guard = guard
 
 
 DEFAULT = OracleConfig()
 
-_LN2_CACHE = {}
-_PI_CACHE = {}
-_LN10_CACHE = {}
+_TRIG_EXP_LIMIT = 1 << 16  # sin and cos need |x| < 2**_TRIG_EXP_LIMIT
 
 
-def _ln2(w):
-    """ln 2 at w bits via 2*atanh(1/3), summed in scaled integers."""
-    v = _LN2_CACHE.get(w)
-    if v is not None:
-        return v
-    ws = w + 16
-    total = 0
-    k = 1
-    p3 = 3
-    while True:
-        term = (2 << ws) // (k * p3)
-        if term == 0:
-            break
-        total += term
-        k += 2
-        p3 *= 9
-    v = mp._round(1, total, -ws, w, mp.UNBOUNDED)
-    _LN2_CACHE[w] = v
-    return v
-
-
-def _atan_inv_scaled(m, ws):
-    """atan(1/m) * 2**ws as an integer (Machin building block)."""
-    total = 0
-    k = 1
-    p = m
-    sign = 1
+def _arc_inv(m, s, alt):
+    """2**s * atan(1/m) (alt) or atanh(1/m), for m >= 3, within 2n + 2 after
+    n terms: each power floor(2**s / m**k) is exact, as the floor of a
+    floor, and each term adds less than 2."""
     m2 = m * m
-    while True:
-        term = (1 << ws) // (k * p)
-        if term == 0:
-            break
-        total += sign * term
-        sign = -sign
+    power = (1 << s) // m
+    total, k = 0, 1
+    while power:
+        term = power // k
+        total += -term if alt and k & 2 else term
+        power //= m2
         k += 2
-        p *= m2
     return total
 
 
-def _pi(w):
-    """pi at w bits, Machin formula 16*atan(1/5) - 4*atan(1/239)."""
-    v = _PI_CACHE.get(w)
-    if v is not None:
-        return v
-    ws = w + 16
-    scaled = 16 * _atan_inv_scaled(5, ws) - 4 * _atan_inv_scaled(239, ws)
-    v = mp._round(1, scaled, -ws, w, mp.UNBOUNDED)
-    _PI_CACHE[w] = v
-    return v
+_CONSTANTS = {
+    "ln2": lambda s: 2 * _arc_inv(3, s, False),
+    "ln10": lambda s: 6 * _arc_inv(3, s, False) + 2 * _arc_inv(9, s, False),
+    "pi": lambda s: 16 * _arc_inv(5, s, True) - 4 * _arc_inv(239, s, True),
+}
+_CACHE = {}  # name -> (s, constant * 2**s within 2): the widest so far
+
+
+def _const(name, s):
+    """The constant at scale s, within 2.  A request wider than the kept
+    value replaces it (at 1.5 times its width at least); narrower ones
+    shift it."""
+    w, v = _CACHE.get(name, (0, 0))
+    if w < s:
+        w = max(s, w + w // 2)
+        g = w.bit_length() + 7  # the series' error is below 2**g / 2
+        v = _CONSTANTS[name](w + g) >> g
+        _CACHE[name] = (w, v)
+    return v >> (w - s)
+
+
+def _const_fixed(name, w):
+    return _const(name, w), 2, -w
 
 
 def _scale2(v, n):
@@ -93,175 +89,169 @@ def _scale2(v, n):
     return MPFloat(mp.NORMAL, v.sign, v.exp + n, v.mant, v.prec)
 
 
-def _nearest_int(v):
-    """Round a finite value to the nearest integer, ties to even."""
-    if v.cls == mp.ZERO:
-        return 0
-    e = v.exp - v.prec + 1
-    if e >= 0:
-        return v.sign * (v.mant << e)
-    q = v.mant >> -e
-    rem = v.mant & ((1 << -e) - 1)
-    half = 1 << (-e - 1)
-    if rem > half or (rem == half and (q & 1)):
-        q += 1
-    return v.sign * q
+def _fixed(x, s):
+    """(X, err): x * 2**s truncated to an integer, off by err."""
+    sh = s + x.exp - x.prec + 1
+    if sh >= 0:
+        return x.sign * (x.mant << sh), 0
+    return x.sign * (x.mant >> -sh), 1
 
 
-def _exp_core(x, w):
-    """exp(x) at w bits; x finite."""
-    if x.cls == mp.ZERO:
-        return mp.from_int(1, w)
-    ln2w = _ln2(w + 64)
-    n = _nearest_int(mp.div(x, ln2w, 64))
-    r = mp.sub(mp.extend(x, w + 64) if x.prec <= w + 64 else x,
-               mp.mul(mp.from_int(n), ln2w, w + 64), w + 64)
-    r = mp.round_to(r, w)
-    one = mp.from_int(1, w)
-    term = one
-    acc = one
-    k = 1
-    limit = -(w + 4)
-    while term.cls == mp.NORMAL:
-        term = mp.div(mp.mul(term, r, w), mp.from_int(k), w)
-        acc = mp.add(acc, term, w)
-        if term.cls != mp.NORMAL or term.exp - acc.exp < limit:
+def _square_err(v, err, s):
+    """Error bound of (v * v) >> s when v is off by err."""
+    return ((2 * abs(v) + err) * err >> s) + 2
+
+
+def _product_err(a, ea, b, eb):
+    """Error bound of a * b when a and b are off by ea and eb."""
+    return abs(a) * eb + abs(b) * ea + ea * eb
+
+
+def _ziv(evaluate, x, p):
+    """The p-bit rounding of a value that evaluate(x, w) encloses ever more
+    tightly as the working precision w grows: the first enclosure whose
+    two ends round alike decides it."""
+    w = p + 32
+    while True:
+        v, err, e = evaluate(x, w)
+        lo, hi = v - err, v + err
+        if lo > 0 or hi < 0:
+            r = mp._round_enclosed(1 if lo > 0 else -1, abs(lo), abs(hi), e,
+                                   p)
+            if r is not None:
+                return r
+        w += w // 2
+
+
+def _exp_fixed(x, w):
+    """exp(x) = 2**n * exp(r)**(2**k) with r = x - n ln 2, |r| <= 0.35."""
+    n = round(x.to_float() / 0.6931471805599453)
+    s = w + n.bit_length() + 2
+    X, err = _fixed(x, s)
+    r = X - n * _const("ln2", s)
+    err += 2 * abs(n)  # at scale s, so exp(r) is off by 2 * err
+    # read at scale t = s + k, the same integer stands for r / 2**k
+    k = math.isqrt(s) // 2
+    t = s + k
+    a = abs(r)
+    total = term = 1 << t
+    i = 1
+    while term:  # every term is off by less than 2, the tail by 5
+        term = (term * a >> t) // i
+        total += -term if r < 0 and i & 1 else term
+        i += 1
+    err = 2 * i + 5 + 2 * err
+    for _ in range(k):
+        total, err = total * total >> t, _square_err(total, err, t)
+    return total, err, n - t
+
+
+def _ln_fixed(x, w):
+    """ln x = k ln 2 + 2**(j + 1) atanh(u), where x = a * 2**k with a in
+    [0.75, 1.5), b = a**(2**-j) and u = (b - 1) / (b + 1)."""
+    k, sa = x.exp, x.prec - 1  # a = x.mant / 2**sa
+    if x.mant > 3 << (sa - 1):
+        k, sa = k + 1, sa + 1
+    d = x.mant - (1 << sa)  # a - 1 at scale sa, exact
+    td = sa + 1 - d.bit_length() if d else 0  # |a - 1| >= 2**-td
+    j = max(0, math.isqrt(w) // 4 + 1 - td)  # square roots
+    s = w + td + j + k.bit_length() + 4
+    one = 1 << s
+    sh = s - sa
+    d, err = (d << sh, 0) if sh >= 0 else (d >> -sh, 1)
+    if j:
+        b = d + one
+        for _ in range(j):  # the error shrinks by 0.58 at least, plus 1
+            b = math.isqrt(b << s)
+            err = (3 * err + 4) // 5 + 1
+        d = b - one
+    u = (d << s) // (d + 2 * one)
+    err_u = (2 * err + 2) // 3 + 1  # |du/dd| <= 0.66
+    # atanh(u) / u = sum z**i / (2i + 1), z = u * u <= 0.04, at scale w
+    z = u * u >> (2 * s - w)
+    total = power = 1 << w
+    i = 1
+    while power:
+        power = power * z >> w
+        total += power // (2 * i + 1)
+        i += 1
+    err_s = 2 * i + 4 + _square_err(u, err_u, 2 * s - w)
+    v = (u * total << (j + 1)) + k * _const("ln2", s + w)
+    err = (_product_err(u, err_u, total, err_s) << (j + 1)) + 2 * abs(k)
+    return v, err, -(s + w)
+
+
+def _sin_fixed(x, w, q=0):
+    """sin(x + q pi/2) = +-sin(r) or +-cos(r), r = x - n pi/2, |r| <= pi/4,
+    from pi at as many bits as x has above its point, widened until r has
+    w bits above its error."""
+    s = w + abs(x.exp) + 8
+    while True:
+        r, err = _fixed(x, s)
+        n = 0
+        if x.exp >= -1:
+            half_pi = _const("pi", s - 1)
+            n = (2 * r + half_pi) // (2 * half_pi)
+            r -= n * half_pi
+            err += 2 * abs(n)
+        lack = w + err.bit_length() - abs(r).bit_length()
+        if lack <= 0:
             break
-        k += 1
-    out = _scale2(acc, n)
-    if out.cls == mp.NORMAL and abs(out.exp) >= (1 << 31):
-        return mp.inf(1, w) if out.exp > 0 else mp.zero(w)
-    return out
+        s += lack + 4
+    q = (q + n) & 3
+    z = r * r >> (2 * s - w)
+    err_z = _square_err(r, err, 2 * s - w)
+    total = term = 1 << w
+    # cos r = sum (-z)**m / (2m)!, sin r / r = sum (-z)**m / (2m + 1)!
+    i = 1 if q & 1 else 2
+    while term:  # every term is off by less than 3, the tail by 5
+        term = (term * z >> w) // (i * (i + 1))
+        total += -term if (i + 1) & 2 else term
+        i += 2
+    err_t = 3 * i + 8 + err_z
+    sign = -1 if q & 2 else 1
+    if q & 1:
+        return sign * total, err_t, -w
+    return sign * r * total, _product_err(r, err, total, err_t), -(s + w)
 
 
-def _ln_core(x, w):
-    """ln(x) at w bits; x finite and > 0."""
-    a = MPFloat(mp.NORMAL, 1, 0, x.mant, x.prec)  # mantissa in [1, 2)
-    k = x.exp
-    threehalf = mp.from_decimal_string("1.5", 4)
-    if mp.cmp(a, threehalf) > 0:
-        a = _scale2(a, -1)
-        k += 1
-    one = mp.from_int(1, w)
-    num = mp.sub(a, one, w)
-    if num.cls == mp.ZERO:
-        series = mp.zero(w)
+def _cos_fixed(x, w):
+    return _sin_fixed(x, w, 1)
+
+
+def _atan_fixed(x, w):
+    """atan |x| = 2**j atan(y), or pi/2 minus that for |x| >= 1, where y is
+    |x| or 1/|x| halved j times by y -> y / (1 + sqrt(1 + y*y)) until
+    y < 2**-h."""
+    h = math.isqrt(w) // 4  # at least 1, so z < 1/4
+    if x.exp >= 0:
+        s = w + h + 8
+        sh = s + x.prec - 1 - x.exp  # 1/|x| = 2**(prec - 1 - exp) / mant
+        y, err = ((1 << sh) // x.mant if sh >= 0 else 0), 1
     else:
-        t = mp.div(num, mp.add(a, one, w), w)
-        t2 = mp.mul(t, t, w)
-        term = t
-        acc = t
-        j = 3
-        limit = -(w + 4)
-        while True:
-            term = mp.mul(term, t2, w)
-            contrib = mp.div(term, mp.from_int(j), w)
-            acc = mp.add(acc, contrib, w)
-            if contrib.cls != mp.NORMAL or contrib.exp - acc.exp < limit:
-                break
-            j += 2
-        series = _scale2(acc, 1)  # ln a = 2 * atanh(t)
-    return mp.add(series, mp.mul(mp.from_int(k), _ln2(w + 8), w), w)
-
-
-def _sin_series(r, w):
-    if r.cls == mp.ZERO:
-        return mp.zero(w)
-    term = r
-    acc = r
-    r2 = mp.neg(mp.mul(r, r, w))
-    k = 2
-    limit = -(w + 4)
-    while True:
-        term = mp.div(mp.mul(term, r2, w), mp.from_int(k * (k + 1)), w)
-        acc = mp.add(acc, term, w)
-        if term.cls != mp.NORMAL or term.exp - acc.exp < limit:
-            break
-        k += 2
-    return acc
-
-
-def _cos_series(r, w):
-    one = mp.from_int(1, w)
-    if r.cls == mp.ZERO:
-        return one
-    term = one
-    acc = one
-    r2 = mp.neg(mp.mul(r, r, w))
-    k = 1
-    limit = -(w + 4)
-    while True:
-        term = mp.div(mp.mul(term, r2, w), mp.from_int(k * (k + 1)), w)
-        acc = mp.add(acc, term, w)
-        if term.cls != mp.NORMAL or (acc.cls == mp.NORMAL and term.exp - acc.exp < limit):
-            break
-        k += 2
-    return acc
-
-
-def _trig_reduce(x, w):
-    """Return (r, quadrant) with x = r + quadrant*(pi/2), |r| <= pi/4."""
-    we = w + 64
-    half_pi = _scale2(_pi(we), -1)
-    n = _nearest_int(mp.div(x, half_pi, 64))
-    r = mp.sub(mp.extend(x, we) if x.prec <= we else x,
-               mp.mul(mp.from_int(n), half_pi, we), we)
-    return mp.round_to(r, w), n & 3
-
-
-def _sin_core(x, w):
-    r, q = _trig_reduce(x, w)
-    if q == 0:
-        return _sin_series(r, w)
-    if q == 1:
-        return _cos_series(r, w)
-    if q == 2:
-        return mp.neg(_sin_series(r, w))
-    return mp.neg(_cos_series(r, w))
-
-
-def _cos_core(x, w):
-    r, q = _trig_reduce(x, w)
-    if q == 0:
-        return _cos_series(r, w)
-    if q == 1:
-        return mp.neg(_sin_series(r, w))
-    if q == 2:
-        return mp.neg(_cos_series(r, w))
-    return _sin_series(r, w)
-
-
-def _atan_core(x, w):
-    if x.cls == mp.ZERO:
-        return mp.zero(w)
-    sign = x.sign
-    a = mp.abs_(x)
-    one = mp.from_int(1, w)
-    recip = mp.cmp(a, one) > 0
-    if recip:
-        a = mp.div(one, a, w)
-    halvings = 0
-    small = MPFloat(mp.NORMAL, 1, -3, 1 << (w - 1), w)  # 0.125
-    while mp.cmp(a, small) > 0:
-        root = mp.sqrt(mp.add(one, mp.mul(a, a, w), w), w)
-        a = mp.div(a, mp.add(one, root, w), w)
-        halvings += 1
-    t2 = mp.neg(mp.mul(a, a, w))
-    term = a
-    acc = a
-    j = 3
-    limit = -(w + 4)
-    while True:
-        term = mp.mul(term, t2, w)
-        contrib = mp.div(term, mp.from_int(j), w)
-        acc = mp.add(acc, contrib, w)
-        if contrib.cls != mp.NORMAL or contrib.exp - acc.exp < limit:
-            break
-        j += 2
-    acc = _scale2(acc, halvings)
-    if recip:
-        acc = mp.sub(_scale2(_pi(w), -1), acc, w)
-    return acc if sign > 0 else mp.neg(acc)
+        s = w + h + 8 - x.exp
+        y, err = _fixed(x, s)
+        y = abs(y)
+    j = 0
+    while y.bit_length() > s - h:
+        one = 1 << s
+        y = (y << s) // (one + math.isqrt((one << s) + y * y))
+        err = (err + 1) // 2 + 2  # |dy'/dy| <= 1/2, plus 1.25 of rounding
+        j += 1
+    # atan(y) / y = sum (-z)**i / (2i + 1), z = y * y, at scale w
+    z = y * y >> (2 * s - w)
+    total = power = 1 << w
+    i = 1
+    while power:
+        power = power * z >> w
+        total += -(power // (2 * i + 1)) if i & 1 else power // (2 * i + 1)
+        i += 1
+    err_a = 2 * i + 4 + _square_err(y, err, 2 * s - w)
+    v = y * total << j
+    err = _product_err(y, err, total, err_a) << j
+    if x.exp >= 0:
+        v, err = _const("pi", s + w - 1) - v, err + 2
+    return x.sign * v, err, -(s + w)
 
 
 # ---------------------------------------------------------------------------
@@ -276,41 +266,77 @@ def _check_finite(x, fn):
 
 def exp_mp(x, cfg=DEFAULT):
     _check_finite(x, "exp")
-    return mp.round_to(_exp_core(x, cfg.p_s + cfg.guard), cfg.p_s)
+    if x.cls == mp.ZERO:
+        return mp.from_int(1, cfg.p_s)
+    if x.exp >= 31:  # |x| >= 2**31: 2**(x / ln 2) is beyond the limit
+        return mp.inf(1, cfg.p_s) if x.sign > 0 else mp.zero(cfg.p_s)
+    return _ziv(_exp_fixed, x, cfg.p_s)
 
 
 def ln_mp(x, cfg=DEFAULT):
     _check_finite(x, "ln")
     if x.cls == mp.ZERO or x.sign < 0:
         raise DomainError("ln needs a positive argument")
-    return mp.round_to(_ln_core(x, cfg.p_s + cfg.guard), cfg.p_s)
+    if x.exp == 0 and x.mant == 1 << (x.prec - 1):
+        return mp.zero(cfg.p_s)
+    return _ziv(_ln_fixed, x, cfg.p_s)
+
+
+def _check_trig(x, fn):
+    _check_finite(x, fn)
+    if x.cls == mp.NORMAL and x.exp >= _TRIG_EXP_LIMIT:
+        raise DomainError("%s needs |x| < 2**%d" % (fn, _TRIG_EXP_LIMIT))
+
+
+def _below_cube(x, p):
+    """The p-bit rounding of x - eta, for every eta of x's sign with
+    |eta| < 2**(3 * x.exp + 2), when 2 * x.exp < -(max(x.prec, p) + 4):
+    then x and every rounding boundary near it are multiples of a power of
+    two above both eta and the stand-in 2**(3 * x.exp + 1).  This rounds
+    sin x and atan x of an x too small for Ziv's test to separate them from
+    x, should x lie on a boundary."""
+    return mp.sub(x, MPFloat(mp.NORMAL, x.sign, 3 * x.exp + 1, 2, 2), p)
+
+
+def _tiny(x, p):
+    return 2 * x.exp < -(max(x.prec, p) + 4)
 
 
 def sin_mp(x, cfg=DEFAULT):
-    _check_finite(x, "sin")
-    return mp.round_to(_sin_core(x, cfg.p_s + cfg.guard), cfg.p_s)
+    _check_trig(x, "sin")
+    if x.cls == mp.ZERO:
+        return mp.zero(cfg.p_s)
+    if _tiny(x, cfg.p_s):  # |x - sin x| < |x|**3 / 6
+        return _below_cube(x, cfg.p_s)
+    return _ziv(_sin_fixed, x, cfg.p_s)
 
 
 def cos_mp(x, cfg=DEFAULT):
-    _check_finite(x, "cos")
-    return mp.round_to(_cos_core(x, cfg.p_s + cfg.guard), cfg.p_s)
+    _check_trig(x, "cos")
+    if x.cls == mp.ZERO:
+        return mp.from_int(1, cfg.p_s)
+    return _ziv(_cos_fixed, x, cfg.p_s)
 
 
 def atan_mp(x, cfg=DEFAULT):
     _check_finite(x, "atan")
-    return mp.round_to(_atan_core(x, cfg.p_s + cfg.guard), cfg.p_s)
+    if x.cls == mp.ZERO:
+        return mp.zero(cfg.p_s)
+    if _tiny(x, cfg.p_s):  # |x - atan x| < |x|**3 / 3
+        return _below_cube(x, cfg.p_s)
+    return _ziv(_atan_fixed, x, cfg.p_s)
 
 
 def pi_const(cfg=DEFAULT):
-    return mp.round_to(_pi(cfg.p_s + cfg.guard), cfg.p_s)
+    return _ziv(_const_fixed, "pi", cfg.p_s)
+
+
+def _ln2(cfg):
+    return _ziv(_const_fixed, "ln2", cfg.p_s)
 
 
 def _ln10(cfg):
-    v = _LN10_CACHE.get(cfg.p_s)
-    if v is None:
-        v = ln_mp(mp.from_int(10, cfg.p_s), cfg)
-        _LN10_CACHE[cfg.p_s] = v
-    return v
+    return _ziv(_const_fixed, "ln10", cfg.p_s)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +415,7 @@ def derived_fn(name, args, cfg=DEFAULT):
     if name == "exp":
         return exp_mp(a, cfg)
     if name == "exp2":
-        return exp_mp(mp.mul(a, mp.round_to(_ln2(p + cfg.guard), p), p), cfg)
+        return exp_mp(mp.mul(a, _ln2(cfg), p), cfg)
     if name == "exp10":
         return exp_mp(mp.mul(a, _ln10(cfg), p), cfg)
     if name == "fmod":
@@ -404,7 +430,7 @@ def derived_fn(name, args, cfg=DEFAULT):
     if name == "log":
         return ln_mp(a, cfg)
     if name == "log2":
-        return mp.div(ln_mp(a, cfg), mp.round_to(_ln2(p + cfg.guard), p), p)
+        return mp.div(ln_mp(a, cfg), _ln2(cfg), p)
     if name == "log10":
         return mp.div(ln_mp(a, cfg), _ln10(cfg), p)
     if name == "pow":

@@ -238,3 +238,37 @@ def test_trace_of_huge_exponents_is_fast(tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
     assert code == 0
     assert "SHADOW VALUE:   4.88544011836443 * 10^189076549" in out
+
+
+def test_oracle_of_large_arguments(tmp_path, capsys):
+    # 1e300 is read at the oracle's 256 bits; of that value mpmath gives
+    # sin = -0.94244141112113469238 and cos = 0.33437133041575854902, and
+    # exp(+-1e300) is beyond the exponent limit
+    f = tmp_path / "exprs.txt"
+    f.write_text("sin 1e300\ncos 1e300\nexp 1e300\nexp -1e300\n")
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "oracle", "--file", str(f),
+                           "--digits", "20")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert out.splitlines() == ["-0.94244141112113469238",
+                                "0.33437133041575854902", "inf",
+                                "0.0000000000000000000"]
+
+
+def test_trig_argument_beyond_reduction_range_exits_1(tmp_path, capsys):
+    f = tmp_path / "exprs.txt"
+    f.write_text("sin 1e20000\n")
+    code, _, err = run_cli(capsys, "oracle", "--file", str(f))
+    assert code == 1
+    assert "line 1: sin needs |x| < 2**65536" in err
+
+
+def test_literal_with_huge_decimal_exponent_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "run", "--kernel", "round_kernel",
+                           "--p-orig", "24", "--p-shadow", "120",
+                           "--input", "single:1e-30000000")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    assert out.startswith("input 1.00000002e-30000000\n")

@@ -235,6 +235,56 @@ def test_host_error_matches_mpfloat_error(pair):
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
+@st.composite
+def mp_lane_pairs(draw):
+    """(shadow, MPFloat original, p_shadow): a shadow at p_shadow near, far
+    from, or equal to an original of at most that precision, as the engine
+    pairs them, or any two values; every class throughout."""
+    p_s = draw(st.integers(2, 1200))
+    o = draw(mpmath_ref.mpfloats(min(p_s, 300), st.integers(-1200, 1200)))
+    kind = draw(st.sampled_from(["near", "far", "equal", "any"]))
+    if kind == "any" or o.cls != mp.NORMAL:
+        return mp.round_to(draw(SHADOWS), p_s), o, p_s
+    s = mp.extend(o, p_s)
+    if kind == "equal":
+        return s, o, p_s
+    flip = draw(st.integers(0, (1 << (p_s - 1)) - 1))
+    delta = draw(st.integers(-700, 700) if kind == "far"
+                 else st.integers(-1, 1))
+    return mp.MPFloat(mp.NORMAL, draw(st.sampled_from([1, -1])) * s.sign,
+                      s.exp + delta, s.mant ^ flip, p_s), o, p_s
+
+
+def _relative_error(shadow, orig):
+    """|shadow - orig| / |shadow| from mp.relative_error at 200 bits, far
+    past the host float the engine returns."""
+    return mp.relative_error(shadow, orig, 200).to_float()
+
+
+def _close(got, want):
+    """The same conventions (inf and 0), and values within the few
+    roundings of a host-float quotient."""
+    if math.isinf(got) or math.isinf(want):
+        return got == want
+    return abs(got - want) <= 2.0**-49 * max(got, want) + 2.0**-1070
+
+
+@given(mp_lane_pairs())
+@settings(max_examples=600, deadline=None)
+def test_float_error_matches_relative_error(pair):
+    shadow, orig, p_s = pair
+    got = engine._rel_err_float(shadow, orig, p_s)
+    assert _close(got, _relative_error(shadow, orig)), got
+
+
+@given(lane_pairs())
+@settings(max_examples=600, deadline=None)
+def test_host_error_matches_relative_error(pair):
+    shadow, x, p_s = pair
+    got = engine._rel_err_host(shadow, x, p_s)
+    assert _close(got, _relative_error(shadow, mp.from_float(x))), got
+
+
 def test_rel_err_float_wide_shadow_takes_exact_fallback():
     # a 1100-bit shadow 2^500 times the original used to raise
     # OverflowError("int too large to convert to float")

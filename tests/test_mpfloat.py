@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mpmath import libmp
+
 from precfix import mpfloat as mp
 import mpmath_ref
 
@@ -135,6 +137,66 @@ def test_binary64_rounding_far_below_subnormals_is_fast():
     assert mp.round_to(above, 53, mp.BINARY64).to_float() == 5e-324
 
 
+def test_adding_operands_far_apart_is_fast():
+    t0 = time.perf_counter()
+    one = mp.from_int(1, 120)
+    tiny = mp.MPFloat(mp.NORMAL, 1, -mp._EXP_LIMIT + 10, 1 << 119, 120)
+    for a, b in ((one, tiny), (tiny, one), (one, mp.neg(tiny))):
+        for op in ("add", "sub"):
+            got = getattr(mp, op)(a, b, 120)
+            assert mpmath_ref.fields(got) == mpmath_ref.reference(op, a, b,
+                                                                  120)
+            got = getattr(mp, op)(a, b, 53, mp.BINARY64)
+            assert got.to_float() == (-1.0 if a is tiny and op == "sub"
+                                      else 1.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("xprec,p", [(5000, 53), (53, 5000), (4500, 4500),
+                                     (60, 6000)])
+def test_add_far_apart_at_wide_precisions(xprec, p):
+    # gaps around the two thresholds of the far-apart shortcut: low bits
+    # more than 4096 binades apart, and a smaller operand below every bit
+    # of the rounding; with p above 4096 the sum can depend on more than
+    # the sign of an operand beyond the first
+    rng = random.Random(xprec * 7 + p)
+    for yprec in (2, 60):
+        for edge in (max(xprec - 1, p + 2), 4096 + xprec - yprec):
+            for gap in range(edge - 4, edge + 8):
+                x = mp.MPFloat(mp.NORMAL, rng.choice([1, -1]), 10,
+                               (1 << (xprec - 1)) | rng.getrandbits(
+                                   xprec - 1), xprec)
+                y = mp.MPFloat(mp.NORMAL, rng.choice([1, -1]), 10 - gap,
+                               (1 << (yprec - 1)) | rng.getrandbits(
+                                   yprec - 1), yprec)
+                for op in ("add", "sub"):
+                    for a, b in ((x, y), (y, x)):
+                        got = getattr(mp, op)(a, b, p)
+                        assert mpmath_ref.fields(got) == \
+                            mpmath_ref.reference(op, a, b, p), (op, gap)
+
+
+@given(mpmath_ref.mpfloats(200, st.integers(-1100, 1100)),
+       st.integers(4000, 7000), st.integers(2, 200), st.booleans(),
+       st.sampled_from([1, -1]))
+@settings(max_examples=500, deadline=None)
+def test_binary64_add_of_far_apart_operands(a, gap, prec, swap, flip):
+    # the exact sum of integer significands, rounded by _round: _bounded's
+    # own path before it learned to stand a far smaller operand in
+    if a.cls != mp.NORMAL:
+        return
+    b = mp.MPFloat(mp.NORMAL, -a.sign, a.exp - gap, (1 << (prec - 1)) | 1,
+                   prec)
+    if swap:
+        a, b = b, a
+    ea, eb = a.exp - a.prec, b.exp - b.prec
+    e = min(ea, eb)
+    s = a.sign * (a.mant << (ea - e)) + flip * b.sign * (b.mant << (eb - e))
+    want = mp._round(1 if s > 0 else -1, abs(s), e + 1, 53, mp.BINARY64)
+    got = mp._bounded(a, b, flip, 53, mp.BINARY64)
+    assert mpmath_ref.fields(got) == mpmath_ref.fields(want)
+
+
 def test_unbounded_policy_has_no_overflow():
     big = mp.from_float(1.5e308)
     r = mp.mul(big, big, 53)
@@ -243,6 +305,56 @@ def test_decimal_exponent_beyond_range_is_fast():
                  "4.9e-324", "0.00001e-319"):
         v = mp.from_decimal_string(text, 53, mp.BINARY64)
         assert bits_of(v.to_float()) == bits_of(float(text)), text
+
+
+@st.composite
+def decimal_literals(draw):
+    """(text, sign, d, e10): digits d and a decimal exponent far enough
+    from 0 for the bounded path at the precisions below, or, for some
+    negative exponents, a d that makes the value an exact tie at p bits."""
+    p = draw(st.integers(2, 200))
+    # 5**5500 has 3845 digits, below Python's 4300-digit int/str limit
+    k = draw(st.integers(8 * (p + 64) + 1, 5500))
+    sign = draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        # (2q + 1) * 2**j * 10**-k with 2q + 1 of p + 1 bits
+        odd = (1 << p) | (2 * draw(st.integers(0, (1 << (p - 1)) - 1)) + 1)
+        d, e10 = odd * 5**k << draw(st.integers(0, 40)), -k
+    else:
+        d = draw(st.integers(1, 10**draw(st.integers(1, 60))))
+        e10 = k * draw(st.sampled_from([1, -1]))
+    text = "%s%de%d" % ("-" if sign < 0 else "", d, e10)
+    return p, text, sign, d, e10
+
+
+@given(decimal_literals(), st.sampled_from([mp.UNBOUNDED, mp.BINARY64]))
+@settings(max_examples=300, deadline=None)
+def test_bounded_literal_parsing_matches_exact(case, policy):
+    p, text, sign, d, e10 = case
+    got = mp.from_decimal_string(text, p, policy)
+    want = mp._round_decimal_exact(sign, d, e10, p, policy)
+    assert mpmath_ref.fields(got) == mpmath_ref.fields(want), text
+
+
+@given(decimal_literals(), st.integers(40, 600))
+@settings(max_examples=300, deadline=None)
+def test_decimal_rounding_paths_agree(case, w):
+    p, text, sign, d, e10 = case
+    exact = mp._round_decimal_exact(sign, d, e10, p, mp.UNBOUNDED)
+    approx = mp._round_decimal_approx(sign, d, e10, p, mp.UNBOUNDED, w)
+    assert approx is None \
+        or mpmath_ref.fields(approx) == mpmath_ref.fields(exact)
+
+
+def test_huge_in_range_decimal_exponent_is_fast():
+    t0 = time.perf_counter()
+    for text in ("1e-30000000", "-7.25e600000000", "3e-646456900",
+                 "123456789e-300000000"):
+        for p in (24, 120, 1000):
+            v = mp.from_decimal_string(text, p)
+            want = libmp.from_str(text, p, libmp.round_nearest)
+            assert mpmath_ref.fields(v) == mpmath_ref._limited(want, p, 1)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_hex_literal_parsing():

@@ -2,13 +2,20 @@
 precision so the reference is independent of the implementation."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import libmp
 
 from precfix import mpfloat as mp
 from precfix import transcendental as tr
+import mpmath_ref
 
 CFG = tr.DEFAULT
 TOL = mp.from_hex_string("0x1.0p-250")  # a few ulps of slack at p_S = 256
@@ -197,11 +204,233 @@ def test_arity_table_covers_derived_names():
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         tr.OracleConfig(p_s=1)
-    with pytest.raises(ValueError):
-        tr.OracleConfig(guard=4)
+    # Ziv's rounding test picks the guard bits: there is no knob for them
+    with pytest.raises(TypeError):
+        tr.OracleConfig(p_s=256, guard=64)
 
 
 def test_reduced_precision_oracle_still_sane():
     cfg = tr.OracleConfig(p_s=64)
     r = tr.exp_mp(mp.from_int(1), cfg)
     assert abs(r.to_float() - math.e) < 1e-15
+
+
+# ------------------------------------------- correct rounding against mpmath
+
+PRIMITIVES = {"exp": tr.exp_mp, "ln": tr.ln_mp, "sin": tr.sin_mp,
+              "cos": tr.cos_mp, "atan": tr.atan_mp}
+EVALUATORS = {"exp": tr._exp_fixed, "ln": tr._ln_fixed, "sin": tr._sin_fixed,
+              "cos": tr._cos_fixed, "atan": tr._atan_fixed}
+LIMIT = mpmath_ref.LIMIT
+
+
+def _normal(sign, exp, mant, prec):
+    return mp.MPFloat(mp.NORMAL, sign, exp, mant, prec)
+
+
+@st.composite
+def primitive_args(draw, max_prec=1100):
+    """(name, x): a normal argument in the function's domain, at moderate
+    magnitudes, anywhere in the exponent range, or at a hard case: ln near
+    1, sin and cos near a multiple of pi/2, exp next to either end of the
+    exponent range."""
+    name = draw(st.sampled_from(sorted(PRIMITIVES)))
+    kind = draw(st.sampled_from(["small", "wide", "hard"]))
+    if kind == "hard" and name == "ln":
+        # 1 + d * 2**(1 - prec) or 1 - d * 2**-prec, d of any bit length
+        prec = draw(st.integers(2, max_prec))
+        bits = draw(st.integers(1, prec - 1))
+        d = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        if draw(st.booleans()):
+            return name, _normal(1, 0, (1 << (prec - 1)) + d, prec)
+        return name, _normal(1, -1, (1 << prec) - d, prec)
+    if kind == "hard" and name in ("sin", "cos"):
+        prec = draw(st.integers(2, max_prec))
+        n = draw(st.integers(1, 1 << draw(st.integers(1, 1000))))
+        r = libmp.mpf_mul(libmp.from_int(n), libmp.mpf_pi(prec + 1100),
+                          prec, libmp.round_nearest)
+        neg, man, e, bc = libmp.mpf_shift(r, -1)
+        return name, mp._round(draw(st.sampled_from([1, -1])), man, e, prec,
+                               mp.UNBOUNDED)
+    if kind == "hard" and name == "exp":
+        k = draw(st.sampled_from([LIMIT, -LIMIT])) + draw(st.integers(-3, 3))
+        r = libmp.mpf_mul(libmp.mpf_add(libmp.from_int(k), libmp.from_float(
+            draw(st.floats(-0.75, 0.75))), 200), libmp.mpf_ln2(300), 300)
+        neg, man, e, bc = r
+        return name, mp._round(-1 if neg else 1, man, e,
+                               draw(st.integers(2, max_prec)), mp.UNBOUNDED)
+    # mpmath needs pi and ln 2 to about as many bits as x has above its
+    # point: exp past 2**40 is covered by test_exp_beyond_the_exponent_limit
+    top = {"sin": 1000, "cos": 1000, "exp": 40}.get(name, LIMIT - 1)
+    exps = st.integers(-40, 12) if kind == "small" else st.integers(
+        -LIMIT + 1, top)
+    x = draw(mpfloats_normal(max_prec, exps))
+    return name, (mp.abs_(x) if name == "ln" else x)
+
+
+def mpfloats_normal(max_prec, exps):
+    return mpmath_ref.mpfloats(max_prec, exps).filter(
+        lambda v: v.cls == mp.NORMAL)
+
+
+@given(primitive_args(), st.integers(2, 1000))
+@settings(max_examples=1000, deadline=None)
+def test_primitives_are_correctly_rounded(case, p):
+    name, x = case
+    got = PRIMITIVES[name](x, tr.OracleConfig(p))
+    assert mpmath_ref.fields(got) == mpmath_ref.fn_reference(name, x, p)
+
+
+@given(primitive_args(max_prec=400), st.integers(34, 600))
+@settings(max_examples=400, deadline=None)
+def test_error_bounds_enclose_the_exact_value(case, w):
+    # the bound each evaluator proves, checked against mpmath's directed
+    # roundings at a precision well past w
+    name, x = case
+    if name == "exp" and x.exp >= 31:
+        return
+    v, err, e = EVALUATORS[name](x, w)
+    wp = w + 64 + max(0, (v + err).bit_length() - w)
+    xm = libmp.from_man_exp(x.sign * x.mant, x.exp - x.prec + 1)
+    fn = mpmath_ref._MPF_FN[name]
+    lo = libmp.from_man_exp(v - err, e)
+    hi = libmp.from_man_exp(v + err, e)
+    assert libmp.mpf_le(lo, fn(xm, wp, libmp.round_floor))
+    assert libmp.mpf_le(fn(xm, wp, libmp.round_ceiling), hi)
+
+
+@pytest.mark.parametrize("name,x", [
+    ("exp", 0.0), ("ln", 1.0), ("sin", 0.0), ("sin", -0.0), ("cos", 0.0),
+    ("cos", -0.0), ("atan", 0.0), ("atan", -0.0)])
+def test_exact_cases(name, x):
+    for p in (2, 53, 256):
+        got = PRIMITIVES[name](mp.from_float(x), tr.OracleConfig(p))
+        want = mp.from_int(1, p) if name in ("exp", "cos") else mp.zero(p)
+        assert mpmath_ref.fields(got) == mpmath_ref.fields(want)
+
+
+def test_hard_cases_match_mpmath():
+    cases = []
+    for p in (2, 24, 53, 256, 1000):
+        for k in (1, 2, 30, p - 1, p, p + 1, 2 * p, 3000):
+            # ln of 1 +- 2**-k, and of the values just around 1
+            for x in (mp.add(mp.from_int(1), mp.from_hex_string(
+                    "0x1p-%d" % k), k + 2), mp.sub(mp.from_int(1),
+                    mp.from_hex_string("0x1p-%d" % k), k + 2)):
+                cases.append(("ln", x, p))
+            # tiny arguments
+            tiny = mp.from_hex_string("0x1.8p-%d" % (k * 7))
+            for name in ("exp", "sin", "cos", "atan"):
+                cases += [(name, tiny, p), (name, mp.neg(tiny), p)]
+        for e in (-LIMIT + 1, LIMIT - 1):
+            v = _normal(1, e, (1 << 255) | 0x1234567, 256)
+            cases += [("ln", v, p), ("atan", v, p), ("atan", mp.neg(v), p)]
+        v = _normal(-1, -LIMIT + 1, 1 << 255, 256)
+        cases += [(name, v, p) for name in ("exp", "sin", "cos", "atan")]
+        # results just off a p-bit midpoint, where the first enclosure
+        # straddles it: sin and atan of a midpoint x, with x**3 far below
+        # it or close enough for more guard bits; exp of 2**-p and of
+        # -2**-(p + 1), next to 1 +- a half ulp, and cos of 2**(-p / 2)
+        for e in (-300, -5000, -LIMIT + 10):
+            for sign in (1, -1):
+                x = _normal(sign, e, (1 << p) | 1, p + 1)
+                cases += [("sin", x, p), ("atan", x, p)]
+        cases += [("exp", mp.from_hex_string("0x1p-%d" % p), p),
+                  ("exp", mp.from_hex_string("-0x1p-%d" % (p + 1)), p),
+                  ("cos", mp.from_hex_string("0x1p-%d" % (p // 2)), p)]
+    t0 = time.perf_counter()
+    for name, x, p in cases:
+        got = PRIMITIVES[name](x, tr.OracleConfig(p))
+        assert mpmath_ref.fields(got) == mpmath_ref.fn_reference(name, x, p), \
+            (name, x, p)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def _mpf_of(text, p=256):
+    return libmp.from_str(text, p, libmp.round_nearest)
+
+
+@pytest.mark.parametrize("x", [
+    mp.from_decimal_string("1e300", 256),
+    mp.from_decimal_string("-1e300", 256),
+    _normal(1, 80, 1 << 255, 256),                  # 2**80
+    _normal(1, 1000, (1 << 255) | 12345, 256),      # near 2**1000
+    _normal(-1, 999, (1 << 255) | 99991, 256),
+    mp.from_decimal_string("1e20", 53),
+])
+def test_large_arguments_are_fast_and_correctly_rounded(x):
+    cfg = tr.OracleConfig(256)
+    t0 = time.perf_counter()
+    for name in ("sin", "cos", "exp"):
+        got = PRIMITIVES[name](x, cfg)
+        assert mpmath_ref.fields(got) == mpmath_ref.fn_reference(
+            name, x, 256), name
+        assert time.perf_counter() - t0 < 1.0, name
+
+
+def test_largest_trig_argument():
+    # its reduction computes pi to 2**16 bits, once
+    x = _normal(1, (1 << 16) - 1, (1 << 52) | 7, 53)
+    t0 = time.perf_counter()
+    for name in ("sin", "cos"):
+        got = PRIMITIVES[name](x, tr.OracleConfig(256))
+        assert mpmath_ref.fields(got) == mpmath_ref.fn_reference(
+            name, x, 256), name
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_exp_beyond_the_exponent_limit():
+    cfg = tr.OracleConfig(256)
+    for e in (31, 32, 1000, LIMIT - 1):
+        for sign in (1, -1):
+            x = _normal(sign, e, (1 << 255) | 3, 256)
+            t0 = time.perf_counter()
+            got = tr.exp_mp(x, cfg)
+            assert time.perf_counter() - t0 < 1.0
+            want = mp.inf(1, 256) if sign > 0 else mp.zero(256)
+            assert mpmath_ref.fields(got) == mpmath_ref.fields(want)
+    # just inside |x| < 2**31, where x / ln 2 still crosses the limit
+    for sign in (1, -1):
+        x = _normal(sign, 30, (1 << 255) | 3, 256)
+        assert mpmath_ref.fields(tr.exp_mp(x, cfg)) == \
+            mpmath_ref.fn_reference("exp", x, 256)
+
+
+def test_trig_of_arguments_beyond_reduction_range_is_a_domain_error():
+    x = _normal(1, 1 << 16, 1 << 52, 53)
+    for fn in (tr.sin_mp, tr.cos_mp):
+        with pytest.raises(tr.DomainError):
+            fn(x)
+    with pytest.raises(tr.DomainError):
+        tr.derived_fn("tan", [x])
+
+
+@pytest.mark.parametrize("name,ref", [("pi", libmp.mpf_pi),
+                                      ("ln2", libmp.mpf_ln2),
+                                      ("ln10", libmp.mpf_ln10)])
+def test_constants_are_correctly_rounded(name, ref):
+    for p in list(range(2, 80)) + [113, 256, 257, 1000, 3000]:
+        got = tr._ziv(tr._const_fixed, name, p)
+        assert mpmath_ref.fields(got) == mpmath_ref._limited(
+            ref(p, libmp.round_nearest), p, 1), (name, p)
+
+
+def test_constant_cache_keeps_one_widest_value():
+    tr._CACHE.clear()
+    for s in (300, 100, 2000, 50, 1999):
+        v = tr._const("pi", s)
+        exact = libmp.mpf_shift(libmp.mpf_pi(s + 64), s)
+        diff = libmp.mpf_sub(libmp.from_int(v), exact, 80)
+        assert libmp.mpf_lt(libmp.mpf_abs(diff), libmp.from_int(2))
+    assert set(tr._CACHE) == {"pi"}
+    assert tr._CACHE["pi"][0] >= 2000
+
+
+def test_constants_are_not_computed_at_import():
+    code = ("import precfix.transcendental as tr, precfix.cli; "
+            "print(len(tr._CACHE))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                             sys.path))).stdout
+    assert out.strip() == "0"
