@@ -8,6 +8,7 @@ Diagnostics go to stderr; machine output goes to stdout or --output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -195,13 +196,20 @@ def _parse_barriers(text, prog):
     return ids
 
 
-def _emit(args, text):
+def _open_output(args):
+    """--output opened for writing, or stdout (left open on exit)."""
     out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _emit(args, text):
+    with _open_output(args) as fh:
+        fh.write(text)
 
 
 def cmd_run(args):
@@ -211,19 +219,23 @@ def cmd_run(args):
     barriers = _parse_barriers(getattr(args, "barriers", None), prog)
     inputs = _load_inputs(args, kernel, cfg.p_orig)
     digits = corpus.digits_for(cfg.p_orig)
-    chunks = []
-    for i, x in enumerate(inputs):
-        tr_ = engine.execute(prog, [x], cfg, barriers, i,
-                             "full" if args.trace else "none")
-        chunks.append("input %s" % mp.to_sci_string(x, digits))
-        chunks.append("  OP: %s" % mp.to_sci_string(tr_.result.orig, digits))
-        chunks.append("  HP: %s" % mp.to_sci_string(
-            tr_.result.shadow, corpus.digits_for(cfg.p_shadow)))
-        if args.trace:
-            chunks.append("")
-            chunks.append(engine.format_trace(tr_))
-        chunks.append("")
-    _emit(args, "\n".join(chunks))
+    # each row is written once it has run: a failing row leaves the rows
+    # before it in the output
+    with _open_output(args) as out:
+        for i, x in enumerate(inputs):
+            tr_ = engine.execute(prog, [x], cfg, barriers, i,
+                                 "full" if args.trace else "none")
+            out.write("%sinput %s\n  OP: %s\n  HP: %s\n" % (
+                "\n" if i else "", mp.to_sci_string(x, digits),
+                mp.to_sci_string(tr_.result.orig, digits),
+                mp.to_sci_string(tr_.result.shadow,
+                                 corpus.digits_for(cfg.p_shadow))))
+            if args.trace:
+                out.write("\n")
+                for j, sample in enumerate(tr_.samples):
+                    out.write("%s%s" % ("\n\n" if j else "",
+                                        engine.format_sample(sample)))
+                out.write("\n")
     return 0
 
 
@@ -232,7 +244,9 @@ def cmd_detect(args):
     cfg = _engine_cfg(args)
     det = _det_cfg(args)
     agg = detector.collect(kernel.program,
-                           _load_inputs(args, kernel, cfg.p_orig), cfg)
+                           _load_inputs(args, kernel, cfg.p_orig), cfg,
+                           thresholds=det.thresholds if args.sweep
+                           else (det.e0,))
     if args.sweep:
         payload = [
             {"e0": e.e0, "p0": e.p0, "report": e.report.to_dict()}

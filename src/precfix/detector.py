@@ -12,7 +12,6 @@ instruction, re-runs the batch, and repeats until nothing is flagged.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 from . import mpfloat as mp
@@ -41,59 +40,195 @@ class DetectionConfig:
     def __post_init__(self):
         if not 0 < self.p0 < 1 or not 0 < self.p1 <= 1:
             raise ValueError("p0 in (0,1), p1 in (0,1] required")
-        if self.e0 <= 0:
-            raise ValueError("e0 must be positive")
+        if not all(e > 0 for e in self.thresholds):
+            raise ValueError("e0 and the e0 sweep must be positive")
         if self.first_order not in ("static", "dynamic"):
             raise ValueError("first_order must be static or dynamic")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
+    @property
+    def thresholds(self):
+        """Every e0 that detect and sweep can be asked about."""
+        return (self.e0,) + tuple(self.e0_sweep)
+
+
+# buffered samples past which their tallies are folded
+FOLD_SIZE = 1 << 12
+_SCALE = 1074  # every double is an integer multiple of 2**-1074
+
+
+def _scaled(x):
+    """A finite double times 2**1074, as an exact integer."""
+    num, den = x.as_integer_ratio()
+    return num << (_SCALE + 1 - den.bit_length())
+
+
+def _exact_sum(xs, s):
+    """The exact sum of the finite doubles in xs, times 2**1074, given
+    s = math.fsum(xs) or None.  fsum rounds the exact sum once, so
+    appending -s leaves a list whose exact sum is the rounding residual: a
+    few calls peel the sum into doubles.  A sum past the float range is
+    added up on integers instead.  Consumes xs."""
+    total = 0
+    try:
+        while True:
+            if s is None:
+                s = math.fsum(xs)
+            if not s:
+                return total
+            total += _scaled(s)
+            xs.append(-s)
+            s = None
+    except OverflowError:
+        pass
+    return total + sum(map(_scaled, xs))
+
 
 class _InstrAcc:
-    __slots__ = ("dst", "m", "inf_count", "errors", "first_ordinal")
+    """One instruction's tallies: its errors not yet folded in `errors`,
+    and over the folded ones their count, the infinite ones, the largest
+    finite one, their exact sum (times 2**1074) and the count above each
+    threshold of the aggregate."""
 
-    def __init__(self, dst):
+    __slots__ = ("dst", "errors", "folded", "inf_count", "max_err", "total",
+                 "ks", "first_ordinal")
+
+    def __init__(self, dst, n_thresholds):
         self.dst = dst
-        self.m = 0
+        self.errors = []
+        self.folded = 0
         self.inf_count = 0
-        self.errors = array("d")
+        self.max_err = None
+        self.total = 0
+        self.ks = [0] * n_thresholds
         self.first_ordinal = None
+
+    @property
+    def m(self):
+        return self.folded + len(self.errors)
 
 
 class ErrorAggregate:
-    """Per-instruction error tallies for one program over a batch."""
+    """Per-instruction error tallies for one program over a batch, able to
+    answer the detection rule at each of `thresholds` (by default those of
+    DetectionConfig()) and at no other.  Errors enter through `add`, or
+    straight from the engine's generated code (see `collect`); either way
+    they are buffered and folded into bounded tallies."""
 
-    def __init__(self, program):
+    def __init__(self, program, thresholds=None):
         self.program = program
         self.n = 0
-        self.instrs = {}
+        self.instrs = {}  # the instructions that produced a sample
+        self.thresholds = tuple(sorted(set(
+            DetectionConfig().thresholds if thresholds is None
+            else thresholds)))
+        self._index = {t: j for j, t in enumerate(self.thresholds)}
+        self._accs = {}
         self._ordinal = 0
+        self._pending = 0
+        self._sampled = self._sinks = None
+        self._unseen = ()
+
+    def _acc(self, instr_id, dst):
+        acc = self._accs.get(instr_id)
+        if acc is None:
+            acc = self._accs[instr_id] = _InstrAcc(dst, len(self.thresholds))
+        return acc
 
     def add(self, instr_id, dst, err):
         acc = self.instrs.get(instr_id)
         if acc is None:
-            acc = self.instrs[instr_id] = _InstrAcc(dst)
-        if acc.first_ordinal is None:
+            acc = self.instrs[instr_id] = self._acc(instr_id, dst)
             acc.first_ordinal = self._ordinal
         self._ordinal += 1
-        acc.m += 1
-        if math.isinf(err) or err != err:
-            acc.inf_count += 1
-        else:
-            acc.errors.append(err)
+        acc.errors.append(err)
+        if len(acc.errors) >= FOLD_SIZE:
+            self._fold(acc)
+
+    def sinks(self, sampled):
+        """For the engine: the append of each sampled instruction's buffer,
+        `sampled` being (instr_id, dst, ...) per instruction."""
+        if sampled is not self._sampled:
+            self._sampled = sampled
+            self._sinks = [self._acc(s[0], s[1]).errors.append
+                           for s in sampled]
+            self._unseen = [s for s in sampled if s[0] not in self.instrs]
+        return self._sinks
+
+    def end_run(self, counts, samples, firsts):
+        """For the engine, after a run through `sinks`: the run's exec
+        counts, its number of samples and where each sampled instruction's
+        first one fell (see engine._compile)."""
+        if self._unseen:
+            unseen = []
+            for s in self._unseen:
+                iid, _, j, offset = s
+                if counts[iid]:
+                    acc = self.instrs[iid] = self._accs[iid]
+                    acc.first_ordinal = self._ordinal + firsts[j] + offset
+                else:
+                    unseen.append(s)
+            self._unseen = unseen
+        self._ordinal += samples
+        self._pending += samples
+        if self._pending >= FOLD_SIZE:
+            self.flush()
+
+    def flush(self):
+        """Fold every buffered error into the tallies."""
+        for acc in self._accs.values():
+            self._fold(acc)
+        self._pending = 0
+
+    def _fold(self, acc):
+        buf = acc.errors
+        if not buf:
+            return
+        acc.folded += len(buf)
+        try:
+            s = math.fsum(buf)
+        except OverflowError:
+            s = None
+        infs = 0
+        if s is None or not s < math.inf:  # inf or NaN samples, or overflow
+            kept = [e for e in buf if e < math.inf]
+            infs = len(buf) - len(kept)
+            acc.inf_count += infs
+            buf[:] = kept
+            s = None
+        if buf:
+            top = max(buf)
+            acc.max_err = top if acc.max_err is None else max(acc.max_err,
+                                                              top)
+        survivors = buf
+        for j, t in enumerate(self.thresholds):
+            survivors = [e for e in survivors if e > t]
+            acc.ks[j] += len(survivors) + infs
+        acc.total += _exact_sum(buf, s)
+        buf.clear()
+
+    def k(self, acc, e0):
+        """Errors of `acc` above e0, the infinite ones included."""
+        j = self._index.get(e0)
+        if j is None:
+            raise ValueError("errors were not tallied at threshold %r"
+                             % (e0,))
+        return acc.ks[j]
 
 
-def collect(prog, rows, engine_cfg, barriers=frozenset()):
-    """Run every input row of a batch and stream each error sample into
-    one ErrorAggregate.  A failed run stops the batch and its EngineError
-    propagates."""
-    agg = ErrorAggregate(prog.name)
-    add = agg.add
+def collect(prog, rows, engine_cfg, barriers=frozenset(), thresholds=None):
+    """Run every input row of a batch, with each error sample appended by
+    the generated code to its instruction's buffer in one ErrorAggregate,
+    which can answer at `thresholds`.  A failed run stops the batch and
+    its EngineError propagates."""
+    agg = ErrorAggregate(prog.name, thresholds)
     for idx, row in enumerate(rows):
         if isinstance(row, mp.MPFloat):
             row = [row]
-        eng.execute(prog, row, engine_cfg, barriers, idx, sample_mode=add)
+        eng.execute(prog, row, engine_cfg, barriers, idx, sample_mode=agg)
         agg.n += 1
+    agg.flush()
     return agg
 
 
@@ -114,45 +249,35 @@ class InstrStats:
 
 
 def _moments(acc):
-    """(mean, max) of an instruction's errors; mean is None without finite
-    errors."""
-    finite = len(acc.errors)
+    """(mean, max) of an instruction's folded errors; mean is None without
+    finite errors."""
+    finite = acc.folded - acc.inf_count
     if finite:
         try:
-            mean = math.fsum(acc.errors) / finite
+            mean = (acc.total / (1 << _SCALE)) / finite
         except OverflowError:  # astronomically large finite samples
             mean = math.inf
     else:
         mean = None
-    mx = math.inf if acc.inf_count else (max(acc.errors) if finite else 0.0)
+    mx = math.inf if acc.inf_count else (
+        acc.max_err if acc.max_err is not None else 0.0)
     return mean, mx
 
 
-def _stats_one(iid, acc, n, e0, p0, p1, memo):
-    # what does not depend on p0 is computed once per memo: the moments
-    # per instruction, k per instruction and threshold
-    if iid not in memo:
-        memo[iid] = _moments(acc)
-    if (iid, e0) not in memo:
-        memo[iid, e0] = acc.inf_count + sum(1 for e in acc.errors if e > e0)
-    mean, mx = memo[iid]
-    k = memo[iid, e0]
-    err_ratio = k / acc.m if acc.m else 0.0
-    exec_ratio = acc.m / n if n else 0.0
-    flagged = acc.m > 0 and err_ratio > p0 and exec_ratio >= p1
-    return InstrStats(iid, acc.dst, n, acc.m, k, acc.inf_count, mx, mean,
-                      err_ratio, exec_ratio, flagged,
-                      acc.first_ordinal if acc.first_ordinal is not None
-                      else -1)
-
-
-def stats_for(agg, e0, p0=0.5, p1=0.1, memo=None):
-    """Per-instruction statistics at one threshold, in static id order.
-    Callers that try many thresholds on one aggregate share a `memo` dict
-    between the calls."""
-    memo = {} if memo is None else memo
-    return [_stats_one(iid, acc, agg.n, e0, p0, p1, memo)
-            for iid, acc in sorted(agg.instrs.items())]
+def stats_for(agg, e0, p0=0.5, p1=0.1):
+    """Per-instruction statistics at one threshold, in static id order."""
+    agg.flush()
+    out = []
+    for iid, acc in sorted(agg.instrs.items()):
+        mean, mx = _moments(acc)
+        k = agg.k(acc, e0)
+        err_ratio = k / acc.m if acc.m else 0.0
+        exec_ratio = acc.m / agg.n if agg.n else 0.0
+        flagged = acc.m > 0 and err_ratio > p0 and exec_ratio >= p1
+        out.append(InstrStats(iid, acc.dst, agg.n, acc.m, k, acc.inf_count,
+                              mx, mean, err_ratio, exec_ratio, flagged,
+                              acc.first_ordinal))
+    return out
 
 
 @dataclass
@@ -200,10 +325,10 @@ class DetectionReport:
         }
 
 
-def detect(agg, cfg=DetectionConfig(), e0=None, p0=None, memo=None):
+def detect(agg, cfg=DetectionConfig(), e0=None, p0=None):
     e0 = cfg.e0 if e0 is None else e0
     p0 = cfg.p0 if p0 is None else p0
-    stats = stats_for(agg, e0, p0, cfg.p1, memo)
+    stats = stats_for(agg, e0, p0, cfg.p1)
     flagged = [s.instr_id for s in stats if s.flagged]
     return DetectionReport(agg.program, agg.n, e0, p0, cfg.p1, stats,
                            flagged, _first(flagged, stats, cfg.first_order))
@@ -230,12 +355,11 @@ class SweepEntry:
 def sweep(agg, cfg=DetectionConfig()):
     """For each e0, report at the strictest p0 that flags something (the
     last p0 otherwise)."""
-    memo = {}
     entries = []
     for e0 in cfg.e0_sweep:
         chosen = None
         for p0 in cfg.p0_sweep:
-            r = detect(agg, cfg, e0=e0, p0=p0, memo=memo)
+            r = detect(agg, cfg, e0=e0, p0=p0)
             chosen = SweepEntry(e0, p0, r)
             if r.flagged:
                 break
@@ -258,7 +382,8 @@ def fix_iteratively(prog, inputs, engine_cfg=eng.EngineConfig(),
     barriers = set()
     log = []
     for _ in range(det_cfg.max_iterations):
-        agg = collect(prog, inputs, engine_cfg, frozenset(barriers))
+        agg = collect(prog, inputs, engine_cfg, frozenset(barriers),
+                      (det_cfg.e0,))
         report = detect(agg, det_cfg)
         log.append(report)
         first = _first([i for i in report.flagged if i not in barriers],

@@ -18,7 +18,9 @@ original crosses back to `MPFloat` only where a caller or the shadow needs
 one: `RunTrace.result`, `ErrorSample.original`, and the shadow side of
 barriered and word-write instructions.  Stream-mode errors are computed
 from the host float directly and equal the `MPFloat` computation bit for
-bit.
+bit.  Lanes too far apart for the exact integer difference take a closed
+form: 1 when the original lies below half an ulp of the shadow at
+p_shadow, else |original| / |shadow| rounded once.
 
 Word-level bit operations (get_hi/get_lo/make_f/set_hi/set_lo) act on the
 binary64 encoding of the original lane, so they need p_orig = 53; every
@@ -45,6 +47,13 @@ Each float operation is emitted from one of three expression tables:
 host-float expressions for the original lane at p_orig = 53, unbounded
 `mpfloat` calls for the shadow and the `MPFloat` original lane, and
 policy-taking `mpfloat` functions for barrier demotion.
+
+In stream mode each sampled instruction appends its error through a local
+bound once per run: to its buffer in a `detector.ErrorAggregate`, or to a
+caller's sink(instr_id, dst, err) through a `functools.partial`.  Nothing
+else is done per sample.  The generated function counts the run's samples
+per block and notes the count at each block's first entry, from which the
+aggregate places every instruction's first sample in the batch.
 """
 
 from __future__ import annotations
@@ -227,6 +236,23 @@ def _rel_err_float(shadow, orig, p_shadow):
         return 0.0 if orig.cls == mp.ZERO else math.inf
     if orig.cls == mp.ZERO:
         return 1.0
+    # Far apart: a value below half the smaller ulp spacing at p_shadow
+    # around the other, which p_shadow bits represent, leaves the rounded
+    # difference equal to that other value.
+    if shadow.prec <= p_shadow and orig.exp < shadow.exp - p_shadow - 1:
+        return 1.0
+    if orig.prec <= p_shadow and shadow.exp < orig.exp - p_shadow - 1:
+        # |orig| / |shadow| rounded once: the mantissa quotient lies in
+        # (1/2, 2) once aligned, and int division rounds it correctly
+        a, b = orig.mant, shadow.mant
+        if shadow.prec > orig.prec:
+            a <<= shadow.prec - orig.prec
+        else:
+            b <<= orig.prec - shadow.prec
+        try:
+            return math.ldexp(a / b, orig.exp - shadow.exp)
+        except OverflowError:
+            return math.inf
     # exponents or significands beyond host-float range: quotient first
     d = mp.sub(shadow, orig, p_shadow)
     if d.cls == mp.ZERO:
@@ -334,10 +360,16 @@ _CMP_PRED = {"lt": "(-1,)", "le": "(-1, 0)", "gt": "(1,)", "ge": "(0, 1)",
 
 
 def _compile(prog, cfg, barriers, mode):
-    """One Python function run(ins, sink, run_index) for the program.  `ins`
-    holds the admitted inputs as DualValues; `sink` takes (instr_id, dst,
-    err) in "stream" mode and ErrorSamples in "full" mode.  It returns
-    (orig, shadow, stale, steps, exec_counts) of the run."""
+    """One Python function run(ins, sink, ri) for the program.  `ins` holds
+    the admitted inputs as DualValues.  In "full" mode `sink` takes
+    ErrorSamples; in "stream" mode it holds one append per sampled
+    instruction, in the order of `run.sampled`, each taking the error as a
+    host float.  The function returns (orig, shadow, stale, steps,
+    exec_counts, samples, firsts) of the run: `samples` counts its stream
+    errors and firsts[j] is that count at the first entry to the j-th
+    sampling block.  `run.sampled` holds (instr_id, dst, j, offset) per
+    sampled instruction, whose first error in a run is then the
+    (firsts[j] + offset)-th."""
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
@@ -395,10 +427,13 @@ def _compile(prog, cfg, barriers, mode):
             return types.get(reg(operand[1]), "f") == "f"
         return operand[0] != "ilit"
 
+    # per block, the (instr_id, dst) of each instruction that samples
+    block_samples = []
+
     def emit(iid, k, dst):
         if mode == "stream":
-            return ["sink(%d, %s, _rel(s%d, o%d, %d))"
-                    % (iid, bind(dst), k, k, p_s)]
+            block_samples[-1].append((iid, dst))
+            return ["a%d(_rel(s%d, o%d, %d))" % (iid, k, k, p_s)]
         if mode == "full":
             return ["sink(_sample(%d, ri, %s, o%d, s%d, %d))"
                     % (iid, bind(dst), k, k, p_s)]
@@ -479,6 +514,7 @@ def _compile(prog, cfg, barriers, mode):
 
     bodies, succs = [], []
     for lo, hi in bounds:
+        block_samples.append([])
         body = [ln for instr in instrs[lo:hi - 1] for ln in lines(instr)]
         last = instrs[hi - 1]
         op = last.op
@@ -516,6 +552,13 @@ def _compile(prog, cfg, barriers, mode):
     for b, (lo, hi) in enumerate(bounds):
         counts += ["c%d" % b if b in reached else "0"] * (hi - lo)
 
+    # stream mode: a<id> appends instruction id's errors, q counts the
+    # run's samples and f<b> holds q at the first entry to block b
+    ids = sorted(reached)
+    sampling = [b for b in ids if b < end and block_samples[b]]
+    firsts = set(sampling)
+    sampled = tuple((iid, dst, j, off) for j, b in enumerate(sampling)
+                    for off, (iid, dst) in enumerate(block_samples[b]))
     src = ["def run(ins, sink, ri):"]
     for j, name in enumerate(prog.params):
         k = regs[name]
@@ -523,9 +566,13 @@ def _compile(prog, cfg, barriers, mode):
                 "    s%d = ins[%d].shadow" % (k, j)]
         if track:
             src.append("    t%d = ins[%d].stale" % (k, j))
-    ids = sorted(reached)
+    if sampled:
+        src.append("    %s, = sink" % ", ".join("a%d" % s[0]
+                                                 for s in sampled))
     src += ["    n = 0", "    b = 0",
-            "    %s = 0" % " = ".join("c%d" % b for b in ids if b < end),
+            "    %s = 0" % " = ".join(["c%d" % b for b in ids if b < end]
+                                      + ["q"] + ["f%d" % b
+                                                 for b in sampling]),
             "    while True:"]
 
     def dispatch(ids, pad):
@@ -540,14 +587,20 @@ def _compile(prog, cfg, barriers, mode):
         else:
             b = ids[0]
             lo, hi = bounds[b]
+            first = ["if c%d == 1:" % b, "    f%d = q" % b,
+                     "q += %d" % len(block_samples[b])] \
+                if b in firsts else []
             src.extend(pad + ln for ln in [
                 "n += %d" % (hi - lo), "if n > %d:" % cfg.max_steps,
-                "    raise _over()", "c%d += 1" % b] + bodies[b])
+                "    raise _over()", "c%d += 1" % b] + first + bodies[b])
 
     dispatch(ids, "        ")
-    src.append("    return ro, rs, rt, n, [%s]" % ", ".join(counts))
+    src.append("    return ro, rs, rt, n, [%s], q, [%s]" % (
+        ", ".join(counts), ", ".join("f%d" % b for b in sampling)))
     exec(compile("\n".join(src) + "\n", "<precfix>", "exec"), ns)
-    return ns["run"]
+    run = ns["run"]
+    run.sampled = sampled
+    return run
 
 
 # compiled functions kept per program, the oldest dropped past this many
@@ -580,24 +633,34 @@ def _check_barriers(prog, barriers):
 def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
             run_index=0, sample_mode="full"):
     """Run one input vector.  sample_mode: "full" records ErrorSample
-    objects with exact errors, "none" skips error tracking entirely, or
-    pass a callable aggregator(instr_id, dst, err_float) for streaming.
+    objects with exact errors, "none" skips error tracking entirely, a
+    callable sink(instr_id, dst, err) receives each error as a host float,
+    and a tally (`detector.ErrorAggregate`) has each error appended to its
+    instruction's buffer, through `tally.sinks(sampled)`, and is told the
+    run's counts through `tally.end_run(exec_counts, samples, firsts)`.
     """
     samples = []
-    if callable(sample_mode):
-        mode, sink = "stream", sample_mode
-    elif sample_mode == "full":
-        mode, sink = "full", samples.append
-    elif sample_mode == "none":
-        mode, sink = "none", None
+    if sample_mode == "full" or sample_mode == "none":
+        mode = sample_mode
+    elif callable(sample_mode) or hasattr(sample_mode, "sinks"):
+        mode = "stream"
     else:
-        raise ValueError("bad sample_mode %r" % sample_mode)
+        raise ValueError("bad sample_mode %r" % (sample_mode,))
     run = _compiled(prog, cfg, frozenset(barriers), mode)
     if len(inputs) != len(prog.params):
         raise EngineError("%s takes %d input(s), got %d"
                           % (prog.name, len(prog.params), len(inputs)))
+    if mode == "full":
+        sink = samples.append
+    elif mode == "none":
+        sink = None
+    elif callable(sample_mode):
+        sink = [functools.partial(sample_mode, iid, dst)
+                for iid, dst, _, _ in run.sampled]
+    else:
+        sink = sample_mode.sinks(run.sampled)
     try:
-        orig, shadow, stale, steps, counts = run(
+        orig, shadow, stale, steps, counts, taken, firsts = run(
             [make_dual(v, cfg) for v in inputs], sink, run_index)
     except NameError as exc:
         # an UnboundLocalError, or a NameError for a register that no
@@ -609,6 +672,8 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
             raise
         raise EngineError("%s reads a variable before it is assigned"
                           % prog.name) from None
+    if mode == "stream" and not callable(sample_mode):
+        sample_mode.end_run(counts, taken, firsts)
     if cfg.p_orig == 53:
         orig = mp.from_float(orig)
     return RunTrace(prog.name, run_index, list(inputs),

@@ -38,6 +38,13 @@ _EXP_LIMIT = 1 << 31  # spec sanity bound on exponent magnitude
 # 10**(t_inf - 1) overflows, one below 10**t_zero underflows
 _DEC_LIMITS = {UNBOUNDED: (646456995, -646456994), BINARY64: (310, -324)}
 
+# significant digits a decimal literal may have; leading and trailing zeros
+# do not count
+MAX_DECIMAL_DIGITS = 4000
+# exponent digits read; a longer exponent is past every range limit, so it
+# stands in for any larger magnitude
+_EXP_DIGITS = 12
+
 _DEC_RE = re.compile(r"^[+-]?\d+(\.\d+)?([eE][+-]?\d+)?$")
 _HEX_RE = re.compile(
     r"^[+-]?0[xX]([0-9a-fA-F]+)(?:\.([0-9a-fA-F]*))?[pP]([+-]?\d+)$"
@@ -289,13 +296,17 @@ def from_decimal_string(s, p, policy=UNBOUNDED):
             sign = -1
         s = s[1:]
     mant_part, _, exp_part = s.partition("e") if "e" in s else s.partition("E")
-    e10 = int(exp_part) if exp_part else 0
     int_part, _, frac_part = mant_part.partition(".")
     digits = (int_part + frac_part).lstrip("0")
     if not digits:
         return zero(p, sign)
+    sig = digits.rstrip("0")
+    e10 = _exponent(exp_part) - len(frac_part) + len(digits) - len(sig)
+    digits = sig
+    if len(digits) > MAX_DECIMAL_DIGITS:
+        raise ParseError("decimal literal with more than %d significant "
+                         "digits" % MAX_DECIMAL_DIGITS)
     d = int(digits)
-    e10 -= len(frac_part)
     top = e10 + len(digits)  # 10**(top - 1) <= |value| < 10**top
     t_inf, t_zero = _DEC_LIMITS[policy]
     if top >= t_inf:
@@ -309,6 +320,14 @@ def from_decimal_string(s, p, policy=UNBOUNDED):
             return v
         w *= 2
     return _round_decimal_exact(sign, d, e10, p, policy)
+
+
+def _exponent(text):
+    """The value of a literal's exponent digits (optionally signed; empty
+    for none), capped in magnitude at 10**_EXP_DIGITS."""
+    mag = text.lstrip("+-").lstrip("0")
+    e = int(mag or "0") if len(mag) <= _EXP_DIGITS else 10**_EXP_DIGITS
+    return -e if text.startswith("-") else e
 
 
 def _round_decimal_exact(sign, d, e10, p, policy):
@@ -334,7 +353,8 @@ def from_hex_string(s, p=None, policy=UNBOUNDED):
     if not m:
         raise ParseError("bad hex-float literal: %r" % (s,))
     sign = -1 if s.lstrip().startswith("-") else 1
-    int_digits, frac_digits, e2 = m.group(1), m.group(2) or "", int(m.group(3))
+    int_digits, frac_digits = m.group(1), m.group(2) or ""
+    e2 = _exponent(m.group(3))
     mant = int(int_digits + frac_digits, 16)
     if mant == 0:
         return zero(p or 53, sign)

@@ -71,8 +71,9 @@ def fn_reference(name, x, p):
     mpmath's own results are not always correctly rounded: sin at 27 bits
     can be one ulp off, ln(0.25 + 2**-25) at 2 bits comes out as 2**-23,
     and exp(2**-256) at 320 bits rounds to 1 + 2**-256 both down and up.
-    So the value is decided from mpmath's directed roundings at p + 64 bits
-    or more, each widened by 4 ulps.  For sin and
+    So the value is decided from mpmath's directed roundings at 64 bits
+    or more past both p and the width of x, each widened by 4 ulps.  For
+    sin and
     atan of an x so small that x**3 lies below every rounding boundary near
     x, only the direction of sin x - x counts, and x - x**3 / 8 stands in."""
     f = _MPF_FN[name]
@@ -82,7 +83,9 @@ def fn_reference(name, x, p):
         cube = libmp.mpf_mul(libmp.mpf_mul(xm, xm), xm)
         return _limited(libmp.mpf_sub(xm, libmp.mpf_shift(cube, -3), p,
                                       libmp.round_nearest), p, 1)
-    wp = p + 64
+    # at no more bits than x has, ln(0.25 + 2**-87) at 66 bits comes out
+    # as 2**-87 in both directions
+    wp = max(p, xm[3]) + 64
     while True:
         lo = f(xm, wp, libmp.round_floor)
         hi = f(xm, wp, libmp.round_ceiling)

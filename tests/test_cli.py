@@ -272,3 +272,66 @@ def test_literal_with_huge_decimal_exponent_is_fast(capsys):
     assert time.perf_counter() - t0 < 5.0
     assert code == 0
     assert out.startswith("input 1.00000002e-30000000\n")
+
+
+ZEROS = "0" * 5000
+
+
+@pytest.mark.parametrize("line, want", [
+    ("log10 1" + ZEROS, "5000.000000"),
+    ("log10 0." + ZEROS[1:] + "1", "-5000.000000"),
+    ("log10 1" + ZEROS + "e-5000", "0.000000000"),
+    ("exp 1e-1" + ZEROS[1:], "1.000000000"),
+    ("exp -1e+00" + ZEROS[1:] + "1", "0.00004539992976"),
+], ids=["int", "fraction", "exponent", "long-exponent", "padded-exponent"])
+def test_oracle_reads_literals_of_thousands_of_digits(tmp_path, capsys, line,
+                                                      want):
+    # leading and trailing zeros count toward no limit, and an exponent of
+    # 5000 digits saturates (here 10**-(10**4999), which is 0)
+    f = tmp_path / "exprs.txt"
+    f.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "oracle", "--file", str(f), "--digits",
+                             "10")
+    assert (code, out, err) == (0, want + "\n", "")
+
+
+def test_literal_past_the_digit_bound_is_exit_1(tmp_path, capsys):
+    f = tmp_path / "exprs.txt"
+    f.write_text("exp 1" + ZEROS + "3\n")
+    code, _, err = run_cli(capsys, "oracle", "--file", str(f))
+    assert code == 1
+    assert err == ("error: line 1: decimal literal with more than 4000 "
+                   "significant digits\n")
+    code, _, err = run_cli(capsys, "run", "--kernel", "round_kernel",
+                           "--input", "single:1" + ZEROS + "3")
+    assert code == 1
+    assert "more than 4000 significant digits" in err
+
+
+@pytest.mark.parametrize("literal, want", [
+    ("1" + ZEROS, "inf"), ("1e1" + ZEROS[1:], "inf"),
+    ("-1e-1" + ZEROS[1:], "-0.0000000000000000e0"),
+    ("0.25" + ZEROS, "2.5000000000000000e-1")],
+    ids=["int", "long-exponent", "negative-exponent", "fraction"])
+def test_run_reads_literals_of_thousands_of_digits(capsys, literal, want):
+    code, out, _ = run_cli(capsys, "run", "--kernel", "round_kernel",
+                           "--input", "single:" + literal)
+    assert code == 0
+    assert out.startswith("input %s\n" % want)
+
+
+def test_failing_row_leaves_earlier_rows_in_output(tmp_path, capsys):
+    prog = tmp_path / "f.tac"
+    prog.write_text("func f(x) -> y\n  y = ffloor x\n  ret y\n")
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("1.5\n2.5\n1e400\n3.5\n")
+    out_path = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, "run", "--program", str(prog),
+                             "--input", "file:%s" % inputs, "--output",
+                             str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "error: floor needs a finite value\n"
+    assert out_path.read_text().count("input ") == 2
+    code, _, err = run_cli(capsys, "run", "--program", str(prog), "--input",
+                           "single:1", "--output", str(tmp_path / "no" / "o"))
+    assert code == 1 and "No such file" in err

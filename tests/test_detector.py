@@ -1,6 +1,9 @@
 """Detection rule, sweeps, and the iterative fixer."""
 
 import math
+import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +14,9 @@ from precfix import mpfloat as mp
 CFG = engine.EngineConfig()
 
 
-def synthetic_agg(per_instr, n):
+def synthetic_agg(per_instr, n, thresholds=None):
     """per_instr: {id: (dst, [errors])}"""
-    agg = detector.ErrorAggregate("synthetic")
+    agg = detector.ErrorAggregate("synthetic", thresholds)
     for iid, (dst, errs) in per_instr.items():
         for e in errs:
             agg.add(iid, dst, e)
@@ -41,7 +44,7 @@ def test_execution_ratio_is_inclusive():
 
 
 def test_threshold_is_strict():
-    agg = synthetic_agg({0: ("a", [1e-6, 1e-6])}, 2)
+    agg = synthetic_agg({0: ("a", [1e-6, 1e-6])}, 2, (1e-6, 9.9e-7))
     stats = detector.stats_for(agg, 1e-6)
     assert stats[0].k == 0  # err == e0 does not count
     stats = detector.stats_for(agg, 9.9e-7)
@@ -188,16 +191,137 @@ ERRORS = st.one_of(
               st.sampled_from([0.0, 1.0])))
 
 
+def _linear_report(per_instr, n, e0, p0, p1):
+    """(id, m, k, inf_count, max, mean, flagged) per instruction, straight
+    from the lists of errors."""
+    rows = []
+    for iid, errs in sorted(per_instr.items()):
+        finite = [e for e in errs if not (math.isinf(e) or e != e)]
+        infs = len(errs) - len(finite)
+        k = infs + sum(1 for e in finite if e > e0)
+        mean = math.fsum(finite) / len(finite) if finite else None
+        mx = math.inf if infs else max(finite, default=0.0)
+        m = len(errs)
+        rows.append((iid, m, k, infs, mx, mean,
+                     k / m > p0 and m / n >= p1))
+    return rows
+
+
 @given(st.dictionaries(st.integers(0, 6),
                        st.lists(ERRORS, min_size=1, max_size=40),
                        min_size=1, max_size=5),
        st.integers(1, 50))
 @settings(max_examples=300, deadline=None)
 def test_sweep_matches_linear_detect(per_instr, n):
+    # The aggregate keeps tallies, not the errors: each sweep entry must
+    # agree with detect at its (e0, p0), with a plain recount of the
+    # errors, and with a second sweep of the same aggregate.
     agg = synthetic_agg({i: ("d%d" % i, errs)
                          for i, errs in per_instr.items()}, n)
-    order = {i: list(acc.errors) for i, acc in agg.instrs.items()}
-    for entry in detector.sweep(agg, SWEEP_CFG):
+    entries = detector.sweep(agg, SWEEP_CFG)
+    for entry in entries:
         linear = detector.detect(agg, SWEEP_CFG, entry.e0, entry.p0)
         assert entry.report.to_dict() == linear.to_dict()
-    assert {i: list(acc.errors) for i, acc in agg.instrs.items()} == order
+        assert [(s.instr_id, s.m, s.k, s.inf_count, s.max_err, s.mean_err,
+                 s.flagged) for s in entry.report.stats] \
+            == _linear_report(per_instr, n, entry.e0, entry.p0,
+                              SWEEP_CFG.p1)
+    again = detector.sweep(agg, SWEEP_CFG)
+    assert [e.report.to_dict() for e in again] \
+        == [e.report.to_dict() for e in entries]
+
+
+# errors for the tallies: zeros, subnormals, values whose sums overflow the
+# float range, and infinite and NaN samples
+TALLY_ERRORS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-6, 1.7e308,
+                     sys.float_info.max, math.inf, math.nan]))
+THRESHOLDS = st.lists(st.one_of(
+    st.floats(min_value=5e-324, allow_nan=False),
+    st.sampled_from([5e-324, 1e-8, 1e-6, 1.7e308, math.inf])),
+    min_size=1, max_size=5)
+
+
+@given(st.lists(TALLY_ERRORS, min_size=1, max_size=120), st.integers(1, 40),
+       THRESHOLDS)
+@settings(max_examples=400, deadline=None)
+def test_tallies_match_a_linear_scan(errs, fold, thresholds):
+    # folded in chunks of `fold`, the tallies give what the whole list gives
+    with mock.patch.object(detector, "FOLD_SIZE", fold):
+        agg = synthetic_agg({0: ("a", errs)}, 1, thresholds)
+    finite = [e for e in errs if not (math.isinf(e) or e != e)]
+    infs = len(errs) - len(finite)
+    try:
+        mean = math.fsum(finite) / len(finite) if finite else None
+    except OverflowError:
+        mean = math.inf
+    for t in thresholds:
+        (s,) = detector.stats_for(agg, t)
+        assert (s.m, s.inf_count, s.k) \
+            == (len(errs), infs, infs + sum(1 for e in finite if e > t))
+        assert s.max_err == (math.inf if infs else max(finite, default=0.0))
+        assert s.mean_err == mean
+
+
+def test_untallied_threshold_raises():
+    agg = synthetic_agg({0: ("a", [1.0, 1.0, 0.0])}, 3, (1e-6,))
+    assert detector.detect(agg).flagged == [0]
+    with pytest.raises(ValueError, match="not tallied"):
+        detector.detect(agg, e0=1e-4)
+    with pytest.raises(ValueError, match="not tallied"):
+        detector.sweep(agg)
+    k = corpus.get_kernel("round_kernel")
+    agg = detector.collect(k.program, corpus.grid("-5", "5", 5), CFG,
+                           thresholds=(1e-3,))
+    with pytest.raises(ValueError, match="not tallied"):
+        detector.detect(agg)
+
+
+@pytest.mark.parametrize("name, rows", [("exp_kernel", 40), ("sin_kernel", 40),
+                                        ("union_scale_kernel", 40),
+                                        ("accum_kernel", 2)])
+def test_fused_tallies_equal_added_ones(name, rows):
+    # the generated code's appends, folded every few samples, against the
+    # same errors passed one by one to add
+    k = corpus.get_kernel(name)
+    xs = corpus.grid(k.domain[0], k.domain[1], rows)
+    det = detector.DetectionConfig(first_order="dynamic")
+    with mock.patch.object(detector, "FOLD_SIZE", 7):
+        fused = detector.collect(k.program, xs, CFG,
+                                 thresholds=det.thresholds)
+    added = detector.ErrorAggregate(k.program.name, det.thresholds)
+    for i, x in enumerate(xs):
+        engine.execute(k.program, [x], CFG, run_index=i,
+                       sample_mode=added.add)
+    added.n = len(xs)
+    for a, b in zip(detector.sweep(fused, det), detector.sweep(added, det)):
+        assert a.report.to_dict() == b.report.to_dict()
+        assert a.report.first_flagged == b.report.first_flagged
+    assert [(i, a.first_ordinal) for i, a in sorted(fused.instrs.items())] \
+        == [(i, a.first_ordinal) for i, a in sorted(added.instrs.items())]
+
+
+def _peak_bytes(prog, rows):
+    tracemalloc.start()
+    try:
+        detector.collect(prog, rows, CFG)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_collect_memory_does_not_grow_with_rows():
+    # 100 samples a row: the buffers fold every 1000 samples, so ten times
+    # the rows peaks within one buffer's size of the smaller batch
+    prog = tac.parse_program(
+        "func f(x) -> s\n  s = fconst 0.0\n  i = iconst 0\ntop:\n"
+        "  s = fadd s, x\n  i = iadd i, 1\n  c = icmp lt, i, 100\n"
+        "  branch c, top\n  ret s\n")
+    rows = corpus.grid("0", "1", 300)
+    with mock.patch.object(detector, "FOLD_SIZE", 1000):
+        _peak_bytes(prog, rows[:2])  # compile outside the measurement
+        small = _peak_bytes(prog, rows[:30])
+        large = _peak_bytes(prog, rows)
+    assert large - small < 1000 * 8

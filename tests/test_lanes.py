@@ -285,6 +285,72 @@ def test_host_error_matches_relative_error(pair):
     assert _close(got, _relative_error(shadow, mp.from_float(x))), got
 
 
+def _quotient_error(shadow, orig, p_s):
+    """The relative error of two normal lanes as the engine formed it
+    before its far-apart closed form: the exact integer path when the
+    lanes' lowest bits lie within 600 binades and fit a host float, else
+    the difference rounded at p_shadow over the shadow, rounded to 53
+    bits and then to a host float."""
+    t = (shadow.exp - shadow.prec) - (orig.exp - orig.prec)
+    if -600 < t < 600:
+        a, b = shadow.mant, orig.mant
+        if t >= 0:
+            a <<= t
+        else:
+            b <<= -t
+        d = a - b if shadow.sign == orig.sign else a + b
+        if d == 0:
+            return 0.0
+        try:
+            return float(abs(d)) / float(a)
+        except OverflowError:
+            pass
+    d = mp.sub(shadow, orig, p_s)
+    if d.cls == mp.ZERO:
+        return 0.0
+    q = abs(mp.div(d, shadow, 53).to_float())
+    return q if q == q else math.inf
+
+
+@st.composite
+def far_pairs(draw):
+    """(shadow, orig, p_shadow): normal lanes of either sign, powers of two
+    among them, at p_shadow from 2 to 2000, whose leading bits lie on either side of the far-apart
+    guard near p_shadow binades apart, 600 or more apart, or apart by about
+    the float range, so that |orig| / |shadow| overflows or just fits."""
+    p_s = draw(st.one_of(st.integers(2, 60), st.integers(53, 2000)))
+    p_o = draw(st.one_of(st.just(min(53, p_s)), st.just(p_s),
+                         st.integers(2, p_s)))
+    p_sh = p_s + draw(st.one_of(st.just(0), st.integers(1, 80)))
+
+    def value(p, e):
+        frac = draw(st.one_of(st.just(0), st.just((1 << (p - 1)) - 1),
+                              st.integers(0, (1 << (p - 1)) - 1)))
+        return mp.MPFloat(mp.NORMAL, draw(st.sampled_from([1, -1])), e,
+                          (1 << (p - 1)) | frac, p)
+
+    gap = draw(st.one_of(st.integers(p_s - 3, p_s + 4),
+                         st.integers(p_s + 590, p_s + 610),
+                         st.integers(595, 700), st.integers(1018, 1030),
+                         st.integers(0, 5000)))
+    e = draw(st.integers(-1100, 1100))
+    if draw(st.booleans()):
+        return value(p_sh, e + gap), value(p_o, e), p_s
+    return value(p_sh, e), value(p_o, e + gap), p_s
+
+
+@given(far_pairs())
+@settings(max_examples=800, deadline=None)
+def test_far_apart_errors_match_the_quotient(pair):
+    shadow, orig, p_s = pair
+    want = struct.pack("<d", _quotient_error(shadow, orig, p_s))
+    assert struct.pack("<d", engine._rel_err_float(shadow, orig, p_s)) \
+        == want
+    if orig.prec == 53 and -1022 <= orig.exp <= 1023:
+        assert struct.pack("<d", engine._rel_err_host(
+            shadow, orig.to_float(), p_s)) == want
+
+
 def test_rel_err_float_wide_shadow_takes_exact_fallback():
     # a 1100-bit shadow 2^500 times the original used to raise
     # OverflowError("int too large to convert to float")

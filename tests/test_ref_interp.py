@@ -1,0 +1,220 @@
+"""The engine against the reference interpreter of ref_interp.py.
+
+Random programs from test_programs' generator run in both, with random
+barriers, p_orig in {24, 53} and p_shadow up to 400.  Result lanes,
+staleness, exec counts, steps and every full-mode sample field must agree;
+the stream errors, through a callable sink and through the aggregate that
+`detector.collect` fills from the generated code, must be the engine's
+host-float relative errors of the reference's lanes.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from precfix import detector, engine, tac
+from precfix import mpfloat as mp
+import ref_interp as ref
+from test_programs import INPUTS, programs
+
+THRESHOLDS = (1e-300, 1e-16, 1e-8, 1e-2, 1.0, 1e300)
+
+
+def rkey(x):
+    """A libmp value as a comparable key; -0 and +0 differ."""
+    if x == ref.NAN:
+        return ("nan",)
+    if x in (ref.INF, ref.NINF):
+        return ("inf", x == ref.NINF)
+    if x in (ref.ZERO, ref.NZERO):
+        return ("zero", x == ref.NZERO)
+    return ("num", x)
+
+
+def key(v):
+    return rkey(ref.from_mpfloat(v))
+
+
+def to_mpfloat(x, p):
+    """A libmp value of at most p bits as an MPFloat of precision p."""
+    if x == ref.NAN:
+        return mp.nan(p)
+    if x in (ref.INF, ref.NINF):
+        return mp.inf(-1 if x == ref.NINF else 1, p)
+    if x in (ref.ZERO, ref.NZERO):
+        return mp.zero(p, -1 if x == ref.NZERO else 1)
+    sign, man, exp, bc = x
+    return mp.MPFloat(mp.NORMAL, -1 if sign else 1, exp + bc - 1,
+                      man << (p - bc), p)
+
+
+def stream_errors(run, cfg):
+    """(instr_id, dst, err) of the reference's samples, err as the
+    engine's stream mode computes it from the two lanes."""
+    p_o = 53 if cfg.p_orig == 53 else cfg.p_orig
+    return [(s.instr_id, s.dst, engine._rel_err_float(
+        to_mpfloat(s.shadow, cfg.p_shadow), to_mpfloat(s.original, p_o),
+        cfg.p_shadow)) for s in run.samples]
+
+
+def plain_aggregate(stream, n):
+    """Per instruction (dst, m, inf count, max, mean, k per threshold,
+    first ordinal) from a list of every sample of a batch."""
+    errs, first, dsts = {}, {}, {}
+    for ordinal, (iid, dst, e) in enumerate(stream):
+        errs.setdefault(iid, []).append(e)
+        first.setdefault(iid, ordinal)
+        dsts[iid] = dst
+    out = {}
+    for iid, es in errs.items():
+        finite = [e for e in es if e < math.inf]
+        infs = len(es) - len(finite)
+        try:
+            mean = math.fsum(finite) / len(finite) if finite else None
+        except OverflowError:
+            mean = math.inf
+        mx = math.inf if infs else max(finite, default=0.0)
+        out[iid] = (dsts[iid], len(es), infs, mx, mean,
+                    [infs + sum(1 for e in finite if e > t)
+                     for t in THRESHOLDS], first[iid])
+    return n, out
+
+
+def fused_aggregate(agg):
+    stats = {t: detector.stats_for(agg, t) for t in THRESHOLDS}
+    out = {}
+    for j, s in enumerate(stats[THRESHOLDS[0]]):
+        out[s.instr_id] = (s.dst, s.m, s.inf_count, s.max_err, s.mean_err,
+                           [stats[t][j].k for t in THRESHOLDS],
+                           s.first_ordinal)
+    return agg.n, out
+
+
+@st.composite
+def ref_cases(draw):
+    prog = tac.parse_program(draw(programs()))
+    p_o = draw(st.sampled_from([24, 53]))
+    p_s = draw(st.one_of(st.just(120), st.integers(p_o, 400)))
+    fixable = [i.id for i in prog.instrs if i.dst is not None]
+    barriers = frozenset(draw(st.lists(st.sampled_from(fixable),
+                                       max_size=3)))
+    rows = [[mp.from_float(draw(st.sampled_from(INPUTS)))
+             for _ in prog.params] for _ in range(3)]
+    return prog, engine.EngineConfig(p_o, p_s), barriers, rows
+
+
+def check_run(prog, row, cfg, barriers, idx, want):
+    """One row through the engine in every sample mode, against the
+    reference's run `want`; returns its stream samples."""
+    p_o = cfg.p_orig
+    full = engine.execute(prog, row, cfg, barriers, idx)
+    o, s, stale = full.result.orig, full.result.shadow, full.result.stale
+    wo, ws, wstale = want.result
+    wo = ref.from_host(wo) if p_o == 53 else wo
+    assert (key(o), o.prec, key(s), s.prec, stale) \
+        == (rkey(wo), p_o, rkey(ws), cfg.p_shadow, wstale)
+    assert full.exec_counts == want.exec_counts
+    assert full.steps == want.steps == sum(want.exec_counts)
+    assert [(x.instr_id, x.run_index, x.dst, key(x.original),
+             x.original.prec, key(x.shadow), x.shadow.prec, key(x.rel_err),
+             x.rel_err.prec) for x in full.samples] \
+        == [(x.instr_id, idx, x.dst, rkey(x.original), p_o, rkey(x.shadow),
+             cfg.p_shadow, rkey(x.rel_err), cfg.p_shadow)
+            for x in want.samples]
+    stream = stream_errors(want, cfg)
+    got = []
+    engine.execute(prog, row, cfg, barriers, idx,
+                   lambda i, d, e: got.append((i, d, e)))
+    assert got == stream
+    none = engine.execute(prog, row, cfg, barriers, idx, "none")
+    assert none.exec_counts == want.exec_counts and none.samples == []
+    return stream
+
+
+def check_batch(prog, cfg, barriers, rows):
+    interp = ref.Interp(prog, cfg.p_orig, cfg.p_shadow, barriers)
+    stream = []
+    for idx, row in enumerate(rows):
+        try:
+            want = interp.run(row)
+        except ref.RefError:
+            for mode in ("full", "none", lambda i, d, e: None):
+                with pytest.raises(engine.EngineError):
+                    engine.execute(prog, row, cfg, barriers, idx, mode)
+            with pytest.raises(engine.EngineError):
+                detector.collect(prog, rows, cfg, barriers, THRESHOLDS)
+            return
+        stream += check_run(prog, row, cfg, barriers, idx, want)
+    agg = detector.collect(prog, rows, cfg, barriers, THRESHOLDS)
+    assert fused_aggregate(agg) == plain_aggregate(stream, len(rows))
+
+
+@given(ref_cases())
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_reference(case):
+    check_batch(*case)
+
+
+# an instruction first runs in a later row, in a loop block with two
+# samples, and blocks are first entered in an order unlike their ids
+LATE = """
+func f(x) -> y
+  y = fmov x
+  c = icmp gt, x, 1.0
+  branch c, big
+  y = fmul y, 3.0
+  jump done
+big:
+  i = iconst 0
+top:
+  y = fdiv y, 3.0
+  t = fadd y, 0.1
+  i = iadd i, 1
+  k = icmp lt, i, 3
+  branch k, top
+done:
+  y = fadd y, x
+  z = fsqrt y
+  ret z
+"""
+
+
+@pytest.mark.parametrize("p_o, p_s", [(53, 120), (24, 200)])
+@pytest.mark.parametrize("barriers", [frozenset(), frozenset({3, 7})])
+def test_first_ordinals_of_instructions_first_run_late(p_o, p_s, barriers):
+    prog = tac.parse_program(LATE)
+    rows = [mp.from_float(x) for x in (0.5, -4.0, 2.0, 0.75, 5.0, 1e300)]
+    cfg = engine.EngineConfig(p_o, p_s)
+    check_batch(prog, cfg, barriers, [[x] for x in rows])
+    agg = detector.collect(prog, rows, cfg, barriers, THRESHOLDS)
+    # rows 0 and 1 sample instructions 0, 3, 11 and 12; row 2 then runs
+    # 0, and 6 and 7 three times
+    assert [agg.instrs[i].first_ordinal for i in (0, 3, 11, 12, 6, 7)] \
+        == [0, 1, 2, 3, 9, 10]
+
+
+# a partial word write that leaves the shadow stale or replays it, whose
+# staleness fabs, fneg and fmov carry to the result
+STALE = """
+func f(x) -> y
+  a = fdiv x, 3.0
+  h = get_hi a
+  h2 = iadd h, 0x00100000
+  b = set_hi a, h2
+  l = get_lo b
+  b = set_lo b, l
+  c = fabs b
+  d = fneg c
+  y = fmov d
+  ret y
+"""
+
+
+@pytest.mark.parametrize("barriers", [frozenset(), frozenset({0}),
+                                      frozenset({3}), frozenset({5})])
+def test_staleness_follows_reference(barriers):
+    prog = tac.parse_program(STALE)
+    rows = [[mp.from_float(x)] for x in (1.0, 0.0, -1.5, 6.0, 5e-324,
+                                         math.inf, math.nan)]
+    check_batch(prog, engine.EngineConfig(), barriers, rows)
