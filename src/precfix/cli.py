@@ -10,14 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from . import mpfloat as mp
 from . import tac, engine, detector, corpus, evaluator, transcendental as tr
-
-ORACLE_PREC_ENV = "PRECFIX_ORACLE_PRECISION"
-
 
 class CliError(Exception):
     pass
@@ -39,8 +35,7 @@ def _add_inputs(parser):
 def _add_precisions(parser):
     parser.add_argument("--p-orig", type=int, default=53)
     parser.add_argument("--p-shadow", type=int, default=120)
-    parser.add_argument("--p-oracle", type=int,
-                        default=int(os.environ.get(ORACLE_PREC_ENV, "256")))
+    parser.add_argument("--p-oracle", type=int, default=256)
 
 
 def _add_detection(parser):
@@ -108,8 +103,7 @@ def build_parser():
                             "precision")
     p.add_argument("--file", help="read expressions here instead of stdin")
     p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--precision", type=int,
-                   default=int(os.environ.get(ORACLE_PREC_ENV, "256")))
+    p.add_argument("--precision", type=int, default=256)
     p.add_argument("--output")
     return ap
 
@@ -134,26 +128,25 @@ def _load_source(args):
 
 
 def _load_inputs(args, kernel, p_orig):
-    policy = mp.BINARY64 if p_orig == 53 else mp.UNBOUNDED
     if args.grid:
         parts = args.grid.split(",")
         if len(parts) != 3:
             raise CliError("--grid wants LO,HI,COUNT")
         try:
-            return corpus.grid(parts[0], parts[1], int(parts[2]),
-                               p_orig, policy)
+            return corpus.grid(parts[0], parts[1], int(parts[2]), p_orig)
         except (ValueError, mp.ParseError) as exc:
             raise CliError("bad grid: %s" % exc) from exc
     if args.input:
         kind, _, rest = args.input.partition(":")
         if kind == "single":
             try:
-                return [mp.from_decimal_string(rest, p_orig, policy)]
+                return [mp.from_decimal_string(rest, p_orig,
+                                               mp.policy_for(p_orig))]
             except mp.ParseError as exc:
                 raise CliError(str(exc)) from exc
         if kind == "file":
             try:
-                return corpus.read_inputs(rest, p_orig, policy)
+                return corpus.read_inputs(rest, p_orig)
             except (OSError, mp.ParseError) as exc:
                 raise CliError(str(exc)) from exc
         raise CliError("--input wants single:VALUE or file:PATH")
@@ -189,10 +182,7 @@ def _parse_barriers(text, prog):
         ids = frozenset(int(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise CliError("bad --barriers list") from exc
-    n = len(prog.instrs)
-    for i in ids:
-        if not 0 <= i < n:
-            raise CliError("barrier id %d out of range" % i)
+    engine.check_barriers(prog, ids)
     return ids
 
 

@@ -271,13 +271,12 @@ def _as_scaled_int(v):
     return v.sign * v.mant, v.exp - v.prec + 1
 
 
-def grid(lo, hi, count, p=53, policy=None):
+def grid(lo, hi, count, p=53):
     """count points lo + i*(hi-lo)/count for i in [0, count), each the
-    result of a single rounding of the exact rational value."""
+    result of a single rounding of the exact rational value to p bits."""
     if count < 1:
         raise ValueError("count must be positive")
-    if policy is None:
-        policy = mp.BINARY64 if p == 53 else mp.UNBOUNDED
+    policy = mp.policy_for(p)
     if isinstance(lo, str):
         lo = mp.from_decimal_string(lo, 64)
     if isinstance(hi, str):
@@ -312,7 +311,8 @@ def write_inputs(path, values, p=53):
             fh.write(mp.to_sci_string(v, digits) + "\n")
 
 
-def read_inputs(path, p=53, policy=mp.BINARY64):
+def read_inputs(path, p=53):
+    policy = mp.policy_for(p)
     values = []
     with open(path) as fh:
         for line in fh:
@@ -325,5 +325,4 @@ def read_inputs(path, p=53, policy=mp.BINARY64):
 
 def default_inputs(kernel, p=53):
     lo, hi, count = kernel.domain
-    return grid(lo, hi, count, p,
-                mp.BINARY64 if p == 53 else mp.UNBOUNDED)
+    return grid(lo, hi, count, p)

@@ -36,6 +36,9 @@ is carried back up exactly.
 
 Programs are compiled once per (program, config, barriers, sampling mode)
 into one generated Python function, kept in a bounded cache on the program.
+The engine compiles only programs `tac.validate` accepts: it validates on
+each cache miss, so an invalid program raises EngineError on its first
+run, whatever the input.
 Registers become locals named by index: o<k> and s<k> for the two lanes of
 a float, t<k> for its staleness in programs with word writes, and i<k> for
 an integer.  Constants are admitted at compile time and bound into the
@@ -64,7 +67,7 @@ import struct
 from dataclasses import dataclass
 
 from . import mpfloat as mp
-from .tac import OPCODES
+from .tac import OPCODES, validate
 
 _INT_MASK = (1 << 64) - 1
 _NAN_BITS = 0x7FF8 << 48
@@ -140,15 +143,11 @@ class RunTrace:
     steps: int
 
 
-def _orig_policy(p_orig):
-    return mp.BINARY64 if p_orig == 53 else mp.UNBOUNDED
-
-
 def make_dual(value, cfg):
     """Admit a value into the engine: round to p_orig, extend the shadow.
     At p_orig = 53 the original lane is the rounded value as a host
     float."""
-    o = mp.round_to(value, cfg.p_orig, _orig_policy(cfg.p_orig))
+    o = mp.round_to(value, cfg.p_orig, mp.policy_for(cfg.p_orig))
     s = mp.extend(o, cfg.p_shadow)
     return DualValue(o.to_float() if cfg.p_orig == 53 else o, s)
 
@@ -370,20 +369,20 @@ def _compile(prog, cfg, barriers, mode):
     sampling block.  `run.sampled` holds (instr_id, dst, j, offset) per
     sampled instruction, whose first error in a run is then the
     (firsts[j] + offset)-th."""
+    diags = validate(prog)
+    if diags:
+        raise EngineError("%s is not a valid program: %s" % (
+            prog.name, "; ".join(str(d) for d in diags)))
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
     n = len(instrs)
-    if not n:
-        raise EngineError("%s has no instructions" % prog.name)
-    ns = dict(_NS, _pol=_orig_policy(p_o),
+    ns = dict(_NS, _pol=mp.policy_for(p_o),
               _rel=_rel_err_host if host else _rel_err_float,
               _ocmp=_host_cmp if host else mp.cmp)
     ns["_over"] = functools.partial(
         StepBudgetExceeded, "%s exceeded %d steps" % (prog.name,
                                                       cfg.max_steps))
-    ns["_fell"] = functools.partial(
-        EngineError, "control falls off the end of %s" % prog.name)
 
     def bind(value):
         name = "k%d" % len(ns)
@@ -485,56 +484,42 @@ def _compile(prog, cfg, barriers, mode):
                         % (k, fop(x)[0], fop(y)[0], _CMP_PRED[pred])]
             return ["i%d = 1 if %s %s %s else 0"
                     % (k, signed(x), _INT_PRED[pred], signed(y))]
-        else:
-            raise EngineError("unhandled opcode %r" % op)
         return out + emit(instr.id, k, instr.dst)
 
-    def target(label):
-        if label not in prog.labels:
-            raise EngineError("no label %r in %s" % (label, prog.name))
-        return prog.labels[label]
-
-    # basic blocks: block ids follow program order, `end` stands for
-    # falling off the end of the program
+    # basic blocks: block ids follow program order, so control that falls
+    # through block b enters block b + 1; validation keeps every reached
+    # block from falling off the end
     leaders = {0}
     for instr in instrs:
         if instr.op == "jump":
-            leaders.add(target(instr.srcs[0][1]))
+            leaders.add(prog.labels[instr.srcs[0][1]])
         elif instr.op == "branch":
-            leaders.add(target(instr.srcs[1][1]))
+            leaders.add(prog.labels[instr.srcs[1][1]])
         if instr.op in ("branch", "jump", "ret"):
             leaders.add(instr.id + 1)
     starts = sorted(i for i in leaders if i < n)
-    end = len(starts)
-    block_at = dict(zip(starts, range(end)))
+    block_at = {i: b for b, i in enumerate(starts)}
     bounds = list(zip(starts, starts[1:] + [n]))
 
-    def block(i):
-        return block_at.get(i, end)
-
     bodies, succs = [], []
-    for lo, hi in bounds:
+    for b, (lo, hi) in enumerate(bounds):
         block_samples.append([])
         body = [ln for instr in instrs[lo:hi - 1] for ln in lines(instr)]
         last = instrs[hi - 1]
         op = last.op
         if op == "ret":
-            ret = last.srcs[0]
-            if ret[0] == "ilit" or (ret[0] == "var"
-                                    and types.get(reg(ret[1])) == "i"):
-                raise EngineError("ret needs a float variable")
-            body.append("ro, rs, rt = %s, %s, %s" % fop(ret))
+            body.append("ro, rs, rt = %s, %s, %s" % fop(last.srcs[0]))
             succ = ()
         elif op == "jump":
-            succ = (block(target(last.srcs[0][1])),)
+            succ = (block_at[prog.labels[last.srcs[0][1]]],)
             body.append("b = %d" % succ[0])
         elif op == "branch":
-            succ = (block(target(last.srcs[1][1])), block(hi))
+            succ = (block_at[prog.labels[last.srcs[1][1]]], b + 1)
             body.append("b = %d if %s else %d"
                         % (succ[0], iop(last.srcs[0]), succ[1]))
         else:
             body += lines(last)
-            succ = (block(hi),)
+            succ = (b + 1,)
             body.append("b = %d" % succ[0])
         bodies.append(body)
         succs.append(succ)
@@ -544,7 +529,7 @@ def _compile(prog, cfg, barriers, mode):
         b = work.pop()
         if b not in reached:
             reached.add(b)
-            work.extend(succs[b] if b < end else ())
+            work.extend(succs[b])
     for body, succ in zip(bodies, succs):
         if not succ:
             body.append("break")
@@ -555,7 +540,7 @@ def _compile(prog, cfg, barriers, mode):
     # stream mode: a<id> appends instruction id's errors, q counts the
     # run's samples and f<b> holds q at the first entry to block b
     ids = sorted(reached)
-    sampling = [b for b in ids if b < end and block_samples[b]]
+    sampling = [b for b in ids if block_samples[b]]
     firsts = set(sampling)
     sampled = tuple((iid, dst, j, off) for j, b in enumerate(sampling)
                     for off, (iid, dst) in enumerate(block_samples[b]))
@@ -570,7 +555,7 @@ def _compile(prog, cfg, barriers, mode):
         src.append("    %s, = sink" % ", ".join("a%d" % s[0]
                                                  for s in sampled))
     src += ["    n = 0", "    b = 0",
-            "    %s = 0" % " = ".join(["c%d" % b for b in ids if b < end]
+            "    %s = 0" % " = ".join(["c%d" % b for b in ids]
                                       + ["q"] + ["f%d" % b
                                                  for b in sampling]),
             "    while True:"]
@@ -582,8 +567,6 @@ def _compile(prog, cfg, barriers, mode):
             dispatch(ids[:mid], pad + "    ")
             src.append(pad + "else:")
             dispatch(ids[mid:], pad + "    ")
-        elif ids[0] == end:
-            src.append(pad + "raise _fell()")
         else:
             b = ids[0]
             lo, hi = bounds[b]
@@ -608,7 +591,7 @@ _CACHE_SIZE = 32
 
 
 def _compiled(prog, cfg, barriers, mode):
-    _check_barriers(prog, barriers)
+    check_barriers(prog, barriers)
     cache = prog.compiled
     key = (cfg, barriers, mode)
     run = cache.get(key)
@@ -620,12 +603,14 @@ def _compiled(prog, cfg, barriers, mode):
     return run
 
 
-def _check_barriers(prog, barriers):
+def check_barriers(prog, barriers):
+    """Raise BadBarrier unless every barrier id names an instruction of
+    prog that has a destination."""
     n = len(prog.instrs)
     for b in barriers:
         if isinstance(b, bool) or not isinstance(b, int) or not 0 <= b < n:
-            raise BadBarrier("barrier ids must name instructions of %s"
-                             % prog.name)
+            raise BadBarrier("barrier id %r names no instruction of %s"
+                             % (b, prog.name))
         if prog.instrs[b].dst is None:
             raise BadBarrier("instruction %d has no destination" % b)
 
@@ -659,19 +644,8 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
                 for iid, dst, _, _ in run.sampled]
     else:
         sink = sample_mode.sinks(run.sampled)
-    try:
-        orig, shadow, stale, steps, counts, taken, firsts = run(
-            [make_dual(v, cfg) for v in inputs], sink, run_index)
-    except NameError as exc:
-        # an UnboundLocalError, or a NameError for a register that no
-        # reached instruction assigns
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        if tb.tb_frame.f_code is not run.__code__:
-            raise
-        raise EngineError("%s reads a variable before it is assigned"
-                          % prog.name) from None
+    orig, shadow, stale, steps, counts, taken, firsts = run(
+        [make_dual(v, cfg) for v in inputs], sink, run_index)
     if mode == "stream" and not callable(sample_mode):
         sample_mode.end_run(counts, taken, firsts)
     if cfg.p_orig == 53:

@@ -28,6 +28,13 @@ NAN = 3
 UNBOUNDED = "unbounded"
 BINARY64 = "binary64"
 
+
+def policy_for(p):
+    """The exponent policy of a p-bit original lane: binary64's range at 53
+    bits, unbounded at any other precision."""
+    return BINARY64 if p == 53 else UNBOUNDED
+
+
 # binary64 layout
 _B64_EMAX = 1023
 _B64_EMIN = -1022
@@ -57,6 +64,14 @@ class NotRepresentable(ValueError):
 
 class ParseError(ValueError):
     """Malformed numeric literal."""
+
+
+def quote(text):
+    """repr of a rejected literal for a diagnostic: past 40 characters, a
+    prefix and the length."""
+    if len(text) <= 40:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:40], len(text))
 
 
 class MPFloat:
@@ -289,7 +304,7 @@ def from_float(f, p=53, policy=UNBOUNDED):
 def from_decimal_string(s, p, policy=UNBOUNDED):
     s = s.strip()
     if not _DEC_RE.match(s):
-        raise ParseError("bad decimal literal: %r" % (s,))
+        raise ParseError("bad decimal literal: %s" % quote(s))
     sign = 1
     if s[0] in "+-":
         if s[0] == "-":
@@ -351,7 +366,7 @@ def from_hex_string(s, p=None, policy=UNBOUNDED):
     """Hex-float literal like 0x1.8p52. Exact unless p forces rounding."""
     m = _HEX_RE.match(s.strip())
     if not m:
-        raise ParseError("bad hex-float literal: %r" % (s,))
+        raise ParseError("bad hex-float literal: %s" % quote(s))
     sign = -1 if s.lstrip().startswith("-") else 1
     int_digits, frac_digits = m.group(1), m.group(2) or ""
     e2 = _exponent(m.group(3))

@@ -128,7 +128,8 @@ def _parse_int_literal(text, line_no):
     try:
         return int(text, 0)
     except ValueError as exc:
-        raise TacSyntaxError(line_no, "bad integer literal %r" % text) from exc
+        raise TacSyntaxError(line_no, "bad integer literal %s"
+                             % mp.quote(text)) from exc
 
 
 def _looks_float(text):
@@ -230,42 +231,29 @@ def parse_program(text, strict=True):
             labels[lbl] = iid
         pending_labels = []
 
+        dst = None
         if "=" in line:
-            dst, _, rhs = line.partition("=")
+            dst, _, line = line.partition("=")
             dst = dst.strip()
             if not _NAME_RE.match(dst):
                 raise TacSyntaxError(line_no, "bad destination %r" % dst)
-            parts = rhs.strip().split(None, 1)
-            op = parts[0]
-            if op not in OPCODES:
-                raise TacSyntaxError(line_no, "unknown opcode %r" % op)
-            kinds, dkind = OPCODES[op]
-            if dkind is None:
-                raise TacSyntaxError(line_no, "%s has no destination" % op)
-            operand_text = _split_operands(parts[1] if len(parts) > 1 else "")
-            if len(operand_text) != len(kinds):
-                raise TacSyntaxError(
-                    line_no, "%s expects %d operand(s), got %d"
-                    % (op, len(kinds), len(operand_text)))
-            srcs = tuple(_parse_operand(t, k, consts, line_no)
-                         for t, k in zip(operand_text, kinds))
-            instrs.append(TacInstr(iid, op, dst, srcs, "line %d" % line_no))
-        else:
-            parts = line.split(None, 1)
-            op = parts[0]
-            if op not in OPCODES:
-                raise TacSyntaxError(line_no, "unknown opcode %r" % op)
-            kinds, dkind = OPCODES[op]
-            if dkind is not None:
-                raise TacSyntaxError(line_no, "%s needs a destination" % op)
-            operand_text = _split_operands(parts[1] if len(parts) > 1 else "")
-            if len(operand_text) != len(kinds):
-                raise TacSyntaxError(
-                    line_no, "%s expects %d operand(s), got %d"
-                    % (op, len(kinds), len(operand_text)))
-            srcs = tuple(_parse_operand(t, k, consts, line_no)
-                         for t, k in zip(operand_text, kinds))
-            instrs.append(TacInstr(iid, op, None, srcs, "line %d" % line_no))
+        parts = line.split(None, 1)
+        op = parts[0] if parts else ""
+        if op not in OPCODES:
+            raise TacSyntaxError(line_no, "unknown opcode %r" % op)
+        kinds, dkind = OPCODES[op]
+        if dst is not None and dkind is None:
+            raise TacSyntaxError(line_no, "%s has no destination" % op)
+        if dst is None and dkind is not None:
+            raise TacSyntaxError(line_no, "%s needs a destination" % op)
+        operand_text = _split_operands(parts[1] if len(parts) > 1 else "")
+        if len(operand_text) != len(kinds):
+            raise TacSyntaxError(
+                line_no, "%s expects %d operand(s), got %d"
+                % (op, len(kinds), len(operand_text)))
+        srcs = tuple(_parse_operand(t, k, consts, line_no)
+                     for t, k in zip(operand_text, kinds))
+        instrs.append(TacInstr(iid, op, dst, srcs, "line %d" % line_no))
 
     if name is None:
         raise TacSyntaxError(1, "missing func header")
@@ -300,10 +288,13 @@ def validate(prog):
     diags = []
     n = len(prog.instrs)
     var_types = {p: "f" for p in prog.params}
-    for p in prog.params:
+    for j, p in enumerate(prog.params):
         if p in prog.consts:
             diags.append(Diagnostic("DuplicateName", -1,
                                     "parameter %r shadows a const" % p))
+        if p in prog.params[:j]:
+            diags.append(Diagnostic("DuplicateName", -1,
+                                    "parameter %r is repeated" % p))
 
     # pass 1: destination types, with consistency across reassignments
     for instr in prog.instrs:
@@ -338,6 +329,8 @@ def validate(prog):
                     continue
             else:
                 vtype = "i" if okind == ILIT else "f"
+            if kindspec == "v":
+                kindspec = "f"  # ret reads any literal but returns a float
             if kindspec in ("f", "i") and vtype != kindspec:
                 diags.append(Diagnostic(
                     "TypeMismatch", instr.id,
@@ -388,7 +381,7 @@ def validate(prog):
                     "%r may be read before it is assigned" % name))
         if instr.op == "ret":
             saw_ret = True
-        elif not _successors(prog, i) and instr.op not in ("jump",):
+        elif instr.op != "jump" and i == n - 1:
             diags.append(Diagnostic("MissingReturn", instr.id,
                                     "control falls off the end"))
     if not saw_ret:

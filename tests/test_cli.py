@@ -151,10 +151,25 @@ def test_bad_grid_is_exit_1(capsys):
     assert code == 1
 
 
-def test_barriers_out_of_range_is_exit_1(capsys):
+def test_barriers_out_of_range_is_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--kernel", "round_kernel",
                            "--input", "single:1.0", "--barriers", "99")
     assert code == 1
+    # both checks run before any row, so an input file without rows fails
+    # too; instruction 2 is the ret
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no rows\n")
+    for ids, want in (("99", "barrier id 99 names no instruction"),
+                      ("-1", "barrier id -1 names no instruction"),
+                      ("0,2", "instruction 2 has no destination")):
+        code, out, err = run_cli(capsys, "run", "--kernel", "round_kernel",
+                                 "--input", "file:%s" % empty,
+                                 "--barriers", ids)
+        assert (code, out) == (1, "")
+        assert want in err
+    code, out, _ = run_cli(capsys, "run", "--kernel", "round_kernel",
+                           "--input", "file:%s" % empty, "--barriers", "0")
+    assert (code, out) == (0, "")
 
 
 def test_output_file(tmp_path, capsys):
@@ -335,3 +350,46 @@ def test_failing_row_leaves_earlier_rows_in_output(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--program", str(prog), "--input",
                            "single:1", "--output", str(tmp_path / "no" / "o"))
     assert code == 1 and "No such file" in err
+
+
+FALL_TAC = """func f(x) -> y
+  jump start
+done:
+  ret y
+start:
+  y = fmov x
+  c = icmp lt, x, 0.0
+  branch c, done
+"""
+
+
+def test_branch_off_the_end_fails_for_every_input(tmp_path, capsys):
+    # the untaken branch falls off the end; the taken one does not
+    path = tmp_path / "fall.tac"
+    path.write_text(FALL_TAC)
+    for x in ("-1", "1"):
+        code, out, err = run_cli(capsys, "run", "--program", str(path),
+                                 "--input", "single:" + x)
+        assert (code, out) == (1, "")
+        assert "MissingReturn(instr 4)" in err
+
+
+BAD_LITERAL = "0x1p1" + "0" * 5000
+
+
+def test_rejected_literals_are_quoted_clipped(tmp_path, capsys):
+    exprs = tmp_path / "exprs.txt"
+    exprs.write_text("exp %s\n" % BAD_LITERAL)
+    inputs = tmp_path / "in.txt"
+    inputs.write_text(BAD_LITERAL + "\n")
+    prog = tmp_path / "p.tac"
+    prog.write_text("func f(x) -> y\n  y = fmul x, 1.5%s\n  ret y\n"
+                    % ("z" * 3000))
+    for argv in (("oracle", "--file", str(exprs)),
+                 ("run", "--kernel", "round_kernel", "--input",
+                  "file:%s" % inputs),
+                 ("run", "--program", str(prog), "--input", "single:1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 200
+        assert "characters)" in err

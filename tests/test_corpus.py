@@ -98,6 +98,16 @@ def test_inputs_file_allows_comments(tmp_path):
     assert [v.to_float() for v in vals] == [1.5, -0.25]
 
 
+def test_inputs_take_the_policy_of_their_precision(tmp_path):
+    # binary64's exponent range at 53 bits only
+    path = tmp_path / "inputs.txt"
+    path.write_text("1e400\n")
+    assert corpus.read_inputs(path)[0].cls == mp.INF
+    assert corpus.read_inputs(path, 24)[0].cls == mp.NORMAL
+    assert corpus.grid("0", "1e400", 2, 53)[1].cls == mp.INF
+    assert corpus.grid("0", "1e400", 2, 113)[1].cls == mp.NORMAL
+
+
 def test_default_inputs_use_kernel_domain():
     k = corpus.get_kernel("sin_kernel")
     g = corpus.default_inputs(k)

@@ -377,3 +377,28 @@ def test_barriers_are_checked_on_a_cache_hit():
     for bad in ({True}, {1.0}):
         with pytest.raises(engine.BadBarrier):
             engine.execute(prog, [dec("2.6")], barriers=bad)
+
+
+SKIP = """
+func f(x) -> y
+  c = icmp lt, x, 0.0
+  branch c, skip
+  t = fmov x
+skip:
+  y = fadd t, x
+  ret y
+"""
+
+
+@pytest.mark.parametrize("x", ["1.0", "-1.0"])
+def test_invalid_programs_fail_on_the_first_call(x):
+    # whether the input avoids the bad read or the missing label
+    bad_read = tac.parse_program(SKIP, strict=False)
+    no_label = tac.parse_program(SKIP.replace("fadd t, x", "fadd x, x"))
+    del no_label.labels["skip"]
+    for prog, kind in ((bad_read, "UnassignedVariable"),
+                       (no_label, "UndefinedLabel")):
+        with pytest.raises(engine.EngineError, match=kind) as exc:
+            engine.execute(prog, [dec(x)])
+        assert str(exc.value).startswith("f is not a valid program: ")
+        assert prog.compiled == {}

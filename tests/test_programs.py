@@ -254,14 +254,14 @@ def test_max_steps_must_be_positive():
 
 def test_read_before_assignment_is_an_engine_error(tmp_path, capsys):
     # validation rejects these programs; unvalidated ones still reach the
-    # engine, which must fail the run rather than crash
+    # engine, which validates them before compiling, so they fail for
+    # every input, including one that avoids the bad read
     text = ("func f(x) -> y\n  c = icmp lt, x, 0.0\n  branch c, skip\n"
             "  t = fmov x\nskip:\n  y = fadd t, x\n  ret y\n")
     prog = tac.parse_program(text, strict=False)
-    assert engine.execute(prog, [mp.from_float(1.0)]).result.orig \
-        .to_float() == 2.0
-    with pytest.raises(engine.EngineError):
-        engine.execute(prog, [mp.from_float(-1.0)])
+    for x in (1.0, -1.0):
+        with pytest.raises(engine.EngineError, match="UnassignedVariable"):
+            engine.execute(prog, [mp.from_float(x)])
     path = tmp_path / "f.tac"
     path.write_text(text)
     code = cli.main(["run", "--program", str(path), "--input", "single:1"])
@@ -278,7 +278,7 @@ def test_read_before_assignment_is_an_engine_error(tmp_path, capsys):
                       ("func f(x) -> y\n  jump over\n  t = fmov x\nover:\n"
                        "  y = fadd t, x\n  ret y\n", 2)):
         path.write_text(text)
-        with pytest.raises(engine.EngineError):
+        with pytest.raises(engine.EngineError, match="UnassignedVariable"):
             engine.execute(tac.parse_program(text, strict=False),
                            [mp.from_float(1.0)])
         code = cli.main(["run", "--program", str(path), "--input",
@@ -288,6 +288,7 @@ def test_read_before_assignment_is_an_engine_error(tmp_path, capsys):
             in capsys.readouterr().err
 
     # the same error raised by a sample sink is not the program's fault
+    prog = tac.parse_program("func f(x) -> y\n  y = fadd x, x\n  ret y\n")
     with pytest.raises(UnboundLocalError):
         engine.execute(prog, [mp.from_float(1.0)], sample_mode=faulty_sink)
 

@@ -93,6 +93,10 @@ def test_syntax_errors():
         tac.parse_program("func f(x) -> y\n  y = fadd x\n  ret y\n")  # arity
     with pytest.raises(tac.TacSyntaxError):
         tac.parse_program("func f(x) -> y\n  y = fadd x, 1.0, 2.0\n  ret y\n")
+    for body in ("  y =\n", "  = fmov x\n", "  y = ret x\n",
+                 "  fmov x\n"):
+        with pytest.raises(tac.TacSyntaxError):
+            tac.parse_program("func f(x) -> y\n" + body + "  ret y\n")
 
 
 def test_undefined_label_diagnostic():
@@ -170,6 +174,59 @@ def test_missing_return_diagnostic():
     diags = tac.validate(tac.parse_program(bad, strict=False))
     assert any(d.kind in ("MissingReturn", "UnassignedReturn")
                for d in diags)
+
+
+FALL = """
+func f(x) -> y
+  jump start
+done:
+  ret y
+start:
+  y = fmov x
+  c = icmp lt, x, 0.0
+  branch c, done
+"""
+
+
+def test_branch_falling_off_the_end_is_a_missing_return():
+    diags = tac.validate(tac.parse_program(FALL, strict=False))
+    assert [(d.kind, d.instr_id) for d in diags] == [("MissingReturn", 4)]
+    with pytest.raises(tac.TacValidationError):
+        tac.parse_program(FALL)
+
+
+def test_jump_as_last_instruction_is_valid():
+    ok = FALL.replace("  branch c, done\n", "  jump done\n")
+    assert tac.validate(tac.parse_program(ok, strict=False)) == []
+
+
+@pytest.mark.parametrize("ret", ["i", "3"])
+def test_integer_ret_is_a_type_mismatch(ret):
+    bad = "func f(x) -> y\n  i = iconst 1\n  ret %s\n" % ret
+    diags = tac.validate(tac.parse_program(bad, strict=False))
+    assert [(d.kind, d.instr_id) for d in diags] == [("TypeMismatch", 1)]
+    # an integer const read as a float operand is its float value
+    for operand in ("2.5", "k"):
+        assert tac.validate(tac.parse_program(
+            "func f(x) -> y\n  const k = 7\n  ret %s\n" % operand)) == []
+
+
+def test_repeated_parameter_is_a_duplicate_name():
+    bad = "func f(x, x) -> y\n  y = fadd x, x\n  ret y\n"
+    diags = tac.validate(tac.parse_program(bad, strict=False))
+    assert [(d.kind, d.instr_id) for d in diags] == [("DuplicateName", -1)]
+    assert "'x' is repeated" in diags[0].message
+
+
+def test_long_literals_are_quoted_clipped():
+    for operand in ("1.5" + "z" * 3000, "0x1p" + "z" * 3000,
+                    "1" + "z" * 3000):
+        op = "iadd" if operand[1] == "z" else "fmul"
+        with pytest.raises(tac.TacSyntaxError) as exc:
+            tac.parse_program("func f(x) -> y\n  i = iconst 1\n"
+                              "  y = %s x, %s\n  ret y\n" % (op, operand))
+        assert len(str(exc.value)) < 150
+        assert "(%d characters)" % len(operand) in str(exc.value)
 
 
 def test_render_instr_forms():
