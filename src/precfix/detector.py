@@ -32,8 +32,6 @@ class DetectionConfig:
     e0: float = 1e-6
     p0: float = 0.5
     p1: float = 0.1
-    e0_sweep: tuple = DEFAULT_E0_SWEEP
-    p0_sweep: tuple = DEFAULT_P0_SWEEP
     first_order: str = "static"  # or "dynamic"
     max_iterations: int = 50
 
@@ -50,7 +48,7 @@ class DetectionConfig:
     @property
     def thresholds(self):
         """Every e0 that detect and sweep can be asked about."""
-        return (self.e0,) + tuple(self.e0_sweep)
+        return (self.e0,) + DEFAULT_E0_SWEEP
 
 
 # buffered samples past which their tallies are folded
@@ -353,12 +351,12 @@ class SweepEntry:
 
 
 def sweep(agg, cfg=DetectionConfig()):
-    """For each e0, report at the strictest p0 that flags something (the
-    last p0 otherwise)."""
+    """For each e0 of DEFAULT_E0_SWEEP, report at the strictest p0 of
+    DEFAULT_P0_SWEEP that flags something (the last p0 otherwise)."""
     entries = []
-    for e0 in cfg.e0_sweep:
+    for e0 in DEFAULT_E0_SWEEP:
         chosen = None
-        for p0 in cfg.p0_sweep:
+        for p0 in DEFAULT_P0_SWEEP:
             r = detect(agg, cfg, e0=e0, p0=p0)
             chosen = SweepEntry(e0, p0, r)
             if r.flagged:

@@ -36,15 +36,16 @@ is carried back up exactly.
 
 Programs are compiled once per (program, config, barriers, sampling mode)
 into one generated Python function, kept in a bounded cache on the program.
-The engine compiles only programs `tac.validate` accepts: it validates on
-each cache miss, so an invalid program raises EngineError on its first
-run, whatever the input.
+A `tac.TacProgram` is valid by construction and immutable, so the engine
+checks no program structure: it reads the basic blocks, their successors
+and reachability from `tac.control_flow` and variable types from
+`TacProgram.types`, and only generates code.
 Registers become locals named by index: o<k> and s<k> for the two lanes of
 a float, t<k> for its staleness in programs with word writes, and i<k> for
 an integer.  Constants are admitted at compile time and bound into the
 function's namespace; no text of the program reaches the generated
-source.  The program is split into basic blocks, dispatched by a balanced
-`if` tree on the block index inside one loop; exec counts are kept per
+source.  The reachable basic blocks are dispatched by a balanced `if`
+tree on the block index inside one loop; exec counts are kept per
 block and the step budget is checked once per block, against its length.
 Each float operation is emitted from one of three expression tables:
 host-float expressions for the original lane at p_orig = 53, unbounded
@@ -67,7 +68,7 @@ import struct
 from dataclasses import dataclass
 
 from . import mpfloat as mp
-from .tac import OPCODES, validate
+from .tac import control_flow
 
 _INT_MASK = (1 << 64) - 1
 _NAN_BITS = 0x7FF8 << 48
@@ -134,9 +135,6 @@ class ErrorSample:
 
 @dataclass
 class RunTrace:
-    program: str
-    run_index: int
-    inputs: list
     result: DualValue | None
     samples: list
     exec_counts: list
@@ -369,14 +367,9 @@ def _compile(prog, cfg, barriers, mode):
     sampling block.  `run.sampled` holds (instr_id, dst, j, offset) per
     sampled instruction, whose first error in a run is then the
     (firsts[j] + offset)-th."""
-    diags = validate(prog)
-    if diags:
-        raise EngineError("%s is not a valid program: %s" % (
-            prog.name, "; ".join(str(d) for d in diags)))
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
-    n = len(instrs)
     ns = dict(_NS, _pol=mp.policy_for(p_o),
               _rel=_rel_err_host if host else _rel_err_float,
               _ocmp=_host_cmp if host else mp.cmp)
@@ -389,30 +382,21 @@ def _compile(prog, cfg, barriers, mode):
         ns[name] = value
         return name
 
-    regs = {}
-
-    def reg(name):
-        return regs.setdefault(name, len(regs))
-
-    types = {}
-    for name in prog.params:
-        types[reg(name)] = "f"
-    for instr in instrs:
-        if instr.dst is not None:
-            types.setdefault(reg(instr.dst), OPCODES[instr.op][1])
+    # registers by variable, numbered as tac.TacProgram.types lists them
+    regs = {name: k for k, name in enumerate(prog.types)}
     track = any(instr.op in ("set_hi", "set_lo") for instr in instrs)
 
     def fop(operand):
         """(orig, shadow, stale) expressions of a float operand."""
         if operand[0] == "var":
-            k = reg(operand[1])
+            k = regs[operand[1]]
             return "o%d" % k, "s%d" % k, "t%d" % k if track else "False"
         dv = make_dual(operand[1], cfg)
         return bind(dv.orig), bind(dv.shadow), "False"
 
     def iop(operand):
         if operand[0] == "var":
-            return "i%d" % reg(operand[1])
+            return "i%d" % regs[operand[1]]
         return "%d" % (operand[1] & _INT_MASK)
 
     def signed(operand):
@@ -423,7 +407,7 @@ def _compile(prog, cfg, barriers, mode):
 
     def is_float(operand):
         if operand[0] == "var":
-            return types.get(reg(operand[1]), "f") == "f"
+            return prog.types[operand[1]] == "f"
         return operand[0] != "ilit"
 
     # per block, the (instr_id, dst) of each instruction that samples
@@ -486,55 +470,25 @@ def _compile(prog, cfg, barriers, mode):
                     % (k, signed(x), _INT_PRED[pred], signed(y))]
         return out + emit(instr.id, k, instr.dst)
 
-    # basic blocks: block ids follow program order, so control that falls
-    # through block b enters block b + 1; validation keeps every reached
-    # block from falling off the end
-    leaders = {0}
-    for instr in instrs:
-        if instr.op == "jump":
-            leaders.add(prog.labels[instr.srcs[0][1]])
-        elif instr.op == "branch":
-            leaders.add(prog.labels[instr.srcs[1][1]])
-        if instr.op in ("branch", "jump", "ret"):
-            leaders.add(instr.id + 1)
-    starts = sorted(i for i in leaders if i < n)
-    block_at = {i: b for b, i in enumerate(starts)}
-    bounds = list(zip(starts, starts[1:] + [n]))
-
-    bodies, succs = [], []
-    for b, (lo, hi) in enumerate(bounds):
+    # every block is generated, reached or not, so that constants are bound
+    # and word ops rejected in program order; only reached blocks are run
+    blocks, reached = control_flow(prog)
+    bodies = []
+    counts = []
+    for b, (lo, hi, succ) in enumerate(blocks):
         block_samples.append([])
         body = [ln for instr in instrs[lo:hi - 1] for ln in lines(instr)]
         last = instrs[hi - 1]
-        op = last.op
-        if op == "ret":
-            body.append("ro, rs, rt = %s, %s, %s" % fop(last.srcs[0]))
-            succ = ()
-        elif op == "jump":
-            succ = (block_at[prog.labels[last.srcs[0][1]]],)
+        if last.op == "ret":
+            body += ["ro, rs, rt = %s, %s, %s" % fop(last.srcs[0]), "break"]
+        elif last.op == "jump":
             body.append("b = %d" % succ[0])
-        elif op == "branch":
-            succ = (block_at[prog.labels[last.srcs[1][1]]], b + 1)
+        elif last.op == "branch":
             body.append("b = %d if %s else %d"
-                        % (succ[0], iop(last.srcs[0]), succ[1]))
+                        % (succ[0], iop(last.srcs[0]), b + 1))
         else:
-            body += lines(last)
-            succ = (b + 1,)
-            body.append("b = %d" % succ[0])
+            body += lines(last) + ["b = %d" % (b + 1)]
         bodies.append(body)
-        succs.append(succ)
-    reached = set()
-    work = [0]
-    while work:
-        b = work.pop()
-        if b not in reached:
-            reached.add(b)
-            work.extend(succs[b])
-    for body, succ in zip(bodies, succs):
-        if not succ:
-            body.append("break")
-    counts = []
-    for b, (lo, hi) in enumerate(bounds):
         counts += ["c%d" % b if b in reached else "0"] * (hi - lo)
 
     # stream mode: a<id> appends instruction id's errors, q counts the
@@ -569,7 +523,7 @@ def _compile(prog, cfg, barriers, mode):
             dispatch(ids[mid:], pad + "    ")
         else:
             b = ids[0]
-            lo, hi = bounds[b]
+            lo, hi, _ = blocks[b]
             first = ["if c%d == 1:" % b, "    f%d = q" % b,
                      "q += %d" % len(block_samples[b])] \
                 if b in firsts else []
@@ -650,8 +604,7 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
         sample_mode.end_run(counts, taken, firsts)
     if cfg.p_orig == 53:
         orig = mp.from_float(orig)
-    return RunTrace(prog.name, run_index, list(inputs),
-                    DualValue(orig, shadow, stale), samples, counts, steps)
+    return RunTrace(DualValue(orig, shadow, stale), samples, counts, steps)
 
 
 def format_sample(sample):

@@ -4,12 +4,20 @@ Variables are mutable registers, not SSA.  Float registers hold dual-lane
 values in the engine; integer registers are 64-bit two's complement.
 Float literals are stored exactly at parse time and rounded once to the
 engine's original precision when a run is set up.
+
+A `TacProgram` is immutable and valid by construction: building one runs
+`validate`.  This module alone knows a program's structure, its variable
+types (`TacProgram.types`) and basic blocks (`control_flow`), which the
+engine reads when it generates code.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import mpfloat as mp
 from .mpfloat import MPFloat
@@ -76,7 +84,7 @@ class TacValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    kind: str  # UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedVariable | UnassignedReturn | DuplicateName | MissingReturn
+    kind: str  # UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedVariable | UnassignedReturn | DuplicateName | BadName | MissingReturn
     instr_id: int  # -1 when not tied to one instruction
     message: str
 
@@ -99,20 +107,40 @@ class TacInstr:
     op: str
     dst: str | None
     srcs: tuple  # of (kind, payload[, text]) tuples
-    srcloc: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TacProgram:
+    """A valid program: construction raises TacValidationError otherwise.
+    params and instrs become tuples, labels and consts read-only
+    mappings."""
     name: str
-    params: list
-    instrs: list
+    params: tuple
+    instrs: tuple
     return_var: str
-    labels: dict = field(default_factory=dict)
-    consts: dict = field(default_factory=dict)
+    labels: Mapping = field(default_factory=dict)
+    consts: Mapping = field(default_factory=dict)
     # the engine's compiled functions for this program, by (config,
     # barriers, sample mode); bounded by the engine
     compiled: dict = field(default_factory=dict, repr=False, compare=False)
+    # each variable's type, "f" or "i", in order of first appearance: the
+    # parameters ("f"), then each destination as its first assignment types it
+    types: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        put = functools.partial(object.__setattr__, self)
+        put("params", tuple(self.params))
+        put("instrs", tuple(self.instrs))
+        put("labels", MappingProxyType(dict(self.labels)))
+        put("consts", MappingProxyType(dict(self.consts)))
+        types = dict.fromkeys(self.params, "f")
+        for instr in self.instrs:
+            if instr.dst is not None:
+                types.setdefault(instr.dst, OPCODES[instr.op][1])
+        put("types", MappingProxyType(types))
+        diags = validate(self)
+        if diags:
+            raise TacValidationError(diags)
 
 
 def _parse_float_literal(text, line_no):
@@ -139,52 +167,38 @@ def _looks_float(text):
 
 
 def _parse_operand(text, kind, consts, line_no):
+    """A const first, then a variable name, then an int literal (for an
+    integer operand, or int-like text where either type fits), else a
+    float literal."""
     if kind == "pred":
         if text not in PREDS:
-            raise TacSyntaxError(line_no, "bad predicate %r" % text)
+            raise TacSyntaxError(line_no, "bad predicate %s" % mp.quote(text))
         return (PRED, text)
     if kind == "label":
         return (LABEL, text)
-    if kind == "ilit":
-        if text in consts:
-            c = consts[text]
-            if not c.is_int:
-                raise TacSyntaxError(line_no, "const %s is not integer" % text)
-            return (ILIT, c.ival, text)
-        return (ILIT, _parse_int_literal(text, line_no), text)
-    if kind == "flit":
-        if text in consts:
-            return (FLIT, consts[text].fval, text)
-        return (FLIT, _parse_float_literal(text, line_no), text)
-    if _NAME_RE.match(text) and text not in consts:
+    integer = kind in ("i", "ilit")
+    c = consts.get(text)
+    if c is not None:
+        if not integer:
+            return (FLIT, c.fval, text)
+        if not c.is_int:
+            raise TacSyntaxError(line_no, "const %s is not integer"
+                                 % mp.quote(text))
+        return (ILIT, c.ival, text)
+    if kind not in ("ilit", "flit") and _NAME_RE.match(text):
         return (VAR, text)
-    if text in consts:
-        c = consts[text]
-        if kind == "i":
-            if not c.is_int:
-                raise TacSyntaxError(line_no, "const %s is not integer" % text)
-            return (ILIT, c.ival, text)
-        return (FLIT, c.fval, text)
-    # literal
-    if kind == "i":
+    if integer or (kind in ("x", "v") and _INT_RE.match(text)):
         return (ILIT, _parse_int_literal(text, line_no), text)
-    if kind in ("f", "flit"):
-        return (FLIT, _parse_float_literal(text, line_no), text)
-    if kind in ("x", "v"):
-        if _looks_float(text):
-            return (FLIT, _parse_float_literal(text, line_no), text)
-        if _INT_RE.match(text):
-            return (ILIT, _parse_int_literal(text, line_no), text)
-        return (FLIT, _parse_float_literal(text, line_no), text)
-    raise TacSyntaxError(line_no, "bad operand %r" % text)
+    return (FLIT, _parse_float_literal(text, line_no), text)
 
 
 def _split_operands(text):
     return [t.strip() for t in text.split(",")] if text.strip() else []
 
 
-def parse_program(text, strict=True):
-    """Parse TAC text.  With strict=True, validation diagnostics raise."""
+def parse_program(text):
+    """Parse TAC text into a TacProgram.  Raises TacSyntaxError, or
+    TacValidationError for a program that parses but cannot run."""
     name = None
     params = []
     return_var = None
@@ -204,7 +218,7 @@ def parse_program(text, strict=True):
             if not m:
                 raise TacSyntaxError(line_no, "expected func header")
             name = m.group(1)
-            params = [p.strip() for p in m.group(2).split(",") if p.strip()]
+            params = _split_operands(m.group(2))
             return_var = m.group(3)
             continue
         m = _CONST_RE.match(line)
@@ -227,7 +241,8 @@ def parse_program(text, strict=True):
         iid = len(instrs)
         for lbl, lno in pending_labels:
             if lbl in labels:
-                raise TacSyntaxError(lno, "duplicate label %r" % lbl)
+                raise TacSyntaxError(lno, "duplicate label %s"
+                                     % mp.quote(lbl))
             labels[lbl] = iid
         pending_labels = []
 
@@ -236,11 +251,12 @@ def parse_program(text, strict=True):
             dst, _, line = line.partition("=")
             dst = dst.strip()
             if not _NAME_RE.match(dst):
-                raise TacSyntaxError(line_no, "bad destination %r" % dst)
+                raise TacSyntaxError(line_no, "bad destination %s"
+                                     % mp.quote(dst))
         parts = line.split(None, 1)
         op = parts[0] if parts else ""
         if op not in OPCODES:
-            raise TacSyntaxError(line_no, "unknown opcode %r" % op)
+            raise TacSyntaxError(line_no, "unknown opcode %s" % mp.quote(op))
         kinds, dkind = OPCODES[op]
         if dst is not None and dkind is None:
             raise TacSyntaxError(line_no, "%s has no destination" % op)
@@ -253,60 +269,81 @@ def parse_program(text, strict=True):
                 % (op, len(kinds), len(operand_text)))
         srcs = tuple(_parse_operand(t, k, consts, line_no)
                      for t, k in zip(operand_text, kinds))
-        instrs.append(TacInstr(iid, op, dst, srcs, "line %d" % line_no))
+        instrs.append(TacInstr(iid, op, dst, srcs))
 
     if name is None:
         raise TacSyntaxError(1, "missing func header")
     if pending_labels:
         raise TacSyntaxError(pending_labels[0][1], "label at end of function")
-    prog = TacProgram(name, params, instrs, return_var, labels, consts)
-    if strict:
-        diags = validate(prog)
-        if diags:
-            raise TacValidationError(diags)
-    return prog
+    return TacProgram(name, params, instrs, return_var, labels, consts)
 
 
 def _successors(prog, i):
+    """Where control goes after instruction i: a jump or branch target
+    first, then the fall-through."""
     instr = prog.instrs[i]
-    if instr.op == "ret":
-        return ()
-    if instr.op == "jump":
-        tgt = prog.labels.get(instr.srcs[0][1])
-        return (tgt,) if tgt is not None else ()
-    if instr.op == "branch":
-        tgt = prog.labels.get(instr.srcs[1][1])
-        succ = [i + 1] if i + 1 < len(prog.instrs) else []
+    succ = []
+    if instr.op in ("jump", "branch"):
+        tgt = prog.labels.get(instr.srcs[-1][1])
         if tgt is not None:
             succ.append(tgt)
-        return tuple(succ)
-    return (i + 1,) if i + 1 < len(prog.instrs) else ()
+    if instr.op not in ("jump", "ret") and i + 1 < len(prog.instrs):
+        succ.append(i + 1)
+    return tuple(succ)
+
+
+def control_flow(prog):
+    """The basic blocks of prog in program order, each as (lo, hi,
+    successor blocks) with a jump or branch target listed first, and the
+    set of blocks reachable from block 0.  Control that falls through
+    block b enters block b + 1."""
+    n = len(prog.instrs)
+    leaders = {0}
+    for i, instr in enumerate(prog.instrs):
+        if instr.op in ("branch", "jump", "ret"):
+            leaders.update(_successors(prog, i))
+            leaders.add(i + 1)
+    starts = sorted(i for i in leaders if i < n)
+    block_at = {lo: b for b, lo in enumerate(starts)}
+    blocks = [(lo, hi, tuple(block_at[s] for s in _successors(prog, hi - 1)))
+              for lo, hi in zip(starts, starts[1:] + [n])]
+    reached = set()
+    work = [0] if blocks else []
+    while work:
+        b = work.pop()
+        if b not in reached:
+            reached.add(b)
+            work.extend(blocks[b][2])
+    return blocks, reached
 
 
 def validate(prog):
-    """Semantic checks; returns a list of diagnostics (empty when valid)."""
+    """Semantic checks; returns a list of diagnostics (empty when valid).
+    Building a TacProgram runs it."""
     diags = []
     n = len(prog.instrs)
-    var_types = {p: "f" for p in prog.params}
+    var_types = prog.types
     for j, p in enumerate(prog.params):
+        if not _NAME_RE.match(p):
+            diags.append(Diagnostic("BadName", -1, "parameter %s is not a name"
+                                    % mp.quote(p)))
         if p in prog.consts:
             diags.append(Diagnostic("DuplicateName", -1,
-                                    "parameter %r shadows a const" % p))
+                                    "parameter %s shadows a const"
+                                    % mp.quote(p)))
         if p in prog.params[:j]:
             diags.append(Diagnostic("DuplicateName", -1,
-                                    "parameter %r is repeated" % p))
+                                    "parameter %s is repeated" % mp.quote(p)))
 
-    # pass 1: destination types, with consistency across reassignments
+    # pass 1: every assignment agrees with the variable's type
     for instr in prog.instrs:
         if instr.dst is None:
             continue
         dkind = OPCODES[instr.op][1]
-        prev = var_types.get(instr.dst)
-        if prev is not None and prev != dkind:
+        if var_types[instr.dst] != dkind:
             diags.append(Diagnostic(
-                "TypeMismatch", instr.id,
-                "%s assigned as %s and %s" % (instr.dst, prev, dkind)))
-        var_types.setdefault(instr.dst, dkind)
+                "TypeMismatch", instr.id, "%s assigned as %s and %s"
+                % (instr.dst, var_types[instr.dst], dkind)))
 
     # pass 2: operand kinds, label targets
     for instr in prog.instrs:
@@ -317,7 +354,8 @@ def validate(prog):
             if okind == LABEL:
                 if operand[1] not in prog.labels:
                     diags.append(Diagnostic("UndefinedLabel", instr.id,
-                                            "no label %r" % operand[1]))
+                                            "no label %s"
+                                            % mp.quote(operand[1])))
                 continue
             if okind == PRED:
                 continue
@@ -325,7 +363,8 @@ def validate(prog):
                 vtype = var_types.get(operand[1])
                 if vtype is None:
                     diags.append(Diagnostic("UndefinedVariable", instr.id,
-                                            "%r is never assigned" % operand[1]))
+                                            "%s is never assigned"
+                                            % mp.quote(operand[1])))
                     continue
             else:
                 vtype = "i" if okind == ILIT else "f"
@@ -345,45 +384,50 @@ def validate(prog):
         diags.append(Diagnostic("UnassignedReturn", -1, "empty body"))
         return diags
 
-    # pass 3: definite assignment of every operand (forward must-analysis)
-    base = frozenset(prog.params)
-    assigned_in = [None] * n
-    assigned_in[0] = base
+    # pass 3: definite assignment of every operand (forward must-analysis
+    # over the basic blocks)
+    blocks, reached = control_flow(prog)
+    assigned_in = {0: frozenset(prog.params)}
     work = [0]
     while work:
-        i = work.pop()
-        cur = assigned_in[i]
-        instr = prog.instrs[i]
-        out = cur | {instr.dst} if instr.dst is not None else cur
-        for s in _successors(prog, i):
-            prev = assigned_in[s]
-            nxt = out if prev is None else (prev & out)
-            if prev is None or nxt != prev:
+        b = work.pop()
+        lo, hi, succ = blocks[b]
+        out = assigned_in[b].union(instr.dst for instr in prog.instrs[lo:hi]
+                                   if instr.dst is not None)
+        for s in succ:
+            prev = assigned_in.get(s)
+            nxt = out if prev is None else prev & out
+            if nxt != prev:
                 assigned_in[s] = nxt
                 work.append(s)
 
     saw_ret = False
-    for i, instr in enumerate(prog.instrs):
-        if assigned_in[i] is None:
-            continue  # unreachable
-        for operand in instr.srcs:
-            name = operand[1]
-            if (operand[0] != VAR or name in assigned_in[i]
-                    or name in prog.consts):
-                continue
+    for b in sorted(reached):
+        lo, hi, _ = blocks[b]
+        assigned = set(assigned_in[b])
+        for i in range(lo, hi):
+            instr = prog.instrs[i]
+            for operand in instr.srcs:
+                name = operand[1]
+                if (operand[0] != VAR or name in assigned
+                        or name in prog.consts):
+                    continue
+                if instr.op == "ret":
+                    diags.append(Diagnostic(
+                        "UnassignedReturn", instr.id,
+                        "%s may be unassigned at ret" % mp.quote(name)))
+                elif name in var_types:  # a name never assigned: see above
+                    diags.append(Diagnostic(
+                        "UnassignedVariable", instr.id,
+                        "%s may be read before it is assigned"
+                        % mp.quote(name)))
+            if instr.dst is not None:
+                assigned.add(instr.dst)
             if instr.op == "ret":
-                diags.append(Diagnostic(
-                    "UnassignedReturn", instr.id,
-                    "%r may be unassigned at ret" % name))
-            elif name in var_types:  # a name never assigned is reported above
-                diags.append(Diagnostic(
-                    "UnassignedVariable", instr.id,
-                    "%r may be read before it is assigned" % name))
-        if instr.op == "ret":
-            saw_ret = True
-        elif instr.op != "jump" and i == n - 1:
-            diags.append(Diagnostic("MissingReturn", instr.id,
-                                    "control falls off the end"))
+                saw_ret = True
+            elif instr.op != "jump" and i == n - 1:
+                diags.append(Diagnostic("MissingReturn", instr.id,
+                                        "control falls off the end"))
     if not saw_ret:
         diags.append(Diagnostic("UnassignedReturn", -1, "no reachable ret"))
     return diags

@@ -393,3 +393,37 @@ def test_rejected_literals_are_quoted_clipped(tmp_path, capsys):
         assert (code, out) == (1, "")
         assert len(err.encode()) < 200
         assert "characters)" in err
+
+
+LONG = "q" * 3000
+
+
+@pytest.mark.parametrize("body, message", [
+    ("  y = %s x\n  ret y\n" % LONG, "unknown opcode"),
+    ("  9%s = fmov x\n  ret x\n" % LONG, "bad destination"),
+    ("  c = icmp %s, x, x\n  ret x\n" % LONG, "bad predicate"),
+    ("%s:\n%s:\n  ret x\n" % (LONG, LONG), "duplicate label"),
+    ("  const %s = 2.5\n  i = iconst %s\n  ret x\n" % (LONG, LONG),
+     "is not integer"),
+], ids=["opcode", "destination", "predicate", "label", "const"])
+def test_long_tokens_in_syntax_errors_are_clipped(tmp_path, capsys, body,
+                                                  message):
+    path = tmp_path / "long.tac"
+    path.write_text("func f(x) -> x\n" + body)
+    code, out, err = run_cli(capsys, "run", "--program", str(path),
+                             "--input", "single:1")
+    assert (code, out) == (1, "")
+    assert message in err and "characters)" in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("params, quoted", [("x, 2.5", "'2.5'"),
+                                            ("x,,y", "''")])
+def test_bad_parameter_name_is_exit_1(tmp_path, capsys, params, quoted):
+    path = tmp_path / "badparam.tac"
+    path.write_text("func f(%s) -> y\n  y = fmov x\n  ret y\n" % params)
+    code, out, err = run_cli(capsys, "run", "--program", str(path),
+                             "--input", "single:1")
+    assert (code, out) == (1, "")
+    assert err == "error: BadName(instr -1): parameter %s is not a name\n" \
+        % quoted

@@ -185,9 +185,10 @@ def test_barrier_ids_stay_within_program():
 SWEEP_CFG = detector.DetectionConfig()
 # errors drawn on and around every sweep threshold, plus infinities
 ERRORS = st.one_of(
-    st.sampled_from(list(SWEEP_CFG.e0_sweep) + [0.0, math.inf, math.nan]),
+    st.sampled_from(list(detector.DEFAULT_E0_SWEEP)
+                   + [0.0, math.inf, math.nan]),
     st.floats(min_value=0.0, max_value=1.0),
-    st.builds(math.nextafter, st.sampled_from(SWEEP_CFG.e0_sweep),
+    st.builds(math.nextafter, st.sampled_from(detector.DEFAULT_E0_SWEEP),
               st.sampled_from([0.0, 1.0])))
 
 

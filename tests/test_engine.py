@@ -392,13 +392,28 @@ skip:
 
 @pytest.mark.parametrize("x", ["1.0", "-1.0"])
 def test_invalid_programs_fail_on_the_first_call(x):
-    # whether the input avoids the bad read or the missing label
-    bad_read = tac.parse_program(SKIP, strict=False)
-    no_label = tac.parse_program(SKIP.replace("fadd t, x", "fadd x, x"))
-    del no_label.labels["skip"]
-    for prog, kind in ((bad_read, "UnassignedVariable"),
-                       (no_label, "UndefinedLabel")):
-        with pytest.raises(engine.EngineError, match=kind) as exc:
-            engine.execute(prog, [dec(x)])
-        assert str(exc.value).startswith("f is not a valid program: ")
-        assert prog.compiled == {}
+    # An invalid program cannot be built, so no input reaches the engine
+    # with one, whether or not it would avoid the bad read or the missing
+    # label; the repaired program runs on every input.
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.parse_program(SKIP)
+    assert [d.kind for d in exc.value.diagnostics] == ["UnassignedVariable"]
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.parse_program(SKIP.replace("fadd t, x", "fadd x, x")
+                          .replace("skip:\n", ""))
+    assert [d.kind for d in exc.value.diagnostics] == ["UndefinedLabel"]
+    ok = tac.parse_program(SKIP.replace("fadd t, x", "fadd x, x"))
+    assert engine.execute(ok, [dec(x)]).result.orig.to_float() \
+        == 2 * float(x)
+
+
+def test_a_compiled_program_cannot_be_changed():
+    # the compile cache cannot outlive a change to its program, because
+    # the program cannot change (see test_tac.py for every field)
+    prog = tac.parse_program(SKIP.replace("fadd t, x", "fadd x, x"))
+    engine.execute(prog, [dec("1.0")])
+    cached = dict(prog.compiled)
+    with pytest.raises(TypeError):
+        del prog.labels["skip"]
+    assert prog.compiled == cached
+    assert engine.execute(prog, [dec("-1.0")]).result.orig.to_float() == -2.0

@@ -253,15 +253,14 @@ def test_max_steps_must_be_positive():
 
 
 def test_read_before_assignment_is_an_engine_error(tmp_path, capsys):
-    # validation rejects these programs; unvalidated ones still reach the
-    # engine, which validates them before compiling, so they fail for
-    # every input, including one that avoids the bad read
+    # a program that may read before assigning cannot be built, so it
+    # fails before any input, including one that avoids the bad read
     text = ("func f(x) -> y\n  c = icmp lt, x, 0.0\n  branch c, skip\n"
             "  t = fmov x\nskip:\n  y = fadd t, x\n  ret y\n")
-    prog = tac.parse_program(text, strict=False)
-    for x in (1.0, -1.0):
-        with pytest.raises(engine.EngineError, match="UnassignedVariable"):
-            engine.execute(prog, [mp.from_float(x)])
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.parse_program(text)
+    assert [(d.kind, d.instr_id) for d in exc.value.diagnostics] \
+        == [("UnassignedVariable", 3)]
     path = tmp_path / "f.tac"
     path.write_text(text)
     code = cli.main(["run", "--program", str(path), "--input", "single:1"])
@@ -278,9 +277,9 @@ def test_read_before_assignment_is_an_engine_error(tmp_path, capsys):
                       ("func f(x) -> y\n  jump over\n  t = fmov x\nover:\n"
                        "  y = fadd t, x\n  ret y\n", 2)):
         path.write_text(text)
-        with pytest.raises(engine.EngineError, match="UnassignedVariable"):
-            engine.execute(tac.parse_program(text, strict=False),
-                           [mp.from_float(1.0)])
+        with pytest.raises(tac.TacValidationError,
+                           match="UnassignedVariable"):
+            tac.parse_program(text)
         code = cli.main(["run", "--program", str(path), "--input",
                          "single:1"])
         assert code == 1
@@ -297,6 +296,9 @@ def test_read_before_assignment_is_an_engine_error(tmp_path, capsys):
                                   "  y = fmov x\n  c = icmp eq, 0, 0\n"
                                   "  branch c, top\ntop:\n  y = fmov y\n"])
 def test_unvalidated_program_without_ret_is_an_engine_error(body):
-    prog = tac.parse_program("func f(x) -> y\n" + body, strict=False)
-    with pytest.raises(engine.EngineError):
-        engine.execute(prog, [mp.from_float(1.0)])
+    # such a program cannot be built, so it never reaches the engine
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.parse_program("func f(x) -> y\n" + body)
+    kinds = [d.kind for d in exc.value.diagnostics]
+    assert kinds[-1] == "UnassignedReturn"
+    assert kinds[:-1] == ([] if body == "" else ["MissingReturn"])

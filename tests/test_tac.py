@@ -26,10 +26,17 @@ top:
 """
 
 
+def diagnostics(text):
+    """The diagnostics that reject the program `text`."""
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.parse_program(text)
+    return exc.value.diagnostics
+
+
 def test_parse_basic():
     p = tac.parse_program(SIMPLE)
     assert p.name == "round_kernel"
-    assert p.params == ["x"]
+    assert p.params == ("x",)
     assert p.return_var == "y"
     assert [i.op for i in p.instrs] == ["fadd", "fsub", "ret"]
     assert [i.id for i in p.instrs] == [0, 1, 2]
@@ -109,19 +116,19 @@ def test_undefined_label_diagnostic():
 
 def test_undefined_variable_diagnostic():
     bad = "func f(x) -> y\n  y = fadd x, z\n  ret y\n"
-    diags = tac.validate(tac.parse_program(bad, strict=False))
+    diags = diagnostics(bad)
     assert any(d.kind == "UndefinedVariable" for d in diags)
 
 
 def test_type_mismatch_diagnostic():
     bad = "func f(x) -> y\n  i = iconst 1\n  y = fadd x, i\n  ret y\n"
-    diags = tac.validate(tac.parse_program(bad, strict=False))
+    diags = diagnostics(bad)
     assert any(d.kind == "TypeMismatch" for d in diags)
 
 
 def test_icmp_mixed_types_rejected():
     bad = "func f(x) -> x\n  i = iconst 1\n  c = icmp lt, x, i\n  ret x\n"
-    diags = tac.validate(tac.parse_program(bad, strict=False))
+    diags = diagnostics(bad)
     assert any(d.kind == "TypeMismatch" for d in diags)
 
 
@@ -134,7 +141,7 @@ func f(x) -> y
 skip:
   ret y
 """
-    diags = tac.validate(tac.parse_program(bad, strict=False))
+    diags = diagnostics(bad)
     assert any(d.kind == "UnassignedReturn" for d in diags)
 
 
@@ -148,8 +155,7 @@ skip:
     ("  jump over\n  t = fmov x\nover:\n  y = fadd t, x\n  ret y\n", 2),
 ], ids=["skipped_branch", "after_ret", "jumped_over"])
 def test_read_before_assignment_diagnostic(body, iid):
-    diags = tac.validate(tac.parse_program("func f(x) -> y\n" + body,
-                                           strict=False))
+    diags = diagnostics("func f(x) -> y\n" + body)
     assert [(d.kind, d.instr_id) for d in diags] \
         == [("UnassignedVariable", iid)]
     assert "'t' may be read before it is assigned" in str(diags[0])
@@ -166,12 +172,12 @@ other:
   y = fneg x
   ret y
 """
-    assert tac.validate(tac.parse_program(ok, strict=False)) == []
+    assert tac.validate(tac.parse_program(ok)) == []
 
 
 def test_missing_return_diagnostic():
     bad = "func f(x) -> y\n  y = fmov x\n"
-    diags = tac.validate(tac.parse_program(bad, strict=False))
+    diags = diagnostics(bad)
     assert any(d.kind in ("MissingReturn", "UnassignedReturn")
                for d in diags)
 
@@ -189,21 +195,19 @@ start:
 
 
 def test_branch_falling_off_the_end_is_a_missing_return():
-    diags = tac.validate(tac.parse_program(FALL, strict=False))
+    diags = diagnostics(FALL)
     assert [(d.kind, d.instr_id) for d in diags] == [("MissingReturn", 4)]
-    with pytest.raises(tac.TacValidationError):
-        tac.parse_program(FALL)
 
 
 def test_jump_as_last_instruction_is_valid():
     ok = FALL.replace("  branch c, done\n", "  jump done\n")
-    assert tac.validate(tac.parse_program(ok, strict=False)) == []
+    assert tac.validate(tac.parse_program(ok)) == []
 
 
 @pytest.mark.parametrize("ret", ["i", "3"])
 def test_integer_ret_is_a_type_mismatch(ret):
     bad = "func f(x) -> y\n  i = iconst 1\n  ret %s\n" % ret
-    diags = tac.validate(tac.parse_program(bad, strict=False))
+    diags = diagnostics(bad)
     assert [(d.kind, d.instr_id) for d in diags] == [("TypeMismatch", 1)]
     # an integer const read as a float operand is its float value
     for operand in ("2.5", "k"):
@@ -213,7 +217,7 @@ def test_integer_ret_is_a_type_mismatch(ret):
 
 def test_repeated_parameter_is_a_duplicate_name():
     bad = "func f(x, x) -> y\n  y = fadd x, x\n  ret y\n"
-    diags = tac.validate(tac.parse_program(bad, strict=False))
+    diags = diagnostics(bad)
     assert [(d.kind, d.instr_id) for d in diags] == [("DuplicateName", -1)]
     assert "'x' is repeated" in diags[0].message
 
@@ -277,3 +281,122 @@ def test_exact_literal_precision_beyond_binary64():
         "  ret y\n")
     lit = p.instrs[0].srcs[1][1]
     assert mp.to_decimal_string(lit, 27) == "0.100000001490116119384765625"
+
+
+def test_long_names_in_diagnostics_are_quoted_clipped():
+    name = "q" * 3000
+    for body in ("  c = iconst 1\n  branch c, %s\n  ret x\n" % name,
+                 "  y = fadd x, %s\n  ret y\n" % name):
+        with pytest.raises(tac.TacValidationError) as exc:
+            tac.parse_program("func f(x) -> y\n" + body)
+        assert len(str(exc.value)) < 150
+        assert "(3000 characters)" in str(exc.value)
+
+
+def test_strict_is_gone():
+    with pytest.raises(TypeError):
+        tac.parse_program(SIMPLE, strict=False)
+
+
+def test_program_built_from_an_invalid_body_raises():
+    x, y = (tac.VAR, "x"), (tac.VAR, "y")
+    body = [tac.TacInstr(0, "fmov", "y", (x,))]
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.TacProgram("f", ["x"], body, "y")
+    assert [d.kind for d in exc.value.diagnostics] \
+        == ["MissingReturn", "UnassignedReturn"]
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.TacProgram("f", ["x"], body + [tac.TacInstr(1, "jump", None, (
+            (tac.LABEL, "nowhere"),))], "y")
+    assert [d.kind for d in exc.value.diagnostics][0] == "UndefinedLabel"
+    # a valid body gives a program whose fields are tuples and mappings
+    p = tac.TacProgram("f", ["x"], body + [tac.TacInstr(1, "ret", None,
+                                                         (y,))], "y")
+    assert (p.params, len(p.instrs), dict(p.types)) \
+        == (("x",), 2, {"x": "f", "y": "f"})
+
+
+def test_parsed_program_cannot_be_changed():
+    p = tac.parse_program(LOOP)
+    with pytest.raises(TypeError):
+        del p.labels["top"]
+    with pytest.raises(TypeError):
+        p.consts["k"] = None
+    with pytest.raises(AttributeError):
+        p.instrs.append(p.instrs[0])
+    with pytest.raises(AttributeError):
+        p.params.append("z")
+    for field in ("name", "instrs", "labels", "params", "compiled"):
+        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+            setattr(p, field, getattr(p, field))
+    assert p.labels == {"top": 2} and len(p.instrs) == 7
+
+
+def test_control_flow_blocks_and_reachability():
+    p = tac.parse_program("""
+func f(x) -> y
+  y = fmov x
+  i = iconst 0
+top:
+  i = iadd i, 1
+  c = icmp lt, i, 3
+  branch c, top
+  d = icmp lt, x, 0.0
+  branch d, neg
+  ret y
+  y = fneg y
+neg:
+  y = fneg y
+  jump out
+out:
+  ret y
+""")
+    blocks, reached = tac.control_flow(p)
+    # a branch lists its target before its fall-through; the block after
+    # the first ret is reached by nothing
+    assert blocks == [(0, 2, (1,)), (2, 5, (1, 2)), (5, 7, (5, 3)),
+                      (7, 8, ()), (8, 9, (5,)), (9, 11, (6,)),
+                      (11, 12, ())]
+    assert reached == {0, 1, 2, 3, 5, 6}
+
+
+def test_bad_parameter_names():
+    for params, bad in (("x, 2.5", "2.5"), ("x,,y", ""), ("x, a-b", "a-b"),
+                        ("x, 9" + "q" * 3000, "9" + "q" * 3000)):
+        diags = diagnostics("func f(%s) -> y\n  y = fmov x\n  ret y\n"
+                            % params)
+        assert [(d.kind, d.instr_id) for d in diags] == [("BadName", -1)]
+        assert str(diags[0]) == "BadName(instr -1): parameter %s is not " \
+            "a name" % mp.quote(bad)
+        assert len(str(diags[0])) < 150
+    p = tac.parse_program("func f() -> y\n  y = fconst 1.5\n  ret y\n")
+    assert p.params == ()
+
+
+@pytest.mark.parametrize("text, kind, want", [
+    ("k", "f", (tac.FLIT, 7)), ("k", "i", (tac.ILIT, 7)),
+    ("k", "x", (tac.FLIT, 7)), ("k", "flit", (tac.FLIT, 7)),
+    ("k", "ilit", (tac.ILIT, 7)), ("v", "f", (tac.VAR, "v")),
+    ("v", "x", (tac.VAR, "v")), ("3", "x", (tac.ILIT, 3)),
+    ("0x1F", "v", (tac.ILIT, 31)), ("3", "f", (tac.FLIT, 3)),
+    ("3.5", "x", (tac.FLIT, 3.5)), ("1e2", "v", (tac.FLIT, 100)),
+    ("-4", "i", (tac.ILIT, -4)), ("2", "flit", (tac.FLIT, 2)),
+])
+def test_one_operand_path(text, kind, want):
+    consts = {"k": tac.ConstDef("k", "7", mp.from_int(7), True, 7)}
+    got = tac._parse_operand(text, kind, consts, 1)
+    value = got[1].to_float() if got[0] == tac.FLIT else got[1]
+    assert (got[0], value) == want
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    ("v", "ilit", "bad integer literal 'v'"),
+    ("v", "flit", "bad decimal literal"),
+    ("h", "i", "const 'h' is not integer"),
+    ("1.5", "i", "bad integer literal '1.5'"),
+    ("zz", "pred", "bad predicate 'zz'"),
+])
+def test_operand_errors(text, kind, message):
+    consts = {"h": tac.ConstDef("h", "0.5", mp.from_float(0.5), False)}
+    with pytest.raises(tac.TacSyntaxError, match=message):
+        tac._parse_operand(text, kind, consts, 1)
