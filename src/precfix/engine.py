@@ -13,14 +13,18 @@ departs from IEEE (division by zero, square root of a negative) handled
 explicitly.  At any other p_orig it is an `MPFloat`.  The shadow lane is
 always an `MPFloat`.  Every `MPFloat` operation is an `mpfloat` call, so
 the engine has no arithmetic or rounding of its own; fadd, fsub and fmul
-call `mpfloat._nearest` directly, one call per operation.  A host-float
-original crosses back to `MPFloat` only where a caller or the shadow needs
-one: `RunTrace.result`, `ErrorSample.original`, and the shadow side of
-barriered and word-write instructions.  Stream-mode errors are computed
-from the host float directly and equal the `MPFloat` computation bit for
-bit.  Lanes too far apart for the exact integer difference take a closed
-form: 1 when the original lies below half an ulp of the shadow at
-p_shadow, else |original| / |shadow| rounded once.
+call `mpfloat._nearest` directly, and fdiv `mpfloat.div`, which rounds two
+normal operands once from one integer division; one call per operation.
+An input that already has p_orig bits inside the normal range is admitted
+without rounding.  A host-float original crosses back to `MPFloat` only
+where a caller or the shadow needs one: `RunTrace.result`,
+`ErrorSample.original`, and the shadow side of barriered and word-write
+instructions.  Stream-mode errors are computed from the host float
+directly and equal the `MPFloat` computation bit for bit.  Lanes too far
+apart for the exact integer difference take a closed form: 1 when the
+original lies below half an ulp of the shadow at p_shadow, else
+|original| / |shadow| rounded once, which a host original far above the
+shadow forms from its own mantissa.
 
 Word-level bit operations (get_hi/get_lo/make_f/set_hi/set_lo) act on the
 binary64 encoding of the original lane, so they need p_orig = 53; every
@@ -145,9 +149,14 @@ def make_dual(value, cfg):
     """Admit a value into the engine: round to p_orig, extend the shadow.
     At p_orig = 53 the original lane is the rounded value as a host
     float."""
-    o = mp.round_to(value, cfg.p_orig, mp.policy_for(cfg.p_orig))
+    p = cfg.p_orig
+    o = value
+    # a value of p bits inside the normal range rounds to itself
+    if o.prec != p or not (mp._B64_EMIN <= o.exp <= mp._B64_EMAX if p == 53
+                           else -mp._EXP_LIMIT < o.exp < mp._EXP_LIMIT):
+        o = mp.round_to(value, p, mp.policy_for(p))
     s = mp.extend(o, cfg.p_shadow)
-    return DualValue(o.to_float() if cfg.p_orig == 53 else o, s)
+    return DualValue(o.to_float() if p == 53 else o, s)
 
 
 # -- the host-float original lane (p_orig = 53) ------------------------------
@@ -239,17 +248,7 @@ def _rel_err_float(shadow, orig, p_shadow):
     if shadow.prec <= p_shadow and orig.exp < shadow.exp - p_shadow - 1:
         return 1.0
     if orig.prec <= p_shadow and shadow.exp < orig.exp - p_shadow - 1:
-        # |orig| / |shadow| rounded once: the mantissa quotient lies in
-        # (1/2, 2) once aligned, and int division rounds it correctly
-        a, b = orig.mant, shadow.mant
-        if shadow.prec > orig.prec:
-            a <<= shadow.prec - orig.prec
-        else:
-            b <<= orig.prec - shadow.prec
-        try:
-            return math.ldexp(a / b, orig.exp - shadow.exp)
-        except OverflowError:
-            return math.inf
+        return _far_quotient(orig.mant, orig.prec, orig.exp, shadow)
     # exponents or significands beyond host-float range: quotient first
     d = mp.sub(shadow, orig, p_shadow)
     if d.cls == mp.ZERO:
@@ -260,7 +259,8 @@ def _rel_err_float(shadow, orig, p_shadow):
 
 def _rel_err_host(shadow, orig, p_shadow):
     """_rel_err_float(shadow, mp.from_float(orig), p_shadow) for a host
-    float `orig`, without building the MPFloat on the common path."""
+    float `orig`, without building the MPFloat on the common path or when
+    the shadow lies far below the original."""
     if shadow.cls == mp.NORMAL and orig - orig == 0.0:
         if not orig:
             return 1.0
@@ -281,7 +281,26 @@ def _rel_err_host(shadow, orig, p_shadow):
                 return float(abs(d)) / float(a)
             except OverflowError:
                 pass
+        elif p_shadow >= 53 and shadow.exp < e - p_shadow - 2:
+            # _rel_err_float's quotient for a shadow far below orig
+            return _far_quotient(int(abs(f) * 9007199254740992.0), 53, e - 1,
+                                 shadow)
     return _rel_err_float(shadow, mp.from_float(orig), p_shadow)
+
+
+def _far_quotient(m, prec, exp, shadow):
+    """|orig| / |shadow| rounded once, for an original of prec-bit mantissa
+    m and exponent exp: the mantissa quotient lies in (1/2, 2) once
+    aligned, and int division rounds it correctly."""
+    b = shadow.mant
+    if shadow.prec > prec:
+        m <<= shadow.prec - prec
+    else:
+        b <<= prec - shadow.prec
+    try:
+        return math.ldexp(m / b, exp - shadow.exp)
+    except OverflowError:
+        return math.inf
 
 
 def _put_word(bits, w, hi):

@@ -8,7 +8,9 @@ BINARY64 (IEEE double range: subnormal rounding, overflow to infinity).
 Under UNBOUNDED, add, sub and mul of two normal values round their exact
 integer result inline in `_nearest`, which the engine also calls directly;
 an addend too far below the other to count beyond its sign stands in as
-one bit (`_sticky`).
+one bit (`_sticky`).  `div` of two normal values rounds one integer
+quotient of p + 1 or p + 2 bits inline, its remainder the sticky bit.
+Under BINARY64, decimal literals take the host's correctly rounded parse.
 All values are immutable; every operation returns a fresh value.
 """
 
@@ -41,9 +43,9 @@ _B64_EMIN = -1022
 _B64_QUANTUM = -1074  # lsb exponent of the smallest subnormal
 
 _EXP_LIMIT = 1 << 31  # spec sanity bound on exponent magnitude
-# (t_inf, t_zero) per policy: a decimal literal of magnitude at least
-# 10**(t_inf - 1) overflows, one below 10**t_zero underflows
-_DEC_LIMITS = {UNBOUNDED: (646456995, -646456994), BINARY64: (310, -324)}
+# an unbounded decimal literal of magnitude at least 10**(_DEC_INF - 1)
+# overflows, one below 10**_DEC_ZERO underflows
+_DEC_INF, _DEC_ZERO = 646456995, -646456994
 
 # significant digits a decimal literal may have; leading and trailing zeros
 # do not count
@@ -321,13 +323,17 @@ def from_decimal_string(s, p, policy=UNBOUNDED):
     if len(digits) > MAX_DECIMAL_DIGITS:
         raise ParseError("decimal literal with more than %d significant "
                          "digits" % MAX_DECIMAL_DIGITS)
+    if policy == BINARY64:
+        # the host's parse is correctly rounded binary64, subnormals,
+        # overflow and underflow included
+        f = float(s)
+        return from_float(-f if sign < 0 else f)
     d = int(digits)
     top = e10 + len(digits)  # 10**(top - 1) <= |value| < 10**top
-    t_inf, t_zero = _DEC_LIMITS[policy]
-    if top >= t_inf:
-        return round_to(inf(sign), p, policy)
-    if top <= t_zero:
-        return round_to(zero(53, sign), p, policy)
+    if top >= _DEC_INF:
+        return inf(sign, p)
+    if top <= _DEC_ZERO:
+        return zero(p, sign)
     w = p + 64
     while 8 * w < abs(e10):
         v = _round_decimal_approx(sign, d, e10, p, policy, w)
@@ -545,6 +551,30 @@ def mul(a, b, p, policy=UNBOUNDED):
 
 
 def div(a, b, p, policy=UNBOUNDED):
+    if a.cls == 1 and b.cls == 1 and policy == UNBOUNDED:  # NORMAL
+        # the mantissa ratio lies in (2**(na-nb-1), 2**(na-nb+1)), so q has
+        # p + 1 or p + 2 bits; the remainder is the sticky bit
+        sh = p + 1 - a.prec + b.prec
+        if sh >= 0:
+            q, r = divmod(a.mant << sh, b.mant)
+        else:
+            q, r = divmod(a.mant, b.mant << -sh)
+        top = a.exp - b.exp
+        if q >> (p + 1):
+            r |= q & 1
+            q >>= 1
+        else:
+            top -= 1
+        # as in _nearest: q keeps the rounding bit as its lowest bit
+        if q & 1 and (q & 2 or r):
+            q = (q >> 1) + 1
+            if q >> p:
+                q >>= 1
+                top += 1
+        else:
+            q >>= 1
+        if -_EXP_LIMIT < top < _EXP_LIMIT:
+            return MPFloat(1, a.sign * b.sign, top, q, p)
     if a.cls == NAN or b.cls == NAN:
         return nan(p)
     sign = a.sign * b.sign

@@ -84,7 +84,7 @@ class TacValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    kind: str  # UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedVariable | UnassignedReturn | DuplicateName | BadName | MissingReturn
+    kind: str  # UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedVariable | UnassignedReturn | DuplicateName | BadName | MissingReturn | BadId | BadLabel
     instr_id: int  # -1 when not tied to one instruction
     message: str
 
@@ -335,6 +335,17 @@ def validate(prog):
             diags.append(Diagnostic("DuplicateName", -1,
                                     "parameter %s is repeated" % mp.quote(p)))
 
+    # a program built directly, not parsed, may give an instruction an id
+    # other than its position, or a label a target outside the body
+    misplaced = [Diagnostic("BadId", i, "instruction %d has id %r"
+                            % (i, instr.id))
+                 for i, instr in enumerate(prog.instrs) if instr.id != i]
+    misplaced += [Diagnostic("BadLabel", -1, "label %s targets %r, outside "
+                             "0..%d" % (mp.quote(label), target, n - 1))
+                  for label, target in prog.labels.items()
+                  if not 0 <= target < n]
+    diags += misplaced
+
     # pass 1: every assignment agrees with the variable's type
     for instr in prog.instrs:
         if instr.dst is None:
@@ -343,7 +354,7 @@ def validate(prog):
         if var_types[instr.dst] != dkind:
             diags.append(Diagnostic(
                 "TypeMismatch", instr.id, "%s assigned as %s and %s"
-                % (instr.dst, var_types[instr.dst], dkind)))
+                % (mp.quote(instr.dst), var_types[instr.dst], dkind)))
 
     # pass 2: operand kinds, label targets
     for instr in prog.instrs:
@@ -373,7 +384,8 @@ def validate(prog):
             if kindspec in ("f", "i") and vtype != kindspec:
                 diags.append(Diagnostic(
                     "TypeMismatch", instr.id,
-                    "%s operand %r has type %s" % (instr.op, operand[1], vtype)))
+                    "%s operand %s has type %s"
+                    % (instr.op, mp.quote(_render_operand(operand)), vtype)))
             if kindspec == "x":
                 icmp_types.append(vtype)
         if len(icmp_types) == 2 and icmp_types[0] != icmp_types[1]:
@@ -382,6 +394,7 @@ def validate(prog):
 
     if n == 0:
         diags.append(Diagnostic("UnassignedReturn", -1, "empty body"))
+    if n == 0 or misplaced:
         return diags
 
     # pass 3: definite assignment of every operand (forward must-analysis

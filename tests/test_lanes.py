@@ -11,9 +11,10 @@ its MPFloat.
 import functools
 import math
 import struct
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from precfix import cli, corpus, engine, tac
 from precfix import mpfloat as mp
@@ -180,6 +181,25 @@ def test_admission_rounds_to_binary64(v):
     want = mp.round_to(v, 53, B64)
     assert host_bits(dv.orig) == mp.to_binary64_bits(want)
     assert fields(dv.shadow) == fields(mp.extend(want, 120))
+
+
+@given(st.sampled_from([53, 24, 113]), st.sampled_from([1, -1]),
+       st.integers(min_value=0), st.integers(-70, 8), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_admission_of_values_with_p_orig_bits(p, sign, frac, off, top):
+    # next to the subnormals and the overflow threshold at 53 bits, next to
+    # the exponent limit at any other precision
+    if p == 53:
+        exp = 1023 - off if top else -1022 + off
+    else:
+        exp = mp._EXP_LIMIT - off if top else -mp._EXP_LIMIT + off
+    v = mp.MPFloat(mp.NORMAL, sign, exp, (1 << (p - 1)) | frac % (1 << (p - 1)),
+                   p)
+    dv = engine.make_dual(v, engine.EngineConfig(p, 200))
+    want = mp.round_to(v, p, mp.policy_for(p))
+    orig = mp.from_float(dv.orig) if p == 53 else dv.orig
+    assert fields(orig) == fields(want)
+    assert fields(dv.shadow) == fields(mp.extend(want, 200))
 
 
 # -- the shadow of fadd/fsub/fmul -------------------------------------------
@@ -349,6 +369,57 @@ def test_far_apart_errors_match_the_quotient(pair):
     if orig.prec == 53 and -1022 <= orig.exp <= 1023:
         assert struct.pack("<d", engine._rel_err_host(
             shadow, orig.to_float(), p_s)) == want
+
+
+@st.composite
+def shadows_far_below(draw):
+    """(shadow, host original, p_shadow) whose lowest bits lie 600 or more
+    binades apart, the shadow below: its exponent next to the guard
+    shadow.exp < orig.exp - p_shadow - 1 of the host quotient, on either
+    side, or deeper down."""
+    x = float_of(draw(b64_bits))
+    assume(x == x and x - x == 0 and x)
+    e = math.frexp(x)[1] - 1  # the exponent of mp.from_float(x)
+    if draw(st.booleans()):
+        # a power of two: past the guard, the difference at p_shadow can
+        # round into the binade below
+        x = math.ldexp(math.copysign(1.0, x), e)
+    if draw(st.booleans()):
+        # at the guard, lowest bits 600 binades apart take p_shadow >= 326
+        # or a shadow wider than p_shadow
+        p_s = draw(st.one_of(st.integers(54, 70), st.integers(330, 2000)))
+        prec = max(p_s, 660 - p_s)
+        exp = e - p_s - 1 + draw(st.integers(-4, 4))
+    else:
+        p_s = draw(st.integers(54, 2000))
+        prec = draw(st.one_of(st.just(p_s), st.integers(2, p_s + 80)))
+        exp = e - p_s - 2 - draw(st.integers(0, 3000))
+    exp = min(exp, e - 53 - 600 + prec)  # t <= -600
+    frac = draw(st.one_of(st.just(0), st.integers(0, (1 << (prec - 1)) - 1)))
+    shadow = mp.MPFloat(mp.NORMAL, draw(st.sampled_from([1, -1])), exp,
+                        (1 << (prec - 1)) | frac, prec)
+    return shadow, x, p_s
+
+
+@given(shadows_far_below())
+@settings(max_examples=800, deadline=None)
+def test_host_error_of_a_shadow_far_below(pair):
+    shadow, x, p_s = pair
+    orig = mp.from_float(x)
+    assert (shadow.exp - shadow.prec) - (orig.exp - orig.prec) <= -600
+    got = engine._rel_err_host(shadow, x, p_s)
+    assert struct.pack("<d", got) == struct.pack(
+        "<d", engine._rel_err_float(shadow, orig, p_s))
+    assert _close(got, _relative_error(shadow, orig)), got
+    if shadow.exp < orig.exp - p_s - 1:
+        # past the guard: |orig| / |shadow| rounded once
+        q = Fraction(abs(x)) / (Fraction(shadow.mant)
+                                * Fraction(2) ** (shadow.exp - shadow.prec + 1))
+        try:
+            want = float(q)
+        except OverflowError:
+            want = math.inf
+        assert got == want
 
 
 def test_rel_err_float_wide_shadow_takes_exact_fallback():

@@ -120,6 +120,66 @@ def test_unbounded_arithmetic_matches_mpmath(case):
     assert mpmath_ref.fields(got) == mpmath_ref.reference(op, a, b, p)
 
 
+# short divisors at their own width and tagged at 53 bits: the quotient's
+# precision comes from the tags, not from the values
+SHORT = [(2.0, 1), (2.0, 53), (0.5, 2), (3.0, 2), (3.0, 53), (-3.0, 53),
+         (0.75, 2), (1.5, 53), (-1.0, 1)]
+
+
+def _short(x, prec):
+    return mp.extend(mp.round_to(mp.from_float(x), min(prec, 2)), prec)
+
+
+@st.composite
+def short_divisions(draw):
+    """(a, b, p): a 120-bit value over a short divisor, or the reverse;
+    some dividends exact multiples of the divisor, and some results next
+    to either end of the exponent range."""
+    b = _short(*draw(st.sampled_from(SHORT)))
+    frac = draw(st.one_of(st.just(0), st.just((1 << 119) - 1),
+                          st.integers(0, (1 << 119) - 1)))
+    sign = draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["free", "exact", "top", "bottom"]))
+    mid = mp._EXP_LIMIT // 2
+    if kind == "exact":
+        k = mp.from_int(draw(st.integers(1, 1 << 60)) * sign)
+        a = mp.extend(mp.mul(k, b, 120), 120)
+    else:
+        e = {"free": st.integers(-1200, 1200), "top": st.integers(mid - 4,
+             mid + 4), "bottom": st.integers(-mid - 4, -mid + 4)}[kind]
+        a = mp.MPFloat(mp.NORMAL, sign, draw(e), (1 << 119) | frac, 120)
+        if kind != "free":
+            e = -mid if kind == "top" else mid
+            b = mp.MPFloat(mp.NORMAL, b.sign, e + draw(st.integers(-4, 4)),
+                           b.mant, b.prec)
+    p = draw(st.one_of(st.integers(1, 8), st.integers(2, 200)))
+    return (a, b, p) if draw(st.booleans()) else (b, a, p)
+
+
+@given(short_divisions())
+@settings(max_examples=1500, deadline=None)
+def test_division_of_unequal_precisions_matches_mpmath(case):
+    a, b, p = case
+    got = mp.div(a, b, p)
+    assert mpmath_ref.fields(got) == mpmath_ref.reference("div", a, b, p)
+
+
+@pytest.mark.parametrize("num, den, p, want", [
+    (5, 4, 2, 1.0), (7, 4, 2, 2.0), (3, 2, 1, 2.0), (5, 4, 3, 1.25),
+    (1, 3, 2, 0.375), (6, 3, 2, 2.0), (-15, 8, 3, -2.0), (9, 8, 3, 1.0),
+    (11, 8, 3, 1.5), (11, 8, 2, 1.5), (-27, 16, 3, -1.75)])
+@pytest.mark.parametrize("tag", [0, 53, 120])
+def test_division_ties_and_exact_quotients(num, den, p, want, tag):
+    # at the operands' own width and widened; ties go to the even mantissa,
+    # and 11/8 and 27/16 at p + 2 bits are just above a tie
+    a, b = mp.from_int(num), mp.from_int(den)
+    if tag:
+        a, b = mp.extend(a, tag), mp.extend(b, tag)
+    got = mp.div(a, b, p)
+    assert got.to_float() == want and got.prec == p
+    assert mpmath_ref.fields(got) == mpmath_ref.reference("div", a, b, p)
+
+
 def test_binary64_rounding_far_below_subnormals_is_fast():
     # a shadow that underflowed near the exponent limit, demoted by a
     # barrier: no shift masks as wide as the exponent
@@ -344,6 +404,49 @@ def test_decimal_rounding_paths_agree(case, w):
     approx = mp._round_decimal_approx(sign, d, e10, p, mp.UNBOUNDED, w)
     assert approx is None \
         or mpmath_ref.fields(approx) == mpmath_ref.fields(exact)
+
+
+@st.composite
+def binary64_literals(draw):
+    """(text, sign, d, e10) with d * 10**e10 the literal's magnitude:
+    exactly printed halfway points between neighbouring binary64 values,
+    subnormals among them, and literals of up to 4,000 digits from below
+    the subnormals to past the overflow threshold."""
+    sign = draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        bits = draw(st.one_of(st.integers(1, (1 << 52) - 1),
+                              st.integers(1, (0x7FE << 52) - 1)))
+        lo = Fraction(float_of(bits)) + Fraction(float_of(bits + 1))
+        # the midpoint is n / 2**k; n * 5**k / 10**k prints it exactly
+        k = (lo / 2).denominator.bit_length() - 1
+        d, e10 = (lo / 2).numerator * 5**k, -k
+    else:
+        n = draw(st.one_of(st.integers(1, 20), st.integers(1, 4000)))
+        d = draw(st.integers(10**(n - 1), 10**n - 1))
+        e10 = draw(st.integers(-330, 312)) - n
+    text = "%s%de%d" % ("-" if sign < 0 else draw(st.sampled_from(["", "+"])),
+                        d, e10)
+    return text, sign, d, e10
+
+
+@given(binary64_literals())
+@example(("1e-400", 1, 1, -400))
+@example(("-1.7976931348623159e308", -1, 17976931348623159, 292))
+@example((str(2**1024 - 2**970), 1, 2**1024 - 2**970, 0))  # ties to inf
+@settings(max_examples=400, deadline=None)
+def test_binary64_literals_match_exact_rounding(case):
+    text, sign, d, e10 = case
+    got = mp.from_decimal_string(text, 53, mp.BINARY64)
+    want = mp._round_decimal_exact(sign, d, e10, 53, mp.BINARY64)
+    assert mpmath_ref.fields(got) == mpmath_ref.fields(want), text
+
+
+@pytest.mark.parametrize("text", ["-0", "-0.000e5", "-0e-999", "+0.0",
+                                  "0" * 5000 + "e7", "-0." + "0" * 5000])
+def test_binary64_zero_literals_keep_their_sign(text):
+    got = mp.from_decimal_string(text, 53, mp.BINARY64)
+    sign = -1 if text.startswith("-") else 1
+    assert mpmath_ref.fields(got) == mpmath_ref.fields(mp.zero(53, sign))
 
 
 def test_huge_in_range_decimal_exponent_is_fast():

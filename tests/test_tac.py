@@ -286,7 +286,11 @@ def test_exact_literal_precision_beyond_binary64():
 def test_long_names_in_diagnostics_are_quoted_clipped():
     name = "q" * 3000
     for body in ("  c = iconst 1\n  branch c, %s\n  ret x\n" % name,
-                 "  y = fadd x, %s\n  ret y\n" % name):
+                 "  y = fadd x, %s\n  ret y\n" % name,
+                 # TypeMismatch: an integer read as a float, a variable
+                 # assigned as both types
+                 "  %s = iconst 1\n  y = fadd x, %s\n  ret y\n" % (name, name),
+                 "  %s = iconst 1\n  %s = fmov x\n  ret x\n" % (name, name)):
         with pytest.raises(tac.TacValidationError) as exc:
             tac.parse_program("func f(x) -> y\n" + body)
         assert len(str(exc.value)) < 150
@@ -314,6 +318,24 @@ def test_program_built_from_an_invalid_body_raises():
                                                          (y,))], "y")
     assert (p.params, len(p.instrs), dict(p.types)) \
         == (("x",), 2, {"x": "f", "y": "f"})
+
+
+def test_hand_built_ids_and_label_targets_are_diagnostics():
+    x, y = (tac.VAR, "x"), (tac.VAR, "y")
+    # ids 7 and 9 at positions 0 and 1: barriers and samples would disagree
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.TacProgram("f", ["x"], [tac.TacInstr(7, "fmov", "y", (x,)),
+                                    tac.TacInstr(9, "ret", None, (y,))], "y")
+    assert [(d.kind, d.instr_id) for d in exc.value.diagnostics] \
+        == [("BadId", 0), ("BadId", 1)]
+    # a label past the last instruction, or before the first
+    for target in (2, -1):
+        body = [tac.TacInstr(0, "fmov", "y", (x,)),
+                tac.TacInstr(1, "jump", None, ((tac.LABEL, "out"),))]
+        with pytest.raises(tac.TacValidationError) as exc:
+            tac.TacProgram("f", ["x"], body, "y", {"out": target})
+        assert [d.kind for d in exc.value.diagnostics] == ["BadLabel"]
+        assert "outside 0..1" in str(exc.value)
 
 
 def test_parsed_program_cannot_be_changed():
