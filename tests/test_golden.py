@@ -106,3 +106,183 @@ def test_output_matches_golden_digest(name, argv, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+# `run` and `run --trace`: recorded before the trace formatter was
+# reworked, so they pin the OP/HP lines and the four-field trace byte for
+# byte.  Edge rows cover signed zeros, a binary64 subnormal, results that
+# overflow to +-inf at p53, and a program that squares its way to binary
+# exponents near +-2**31 (past them at p24 and p113: inf and zero).
+PAIRS = {"p53/p120": ["--p-orig", "53", "--p-shadow", "120"],
+         "p24/p200": ["--p-orig", "24", "--p-shadow", "200"],
+         "p113/p200": ["--p-orig", "113", "--p-shadow", "200"]}
+RUN_GRIDS = dict(GRIDS, accum_kernel="0.1,0.9,2")
+WORD_KERNELS = ("exp_kernel", "sin_kernel", "union_scale_kernel")
+EDGE_ROWS = "0\n-0\n4.9e-324\n1e308\n-1.7976931348623157e308\n"
+SQUARE_ROWS = "1.5\n-1.5\n0.75\n0.375\n0\n-0\n4.9e-324\n"
+SQUARE_PROGRAM = "\n".join(
+    ["# square 32 times", "func square32(x) -> y", "  a0 = fmov x"]
+    + ["  a%d = fmul a%d, a%d" % (i, i - 1, i - 1) for i in range(1, 33)]
+    + ["  y = fmov a32", "  ret y"]) + "\n"
+
+
+def run_commands():
+    """(name, argv) of each golden `run`; "{edge}", "{square}" and
+    "{square_rows}" stand for the files `run_files` writes."""
+    for pair, prec in PAIRS.items():
+        for kernel in GRIDS:
+            if pair != "p53/p120" and kernel in WORD_KERNELS:
+                continue
+            for rows, src in (("grid", "--grid=" + RUN_GRIDS[kernel]),
+                              ("edge", "--input=file:{edge}")):
+                for mode, extra in (("run", []), ("trace", ["--trace"])):
+                    yield "%s %s %s %s" % (mode, kernel, rows, pair), [
+                        "run", "--kernel", kernel, src] + prec + extra
+        for mode, extra in (("run", []), ("trace", ["--trace"])):
+            yield "%s square32 %s" % (mode, pair), [
+                "run", "--program", "{square}",
+                "--input=file:{square_rows}"] + prec + extra
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden_run")
+    files = {"edge": EDGE_ROWS, "square": SQUARE_PROGRAM,
+             "square_rows": SQUARE_ROWS}
+    for name, text in files.items():
+        (d / name).write_text(text)
+    return {name: str(d / name) for name in files}
+
+
+def run_digest(argv, files, capsys):
+    argv = [a.format(**files) for a in argv]
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+RUN_DIGESTS = {
+    "run round_kernel grid p53/p120":
+        "369b4944feaed5434d47c42afd8682809528d53a46de83c2dc11986cbb83196a",
+    "trace round_kernel grid p53/p120":
+        "76147a757823dafe8a3e864c8c3b2cfb10a418b1980f00770bf6875841df70bf",
+    "run round_kernel edge p53/p120":
+        "0eb793aa661a820cb72af14625bcb45450b848b0d268091c1e639bdf56377e42",
+    "trace round_kernel edge p53/p120":
+        "f6d1855b8ed0a644a7a40ffd816103130a0ec78dd934d1752cb247c137c46359",
+    "run exp_kernel grid p53/p120":
+        "4ffa0d8690a153b611bff80810259434e62b0076b1e47e4cf986fb0b6f4e0758",
+    "trace exp_kernel grid p53/p120":
+        "04f5c62045ab13fb75af3c622e4af8ae2c7bc21d50a36384c1011109f145ef48",
+    "run exp_kernel edge p53/p120":
+        "8ab7dbf2cebc0193a3a1f2e190f512dd6d6e447e881c29a3111d035270631eff",
+    "trace exp_kernel edge p53/p120":
+        "6b076a1bb86543881e1bf1d179207618278fc16e1f0395d5f30158e2da40c011",
+    "run sin_kernel grid p53/p120":
+        "1493d052345b3ffc5a1f911ff1c268aa4196c92f3c29dc019b2e0c44a14be47a",
+    "trace sin_kernel grid p53/p120":
+        "6370e94428e01a640d844ad1f460511044641c37fbd54ed8c240f7d146656e16",
+    "run sin_kernel edge p53/p120":
+        "56f17170602bee993ba8789a6cc9329f830df5808673eed65e82ce5f905550a4",
+    "trace sin_kernel edge p53/p120":
+        "21f0980720e8b040806ea77db3db7c27df72c1fe71159f4ddaed089e48e03844",
+    "run union_scale_kernel grid p53/p120":
+        "ead6d36c7705eab2b4c07228de6b30f2b70c3db1cfb50640e6ae3a0b9feaffdc",
+    "trace union_scale_kernel grid p53/p120":
+        "d2a1974279483bb819a26e2a4f24b21bf35a9a33a1798f83a3b7312e2ef199c7",
+    "run union_scale_kernel edge p53/p120":
+        "17b0ca446cc9160cb4612218fb928c11e42bfc7538f1b58fb5ac83f1bffb372c",
+    "trace union_scale_kernel edge p53/p120":
+        "e513eafd65794dd4abdfe4a83800af5f41310e3291119afb6564c6c786f90c21",
+    "run accum_kernel grid p53/p120":
+        "536de638786b7a942b0c81361dd6d91a6779f7d80943e1fb87779d9af68e0c14",
+    "trace accum_kernel grid p53/p120":
+        "ff119d9a59dc7d70a5dac23f037c760d70843ed05534d63623a4b52abbb657aa",
+    "run accum_kernel edge p53/p120":
+        "7b60029f3de97498694ab4e2bb52a75faf23aba427c78f8ba437b55d5e1e8092",
+    "trace accum_kernel edge p53/p120":
+        "3915854d2349635f00ec7a9dade85f9c7ca281574b6266d4df35ed77e551274c",
+    "run cancel_kernel grid p53/p120":
+        "6afc97ce748281ea24d8cbf33b5590092f69dac03fd188632799fa085f638f6c",
+    "trace cancel_kernel grid p53/p120":
+        "dff4a0e807ad91a1a4c24bce13a45a972462be1797f357f8e4e783dcb7a2ba0d",
+    "run cancel_kernel edge p53/p120":
+        "cd1d03b5fdf326322527cd47ed86a6296e3a29446e94cac1efe4eea7fb99536e",
+    "trace cancel_kernel edge p53/p120":
+        "0010b5f1050b7d6256d20fae62a4a0ddbf0384bd685eb48504dced7a29d8236f",
+    "run square32 p53/p120":
+        "17d3704a73b2777839f313626425d744db3ff1a685fb1b8c025da8cd1adcea67",
+    "trace square32 p53/p120":
+        "1cccf7a594f842ba84b24e89beebc94943553cbfbe6fd988b1ab772ae516cc6b",
+    "run round_kernel grid p24/p200":
+        "5b674229e364298289bd7abeac486fd91a27d6739de550c95cac831c8cbdd465",
+    "trace round_kernel grid p24/p200":
+        "4a942951c7f04c0086e5bfa58296d09c9c02083521a9e222b043069bd2bd0b61",
+    "run round_kernel edge p24/p200":
+        "352e3baf9985f89776c4737b4c58a2d4f7786d6b42079fc9d4cf5fd42933c2db",
+    "trace round_kernel edge p24/p200":
+        "ead3655f80968afaef4276f3b268dabedcfc2bb93b1e8973c92e457c52b9f688",
+    "run accum_kernel grid p24/p200":
+        "2e4e8d24888a57921b957c15a591fff0aa57e2672720b3a1f3b935d99d0ee67f",
+    "trace accum_kernel grid p24/p200":
+        "64cfdf8ac36c2670bbbc5bd57af6cdb85c0787af8d7367ac7225abe2604c453a",
+    "run accum_kernel edge p24/p200":
+        "f2006fe996d42636773e8908eae0454b3236baabe66e8f11034d879b9e923e55",
+    "trace accum_kernel edge p24/p200":
+        "0decdc4ed72753693cf0cf672e529020c78f237370460d8b5bf009319e720074",
+    "run cancel_kernel grid p24/p200":
+        "1f09333fe542a9579fc240f356fbe5b8733c7ad726603c15208fbd0fe2ddcc2c",
+    "trace cancel_kernel grid p24/p200":
+        "e159f09834c22427ea61efcc77d0e0db661549567bcbcbac77615c4d8f9a7c6f",
+    "run cancel_kernel edge p24/p200":
+        "b48b71f488b53cb537e62f9aa55ae9f2a57a63df1ba3fb4e6f34c3f1f81aed28",
+    "trace cancel_kernel edge p24/p200":
+        "b654c0ac71933e2d308822473e4d8152f27e7c2a83b7a0f3aa98a63af99a95c5",
+    "run square32 p24/p200":
+        "8d0e4abfa0c17c9f3a0696c974ade21069d6d1019e7fa3c131375ab15b4face9",
+    "trace square32 p24/p200":
+        "766d9d7dec0c5be109c02793947b849ac131b8ec40834340a2b26de080f21718",
+    "run round_kernel grid p113/p200":
+        "39250847f568b41e3425fc9245c0ec5cd932c13d1f08edf62131ad0097aac9c3",
+    "trace round_kernel grid p113/p200":
+        "1d686e98bb4f1cff6d4f86c2957617cb25c350f9957b5269bf169430c201ac66",
+    "run round_kernel edge p113/p200":
+        "1799c608b2c9001ada619ebd44370cc95f5d6ce387b9f07327532c07e058af24",
+    "trace round_kernel edge p113/p200":
+        "0f91a95b97610411a705b05c8c059444596e25ecd1920b7dfc630a2b598b1873",
+    "run accum_kernel grid p113/p200":
+        "8d07e43695a54f77292b58523e652fdc614714120e5c2c57f5a6c482945f9765",
+    "trace accum_kernel grid p113/p200":
+        "6e37cef153ef418a1a688c00c29e26529eaa35d3e31024012583e4ece35caaa2",
+    "run accum_kernel edge p113/p200":
+        "d9e0813376fac78a00dae482ac80e1d11c85f222d5ea9add4113ff8bc751bd20",
+    "trace accum_kernel edge p113/p200":
+        "57a7417bbe4adc761be78bd6a6e4269112737ad447f66403692a6e646c9d469a",
+    "run cancel_kernel grid p113/p200":
+        "c842e2d5ef3e71127fbe3380241dc273920b4538c4859be12b9507e06d47e41a",
+    "trace cancel_kernel grid p113/p200":
+        "cab920055ccbf24793263bf2d63ed7ba6d966d9cc31f4e48f33d9da13a655391",
+    "run cancel_kernel edge p113/p200":
+        "10c55c6d0b25a3f3774dce1275f0096e81c9b29e5a00c79d1b168c17fbffeeff",
+    "trace cancel_kernel edge p113/p200":
+        "cb260b0eb368d8ae8f76bcd328c9d6e65b69c79a842c1f41de0e82c116a32fb7",
+    "run square32 p113/p200":
+        "c8bcff53896da4565f816294b5ee3e430a612ae4009bb535b370ef52c4fa29d2",
+    "trace square32 p113/p200":
+        "c0bd132018c08618fe4c9d375d549565e7f413b5e2760813c4dc1b006cee5146",
+}
+
+
+@pytest.mark.parametrize("name, argv", list(run_commands()))
+def test_run_output_matches_golden_digest(name, argv, run_files, capsys):
+    assert run_digest(argv, run_files, capsys) == RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("pair", ["p24/p200", "p113/p200"])
+@pytest.mark.parametrize("kernel", WORD_KERNELS)
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_word_kernels_below_p53_exit_1(kernel, pair, trace, capsys):
+    argv = ["run", "--kernel", kernel, "--grid=" + GRIDS[kernel]]
+    assert cli.main(argv + PAIRS[pair] + trace) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: word operations need p_orig = 53\n"
