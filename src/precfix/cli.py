@@ -202,6 +202,12 @@ def _emit(args, text):
         fh.write(text)
 
 
+# a row is written at once, its trace included, up to this many samples;
+# a longer trace goes out this many samples at a time, so the text held
+# at once stays bounded
+_TRACE_CHUNK = 256
+
+
 def cmd_run(args):
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
@@ -215,17 +221,22 @@ def cmd_run(args):
         for i, x in enumerate(inputs):
             tr_ = engine.execute(prog, [x], cfg, barriers, i,
                                  "full" if args.trace else "none")
-            out.write("%sinput %s\n  OP: %s\n  HP: %s\n" % (
+            text = "%sinput %s\n  OP: %s\n  HP: %s\n" % (
                 "\n" if i else "", mp.to_sci_string(x, digits),
                 mp.to_sci_string(tr_.result.orig, digits),
                 mp.to_sci_string(tr_.result.shadow,
-                                 corpus.digits_for(cfg.p_shadow))))
+                                 corpus.digits_for(cfg.p_shadow)))
             if args.trace:
-                out.write("\n")
-                for j, sample in enumerate(tr_.samples):
-                    out.write("%s%s" % ("\n\n" if j else "",
-                                        engine.format_sample(sample)))
-                out.write("\n")
+                text += "\n"
+                samples = tr_.samples
+                for j in range(0, len(samples), _TRACE_CHUNK):
+                    text += "\n\n".join(map(engine.format_sample,
+                                            samples[j:j + _TRACE_CHUNK]))
+                    if j + _TRACE_CHUNK < len(samples):
+                        out.write(text + "\n\n")
+                        text = ""
+                text += "\n"
+            out.write(text)
     return 0
 
 

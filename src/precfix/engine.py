@@ -125,15 +125,20 @@ class DualValue:
 
 
 class ErrorSample:
+    """One full-mode sample: both lanes, the absolute error shadow -
+    original at max(p_shadow, 60) bits and the relative error at
+    p_shadow."""
     __slots__ = ("instr_id", "run_index", "dst", "original", "shadow",
-                 "rel_err")
+                 "abs_err", "rel_err")
 
-    def __init__(self, instr_id, run_index, dst, original, shadow, rel_err):
+    def __init__(self, instr_id, run_index, dst, original, shadow, abs_err,
+                 rel_err):
         self.instr_id = instr_id
         self.run_index = run_index
         self.dst = dst
         self.original = original
         self.shadow = shadow
+        self.abs_err = abs_err
         self.rel_err = rel_err
 
 
@@ -333,8 +338,11 @@ def _make_word(h, l, p_s):
 def _full_sample(iid, run_index, dst, o, s, p_s):
     if isinstance(o, float):
         o = mp.from_float(o)
-    return ErrorSample(iid, run_index, dst, o, s,
-                       mp.relative_error(s, o, p_s))
+    p = max(p_s, 60)
+    d = mp.sub(s, o, p)
+    # one subtraction serves both errors unless p_shadow < 60
+    return ErrorSample(iid, run_index, dst, o, s, d,
+                       mp.relative_error(s, o, p_s, d if p == p_s else None))
 
 
 # Expression templates of the float operations: {0} and {1} are operand
@@ -626,32 +634,27 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
     return RunTrace(DualValue(orig, shadow, stale), samples, counts, steps)
 
 
+_SAMPLE = ("%s_id%d\nORIGINAL:       %s\nSHADOW VALUE:   %s\n"
+           "ABSOLUTE ERROR: %s\nRELATIVE ERROR: %s")
+
+
 def format_sample(sample):
     """Render one error sample in the four-line layout used by traces."""
-    shadow = sample.shadow
-    orig = sample.original
-    absdiff = mp.sub(shadow, orig, max(shadow.prec, orig.prec, 60))
-    head = "%s_id%d" % (sample.dst, sample.instr_id)
-    return "\n".join([
-        head,
-        "ORIGINAL:       %s" % _sci15(orig),
-        "SHADOW VALUE:   %s" % _sci15(shadow),
-        "ABSOLUTE ERROR: %s" % _sci15(absdiff),
-        "RELATIVE ERROR: %s" % _sci15(sample.rel_err),
-    ])
+    return _SAMPLE % (sample.dst, sample.instr_id, _sci15(sample.original),
+                      _sci15(sample.shadow), _sci15(sample.abs_err),
+                      _sci15(sample.rel_err))
+
+
+# _sci15 of the other classes, by (class, sign): zeros print unsigned
+_SPECIAL15 = {(mp.NAN, 1): "nan", (mp.NAN, -1): "nan", (mp.INF, 1): "inf",
+              (mp.INF, -1): "-inf", (mp.ZERO, 1): "0.00000000000000 * 10^0",
+              (mp.ZERO, -1): "0.00000000000000 * 10^0"}
 
 
 def _sci15(v):
-    if v.cls == mp.NAN:
-        return "nan"
-    if v.cls == mp.INF:
-        return "inf" if v.sign > 0 else "-inf"
-    if v.cls == mp.ZERO:
-        return "0.00000000000000 * 10^0"
+    """v to 15 significant digits, correctly rounded, as d.ddd * 10^e."""
+    if v.cls != mp.NORMAL:
+        return _SPECIAL15[v.cls, v.sign]
     sign, digits, dexp = mp._decimal_digits(v, 15)
-    s = "-" if sign < 0 else ""
-    return "%s%s.%s * 10^%d" % (s, digits[0], digits[1:], dexp)
-
-
-def format_trace(trace):
-    return "\n\n".join(format_sample(s) for s in trace.samples)
+    return "%s%s.%s * 10^%d" % ("-" if sign < 0 else "", digits[0],
+                                digits[1:], dexp)

@@ -668,11 +668,12 @@ def cmp(a, b):
     return mag * a.sign
 
 
-def relative_error(exact, approx, p_work=120):
+def relative_error(exact, approx, p_work=120, diff=None):
     """|exact - approx| / |exact| with totalizing conventions.
 
     exact == 0 and approx == 0 gives 0; exact == 0 otherwise gives +inf;
     a NaN anywhere gives +inf (the "exceeds every threshold" sentinel).
+    `diff`, when given, is exact - approx already rounded to p_work bits.
     """
     if exact.cls == NAN or approx.cls == NAN:
         return inf(1, p_work)
@@ -684,13 +685,22 @@ def relative_error(exact, approx, p_work=120):
         if approx.cls == ZERO:
             return zero(p_work)
         return inf(1, p_work)
-    d = sub(exact, approx, p_work)
+    d = sub(exact, approx, p_work) if diff is None else diff
     return abs_(div(d, exact, p_work))
 
 
 # ---------------------------------------------------------------------------
 # decimal output
 # ---------------------------------------------------------------------------
+
+_LOG10_2 = math.log10(2)
+# 5**k for every k that printing a value in binary64's range to at most
+# 62 digits takes (k = digits - 1 - d10, -324 <= d10 <= 308), built once
+_POW5_SIZE = 401
+_POW5 = [5**k for k in range(_POW5_SIZE)]
+# digits converted by one str(); below the smallest limit the interpreter
+# accepts for int-to-str conversion (640)
+_STR_DIGITS = 600
 
 
 def _pow5_floor(k, w):
@@ -715,21 +725,23 @@ def _pow5_floor(k, w):
 
 def _round_scaled_exact(m, e, k):
     """m * 2**e * 10**k rounded to an integer, ties to even."""
-    num, den = m, 1
-    if k >= 0:
-        num *= 5**k
-    else:
-        den = 5**-k
-    e2 = e + k
-    if e2 >= 0:
-        num <<= e2
-    else:
-        den <<= -e2
-    n, r = divmod(num, den)
-    r2 = r << 1
-    if r2 > den or (r2 == den and (n & 1)):
-        n += 1
-    return n
+    a = -k if k < 0 else k
+    p5 = _POW5[a] if a < _POW5_SIZE else 5**a
+    e += k
+    if k < 0:
+        # a quotient by 5**-k (times 2**-e): the remainder rounds it
+        num, den = (m << e, p5) if e >= 0 else (m, p5 << -e)
+        n, r = divmod(num, den)
+        r <<= 1
+        return n + 1 if r > den or (r == den and n & 1) else n
+    m *= p5
+    if e >= 0:
+        return m << e
+    # m / 2**-e: the quotient and one more bit, then the bits below them
+    q = m >> (-e - 1)
+    if q & 1 and (q & 2 or m & ((1 << (-e - 1)) - 1)):
+        return (q >> 1) + 1
+    return q >> 1
 
 
 def _pow5_bounds(m, k, w):
@@ -783,18 +795,40 @@ def _round_scaled(m, e, k, digits):
 
 def _decimal_digits(v, digits):
     """(sign, digit string of given length, decimal exponent of first digit)."""
-    # first estimate of floor(log10 |v|), then correct by rescaling
-    d10 = math.floor(v.exp * 0.3010299956639812)
+    m, e = v.mant, v.exp - v.prec + 1
+    # 10**digits
+    top = _POW5[digits] << digits if digits < _POW5_SIZE else 10**digits
+    # _round_scaled goes straight to _round_scaled_exact up to this |k|
+    near = 32 * digits + 512
+    # floor(log10 |v|) or one less: the float error of the logarithm is
+    # far below the margin for every |exp| < 2**31, so the loop only
+    # moves up, and it stops at the first exponent whose rounding has
+    # `digits` digits, the correctly rounded one
+    d10 = math.floor(math.log10(m) + e * _LOG10_2 - 1e-6)
     while True:
-        n = _round_scaled(v.mant, v.exp - v.prec + 1, digits - 1 - d10,
-                          digits)
-        if n >= 10**digits:
+        k = digits - 1 - d10
+        if -near <= k <= near:
+            n = _round_scaled_exact(m, e, k)
+        else:
+            n = _round_scaled(m, e, k, digits)
+        if n >= top:
             d10 += 1
-            continue
-        if n < 10 ** (digits - 1):
+        elif 10 * n < top:
             d10 -= 1
-            continue
-        return v.sign, str(n), d10
+        else:
+            ds = str(n) if digits <= _STR_DIGITS else _digit_string(n, digits)
+            return v.sign, ds, d10
+
+
+def _digit_string(n, width):
+    """0 <= n < 10**width as `width` decimal digits, zero-padded, converted
+    in pieces of at most _STR_DIGITS digits: the interpreter refuses to
+    convert a longer integer at once (4,300 digits by default)."""
+    if width <= _STR_DIGITS:
+        return str(n).zfill(width)
+    half = width // 2
+    hi, lo = divmod(n, 10**half)
+    return _digit_string(hi, width - half) + _digit_string(lo, half)
 
 
 def to_decimal_string(v, digits):

@@ -84,7 +84,7 @@ class TacValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    kind: str  # UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedVariable | UnassignedReturn | DuplicateName | BadName | MissingReturn | BadId | BadLabel
+    kind: str  # BadInstr | UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedVariable | UnassignedReturn | DuplicateName | BadName | MissingReturn | BadId | BadLabel
     instr_id: int  # -1 when not tied to one instruction
     message: str
 
@@ -133,6 +133,9 @@ class TacProgram:
         put("instrs", tuple(self.instrs))
         put("labels", MappingProxyType(dict(self.labels)))
         put("consts", MappingProxyType(dict(self.consts)))
+        diags = _shape_diagnostics(self)
+        if diags:
+            raise TacValidationError(diags)
         types = dict.fromkeys(self.params, "f")
         for instr in self.instrs:
             if instr.dst is not None:
@@ -317,9 +320,66 @@ def control_flow(prog):
     return blocks, reached
 
 
+# the operand tags an operand kind admits; any other kind reads a value
+_OPERAND_TAGS = {"flit": (FLIT,), "ilit": (ILIT,), "label": (LABEL,),
+                 "pred": (PRED,)}
+_PAYLOADS = {VAR: str, FLIT: MPFloat, ILIT: int, LABEL: str, PRED: str}
+
+
+def _operand_fits(kind, operand):
+    """True for a (tag, payload[, text]) operand that an operand of this
+    kind may be: text only on literals, predicates from PREDS."""
+    if not isinstance(operand, tuple) or len(operand) not in (2, 3):
+        return False
+    tag, payload = operand[0], operand[1]
+    if tag not in _OPERAND_TAGS.get(kind, (VAR, FLIT, ILIT)):
+        return False
+    if len(operand) == 3 and not (tag in (FLIT, ILIT)
+                                  and isinstance(operand[2], str)):
+        return False
+    if tag == PRED:
+        return payload in PREDS
+    return isinstance(payload, _PAYLOADS[tag])
+
+
+def _shape_diagnostics(prog):
+    """Each instruction's opcode, destination and operands against the
+    opcode table: what the type table and every other check read."""
+    diags = []
+    for i, instr in enumerate(prog.instrs):
+        op = instr.op
+        spec = OPCODES.get(op) if isinstance(op, str) else None
+        if spec is None:
+            diags.append(Diagnostic("BadInstr", i, "unknown opcode %s"
+                                    % mp.quote(str(op))))
+            continue
+        kinds, dkind = spec
+        dst = instr.dst
+        if dkind is None and dst is not None:
+            diags.append(Diagnostic("BadInstr", i,
+                                    "%s has no destination" % op))
+        elif dkind is not None and not (isinstance(dst, str)
+                                        and _NAME_RE.match(dst)):
+            diags.append(Diagnostic("BadInstr", i, "%s needs a destination "
+                                    "name, got %s" % (op, mp.quote(str(dst)))))
+        srcs = instr.srcs
+        if not isinstance(srcs, tuple) or len(srcs) != len(kinds):
+            diags.append(Diagnostic(
+                "BadInstr", i, "%s expects %d operand(s), got %s"
+                % (op, len(kinds), len(srcs) if isinstance(srcs, tuple)
+                   else "no operand tuple")))
+            continue
+        diags += [Diagnostic("BadInstr", i, "%s operand %d is no %s operand"
+                             % (op, j, kind))
+                  for j, (kind, operand) in enumerate(zip(kinds, srcs))
+                  if not _operand_fits(kind, operand)]
+    return diags
+
+
 def validate(prog):
     """Semantic checks; returns a list of diagnostics (empty when valid).
-    Building a TacProgram runs it."""
+    Building a TacProgram runs it, after checking each instruction's shape
+    against the opcode table."""
     diags = []
     n = len(prog.instrs)
     var_types = prog.types
@@ -343,7 +403,7 @@ def validate(prog):
     misplaced += [Diagnostic("BadLabel", -1, "label %s targets %r, outside "
                              "0..%d" % (mp.quote(label), target, n - 1))
                   for label, target in prog.labels.items()
-                  if not 0 <= target < n]
+                  if not (isinstance(target, int) and 0 <= target < n)]
     diags += misplaced
 
     # pass 1: every assignment agrees with the variable's type

@@ -271,13 +271,15 @@ PRED = {"lt": (-1,), "le": (-1, 0), "gt": (1,), "ge": (0, 1), "eq": (0,),
 
 
 class Sample:
-    __slots__ = ("instr_id", "dst", "original", "shadow", "rel_err")
+    __slots__ = ("instr_id", "dst", "original", "shadow", "abs_err",
+                 "rel_err")
 
-    def __init__(self, instr_id, dst, original, shadow, rel_err):
+    def __init__(self, instr_id, dst, original, shadow, abs_err, rel_err):
         self.instr_id = instr_id
         self.dst = dst
         self.original = original
         self.shadow = shadow
+        self.abs_err = abs_err
         self.rel_err = rel_err
 
 
@@ -421,8 +423,10 @@ class Interp:
                 new = [o, s, stale]
             fl[dst] = new
             o_exact = self.exact(new[0])
-            samples.append(Sample(instr.id, dst, o_exact, new[1],
-                                  relative_error(new[1], o_exact, self.p_s)))
+            samples.append(Sample(
+                instr.id, dst, o_exact, new[1],
+                sub(new[1], o_exact, max(self.p_s, 60)),
+                relative_error(new[1], o_exact, self.p_s)))
 
     def orig_op(self, op, args):
         if self.host:

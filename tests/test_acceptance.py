@@ -212,7 +212,9 @@ def test_criterion_08_engine_invariants(kernels, default_grids):
     x = mp.from_decimal_string("0.45", 53, mp.BINARY64)
     t1 = engine.execute(kernels["exp_kernel"].program, [x], CFG)
     t2 = engine.execute(kernels["exp_kernel"].program, [x], CFG)
-    ok = ok and engine.format_trace(t1) == engine.format_trace(t2)
+    text = [engine.format_sample(s) for s in t1.samples]
+    ok = ok and text and text == [engine.format_sample(s)
+                                  for s in t2.samples]
     _line(8, ok, "p_shadow==p_orig gives all-zero errors; original lane "
                  "is barrier-invariant; runs are deterministic")
 

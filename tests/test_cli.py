@@ -1,11 +1,16 @@
 """Command-line interface tests via main(argv)."""
 
+import io
 import json
+import math
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from precfix import cli, tac
+from precfix import cli, corpus, engine, tac
+from precfix import mpfloat as mp, transcendental as tr
 
 
 def run_cli(capsys, *argv):
@@ -427,3 +432,83 @@ def test_bad_parameter_name_is_exit_1(tmp_path, capsys, params, quoted):
     assert (code, out) == (1, "")
     assert err == "error: BadName(instr -1): parameter %s is not a name\n" \
         % quoted
+
+
+def _lifted_str(n):
+    """str(n) with the interpreter's int-to-str digit limit lifted."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _exact_digits(v, digits):
+    """The first `digits` digits of |v|, rounded half even, and the
+    decimal exponent of the first, from exact rationals."""
+    x = abs(Fraction(v.mant) * Fraction(2) ** (v.exp - v.prec + 1))
+    d10 = math.floor(math.log10(v.to_float()))
+    n = round(x / Fraction(10) ** (d10 - digits + 1))
+    assert 10 ** (digits - 1) <= n < 10**digits
+    return _lifted_str(n), d10
+
+
+def test_run_prints_more_digits_than_int_str_allows(capsys):
+    # HP at p_shadow 20000 has digits_for(20000) = 6022 digits
+    code, out, err = run_cli(capsys, "run", "--kernel", "cancel_kernel",
+                             "--input", "single:1", "--p-orig", "24",
+                             "--p-shadow", "20000", "--p-oracle", "20000",
+                             "--trace")
+    assert (code, err) == (0, "")
+    hp = out.splitlines()[2]
+    shadow = engine.execute(corpus.get_kernel("cancel_kernel").program,
+                            [mp.from_int(1)],
+                            engine.EngineConfig(24, 20000)).result.shadow
+    digits, d10 = _exact_digits(shadow, corpus.digits_for(20000))
+    assert len(digits) == 6022
+    assert hp == "  HP: %s.%se%d" % (digits[0], digits[1:], d10)
+
+
+def test_oracle_prints_more_digits_than_int_str_allows(capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("exp 1\n"))
+    code, out, err = run_cli(capsys, "oracle", "--digits", "5000")
+    assert (code, err) == (0, "")
+    e = tr.derived_fn("exp", [mp.from_int(1, 256)], tr.OracleConfig())
+    digits, d10 = _exact_digits(e, 5000)
+    assert d10 == 0
+    assert out == "%s.%s\n" % (digits[0], digits[1:])
+
+
+@pytest.mark.parametrize("loops", [0, 254, 255, 256, 511, 600])
+def test_trace_rows_of_any_length_join_every_sample(tmp_path, capsys,
+                                                    loops):
+    # 1 + loops samples: a long row is written in pieces (cli._TRACE_CHUNK)
+    # that must join to the same text as one piece
+    src = tmp_path / "loop.tac"
+    src.write_text("func f(x) -> s\n  s = fmov x\n  i = iconst 0\n"
+                   "  c = icmp lt, i, %d\n  branch c, top\n  ret s\n"
+                   "top:\n  s = fadd s, x\n  i = iadd i, 1\n"
+                   "  c = icmp lt, i, %d\n  branch c, top\n  ret s\n"
+                   % (loops, loops))
+    code, out, _ = run_cli(capsys, "run", "--program", str(src), "--input",
+                           "single:0.1", "--p-orig", "24", "--trace")
+    assert code == 0
+    prog = tac.parse_program(src.read_text())
+    samples = engine.execute(prog, [mp.from_decimal_string("0.1", 24)],
+                             engine.EngineConfig(24, 120)).samples
+    assert len(samples) == 1 + loops
+    head = out.split("\n\n", 1)[0] + "\n\n"
+    assert out == head + "\n\n".join(map(engine.format_sample,
+                                          samples)) + "\n"
+
+
+def test_trace_of_a_row_without_float_writes(tmp_path, capsys):
+    src = tmp_path / "id.tac"
+    src.write_text("func f(x) -> x\n  ret x\n")
+    code, out, _ = run_cli(capsys, "run", "--program", str(src), "--input",
+                           "single:2", "--trace")
+    assert code == 0
+    assert out == ("input 2.0000000000000000e0\n  OP: 2.0000000000000000e0\n"
+                   "  HP: 2.0000000000000000000000000000000000000e0\n\n\n")

@@ -263,7 +263,8 @@ top:
 def test_determinism():
     a = run(ROUND, "2.6")
     b = run(ROUND, "2.6")
-    assert engine.format_trace(a) == engine.format_trace(b)
+    text = [engine.format_sample(s) for s in a.samples]
+    assert text and text == [engine.format_sample(s) for s in b.samples]
 
 
 def test_run_batch_collects_failures(monkeypatch):
@@ -417,3 +418,39 @@ def test_a_compiled_program_cannot_be_changed():
         del prog.labels["skip"]
     assert prog.compiled == cached
     assert engine.execute(prog, [dec("-1.0")]).result.orig.to_float() == -2.0
+
+
+def _fields(v):
+    return (v.cls, v.sign, v.exp, v.mant, v.prec)
+
+
+@st.composite
+def lane_pairs(draw):
+    """(original at p_o bits, shadow at p_s bits, p_s), often far apart in
+    magnitude, where shadow - original needs more than p_s bits."""
+    p_o = draw(st.integers(2, 40))
+    p_s = draw(st.integers(p_o + 1, 130))
+
+    def value(p, exps):
+        cls = draw(st.sampled_from([mp.NORMAL] * 6 + [mp.ZERO, mp.INF,
+                                                      mp.NAN]))
+        if cls != mp.NORMAL:
+            return mp.MPFloat(cls, draw(st.sampled_from([1, -1])), 0, 0, p)
+        mant = (1 << (p - 1)) | draw(st.integers(0, (1 << (p - 1)) - 1))
+        return mp.MPFloat(mp.NORMAL, draw(st.sampled_from([1, -1])),
+                          draw(exps), mant, p)
+
+    s = value(p_s, st.integers(-3, 3))
+    o = value(p_o, st.integers(-150, 3))
+    return o, s, p_s
+
+
+@given(lane_pairs())
+@settings(max_examples=1500, deadline=None)
+def test_full_sample_errors_are_the_defined_roundings(case):
+    # the difference is formed once, at max(p_shadow, 60) bits; below 60
+    # bits the relative error still takes shadow - original at p_shadow
+    o, s, p_s = case
+    sample = engine._full_sample(0, 0, "y", o, s, p_s)
+    assert _fields(sample.abs_err) == _fields(mp.sub(s, o, max(p_s, 60)))
+    assert _fields(sample.rel_err) == _fields(mp.relative_error(s, o, p_s))

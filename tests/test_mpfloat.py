@@ -514,6 +514,100 @@ def test_scaled_rounding_paths_agree(v, digits, off, w):
         assert abs(x - math.floor(x) - Fraction(1, 2)) < Fraction(1, 1 << 40)
 
 
+def ref_decimal_digits(v, digits):
+    """_decimal_digits from exact rationals: round half even at the
+    exponent of the leading digit, one exponent up when that carries."""
+    x = abs(Fraction(v.mant) * Fraction(2) ** (v.exp - v.prec + 1))
+    d10 = len(str(math.floor(x))) - 1 if x >= 1 else \
+        -len(str(math.floor(1 / x)))
+    while Fraction(10) ** d10 > x:
+        d10 -= 1
+    while Fraction(10) ** (d10 + 1) <= x:
+        d10 += 1
+    n = round(x / Fraction(10) ** (d10 - digits + 1))  # ties to even
+    if n == 10**digits:
+        n, d10 = n // 10, d10 + 1
+    return v.sign, str(n), d10
+
+
+@st.composite
+def decimal_ties(draw):
+    """(v, digits) with v exactly halfway between two `digits`-digit
+    decimals: v = (n + 1/2) * 10**q with n of `digits` digits."""
+    q = draw(st.integers(-60, 60))
+    c = 2 * draw(st.integers(1, 10**12)) + 1
+    t = c * 5 ** max(0, -q)  # 2n + 1, divisible by 5**-q
+    mant = t * 5**q if q >= 0 else c  # v = mant * 2**(q - 1)
+    prec = max(2, mant.bit_length())
+    v = mp.MPFloat(mp.NORMAL, draw(st.sampled_from([1, -1])),
+                   q - 1 + mant.bit_length() - 1,
+                   mant << (prec - mant.bit_length()), prec)
+    return v, len(str(t // 2))
+
+
+# binary64's normal and subnormal exponents, both ends of its range, and
+# exponents whose k = digits - 1 - d10 lies on either side of the edge of
+# the table of powers of five (|k| = 400)
+PRINT_EXPS = st.one_of(st.integers(-1080, -1015), st.integers(1015, 1030),
+                       st.integers(-1400, -1250), st.integers(1250, 1400),
+                       st.integers(-80, 80))
+
+
+@given(st.one_of(mpmath_ref.mpfloats(200, PRINT_EXPS),
+                 mpmath_ref.mpfloats(53, st.integers(-1074, -1022))),
+       st.integers(1, 62))
+@example(mp.MPFloat(mp.NORMAL, 1, -1, 2, 2), 1)  # 0.5: a tie
+@example(mp.from_float(5e-324), 17)
+@example(mp.from_float(1.7976931348623157e308), 17)
+@settings(max_examples=1500, deadline=None)
+def test_decimal_digits_match_fractions(v, digits):
+    if v.cls == mp.NORMAL:
+        assert mp._decimal_digits(v, digits) == ref_decimal_digits(v, digits)
+
+
+@given(decimal_ties())
+@settings(max_examples=500, deadline=None)
+def test_decimal_digits_round_exact_ties_to_even(case):
+    v, digits = case
+    got = mp._decimal_digits(v, digits)
+    assert got == ref_decimal_digits(v, digits)
+    assert int(got[1][-1]) % 2 == 0 or got[1] == "1" + "0" * (digits - 1)
+
+
+@given(st.integers(1, (1 << 120) - 1), st.integers(-1500, 1500),
+       st.one_of(st.integers(-420, 420), st.integers(380, 420),
+                 st.integers(-420, -380)))
+@example(1, -1, 0)  # 0.5 rounds to 0
+@example(3, -1, 0)  # 1.5 rounds to 2
+@example(5, -1, -1)  # 0.25 rounds to 0
+@settings(max_examples=1500, deadline=None)
+def test_round_scaled_exact_matches_fractions(m, e, k):
+    x = Fraction(m) * Fraction(2) ** e * Fraction(10) ** k
+    assert mp._round_scaled_exact(m, e, k) == round(x)
+
+
+@pytest.mark.parametrize("exp", [146964308, -146964308, 632557226,
+                                 -632557226, 2**31 - 1, -2**31 + 1])
+def test_decimal_digits_just_below_a_power_of_ten(exp):
+    # exp * log10(2) lies within 1e-8 of an integer for these exponents;
+    # v sits 2e-15 below a power of ten, where starting one decimal
+    # exponent too high would accept the 15-digit rounding 10**14
+    import mpmath
+    with mpmath.workprec(600):
+        d = mpmath.ceil(exp * mpmath.log10(2))
+        x = mpmath.mpf(10) ** d * (1 - mpmath.mpf("2e-15"))
+        man, e = mpmath.frexp(x)
+        mant = int(mpmath.floor(man * 2**200))
+        v = mp.MPFloat(mp.NORMAL, 1, e - 1, mant, 200)
+        y = mpmath.mpf(mant) * mpmath.mpf(2) ** (e - 200)
+        d10 = int(mpmath.floor(mpmath.log10(y)))
+        n = int(mpmath.nint(y / mpmath.mpf(10) ** (d10 - 14)))
+    if not -mp._EXP_LIMIT < v.exp < mp._EXP_LIMIT:
+        pytest.skip("past the exponent limit")
+    assert mp._decimal_digits(v, 15) == (1, str(n), d10)
+    assert str(n).startswith("99999999999999")
+
+
 def test_printing_near_the_exponent_limit_is_fast():
     t0 = time.perf_counter()
     for exp in (mp._EXP_LIMIT - 1, -mp._EXP_LIMIT + 1):

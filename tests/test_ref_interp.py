@@ -117,11 +117,12 @@ def check_run(prog, row, cfg, barriers, idx, want):
     assert full.exec_counts == want.exec_counts
     assert full.steps == want.steps == sum(want.exec_counts)
     assert [(x.instr_id, x.run_index, x.dst, key(x.original),
-             x.original.prec, key(x.shadow), x.shadow.prec, key(x.rel_err),
-             x.rel_err.prec) for x in full.samples] \
+             x.original.prec, key(x.shadow), x.shadow.prec, key(x.abs_err),
+             x.abs_err.prec, key(x.rel_err), x.rel_err.prec)
+            for x in full.samples] \
         == [(x.instr_id, idx, x.dst, rkey(x.original), p_o, rkey(x.shadow),
-             cfg.p_shadow, rkey(x.rel_err), cfg.p_shadow)
-            for x in want.samples]
+             cfg.p_shadow, rkey(x.abs_err), max(cfg.p_shadow, 60),
+             rkey(x.rel_err), cfg.p_shadow) for x in want.samples]
     stream = stream_errors(want, cfg)
     got = []
     engine.execute(prog, row, cfg, barriers, idx,

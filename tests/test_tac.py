@@ -1,8 +1,9 @@
 """Parser, validator, and printer tests for the TAC program format."""
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from precfix import tac
+from precfix import engine, tac
 from precfix import mpfloat as mp
 
 SIMPLE = """
@@ -336,6 +337,143 @@ def test_hand_built_ids_and_label_targets_are_diagnostics():
             tac.TacProgram("f", ["x"], body, "y", {"out": target})
         assert [d.kind for d in exc.value.diagnostics] == ["BadLabel"]
         assert "outside 0..1" in str(exc.value)
+
+
+@pytest.mark.parametrize("instr, message", [
+    (tac.TacInstr(0, "bogus", "y", ()), "unknown opcode 'bogus'"),
+    (tac.TacInstr(0, "fadd", "y", ((tac.VAR, "x"),)),
+     "fadd expects 2 operand(s), got 1"),
+    (tac.TacInstr(0, "fadd", "y", ((tac.VAR, "x"), (tac.LABEL, "x"))),
+     "fadd operand 1 is no f operand"),
+    (tac.TacInstr(0, "fconst", "y", ((tac.VAR, "x"),)),
+     "fconst operand 0 is no flit operand"),
+    (tac.TacInstr(0, "fadd", "y", ((tac.VAR, "x"), (tac.FLIT, 1.5))),
+     "fadd operand 1 is no f operand"),
+    (tac.TacInstr(0, "fmov", "y", ((tac.VAR,),)),
+     "fmov operand 0 is no f operand"),
+    (tac.TacInstr(0, "fmov", None, ((tac.VAR, "x"),)),
+     "fmov needs a destination name, got 'None'"),
+    (tac.TacInstr(0, "fmov", "2.5", ((tac.VAR, "x"),)),
+     "fmov needs a destination name, got '2.5'"),
+    (tac.TacInstr(0, "jump", "y", ((tac.LABEL, "out"),)),
+     "jump has no destination"),
+])
+def test_hand_built_instructions_off_the_opcode_table_are_diagnostics(
+        instr, message):
+    # once a KeyError from the type table, or an IndexError when run
+    body = [instr, tac.TacInstr(1, "ret", None, ((tac.VAR, "x"),))]
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.TacProgram("f", ["x"], body, "x", {"out": 1})
+    assert [(d.kind, d.instr_id) for d in exc.value.diagnostics] \
+        == [("BadInstr", 0)]
+    assert message in str(exc.value)
+
+
+def test_label_target_that_is_not_an_integer_is_a_diagnostic():
+    body = [tac.TacInstr(0, "ret", None, ((tac.VAR, "x"),))]
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.TacProgram("f", ["x"], body, "x", {"out": "0"})
+    assert [d.kind for d in exc.value.diagnostics] == ["BadLabel"]
+
+
+_NAMES = ["x", "y", "t", "i", "c"]
+_VALUES = [mp.from_int(3), mp.from_decimal_string("0.1", 300), mp.zero(),
+           mp.inf(-1), mp.nan(), mp.from_hex_string("0x1.8p52")]
+_OPERANDS = st.one_of(
+    st.tuples(st.just(tac.VAR), st.sampled_from(_NAMES)),
+    st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES)),
+    st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES), st.just("1.5")),
+    st.tuples(st.just(tac.ILIT), st.integers(-3, 1 << 65)),
+    st.tuples(st.just(tac.LABEL), st.sampled_from(["a", "b", "zz"])),
+    st.tuples(st.just(tac.PRED), st.sampled_from(tac.PREDS + ("bogus",))),
+    # malformed: no payload, an unknown tag, a payload of the wrong type
+    st.tuples(st.sampled_from([tac.VAR, "bogus"])),
+    st.tuples(st.just("bogus"), st.sampled_from(_NAMES)),
+    st.tuples(st.sampled_from([tac.FLIT, tac.ILIT, tac.VAR]),
+              st.sampled_from([1.5, None, 7])),
+)
+# operands that fit each operand kind, variables typed as their names
+# are assigned below, so that many drawn programs build
+_FLOATS, _INTS = ["x", "y", "t"], ["i", "c"]
+
+
+def _fitting(kind):
+    if kind == "flit":
+        return st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES))
+    if kind == "ilit":
+        return st.tuples(st.just(tac.ILIT), st.integers(-3, 70))
+    if kind == "label":
+        return st.tuples(st.just(tac.LABEL), st.sampled_from(["a", "b"]))
+    if kind == "pred":
+        return st.tuples(st.just(tac.PRED), st.sampled_from(tac.PREDS))
+    if kind == "i":
+        return st.one_of(st.tuples(st.just(tac.VAR), st.sampled_from(_INTS)),
+                         st.tuples(st.just(tac.ILIT), st.integers(-3, 70)),
+                         st.tuples(st.just(tac.ILIT), st.integers(-3, 70)))
+    # mostly the parameter x, which is always assigned
+    return st.one_of(st.tuples(st.just(tac.VAR),
+                               st.sampled_from(["x", "x", "x"] + _FLOATS)),
+                     st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES)))
+
+
+@st.composite
+def hand_built_programs(draw):
+    """(params, instrs, labels) from any opcode, destination, operand
+    tuple, id and label target.  A third of the programs are off the
+    opcode table or misnumbered somewhere; the rest are well-shaped."""
+    bad = draw(st.integers(0, 2)) == 0
+    n = draw(st.integers(1, 7))
+    ops = sorted(tac.OPCODES)
+    instrs = []
+    for pos in range(n):
+        if bad and draw(st.booleans()):
+            op = draw(st.one_of(st.sampled_from(ops),
+                                st.sampled_from(["bogus", "", "FADD"])))
+            dst = draw(st.one_of(st.none(), st.sampled_from(_NAMES),
+                                 st.just("2.5")))
+            srcs = tuple(draw(st.lists(_OPERANDS, max_size=4)))
+            iid = draw(st.one_of(st.just(pos), st.integers(-2, 9)))
+        else:
+            op = draw(st.sampled_from(ops))
+            kinds, dkind = tac.OPCODES[op]
+            dst = None if dkind is None else draw(st.sampled_from(
+                _INTS if dkind == "i" else _FLOATS))
+            srcs = tuple(draw(_fitting(k)) for k in kinds)
+            iid = pos
+        instrs.append(tac.TacInstr(iid, op, dst, srcs))
+    if draw(st.integers(0, 3)):
+        instrs.append(tac.TacInstr(len(instrs), "ret", None,
+                                   (draw(_fitting("f")),)))
+    targets = st.integers(0, len(instrs) - 1)
+    if bad:
+        targets = st.one_of(targets, st.integers(-1, len(instrs)),
+                            st.just("0"))
+    labels = draw(st.dictionaries(st.sampled_from(["a", "b", "zz"]),
+                                  targets, min_size=1, max_size=3))
+    params = ["x"] + draw(st.lists(st.sampled_from(["y", "t"]), max_size=1))
+    return params, instrs, labels
+
+
+@given(hand_built_programs(), st.sampled_from([(24, 60), (53, 120)]),
+       st.sampled_from(["full", "none"]))
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_hand_built_programs_build_and_run_or_fail_cleanly(case, precs,
+                                                           mode):
+    params, instrs, labels = case
+    try:
+        prog = tac.TacProgram("f", params, instrs, "y", labels)
+    except tac.TacValidationError:
+        event("rejected")
+        return
+    event("built")
+    cfg = engine.EngineConfig(*precs, max_steps=500)
+    for x in ("1.5", "-0", "1e300"):
+        try:
+            engine.execute(prog, [mp.from_decimal_string(x, 53)]
+                           * len(params), cfg, sample_mode=mode)
+        except engine.EngineError:
+            event("engine error")
 
 
 def test_parsed_program_cannot_be_changed():
