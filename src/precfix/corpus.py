@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import mpfloat as mp
@@ -271,32 +274,51 @@ def _as_scaled_int(v):
     return v.sign * v.mant, v.exp - v.prec + 1
 
 
-def grid(lo, hi, count, p=53):
+class Grid(Sequence):
     """count points lo + i*(hi-lo)/count for i in [0, count), each the
-    result of a single rounding of the exact rational value to p bits."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    policy = mp.policy_for(p)
-    if isinstance(lo, str):
-        lo = mp.from_decimal_string(lo, 64)
-    if isinstance(hi, str):
-        hi = mp.from_decimal_string(hi, 64)
-    ml, el = _as_scaled_int(lo)
-    mh, eh = _as_scaled_int(hi)
-    e = min(el, eh) if ml and mh else (el if ml else eh)
-    if ml:
-        ml <<= el - e
-    if mh:
-        mh <<= eh - e
-    out = []
-    for i in range(count):
-        num = ml * (count - i) + mh * i
+    result of a single rounding of the exact rational value to p bits.
+    Point i is computed when it is read, so a grid of any count takes the
+    same memory."""
+
+    def __init__(self, lo, hi, count, p=53):
+        if count < 1:
+            raise ValueError("count must be positive")
+        if count > sys.maxsize:
+            raise ValueError("count must be at most %d" % sys.maxsize)
+        if isinstance(lo, str):
+            lo = mp.from_decimal_string(lo, 64)
+        if isinstance(hi, str):
+            hi = mp.from_decimal_string(hi, 64)
+        ml, el = _as_scaled_int(lo)
+        mh, eh = _as_scaled_int(hi)
+        e = min(el, eh) if ml and mh else (el if ml else eh)
+        self._ml = ml << (el - e) if ml else 0
+        self._mh = mh << (eh - e) if mh else 0
+        self._e = e
+        self._count = count
+        self._p = p
+        self._policy = mp.policy_for(p)
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        n = self._count
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(n))]
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("grid index out of range")
+        num = self._ml * (n - i) + self._mh * i
         if num == 0:
-            out.append(mp.zero(p))
-            continue
-        sign = 1 if num > 0 else -1
-        out.append(mp._round_frac(sign, abs(num), count, e, p, policy))
-    return out
+            return mp.zero(self._p)
+        return mp._round_frac(1 if num > 0 else -1, abs(num), n, self._e,
+                              self._p, self._policy)
+
+
+grid = Grid
 
 
 def digits_for(p):

@@ -17,14 +17,11 @@ call `mpfloat._nearest` directly, and fdiv `mpfloat.div`, which rounds two
 normal operands once from one integer division; one call per operation.
 An input that already has p_orig bits inside the normal range is admitted
 without rounding.  A host-float original crosses back to `MPFloat` only
-where a caller or the shadow needs one: `RunTrace.result`,
-`ErrorSample.original`, and the shadow side of barriered and word-write
-instructions.  Stream-mode errors are computed from the host float
-directly and equal the `MPFloat` computation bit for bit.  Lanes too far
-apart for the exact integer difference take a closed form: 1 when the
-original lies below half an ulp of the shadow at p_shadow, else
-|original| / |shadow| rounded once, which a host original far above the
-shadow forms from its own mantissa.
+where a caller or the shadow needs one: `RunTrace.result`, once it is
+read, `ErrorSample.original`, and the shadow side of barriered and
+word-write instructions.  Stream-mode errors are `mpfloat._rel_err_host`'s,
+computed from the host float directly, and equal the `MPFloat`
+computation (`mpfloat._rel_err_float`) bit for bit.
 
 Word-level bit operations (get_hi/get_lo/make_f/set_hi/set_lo) act on the
 binary64 encoding of the original lane, so they need p_orig = 53; every
@@ -57,11 +54,17 @@ host-float expressions for the original lane at p_orig = 53, unbounded
 policy-taking `mpfloat` functions for barrier demotion.
 
 In stream mode each sampled instruction appends its error through a local
-bound once per run: to its buffer in a `detector.ErrorAggregate`, or to a
-caller's sink(instr_id, dst, err) through a `functools.partial`.  Nothing
-else is done per sample.  The generated function counts the run's samples
-per block and notes the count at each block's first entry, from which the
-aggregate places every instruction's first sample in the batch.
+a<id> bound once per run: to its buffer in a `detector.ErrorAggregate`, or
+to a caller's sink(instr_id, dst, err) through a `functools.partial`.
+Nothing else is done per sample.  At p_orig = 53 an unbarriered fadd, fsub,
+fmul or fdiv is one call, `_nearest(s<a>, s<b>, flip, p_shadow, o<k>,
+a<id>)` or `div(s<a>, s<b>, p_shadow, UNBOUNDED, o<k>, a<id>)`: it rounds
+the shadow and appends the host original's error, taken from the fields
+it has just rounded; every other sampled instruction appends
+`_rel_err_host(s<k>, o<k>, p_shadow)`, or `_rel_err_float` of an `MPFloat`
+original.  The generated function counts the run's samples per block and
+notes the count at each block's first entry, from which the aggregate
+places every instruction's first sample in the batch.
 """
 
 from __future__ import annotations
@@ -144,10 +147,19 @@ class ErrorSample:
 
 @dataclass
 class RunTrace:
-    result: DualValue | None
+    lanes: tuple  # (orig, shadow, stale) as the run left them
     samples: list
     exec_counts: list
     steps: int
+
+    @functools.cached_property
+    def result(self):
+        """The result register, its original an MPFloat: a host float
+        converts here, once read."""
+        orig, shadow, stale = self.lanes
+        if isinstance(orig, float):
+            orig = mp.from_float(orig)
+        return DualValue(orig, shadow, stale)
 
 
 def make_dual(value, cfg):
@@ -216,98 +228,6 @@ def _mp_floor(v, p, policy=mp.UNBOUNDED):
     return mp.round_to(mp.floor(v), p, policy)
 
 
-def _rel_err_float(shadow, orig, p_shadow):
-    """Relative error as a host float; inf under the usual conventions.
-    The difference is formed exactly on aligned integer significands, so
-    the only inaccuracy is the final float division."""
-    if shadow.cls == mp.NORMAL and orig.cls == mp.NORMAL:
-        t = (shadow.exp - shadow.prec) - (orig.exp - orig.prec)
-        if -600 < t < 600:
-            if t >= 0:
-                a = shadow.mant << t
-                b = orig.mant
-            else:
-                a = shadow.mant
-                b = orig.mant << -t
-            d = a - b if shadow.sign == orig.sign else a + b
-            if d == 0:
-                return 0.0
-            try:
-                return float(abs(d)) / float(a)
-            except OverflowError:
-                pass  # too wide for a host float: take the quotient below
-    if shadow.cls == mp.NAN or orig.cls == mp.NAN:
-        return math.inf
-    if shadow.cls == mp.INF or orig.cls == mp.INF:
-        if shadow.cls == mp.INF and orig.cls == mp.INF \
-                and shadow.sign == orig.sign:
-            return 0.0
-        return math.inf
-    if shadow.cls == mp.ZERO:
-        return 0.0 if orig.cls == mp.ZERO else math.inf
-    if orig.cls == mp.ZERO:
-        return 1.0
-    # Far apart: a value below half the smaller ulp spacing at p_shadow
-    # around the other, which p_shadow bits represent, leaves the rounded
-    # difference equal to that other value.
-    if shadow.prec <= p_shadow and orig.exp < shadow.exp - p_shadow - 1:
-        return 1.0
-    if orig.prec <= p_shadow and shadow.exp < orig.exp - p_shadow - 1:
-        return _far_quotient(orig.mant, orig.prec, orig.exp, shadow)
-    # exponents or significands beyond host-float range: quotient first
-    d = mp.sub(shadow, orig, p_shadow)
-    if d.cls == mp.ZERO:
-        return 0.0
-    q = abs(mp.div(d, shadow, 53).to_float())
-    return q if q == q else math.inf
-
-
-def _rel_err_host(shadow, orig, p_shadow):
-    """_rel_err_float(shadow, mp.from_float(orig), p_shadow) for a host
-    float `orig`, without building the MPFloat on the common path or when
-    the shadow lies far below the original."""
-    if shadow.cls == mp.NORMAL and orig - orig == 0.0:
-        if not orig:
-            return 1.0
-        f, e = math.frexp(orig)
-        # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
-        t = shadow.exp - shadow.prec + 54 - e
-        if -600 < t < 600:
-            b = int(f * 9007199254740992.0)
-            if t >= 0:
-                a = shadow.mant << t
-            else:
-                a = shadow.mant
-                b <<= -t
-            d = a - b if shadow.sign > 0 else a + b
-            if d == 0:
-                return 0.0
-            try:
-                return float(abs(d)) / float(a)
-            except OverflowError:
-                pass
-        elif p_shadow >= 53 and shadow.exp < e - p_shadow - 2:
-            # _rel_err_float's quotient for a shadow far below orig
-            return _far_quotient(int(abs(f) * 9007199254740992.0), 53, e - 1,
-                                 shadow)
-    return _rel_err_float(shadow, mp.from_float(orig), p_shadow)
-
-
-def _far_quotient(m, prec, exp, shadow):
-    """|orig| / |shadow| rounded once, for an original of prec-bit mantissa
-    m and exponent exp: the mantissa quotient lies in (1/2, 2) once
-    aligned, and int division rounds it correctly."""
-    b = shadow.mant
-    if shadow.prec > prec:
-        m <<= shadow.prec - prec
-    else:
-        b <<= prec - shadow.prec
-    try:
-        return math.ldexp(m / b, exp - shadow.exp)
-    except OverflowError:
-        return math.inf
-
-
 def _put_word(bits, w, hi):
     if hi:
         return (bits & 0xFFFFFFFF) | (w << 32)
@@ -362,6 +282,12 @@ _MP_EXPR = {"fconst": "{0}", "fmov": "{0}",
 # operands rounded to p_orig
 _DEMOTED = {"fadd": "_add", "fsub": "_sub", "fmul": "_mul", "fdiv": "_div",
             "fsqrt": "_sqrt", "ffloor": "_floor"}
+# the shadow in stream mode at p_orig 53: one call rounds it and passes
+# the host original o<k>'s error to instruction {i}'s append a<i>
+_FUSED = {"fadd": "_near({0}, {1}, 1, {p}, o{k}, a{i})",
+          "fsub": "_near({0}, {1}, -1, {p}, o{k}, a{i})",
+          "fmul": "_near({0}, {1}, 0, {p}, o{k}, a{i})",
+          "fdiv": "_div({0}, {1}, {p}, _unb, o{k}, a{i})"}
 _COPIES = ("fconst", "fmov", "fneg", "fabs")  # keep the source's staleness
 # the helpers generated code calls
 _NS = {"_near": mp._nearest, "_add": mp.add, "_sub": mp.sub, "_mul": mp.mul,
@@ -369,7 +295,7 @@ _NS = {"_near": mp._nearest, "_add": mp.add, "_sub": mp.sub, "_mul": mp.mul,
        "_abs": mp.abs_, "_hdiv": _host_div, "_hsqrt": _host_sqrt,
        "_hfloor": _host_floor, "_sample": _full_sample, "_rnd": mp.round_to,
        "_ext": mp.extend, "_fbits": _float_bits, "_setw": _set_word,
-       "_makef": _make_word}
+       "_makef": _make_word, "_unb": mp.UNBOUNDED}
 _WORD_OPS = ("get_hi", "get_lo", "make_f", "set_hi", "set_lo")
 _M = str(_INT_MASK)
 _INT_EXPR = {"iadd": "({0} + {1}) & " + _M, "isub": "({0} - {1}) & " + _M,
@@ -398,7 +324,7 @@ def _compile(prog, cfg, barriers, mode):
     host = p_o == 53
     instrs = prog.instrs
     ns = dict(_NS, _pol=mp.policy_for(p_o),
-              _rel=_rel_err_host if host else _rel_err_float,
+              _rel=mp._rel_err_host if host else mp._rel_err_float,
               _ocmp=_host_cmp if host else mp.cmp)
     ns["_over"] = functools.partial(
         StepBudgetExceeded, "%s exceeded %d steps" % (prog.name,
@@ -440,10 +366,11 @@ def _compile(prog, cfg, barriers, mode):
     # per block, the (instr_id, dst) of each instruction that samples
     block_samples = []
 
-    def emit(iid, k, dst):
+    def emit(iid, k, dst, fused):
         if mode == "stream":
             block_samples[-1].append((iid, dst))
-            return ["a%d(_rel(s%d, o%d, %d))" % (iid, k, k, p_s)]
+            return [] if fused else ["a%d(_rel(s%d, o%d, %d))"
+                                     % (iid, k, k, p_s)]
         if mode == "full":
             return ["sink(_sample(%d, ri, %s, o%d, s%d, %d))"
                     % (iid, bind(dst), k, k, p_s)]
@@ -454,6 +381,7 @@ def _compile(prog, cfg, barriers, mode):
         if op in _WORD_OPS and not host:
             raise EngineError("word operations need p_orig = 53")
         k = regs.get(instr.dst)
+        fused = False
         if op in _MP_EXPR:
             args = [fop(s) for s in srcs]
             s_args = [a[1] for a in args]
@@ -463,6 +391,9 @@ def _compile(prog, cfg, barriers, mode):
                 shadow = "_ext(%s(%s, %d, _pol), %d)" % (
                     _DEMOTED[op], ", ".join("_rnd(%s, %d, _pol)" % (s, p_o)
                                             for s in s_args), p_o, p_s)
+            elif mode == "stream" and host and op in _FUSED:
+                shadow = _FUSED[op].format(*s_args, p=p_s, k=k, i=instr.id)
+                fused = True
             else:
                 shadow = _MP_EXPR[op].format(*s_args, p=p_s)
             out = ["o%d = %s" % (k, orig), "s%d = %s" % (k, shadow)]
@@ -495,7 +426,7 @@ def _compile(prog, cfg, barriers, mode):
                         % (k, fop(x)[0], fop(y)[0], _CMP_PRED[pred])]
             return ["i%d = 1 if %s %s %s else 0"
                     % (k, signed(x), _INT_PRED[pred], signed(y))]
-        return out + emit(instr.id, k, instr.dst)
+        return out + emit(instr.id, k, instr.dst, fused)
 
     # every block is generated, reached or not, so that constants are bound
     # and word ops rejected in program order; only reached blocks are run
@@ -572,15 +503,22 @@ _CACHE_SIZE = 32
 
 
 def _compiled(prog, cfg, barriers, mode):
-    check_barriers(prog, barriers)
+    """The compiled function, from the cache when it is there.  The key
+    holds the config's fields, which hash faster than the config.  The
+    barriers are checked when compiling, and on a hit again unless they
+    are the very set checked then: {True} and {1.0} equal {1}."""
     cache = prog.compiled
-    key = (cfg, barriers, mode)
+    key = (cfg.p_orig, cfg.p_shadow, cfg.max_steps, barriers, mode)
     run = cache.get(key)
     if run is None:
+        check_barriers(prog, barriers)
         run = _compile(prog, cfg, barriers, mode)
+        run.barriers = barriers
         if len(cache) >= _CACHE_SIZE:
             del cache[next(iter(cache))]
         cache[key] = run
+    elif run.barriers is not barriers:
+        check_barriers(prog, barriers)
     return run
 
 
@@ -605,33 +543,32 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
     instruction's buffer, through `tally.sinks(sampled)`, and is told the
     run's counts through `tally.end_run(exec_counts, samples, firsts)`.
     """
-    samples = []
-    if sample_mode == "full" or sample_mode == "none":
-        mode = sample_mode
-    elif callable(sample_mode) or hasattr(sample_mode, "sinks"):
-        mode = "stream"
-    else:
-        raise ValueError("bad sample_mode %r" % (sample_mode,))
-    run = _compiled(prog, cfg, frozenset(barriers), mode)
     if len(inputs) != len(prog.params):
         raise EngineError("%s takes %d input(s), got %d"
                           % (prog.name, len(prog.params), len(inputs)))
-    if mode == "full":
-        sink = samples.append
-    elif mode == "none":
-        sink = None
+    samples = []
+    tally = None
+    if sample_mode == "full" or sample_mode == "none":
+        mode = sample_mode
     elif callable(sample_mode):
+        mode = "stream"
+    elif hasattr(sample_mode, "sinks"):
+        mode, tally = "stream", sample_mode
+    else:
+        raise ValueError("bad sample_mode %r" % (sample_mode,))
+    run = _compiled(prog, cfg, frozenset(barriers), mode)
+    if tally is not None:
+        sink = tally.sinks(run.sampled)
+    elif mode == "stream":
         sink = [functools.partial(sample_mode, iid, dst)
                 for iid, dst, _, _ in run.sampled]
     else:
-        sink = sample_mode.sinks(run.sampled)
+        sink = samples.append if mode == "full" else None
     orig, shadow, stale, steps, counts, taken, firsts = run(
         [make_dual(v, cfg) for v in inputs], sink, run_index)
-    if mode == "stream" and not callable(sample_mode):
-        sample_mode.end_run(counts, taken, firsts)
-    if cfg.p_orig == 53:
-        orig = mp.from_float(orig)
-    return RunTrace(DualValue(orig, shadow, stale), samples, counts, steps)
+    if tally is not None:
+        tally.end_run(counts, taken, firsts)
+    return RunTrace((orig, shadow, stale), samples, counts, steps)
 
 
 _SAMPLE = ("%s_id%d\nORIGINAL:       %s\nSHADOW VALUE:   %s\n"

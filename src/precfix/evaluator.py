@@ -64,8 +64,7 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
     rows = []
     skipped = 0
     for x in inputs:
-        hp_t = eng.execute(prog, [x], engine_cfg, frozenset(),
-                           sample_mode="none")
+        hp_t = eng.execute(prog, [x], engine_cfg, sample_mode="none")
         mp_t = eng.execute(prog, [x], engine_cfg, barriers,
                            sample_mode="none")
         op_v = hp_t.result.orig

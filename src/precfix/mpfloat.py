@@ -12,6 +12,16 @@ one bit (`_sticky`).  `div` of two normal values rounds one integer
 quotient of p + 1 or p + 2 bits inline, its remainder the sticky bit.
 Under BINARY64, decimal literals take the host's correctly rounded parse.
 All values are immutable; every operation returns a fresh value.
+
+The relative error |shadow - original| / |shadow| as a host float, which
+the engine samples in stream mode, is `_rel_err_float` for an MPFloat
+original and `_rel_err_host` for a host-float one; the two agree bit for
+bit.  Lanes too far apart for the exact integer difference take a closed
+form: 1 when the original lies below half an ulp of the shadow at
+p_shadow, else |original| / |shadow| rounded once, which a host original
+far above the shadow forms from its own mantissa.  Given a host original
+and a sink, `_nearest` and `div` pass that error for the value they have
+just rounded, from its fields, without reading them back.
 """
 
 from __future__ import annotations
@@ -136,6 +146,10 @@ class MPFloat:
             return self.sign * math.ldexp(m, self.exp - p + 1)
         except OverflowError:
             return math.inf * self.sign
+
+
+# builds an MPFloat without __init__, its slots then set one by one
+_new = object.__new__
 
 
 def zero(prec=53, sign=1):
@@ -412,11 +426,13 @@ def extend(v, p):
 # ---------------------------------------------------------------------------
 
 
-def _nearest(x, y, flip, p):
+def _nearest(x, y, flip, p, orig=None, put=None):
     """x + y (flip 1), x - y (flip -1) or x * y (flip 0) at p bits, nearest
     even, UNBOUNDED policy.  For two normal operands the exact result is
     formed on integer significands and rounded here; other operand classes
-    go to _special."""
+    go to _special.  Given `put`, the result's relative error against the
+    host float `orig`, as _rel_err_host(result, orig, p) gives it, is
+    passed to put: a normal result's from the rounding's own fields."""
     if x.cls == 1 and y.cls == 1:  # NORMAL
         if flip:
             ex = x.exp - x.prec
@@ -440,31 +456,44 @@ def _nearest(x, y, flip, p):
             if m < 0:
                 sign = -1
                 m = -m
-            if not m:
-                return MPFloat(0, 1, 0, 0, p)  # zero(p)
         else:
             sign = x.sign * y.sign
             m = x.mant * y.mant
             e = x.exp - x.prec + y.exp - y.prec + 2
-        nb = m.bit_length()
-        top = e + nb - 1
-        if nb > p:
-            # q keeps the rounding bit as its lowest bit
-            sh = nb - p - 1
-            q = m >> sh
-            if q & 1 and (q & 2 or m & ((1 << sh) - 1)):
-                q = (q >> 1) + 1
-                if q >> p:
+        if m:
+            nb = m.bit_length()
+            top = e + nb - 1
+            if nb > p:
+                # q keeps the rounding bit as its lowest bit
+                sh = nb - p - 1
+                q = m >> sh
+                if q & 1 and (q & 2 or m & ((1 << sh) - 1)):
+                    q = (q >> 1) + 1
+                    if q >> p:
+                        q >>= 1
+                        top += 1
+                else:
                     q >>= 1
-                    top += 1
             else:
-                q >>= 1
+                q = m << (p - nb)
+            if -_EXP_LIMIT < top < _EXP_LIMIT:
+                v = _new(MPFloat)
+                v.cls = 1
+                v.sign = sign
+                v.exp = top
+                v.mant = q
+                v.prec = p
+                if put is not None:
+                    put(_host_error(sign, top, q, p, orig, p, v))
+                return v
+            v = inf(sign, p) if top > 0 else zero(p, sign)
         else:
-            q = m << (p - nb)
-        if -_EXP_LIMIT < top < _EXP_LIMIT:
-            return MPFloat(1, sign, top, q, p)
-        return inf(sign, p) if top > 0 else zero(p, sign)
-    return _special(x, y, flip, p, UNBOUNDED)
+            v = MPFloat(0, 1, 0, 0, p)  # zero(p)
+    else:
+        v = _special(x, y, flip, p, UNBOUNDED)
+    if put is not None:
+        put(_rel_err_host(v, orig, p))
+    return v
 
 
 def _sticky(x, y, my, ey, p):
@@ -550,7 +579,9 @@ def mul(a, b, p, policy=UNBOUNDED):
     return _bounded(a, b, 0, p, policy)
 
 
-def div(a, b, p, policy=UNBOUNDED):
+def div(a, b, p, policy=UNBOUNDED, orig=None, put=None):
+    """a / b at p bits under the policy; `orig` and `put` as in
+    _nearest."""
     if a.cls == 1 and b.cls == 1 and policy == UNBOUNDED:  # NORMAL
         # the mantissa ratio lies in (2**(na-nb-1), 2**(na-nb+1)), so q has
         # p + 1 or p + 2 bits; the remainder is the sticky bit
@@ -574,7 +605,25 @@ def div(a, b, p, policy=UNBOUNDED):
         else:
             q >>= 1
         if -_EXP_LIMIT < top < _EXP_LIMIT:
-            return MPFloat(1, a.sign * b.sign, top, q, p)
+            sign = a.sign * b.sign
+            v = _new(MPFloat)
+            v.cls = 1
+            v.sign = sign
+            v.exp = top
+            v.mant = q
+            v.prec = p
+            if put is not None:
+                put(_host_error(sign, top, q, p, orig, p, v))
+            return v
+    v = _div_other(a, b, p, policy)
+    if put is not None:
+        put(_rel_err_host(v, orig, p))
+    return v
+
+
+def _div_other(a, b, p, policy):
+    """div of operands that are not both normal, under a bounded policy,
+    or of a quotient past the exponent limit."""
     if a.cls == NAN or b.cls == NAN:
         return nan(p)
     sign = a.sign * b.sign
@@ -687,6 +736,107 @@ def relative_error(exact, approx, p_work=120, diff=None):
         return inf(1, p_work)
     d = sub(exact, approx, p_work) if diff is None else diff
     return abs_(div(d, exact, p_work))
+
+
+def _rel_err_float(shadow, orig, p_shadow):
+    """Relative error as a host float; inf under the usual conventions.
+    The difference is formed exactly on aligned integer significands, so
+    the only inaccuracy is the final float division."""
+    if shadow.cls == NORMAL and orig.cls == NORMAL:
+        t = (shadow.exp - shadow.prec) - (orig.exp - orig.prec)
+        if -600 < t < 600:
+            if t >= 0:
+                a = shadow.mant << t
+                b = orig.mant
+            else:
+                a = shadow.mant
+                b = orig.mant << -t
+            d = a - b if shadow.sign == orig.sign else a + b
+            if d == 0:
+                return 0.0
+            try:
+                return float(abs(d)) / float(a)
+            except OverflowError:
+                pass  # too wide for a host float: take the quotient below
+    if shadow.cls == NAN or orig.cls == NAN:
+        return math.inf
+    if shadow.cls == INF or orig.cls == INF:
+        if shadow.cls == INF and orig.cls == INF \
+                and shadow.sign == orig.sign:
+            return 0.0
+        return math.inf
+    if shadow.cls == ZERO:
+        return 0.0 if orig.cls == ZERO else math.inf
+    if orig.cls == ZERO:
+        return 1.0
+    # Far apart: a value below half the smaller ulp spacing at p_shadow
+    # around the other, which p_shadow bits represent, leaves the rounded
+    # difference equal to that other value.
+    if shadow.prec <= p_shadow and orig.exp < shadow.exp - p_shadow - 1:
+        return 1.0
+    if orig.prec <= p_shadow and shadow.exp < orig.exp - p_shadow - 1:
+        return _far_quotient(orig.mant, orig.prec, orig.exp, shadow)
+    # exponents or significands beyond host-float range: quotient first
+    d = sub(shadow, orig, p_shadow)
+    if d.cls == ZERO:
+        return 0.0
+    q = abs(div(d, shadow, 53).to_float())
+    return q if q == q else math.inf
+
+
+def _rel_err_host(shadow, orig, p_shadow):
+    """_rel_err_float(shadow, from_float(orig), p_shadow) for a host float
+    `orig`, without building the MPFloat on the common path or when the
+    shadow lies far below the original."""
+    if shadow.cls == NORMAL:
+        return _host_error(shadow.sign, shadow.exp, shadow.mant, shadow.prec,
+                           orig, p_shadow, shadow)
+    return _rel_err_float(shadow, from_float(orig), p_shadow)
+
+
+def _host_error(sign, exp, mant, prec, orig, p_shadow, shadow):
+    """_rel_err_host of the normal `shadow`, whose fields the caller has at
+    hand: sign, exp, mant and prec."""
+    if orig - orig == 0.0:
+        if not orig:
+            return 1.0
+        f, e = math.frexp(orig)
+        # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
+        t = exp - prec + 54 - e
+        if -600 < t < 600:
+            b = int(f * 9007199254740992.0)
+            if t >= 0:
+                a = mant << t
+            else:
+                a = mant
+                b <<= -t
+            d = a - b if sign > 0 else a + b
+            if d == 0:
+                return 0.0
+            try:
+                return float(abs(d)) / float(a)
+            except OverflowError:
+                pass
+        elif p_shadow >= 53 and exp < e - p_shadow - 2:
+            # _rel_err_float's quotient for a shadow far below orig
+            return _far_quotient(int(abs(f) * 9007199254740992.0), 53, e - 1,
+                                 shadow)
+    return _rel_err_float(shadow, from_float(orig), p_shadow)
+
+
+def _far_quotient(m, prec, exp, shadow):
+    """|orig| / |shadow| rounded once, for an original of prec-bit mantissa
+    m and exponent exp: the mantissa quotient lies in (1/2, 2) once
+    aligned, and int division rounds it correctly."""
+    b = shadow.mant
+    if shadow.prec > prec:
+        m <<= shadow.prec - prec
+    else:
+        b <<= prec - shadow.prec
+    try:
+        return math.ldexp(m / b, exp - shadow.exp)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,17 @@ def test_bad_grid_is_exit_1(capsys):
     assert code == 1
 
 
+def test_grid_past_the_largest_length_is_exit_1(capsys):
+    # 10**20 points cannot be a sequence's length; the grid is rejected
+    # before any run, and without building a point
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "detect", "--kernel", "round_kernel",
+                             "--grid=1,2,100000000000000000000")
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad grid: count must be at most")
+
+
 def test_barriers_out_of_range_is_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--kernel", "round_kernel",
                            "--input", "single:1.0", "--barriers", "99")

@@ -1,5 +1,7 @@
 """Kernel corpus and input-grid tests."""
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from precfix import tac, corpus
 from precfix import mpfloat as mp
+from mpmath_ref import fields
 
 
 def test_all_kernels_parse_and_validate():
@@ -72,6 +75,44 @@ def test_grid_respects_precision():
 def test_grid_validation():
     with pytest.raises(ValueError):
         corpus.grid("0", "1", 0)
+    with pytest.raises(ValueError):
+        corpus.grid("0", "1", sys.maxsize + 1)
+
+
+def exact_point(lo, hi, count, i, p=53):
+    """lo + i*(hi-lo)/count rounded once to p bits, from Fractions."""
+    exact = Fraction(lo) + i * (Fraction(hi) - Fraction(lo)) / count
+    if exact == 0:
+        return mp.zero(p)
+    return mp._round_frac(-1 if exact < 0 else 1, abs(exact.numerator),
+                          exact.denominator, 0, p, mp.policy_for(p))
+
+
+def test_grid_points_are_computed_when_read():
+    count = 10**18
+    t0 = time.perf_counter()
+    g = corpus.grid("1", "2", count)
+    assert len(g) == count
+    for i in (0, 10**17, count - 1):
+        assert fields(g[i]) == fields(exact_point(1, 2, count, i))
+    assert fields(g[-1]) == fields(g[count - 1])
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(IndexError):
+        g[count]
+    with pytest.raises(IndexError):
+        g[-count - 1]
+
+
+def test_grid_is_a_sequence():
+    g = corpus.grid("-3", "5", 9, 24)
+    pts = list(g)
+    assert len(pts) == 9
+    assert [fields(v) for v in g[2:7:2]] \
+        == [fields(v) for v in pts[2:7:2]]
+    assert [fields(v) for v in reversed(g)] \
+        == [fields(v) for v in reversed(pts)]
+    assert all(fields(v) == fields(exact_point(-3, 5, 9, i, 24))
+               for i, v in enumerate(pts))
 
 
 def test_digits_for():

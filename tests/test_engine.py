@@ -293,6 +293,15 @@ def test_input_arity_checked():
         engine.execute(prog, [], CFG)
 
 
+def test_wrong_arity_is_rejected_before_compiling():
+    prog = tac.parse_program(ROUND)
+    for mode in ("full", "none", detector.ErrorAggregate(prog.name)):
+        with pytest.raises(engine.EngineError, match="takes 1 input"):
+            engine.execute(prog, [dec("1.0"), dec("2.0")], CFG,
+                           sample_mode=mode)
+    assert prog.compiled == {}
+
+
 def test_trace_format_layout():
     tr = run(ROUND, "2.6")
     text = engine.format_sample(tr.samples[-1])
@@ -378,6 +387,33 @@ def test_barriers_are_checked_on_a_cache_hit():
     for bad in ({True}, {1.0}):
         with pytest.raises(engine.BadBarrier):
             engine.execute(prog, [dec("2.6")], barriers=bad)
+
+
+def test_bad_barriers_raise_on_every_call():
+    prog = tac.parse_program(ROUND)
+    good = frozenset({1})
+    engine.execute(prog, [dec("2.6")], CFG, good, sample_mode="none")
+    compiled = dict(prog.compiled)
+    for _ in range(3):
+        for bad in (frozenset({True}), frozenset({1.0}), frozenset({7})):
+            with pytest.raises(engine.BadBarrier):
+                engine.execute(prog, [dec("2.6")], CFG, bad,
+                               sample_mode="none")
+    # the bad sets compiled nothing, and an equal good set still runs
+    assert prog.compiled == compiled
+    tr = engine.execute(prog, [dec("2.6")], CFG, frozenset({1}),
+                        sample_mode="none")
+    assert tr.result.orig.to_float() == 3.0
+
+
+def test_result_converts_once_read():
+    prog = tac.parse_program(ROUND)
+    tr = engine.execute(prog, [dec("2.6")], CFG, sample_mode="none")
+    assert tr.lanes[0] == 3.0 and isinstance(tr.lanes[0], float)
+    assert "result" not in vars(tr)
+    assert tr.result is tr.result
+    assert tr.result.orig == mp.from_float(3.0)
+    assert tr.result.shadow is tr.lanes[1]
 
 
 SKIP = """

@@ -250,8 +250,8 @@ def lane_pairs(draw):
 @settings(max_examples=1500, deadline=None)
 def test_host_error_matches_mpfloat_error(pair):
     shadow, x, p_s = pair
-    got = engine._rel_err_host(shadow, x, p_s)
-    want = engine._rel_err_float(shadow, mp.from_float(x), p_s)
+    got = mp._rel_err_host(shadow, x, p_s)
+    want = mp._rel_err_float(shadow, mp.from_float(x), p_s)
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
@@ -293,7 +293,7 @@ def _close(got, want):
 @settings(max_examples=600, deadline=None)
 def test_float_error_matches_relative_error(pair):
     shadow, orig, p_s = pair
-    got = engine._rel_err_float(shadow, orig, p_s)
+    got = mp._rel_err_float(shadow, orig, p_s)
     assert _close(got, _relative_error(shadow, orig)), got
 
 
@@ -301,7 +301,7 @@ def test_float_error_matches_relative_error(pair):
 @settings(max_examples=600, deadline=None)
 def test_host_error_matches_relative_error(pair):
     shadow, x, p_s = pair
-    got = engine._rel_err_host(shadow, x, p_s)
+    got = mp._rel_err_host(shadow, x, p_s)
     assert _close(got, _relative_error(shadow, mp.from_float(x))), got
 
 
@@ -364,10 +364,10 @@ def far_pairs(draw):
 def test_far_apart_errors_match_the_quotient(pair):
     shadow, orig, p_s = pair
     want = struct.pack("<d", _quotient_error(shadow, orig, p_s))
-    assert struct.pack("<d", engine._rel_err_float(shadow, orig, p_s)) \
+    assert struct.pack("<d", mp._rel_err_float(shadow, orig, p_s)) \
         == want
     if orig.prec == 53 and -1022 <= orig.exp <= 1023:
-        assert struct.pack("<d", engine._rel_err_host(
+        assert struct.pack("<d", mp._rel_err_host(
             shadow, orig.to_float(), p_s)) == want
 
 
@@ -407,9 +407,9 @@ def test_host_error_of_a_shadow_far_below(pair):
     shadow, x, p_s = pair
     orig = mp.from_float(x)
     assert (shadow.exp - shadow.prec) - (orig.exp - orig.prec) <= -600
-    got = engine._rel_err_host(shadow, x, p_s)
+    got = mp._rel_err_host(shadow, x, p_s)
     assert struct.pack("<d", got) == struct.pack(
-        "<d", engine._rel_err_float(shadow, orig, p_s))
+        "<d", mp._rel_err_float(shadow, orig, p_s))
     assert _close(got, _relative_error(shadow, orig)), got
     if shadow.exp < orig.exp - p_s - 1:
         # past the guard: |orig| / |shadow| rounded once
@@ -428,8 +428,97 @@ def test_rel_err_float_wide_shadow_takes_exact_fallback():
     orig = mp.from_float(1.5)
     big = mp.extend(orig, 1100)
     shadow = mp.MPFloat(mp.NORMAL, 1, big.exp + 500, big.mant, 1100)
-    assert engine._rel_err_float(shadow, orig, 1100) == 1.0
-    assert engine._rel_err_host(shadow, 1.5, 1100) == 1.0
+    assert mp._rel_err_float(shadow, orig, 1100) == 1.0
+    assert mp._rel_err_host(shadow, 1.5, 1100) == 1.0
+
+
+# -- the fused shadow calls of stream mode at p_orig = 53 --------------------
+
+FLIPS = {"add": 1, "sub": -1, "mul": 0}
+
+
+def fused(op, a, b, p, orig=None, put=None):
+    """The shadow call of `op`; with `put`, the fused one the engine
+    generates in stream mode at p_orig = 53."""
+    if op == "div":
+        return mp.div(a, b, p, mp.UNBOUNDED, orig, put)
+    return mp._nearest(a, b, FLIPS[op], p, orig, put)
+
+
+@st.composite
+def fused_cases(draw):
+    """(op, p_shadow, a, b, host original): operands as mpmath_ref.cases
+    draws them (every class, near-cancelling, at either end of the
+    exponent range, far apart) or an exact-zero sum, at p_shadow 53 or
+    1100; the original near the unfused result, at any binary64 exponent
+    (far above or below it), subnormal, or any encoding."""
+    p = draw(st.sampled_from([53, 1100]))
+    op, _, a, b = draw(mpmath_ref.cases(["add", "sub", "mul", "div"], p, p))
+    if a.cls == mp.NORMAL and draw(st.integers(0, 7)) == 0:
+        op = draw(st.sampled_from(["add", "sub"]))
+        b = mp.neg(a) if op == "add" else a  # x + (-x), x - x
+    want = fused(op, a, b, p)
+    kind = draw(st.sampled_from(["near", "far", "subnormal", "any"]))
+    if kind == "subnormal":
+        return op, p, a, b, float_of(draw(st.integers(0, 1)) << 63
+                                     | draw(st.integers(1, (1 << 52) - 1)))
+    if kind == "any" or want.cls != mp.NORMAL:
+        return op, p, a, b, float_of(draw(b64_bits))
+    m = want.mant >> (want.prec - 53) if want.prec >= 53 \
+        else want.mant << (53 - want.prec)
+    e = want.exp if kind == "near" else draw(st.integers(-1074, 1023))
+    try:
+        x = math.ldexp(m + draw(st.integers(-2, 2)), e - 52)
+    except OverflowError:
+        x = math.inf
+    return op, p, a, b, x if want.sign > 0 else -x
+
+
+def check_fused(op, p, a, b, x):
+    """The fused call's result equals the unfused one field for field, and
+    it passes one error, mp._rel_err_host's of that result bit for bit."""
+    want = fused(op, a, b, p)
+    got = []
+    assert fields(fused(op, a, b, p, x, got.append)) == fields(want)
+    assert [struct.pack("<d", e) for e in got] \
+        == [struct.pack("<d", mp._rel_err_host(want, x, p))]
+    return got[0]
+
+
+@given(fused_cases())
+@settings(max_examples=2000, deadline=None)
+def test_fused_calls_match_the_unfused_ones(case):
+    check_fused(*case)
+
+
+def test_fused_calls_on_the_edges():
+    w = mp.extend(mp.from_float(1.5), 120)
+    top = mp.MPFloat(mp.NORMAL, 1, mp._EXP_LIMIT // 2 + 1, 1 << 119, 120)
+    low = mp.MPFloat(mp.NORMAL, 1, -mp._EXP_LIMIT // 2 - 1, 1 << 119, 120)
+    nz = mp.zero(120, -1)
+    for p in (53, 120, 1100):
+        # an exact-zero sum still passes its error
+        assert check_fused("add", p, w, mp.neg(w), 0.0) == 0.0
+        assert check_fused("sub", p, w, w, -0.0) == 0.0
+        assert check_fused("sub", p, w, w, 1.0) == math.inf
+        assert check_fused("add", p, nz, nz, -0.0) == 0.0
+        # specials
+        assert check_fused("add", p, mp.inf(1, 120), w, math.inf) == 0.0
+        assert check_fused("sub", p, mp.inf(1, 120), mp.inf(1, 120),
+                           math.nan) == math.inf
+        assert check_fused("div", p, w, mp.zero(120), math.inf) == 0.0
+        assert check_fused("mul", p, mp.nan(120), w, 1.0) == math.inf
+        # past the exponent limit: infinity and zero
+        assert check_fused("mul", p, top, top, math.inf) == 0.0
+        assert check_fused("mul", p, low, low, 0.0) == 0.0
+        assert check_fused("div", p, top, low, 1.0) == math.inf
+        assert check_fused("div", p, low, top, 5e-324) == math.inf
+        # lanes far apart, on either side, and subnormal originals
+        assert check_fused("mul", p, w, w, 1e300) == 1e300 / 2.25
+        assert check_fused("mul", p, w, w, 1e-300) == 1.0
+        assert check_fused("add", p, w, w, 5e-324) == 1.0
+        check_fused("mul", p, low, top, 5e-324)
+        check_fused("div", p, w, mp.extend(mp.from_float(3.0), 120), 0.5)
 
 
 # -- whole programs ---------------------------------------------------------
@@ -444,7 +533,7 @@ def test_stream_errors_follow_full_mode_on_kernels(name):
         got = []
         engine.execute(prog, [x], CFG,
                        sample_mode=lambda i, d, e: got.append(e))
-        want = [engine._rel_err_float(s.shadow, s.original, 120)
+        want = [mp._rel_err_float(s.shadow, s.original, 120)
                 for s in full.samples]
         assert got == want
         assert all(isinstance(s.original, mp.MPFloat) for s in full.samples)

@@ -163,7 +163,7 @@ def test_random_programs(case):
         got = []
         _run(prog, row, CFG, mode=lambda i, d, e: got.append((i, d, e)))
         assert got == [(s.instr_id, s.dst,
-                        engine._rel_err_float(s.shadow, s.original, 120))
+                        mp._rel_err_float(s.shadow, s.original, 120))
                        for s in t.samples]
 
 

@@ -1,7 +1,7 @@
 """The engine against the reference interpreter of ref_interp.py.
 
 Random programs from test_programs' generator run in both, with random
-barriers, p_orig in {24, 53} and p_shadow up to 400.  Result lanes,
+barriers, p_orig in {24, 53} and p_shadow from p_orig up to 400.  Result lanes,
 staleness, exec counts, steps and every full-mode sample field must agree;
 the stream errors, through a callable sink and through the aggregate that
 `detector.collect` fills from the generated code, must be the engine's
@@ -53,7 +53,7 @@ def stream_errors(run, cfg):
     """(instr_id, dst, err) of the reference's samples, err as the
     engine's stream mode computes it from the two lanes."""
     p_o = 53 if cfg.p_orig == 53 else cfg.p_orig
-    return [(s.instr_id, s.dst, engine._rel_err_float(
+    return [(s.instr_id, s.dst, mp._rel_err_float(
         to_mpfloat(s.shadow, cfg.p_shadow), to_mpfloat(s.original, p_o),
         cfg.p_shadow)) for s in run.samples]
 
@@ -95,7 +95,7 @@ def fused_aggregate(agg):
 def ref_cases(draw):
     prog = tac.parse_program(draw(programs()))
     p_o = draw(st.sampled_from([24, 53]))
-    p_s = draw(st.one_of(st.just(120), st.integers(p_o, 400)))
+    p_s = draw(st.one_of(st.just(120), st.just(p_o), st.integers(p_o, 400)))
     fixable = [i.id for i in prog.instrs if i.dst is not None]
     barriers = frozenset(draw(st.lists(st.sampled_from(fixable),
                                        max_size=3)))
@@ -219,3 +219,26 @@ def test_staleness_follows_reference(barriers):
     rows = [[mp.from_float(x)] for x in (1.0, 0.0, -1.5, 6.0, 5e-324,
                                          math.inf, math.nan)]
     check_batch(prog, engine.EngineConfig(), barriers, rows)
+
+
+# exact-zero sums and differences, whose shadow is zero, and the products
+# and quotients of such a zero; signed zeros, specials and subnormals in
+CANCEL = """
+func f(x) -> y
+  z = fsub x, x
+  n = fneg x
+  s = fadd x, n
+  m = fmul z, x
+  q = fdiv s, x
+  y = fadd m, q
+  ret y
+"""
+
+
+@pytest.mark.parametrize("p_o, p_s", [(53, 53), (53, 120), (24, 200)])
+@pytest.mark.parametrize("barriers", [frozenset(), frozenset({0, 4})])
+def test_exact_zero_sums_follow_reference(p_o, p_s, barriers):
+    prog = tac.parse_program(CANCEL)
+    rows = [[mp.from_float(x)] for x in (1.0, -2.5, 0.0, -0.0, 5e-324,
+                                         1e300, math.inf, math.nan)]
+    check_batch(prog, engine.EngineConfig(p_o, p_s), barriers, rows)
