@@ -156,9 +156,11 @@ def test_bad_grid_is_exit_1(capsys):
     assert code == 1
 
 
-def test_grid_past_the_largest_length_is_exit_1(capsys):
+def test_grid_past_the_largest_length_is_exit_1(capsys, monkeypatch):
     # 10**20 points cannot be a sequence's length; the grid is rejected
-    # before any run, and without building a point
+    # before any run, and without computing a point
+    monkeypatch.setattr(corpus.Grid, "__getitem__",
+                        lambda self, i: pytest.fail("a point was computed"))
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "detect", "--kernel", "round_kernel",
                              "--grid=1,2,100000000000000000000")
