@@ -286,6 +286,9 @@ def cmd_eval(args):
     inputs = _load_inputs(args, kernel, cfg.p_orig)
     if args.auto_fix:
         det = _det_cfg(args)
+        if kernel.oracle_fn is None:  # before the fixer, not after it
+            raise CliError("kernel %s has no reference function"
+                           % kernel.name)
         barriers = detector.fix_iteratively(prog, inputs, cfg, det).barriers
     else:
         barriers = _parse_barriers(args.barriers, prog)

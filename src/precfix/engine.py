@@ -18,10 +18,10 @@ normal operands once from one integer division; one call per operation.
 An input that already has p_orig bits inside the normal range is admitted
 without rounding.  A host-float original crosses back to `MPFloat` only
 where a caller or the shadow needs one: `RunTrace.result`, once it is
-read, `ErrorSample.original`, and the shadow side of barriered and
-word-write instructions.  Stream-mode errors are `mpfloat._rel_err_host`'s,
-computed from the host float directly, and equal the `MPFloat`
-computation (`mpfloat._rel_err_float`) bit for bit.
+read, `ErrorSample.original`, and the shadow side of word writes.
+Stream-mode errors are `mpfloat._rel_err_host`'s, computed from the host
+float directly, and equal the `MPFloat` computation
+(`mpfloat._rel_err_float`) bit for bit.
 
 Word-level bit operations (get_hi/get_lo/make_f/set_hi/set_lo) act on the
 binary64 encoding of the original lane, so they need p_orig = 53; every
@@ -31,9 +31,12 @@ and marked stale; the exception is a source whose shadow still equals its
 original value exactly, where the write is replayed cleanly on the shadow
 too.
 
-Precision barriers demote an instruction's shadow computation: operands
-are rounded down to p_orig, the operation runs at p_orig, and the result
-is carried back up exactly.
+Precision barriers demote a rounding instruction's shadow: it is the
+original lane's own expression on the shadow operands rounded to p_orig,
+its result extended exactly to p_shadow.  At p_orig = 53 the operands
+are rounded by `MPFloat.to_float`, so the demoted operation is host IEEE
+arithmetic.  A barriered set_hi or set_lo writes its word into the
+shadow rounded to binary64.
 
 Programs are compiled once per (program, config, barriers, sampling mode)
 into one generated Python function, kept in a bounded cache on the program.
@@ -48,10 +51,10 @@ function's namespace; no text of the program reaches the generated
 source.  The reachable basic blocks are dispatched by a balanced `if`
 tree on the block index inside one loop; exec counts are kept per
 block and the step budget is checked once per block, against its length.
-Each float operation is emitted from one of three expression tables:
-host-float expressions for the original lane at p_orig = 53, unbounded
-`mpfloat` calls for the shadow and the `MPFloat` original lane, and
-policy-taking `mpfloat` functions for barrier demotion.
+Each float operation is emitted from two expression tables: host-float
+expressions for the original lane at p_orig = 53, and unbounded `mpfloat`
+calls for the shadow and the `MPFloat` original lane.  A demoted shadow
+takes the original lane's table.
 
 In stream mode each sampled instruction appends its error through a local
 a<id> bound once per run: to its buffer in a `detector.ErrorAggregate`, or
@@ -222,10 +225,10 @@ def _host_cmp(a, b):
     return None
 
 
-def _mp_floor(v, p, policy=mp.UNBOUNDED):
+def _mp_floor(v, p):
     if v.cls == mp.INF or v.cls == mp.NAN:
         raise NonFiniteFloor("floor needs a finite value")
-    return mp.round_to(mp.floor(v), p, policy)
+    return mp.round_to(mp.floor(v), p)
 
 
 def _put_word(bits, w, hi):
@@ -240,8 +243,7 @@ def _set_word(o, s, stale, w, hi, barrier, p_s):
     w &= 0xFFFFFFFF
     bits = _put_word(_float_bits(o), w, hi)
     if barrier:
-        sbits = _put_word(mp.to_binary64_bits(
-            mp.round_to(s, 53, mp.BINARY64)), w, hi)
+        sbits = _put_word(_float_bits(s.to_float()), w, hi)
         return (_bits_float(bits),
                 mp.extend(mp.from_binary64_bits(sbits), p_s), False)
     if not stale and mp.cmp(s, mp.from_float(o)) == 0:
@@ -278,10 +280,10 @@ _MP_EXPR = {"fconst": "{0}", "fmov": "{0}",
             "fmul": "_near({0}, {1}, 0, {p})", "fdiv": "_div({0}, {1}, {p})",
             "fsqrt": "_sqrt({0}, {p})", "ffloor": "_floor({0}, {p})",
             "fneg": "_neg({0})", "fabs": "_abs({0})"}
-# the shadow of a barriered instruction: f(operands..., p_orig, _pol) on
-# operands rounded to p_orig
-_DEMOTED = {"fadd": "_add", "fsub": "_sub", "fmul": "_mul", "fdiv": "_div",
-            "fsqrt": "_sqrt", "ffloor": "_floor"}
+# the rounding operations, whose shadow a barrier demotes: the original
+# lane's own expression on the shadow operands rounded to p_orig, host
+# floats (_tf) at p_orig 53, the result extended to p_shadow
+_DEMOTED = ("fadd", "fsub", "fmul", "fdiv", "fsqrt", "ffloor")
 # the shadow in stream mode at p_orig 53: one call rounds it and passes
 # the host original o<k>'s error to instruction {i}'s append a<i>
 _FUSED = {"fadd": "_near({0}, {1}, 1, {p}, o{k}, a{i})",
@@ -290,12 +292,13 @@ _FUSED = {"fadd": "_near({0}, {1}, 1, {p}, o{k}, a{i})",
           "fdiv": "_div({0}, {1}, {p}, _unb, o{k}, a{i})"}
 _COPIES = ("fconst", "fmov", "fneg", "fabs")  # keep the source's staleness
 # the helpers generated code calls
-_NS = {"_near": mp._nearest, "_add": mp.add, "_sub": mp.sub, "_mul": mp.mul,
-       "_div": mp.div, "_sqrt": mp.sqrt, "_floor": _mp_floor, "_neg": mp.neg,
-       "_abs": mp.abs_, "_hdiv": _host_div, "_hsqrt": _host_sqrt,
-       "_hfloor": _host_floor, "_sample": _full_sample, "_rnd": mp.round_to,
-       "_ext": mp.extend, "_fbits": _float_bits, "_setw": _set_word,
-       "_makef": _make_word, "_unb": mp.UNBOUNDED}
+_NS = {"_near": mp._nearest, "_div": mp.div, "_sqrt": mp.sqrt,
+       "_floor": _mp_floor, "_neg": mp.neg, "_abs": mp.abs_,
+       "_hdiv": _host_div, "_hsqrt": _host_sqrt, "_hfloor": _host_floor,
+       "_sample": _full_sample, "_rnd": mp.round_to, "_ext": mp.extend,
+       "_fbits": _float_bits, "_setw": _set_word, "_makef": _make_word,
+       "_unb": mp.UNBOUNDED, "_tf": mp.MPFloat.to_float,
+       "_ff": mp.from_float}
 _WORD_OPS = ("get_hi", "get_lo", "make_f", "set_hi", "set_lo")
 _M = str(_INT_MASK)
 _INT_EXPR = {"iadd": "({0} + {1}) & " + _M, "isub": "({0} - {1}) & " + _M,
@@ -323,8 +326,7 @@ def _compile(prog, cfg, barriers, mode):
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
-    ns = dict(_NS, _pol=mp.policy_for(p_o),
-              _rel=mp._rel_err_host if host else mp._rel_err_float,
+    ns = dict(_NS, _rel=mp._rel_err_host if host else mp._rel_err_float,
               _ocmp=_host_cmp if host else mp.cmp)
     ns["_over"] = functools.partial(
         StepBudgetExceeded, "%s exceeded %d steps" % (prog.name,
@@ -385,12 +387,14 @@ def _compile(prog, cfg, barriers, mode):
         if op in _MP_EXPR:
             args = [fop(s) for s in srcs]
             s_args = [a[1] for a in args]
-            orig = (_HOST_EXPR if host else _MP_EXPR)[op].format(
-                *[a[0] for a in args], p=p_o)
+            table = _HOST_EXPR if host else _MP_EXPR
+            orig = table[op].format(*[a[0] for a in args], p=p_o)
             if op in _DEMOTED and instr.id in barriers:
-                shadow = "_ext(%s(%s, %d, _pol), %d)" % (
-                    _DEMOTED[op], ", ".join("_rnd(%s, %d, _pol)" % (s, p_o)
-                                            for s in s_args), p_o, p_s)
+                low = table[op].format(*[
+                    "_tf(%s)" % s if host else "_rnd(%s, %d)" % (s, p_o)
+                    for s in s_args], p=p_o)
+                shadow = "_ext(%s, %d)" % ("_ff(%s)" % low if host else low,
+                                           p_s)
             elif mode == "stream" and host and op in _FUSED:
                 shadow = _FUSED[op].format(*s_args, p=p_s, k=k, i=instr.id)
                 fused = True

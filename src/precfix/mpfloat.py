@@ -5,6 +5,11 @@ number equals sign * mantissa * 2**(exponent - precision + 1) and the
 mantissa has exactly `precision` bits with the top bit set.  Two exponent
 policies exist: UNBOUNDED (exponent limited only by sanity bounds) and
 BINARY64 (IEEE double range: subnormal rounding, overflow to infinity).
+One rounding rule serves both: `_round` rounds an exact sign * m * 2**e
+nearest-even to p bits, its last kept bit raised to 2**-1074 under
+BINARY64, then applies the policy's overflow and underflow limits.  Every
+rounding goes through it but the two inline hot paths below;
+`MPFloat.to_float` is its binary64 rounding as a host float.
 Under UNBOUNDED, add, sub and mul of two normal values round their exact
 integer result inline in `_nearest`, which the engine also calls directly;
 an addend too far below the other to count beyond its sign stands in as
@@ -98,9 +103,6 @@ class MPFloat:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_nan(self):
-        return self.cls == NAN
-
     def is_finite(self):
         return self.cls == ZERO or self.cls == NORMAL
 
@@ -129,23 +131,17 @@ class MPFloat:
         return "MPFloat(%s @%d)" % (to_sci_string(self, 20), self.prec)
 
     def to_float(self):
-        """Nearest python float; inf on overflow. For diagnostics only."""
-        if self.cls == ZERO:
-            return -0.0 if self.sign < 0 else 0.0
-        if self.cls == INF:
-            return math.inf * self.sign
-        if self.cls == NAN:
-            return math.nan
-        m, p = self.mant, self.prec
-        if p > 54:
-            # keep a guard bit plus sticky so the ldexp rounding is sane
-            sticky = 1 if m & ((1 << (p - 54)) - 1) else 0
-            m = (m >> (p - 54)) | sticky
-            p = 54
-        try:
-            return self.sign * math.ldexp(m, self.exp - p + 1)
-        except OverflowError:
-            return math.inf * self.sign
+        """The value rounded to binary64 as a host float: nearest even,
+        subnormals below 2**-1022, +-inf past the range."""
+        v = self
+        if v.cls == NORMAL and not (v.prec <= 53
+                                    and _B64_EMIN <= v.exp <= _B64_EMAX):
+            v = _round(v.sign, v.mant, v.exp - v.prec + 1, 53, BINARY64)
+        if v.cls == NORMAL:  # exact: at most 53 bits, not below 2**-1074
+            return math.ldexp(v.sign * v.mant, v.exp - v.prec + 1)
+        if v.cls == ZERO:
+            return -0.0 if v.sign < 0 else 0.0
+        return math.inf * v.sign if v.cls == INF else math.nan
 
 
 # builds an MPFloat without __init__, its slots then set one by one
@@ -169,61 +165,39 @@ def nan(prec=53):
 # ---------------------------------------------------------------------------
 
 
-def _round_sig(sign, m, e_lsb, p):
-    """Round sign*m*2**e_lsb (m > 0) to p bits, nearest-even, unbounded."""
-    nb = m.bit_length()
-    if nb <= p:
-        return MPFloat(NORMAL, sign, e_lsb + nb - 1, m << (p - nb), p)
-    shift = nb - p
-    q = m >> shift
-    rem = m & ((1 << shift) - 1)
-    half = 1 << (shift - 1)
-    e_msb = e_lsb + nb - 1
-    if rem > half or (rem == half and (q & 1)):
-        q += 1
-        if q == (1 << p):
-            q >>= 1
-            e_msb += 1
-    return MPFloat(NORMAL, sign, e_msb, q, p)
-
-
-def _round_sig_b64(sign, m, e_lsb):
-    """Round sign*m*2**e_lsb exactly per IEEE binary64 (precision tag 53)."""
-    nb = m.bit_length()
-    e_msb = e_lsb + nb - 1
-    if e_msb >= _B64_EMIN:
-        v = _round_sig(sign, m, e_lsb, 53)
-        if v.exp > _B64_EMAX:
-            return inf(sign)
-        return v
-    # subnormal range: quantize to 2**-1074
-    shift = _B64_QUANTUM - e_lsb
-    if shift > nb:  # below half the smallest subnormal
-        return zero(53, sign)
-    if shift <= 0:
-        n = m << -shift
-    else:
-        q = m >> shift
-        rem = m & ((1 << shift) - 1)
-        half = 1 << (shift - 1)
-        n = q
-        if rem > half or (rem == half and (q & 1)):
-            n += 1
-    if n == 0:
-        return zero(53, sign)
-    nb2 = n.bit_length()
-    return MPFloat(NORMAL, sign, _B64_QUANTUM + nb2 - 1, n << (53 - nb2), 53)
-
-
 def _round(sign, m, e_lsb, p, policy):
+    """sign * m * 2**e_lsb (m > 0) rounded nearest-even to p bits, then
+    held to the policy's range.  Under BINARY64 p is 53 and the last kept
+    bit is never below 2**-1074, which gives the subnormals; a result
+    above binary64's range is an infinity.  Under UNBOUNDED an exponent
+    past +-2**31 gives an infinity or a zero."""
+    top = e_lsb + m.bit_length() - 1
     if policy == BINARY64:
-        return _round_sig_b64(sign, m, e_lsb)
-    v = _round_sig(sign, m, e_lsb, p)
-    if v.exp >= _EXP_LIMIT:
-        return inf(sign, p)
-    if v.exp <= -_EXP_LIMIT:
-        return zero(p, sign)
-    return v
+        p = 53
+        unit = top - 52 if top >= _B64_EMIN else _B64_QUANTUM
+    else:
+        unit = top - p + 1
+    sh = unit - e_lsb - 1
+    if sh >= 0:
+        # as in _nearest: q keeps the rounding bit as its lowest bit
+        q = m >> sh
+        if q & 1 and (q & 2 or m & ((1 << sh) - 1)):
+            q = (q >> 1) + 1
+        else:
+            q >>= 1
+        if not q:
+            return zero(p, sign)
+    else:
+        q = m << (-1 - sh)
+    n = q.bit_length()
+    top = unit + n - 1
+    q = q >> 1 if n > p else q << (p - n)  # n > p: carried to 2**p
+    if policy == BINARY64:
+        if top > _B64_EMAX:
+            return inf(sign)
+    elif not -_EXP_LIMIT < top < _EXP_LIMIT:
+        return inf(sign, p) if top > 0 else zero(p, sign)
+    return MPFloat(NORMAL, sign, top, q, p)
 
 
 def _round_enclosed(sign, lo, hi, e, p, policy=UNBOUNDED):
@@ -311,7 +285,12 @@ def to_binary64_bits(v):
 
 def from_float(f, p=53, policy=UNBOUNDED):
     """Exact import of a python float, then one rounding to p bits."""
-    v = from_binary64_bits(struct.unpack("<Q", struct.pack("<d", f))[0])
+    if f and f - f == 0.0:  # finite, not zero: frexp's fraction is exact
+        m, e = math.frexp(f)
+        v = MPFloat(NORMAL, 1 if m > 0 else -1, e - 1,
+                    int(abs(m) * 9007199254740992.0), 53)
+    else:
+        v = from_binary64_bits(struct.unpack("<Q", struct.pack("<d", f))[0])
     if p == 53:
         return v
     return round_to(v, p, policy)
@@ -407,8 +386,7 @@ def from_hex_string(s, p=None, policy=UNBOUNDED):
 def round_to(v, p, policy=UNBOUNDED):
     """Nearest representable value at precision p (ties to even)."""
     if v.cls != NORMAL:
-        out = MPFloat(v.cls, v.sign, 0, 0, 53 if policy == BINARY64 else p)
-        return out
+        return MPFloat(v.cls, v.sign, 0, 0, 53 if policy == BINARY64 else p)
     return _round(v.sign, v.mant, v.exp - v.prec + 1, p, policy)
 
 

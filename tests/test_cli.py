@@ -207,6 +207,18 @@ def test_eval_without_reference_is_exit_1(capsys):
     assert "reference" in err
 
 
+def test_eval_auto_fix_without_reference_skips_the_fixer(capsys,
+                                                        monkeypatch):
+    def fix(*args, **kwargs):
+        raise AssertionError("the fixer ran")
+
+    monkeypatch.setattr(cli.detector, "fix_iteratively", fix)
+    code, out, err = run_cli(capsys, "eval", "--auto-fix", "--kernel",
+                             "accum_kernel", "--grid=0,1,20")
+    assert (code, out) == (1, "")
+    assert err == "error: kernel accum_kernel has no reference function\n"
+
+
 def test_repeated_commands_reuse_compiled_code(capsys, monkeypatch):
     from precfix import corpus, engine
     argv = ["detect", "--kernel", "cancel_kernel", "--grid=-10,10,20"]

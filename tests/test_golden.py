@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from precfix import cli
+from precfix import cli, corpus, tac
 
 GRIDS = {"round_kernel": "-100,100,41", "exp_kernel": "-1,1,30",
          "sin_kernel": "-4,4,30", "union_scale_kernel": "-4,4,30",
@@ -148,7 +148,7 @@ def run_commands():
 def run_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden_run")
     files = {"edge": EDGE_ROWS, "square": SQUARE_PROGRAM,
-             "square_rows": SQUARE_ROWS}
+             "square_rows": SQUARE_ROWS, "mix": MIX_PROGRAM}
     for name, text in files.items():
         (d / name).write_text(text)
     return {name: str(d / name) for name in files}
@@ -286,3 +286,189 @@ def test_word_kernels_below_p53_exit_1(kernel, pair, trace, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: word operations need p_orig = 53\n"
+
+
+# `run --barriers` and `run --trace --barriers`: recorded before barriered
+# instructions were demoted through the original lane's own expressions,
+# so they pin the demoted shadow byte for byte.  Every second rounding
+# instruction and every word write is a barrier, so a demoted operation
+# also reads shadows that have drifted from their originals.  MIX_PROGRAM
+# demotes each rounding opcode, a division of zero by zero (x = 1e308)
+# and square roots of negative values and of -0 among them.
+ROUNDING = ("fadd", "fsub", "fmul", "fdiv", "fsqrt", "ffloor")
+MIX_PROGRAM = """\
+# every rounding opcode, on shadows that drift from their originals
+func mix(x) -> y
+  a = fadd x, 0.1
+  b = fadd x, 0.1
+  c = fsub b, x
+  d = fsub b, x
+  e = fmul d, 3.0
+  f = fmul d, 3.0
+  g = fdiv f, 0.7
+  h = fdiv f, 0.7
+  z = fdiv d, c
+  k = fabs h
+  m = fsqrt k
+  n = fsqrt k
+  nk = fneg k
+  r = fsqrt nk
+  r2 = fsqrt nk
+  u = fmul n, 1e20
+  v = ffloor u
+  w = ffloor u
+  y = fadd w, e
+  ret y
+"""
+def barrier_list(prog):
+    """Every second rounding instruction and every word write, as the
+    --barriers list."""
+    rounding = [i.id for i in prog.instrs if i.op in ROUNDING]
+    words = [i.id for i in prog.instrs if i.op in ("set_hi", "set_lo")]
+    return ",".join(map(str, sorted(rounding[::2] + words)))
+
+
+def barrier_commands():
+    mix = barrier_list(tac.parse_program(MIX_PROGRAM))
+    for pair, prec in PAIRS.items():
+        sources = [(k, ["--kernel", k], RUN_GRIDS[k],
+                    barrier_list(corpus.get_kernel(k).program))
+                   for k in GRIDS
+                   if pair == "p53/p120" or k not in WORD_KERNELS]
+        sources.append(("mix", ["--program", "{mix}"], "-4,4,30", mix))
+        for name, source, grid, barriers in sources:
+            for rows, src in (("grid", "--grid=" + grid),
+                              ("edge", "--input=file:{edge}")):
+                for mode, extra in (("run", []), ("trace", ["--trace"])):
+                    yield "%s %s %s %s" % (mode, name, rows, pair), [
+                        "run", *source, src, "--barriers", barriers] \
+                        + prec + extra
+
+
+BARRIER_DIGESTS = {
+    "run round_kernel grid p53/p120":
+        "04bf408ab825a5971e589327482ac63edf857e029d3463e8ff253419f8ea0399",
+    "trace round_kernel grid p53/p120":
+        "d9c221bc15fa57a12cd85dcc386d75c6bb1ec74ae127da5282ffc1147ce5ad93",
+    "run round_kernel edge p53/p120":
+        "0eb793aa661a820cb72af14625bcb45450b848b0d268091c1e639bdf56377e42",
+    "trace round_kernel edge p53/p120":
+        "f6d1855b8ed0a644a7a40ffd816103130a0ec78dd934d1752cb247c137c46359",
+    "run exp_kernel grid p53/p120":
+        "447eea7985e77338ff2197b22dd5ac46950eab646144328685ca85700666346b",
+    "trace exp_kernel grid p53/p120":
+        "1d26c5dae1da08f928d81926c7dcc20da499e7e5e595ff44d80d4d1c569bb529",
+    "run exp_kernel edge p53/p120":
+        "ad40b6956ed11b25d9e72a8000186eecad70bb7e782944fff460cc43ff21066d",
+    "trace exp_kernel edge p53/p120":
+        "03e72af251e0bde1b7699ece8807db547cbcc08fc21481199cecb4ec4b16ad9e",
+    "run sin_kernel grid p53/p120":
+        "f095b700f340c65c76dea635b97a564ccb02f47bdcc6167f91a1c306d011cb12",
+    "trace sin_kernel grid p53/p120":
+        "4ed598da012d43ce0303327f8fe07c45fd2d6b00744d6919dc28ef3ad3fdcbe1",
+    "run sin_kernel edge p53/p120":
+        "22d1d4646a879c84609b2cb2dff3123d73d296986a4aa20840b954a2b7ed1b9e",
+    "trace sin_kernel edge p53/p120":
+        "a70d8c59010c88183af554f89a11336f2cbac8fc68193adf03661972874a8cdb",
+    "run union_scale_kernel grid p53/p120":
+        "bf8352025ec10192aeea15537307ef0236e398e7a5eddd0ba4226319d7f153ae",
+    "trace union_scale_kernel grid p53/p120":
+        "43b10e06fec5f9245881a1959ef8c105f31dd65a3dd9d6a5c08ca230c4774317",
+    "run union_scale_kernel edge p53/p120":
+        "688d433bc746d58dd6953e20751e52a1dcdc8a1d244384ad010140dff70ec304",
+    "trace union_scale_kernel edge p53/p120":
+        "e94e0fd2b4e577c81fd71291d79c7570f3dbf0fcfc33c4e61a86eecc47b235fb",
+    "run accum_kernel grid p53/p120":
+        "3f2d072d83cc0477fdcd2dda5726ed360d5d1505ac9afc1355e39448d0fe1a2e",
+    "trace accum_kernel grid p53/p120":
+        "e0a0b06a630daa0aa7289ce37723844d1d3e9fe06d66b5353f8ddd0edbccc71a",
+    "run accum_kernel edge p53/p120":
+        "c20cca9d546d989dcb54bc2dc71e1a1c2d32cfc471f75607f83d61c2307ad40e",
+    "trace accum_kernel edge p53/p120":
+        "a79ac72cfb7b152c37bda1a21055f1e593d96bff5bfa07e0e8d6d9b113abe492",
+    "run cancel_kernel grid p53/p120":
+        "4b3d6f6efc3452cac2a5c5bb320e6cd4881caf047f7b26f4dca0ba2a5ba2a465",
+    "trace cancel_kernel grid p53/p120":
+        "ad275ba131d7151b9ca5d2790bbb4c5fca84b217748885da692f138b76cabb1d",
+    "run cancel_kernel edge p53/p120":
+        "cd1d03b5fdf326322527cd47ed86a6296e3a29446e94cac1efe4eea7fb99536e",
+    "trace cancel_kernel edge p53/p120":
+        "0010b5f1050b7d6256d20fae62a4a0ddbf0384bd685eb48504dced7a29d8236f",
+    "run mix grid p53/p120":
+        "ee3f4cfe09a574ad0bd0e58f59e47dbf603b62b77a22ec719d991ed55a9a973b",
+    "trace mix grid p53/p120":
+        "a083ff702b44b15933f56710070830039052d05e7718d7ec6f4d92e107fca93d",
+    "run mix edge p53/p120":
+        "4af21795a5ada6a04e50d2c311c83adbe07ac78e0ed3120028510ae0304daa4c",
+    "trace mix edge p53/p120":
+        "bbfcead603a47c99d189ca0c8f3c1aa5bb6b1dfe2fbd9b50caff08f0e1d5a664",
+    "run round_kernel grid p24/p200":
+        "eb2220c1fc436b7ec9deb36150a213a94eca9e366632455a242d3b66f98b2409",
+    "trace round_kernel grid p24/p200":
+        "e2814aa5942eb2272a96c1a5781f1f7617d4bd3634be71bf988cff27ea909b07",
+    "run round_kernel edge p24/p200":
+        "352e3baf9985f89776c4737b4c58a2d4f7786d6b42079fc9d4cf5fd42933c2db",
+    "trace round_kernel edge p24/p200":
+        "ead3655f80968afaef4276f3b268dabedcfc2bb93b1e8973c92e457c52b9f688",
+    "run accum_kernel grid p24/p200":
+        "d39d6b9129b6aaf639c42eab939629e4e18b00c5c2fe25e904ed3c7fa40fa14d",
+    "trace accum_kernel grid p24/p200":
+        "dad2367564de73b06f0b482e460ad6d28edbdf515764229743efa9c1638ca1bd",
+    "run accum_kernel edge p24/p200":
+        "977189cdf35415dd4e06b58242cc69dce1e647e2bea571fc8ac3d05d573ee2e4",
+    "trace accum_kernel edge p24/p200":
+        "0c745c554f08d83920b060351c1f3db8656cb5da58190786b02769270f08055c",
+    "run cancel_kernel grid p24/p200":
+        "9c3cc30829dc25a1546449ef5a1fd6f8f5a9d1c6cc01124f99e0fdd6bb260561",
+    "trace cancel_kernel grid p24/p200":
+        "634a375ce89e8c37d1739fd63cfc38ec615614cf0e9a54f94f0a666ae0e8b73e",
+    "run cancel_kernel edge p24/p200":
+        "b48b71f488b53cb537e62f9aa55ae9f2a57a63df1ba3fb4e6f34c3f1f81aed28",
+    "trace cancel_kernel edge p24/p200":
+        "b654c0ac71933e2d308822473e4d8152f27e7c2a83b7a0f3aa98a63af99a95c5",
+    "run mix grid p24/p200":
+        "28780f4b6c188afcad4834aca83bfadb466ebc33bc0c1c78b00e3dd49cc9d21a",
+    "trace mix grid p24/p200":
+        "e3b4574b66be8b5565dc3a31fcb721e0d9d1bc567037cc12d756192339450f89",
+    "run mix edge p24/p200":
+        "bbfafd8ba23a21d4612769cf41995b5092944b0726d1f7693e6df7f561b8b1f1",
+    "trace mix edge p24/p200":
+        "7d39f81fb57f7c803238bacc084aee1bdfa4b4eb2a2a5ba629bed7d5789ec395",
+    "run round_kernel grid p113/p200":
+        "57c6fe67f5ddc71f8f8662d9e6e938c590793d95579cc319cb9750c3ad3f2e87",
+    "trace round_kernel grid p113/p200":
+        "6a68338791ca1c2ceb4cb7f563c758b5d983d462c039b7e8da1862bcfb62c3ed",
+    "run round_kernel edge p113/p200":
+        "1799c608b2c9001ada619ebd44370cc95f5d6ce387b9f07327532c07e058af24",
+    "trace round_kernel edge p113/p200":
+        "0f91a95b97610411a705b05c8c059444596e25ecd1920b7dfc630a2b598b1873",
+    "run accum_kernel grid p113/p200":
+        "8d07e43695a54f77292b58523e652fdc614714120e5c2c57f5a6c482945f9765",
+    "trace accum_kernel grid p113/p200":
+        "6e37cef153ef418a1a688c00c29e26529eaa35d3e31024012583e4ece35caaa2",
+    "run accum_kernel edge p113/p200":
+        "b9bbe3599464db0a2efda0dcaf1ca9ffc06754277e1d39f3d4aef9173cc9cf5e",
+    "trace accum_kernel edge p113/p200":
+        "514437616ff4910d17a0dda7e529fde11308cea9e5a72153372ad456604ef15e",
+    "run cancel_kernel grid p113/p200":
+        "c76323a8d32b50a9bd735691b6fe5e1feab214333bf6faa61520c97d37cf05d2",
+    "trace cancel_kernel grid p113/p200":
+        "8934feda8fc7c286ec4b855eb86d47bc862673de2c9bba00ee813a730b9852a7",
+    "run cancel_kernel edge p113/p200":
+        "10c55c6d0b25a3f3774dce1275f0096e81c9b29e5a00c79d1b168c17fbffeeff",
+    "trace cancel_kernel edge p113/p200":
+        "cb260b0eb368d8ae8f76bcd328c9d6e65b69c79a842c1f41de0e82c116a32fb7",
+    "run mix grid p113/p200":
+        "65d6a441339a323e5e911566a125e5860d4b56322270500ef1c5151d6fdbf6da",
+    "trace mix grid p113/p200":
+        "d092d5948ed3ea426e9afcd2e9374ce20e2732148ae84f6b94027034c957a000",
+    "run mix edge p113/p200":
+        "f607c86558832130661e06f0f6dd6c66c53855d6d59c4820cdef97158fb14273",
+    "trace mix edge p113/p200":
+        "05bd3fe19168af9b57c900b82d43148b7eb948dab481bb793142f6342f770575",
+}
+
+
+@pytest.mark.parametrize("name, argv", list(barrier_commands()))
+def test_barriered_run_matches_golden_digest(name, argv, run_files, capsys):
+    assert run_digest(argv, run_files, capsys) == BARRIER_DIGESTS[name]

@@ -60,6 +60,18 @@ def test_from_float_matches_bits():
         assert mp.to_binary64_bits(mp.from_float(f)) == bits_of(f)
 
 
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1))
+@settings(max_examples=1000, deadline=None)
+@example(1)  # the least subnormal
+@example(0x800FFFFFFFFFFFFF)  # the largest negative subnormal
+@example(0x0010000000000000)  # the least normal
+@example(1 << 63)  # -0.0
+def test_from_float_equals_decoding_its_bits(bits):
+    v, w = mp.from_float(float_of(bits)), mp.from_binary64_bits(bits)
+    assert (v.cls, v.sign, v.exp, v.mant, v.prec) \
+        == (w.cls, w.sign, w.exp, w.mant, w.prec)
+
+
 # ------------------------------------------------------------- arithmetic
 
 def _host_ref(op, a, b):
@@ -321,6 +333,112 @@ def test_round_trip_through_extend():
         f = rng.uniform(-1e6, 1e6)
         v = mp.from_float(f)
         assert mp.cmp(mp.round_to(mp.extend(v, 200), 53, mp.BINARY64), v) == 0
+
+
+# -------------------------------------------------------------- rounding
+
+def fraction_round(sign, m, e_lsb, p, policy):
+    """(cls, sign, exp, mant, prec) of sign * m * 2**e_lsb rounded by
+    Fraction's round, which ties to even: to p bits, or under BINARY64 to
+    53 bits on a grid no finer than 2**-1074, then held to the policy's
+    range."""
+    top = e_lsb + m.bit_length() - 1
+    if policy == mp.BINARY64:
+        p, unit = 53, max(top - 52, -1074)
+    else:
+        unit = top - p + 1
+    # the value in units of the last kept bit; below a quarter of one
+    # (which keeps 2**(unit - e_lsb) small) it rounds to 0
+    s = unit - e_lsb
+    if s > m.bit_length() + 1:
+        n = 0
+    else:
+        n = round(Fraction(m, 2 ** s) if s > 0 else Fraction(m * 2 ** -s))
+    if n == 0:
+        return (mp.ZERO, sign, 0, 0, p)
+    while n >= 2 ** p:  # carried to the next binade: n is a power of two
+        n, unit = n // 2, unit + 1
+    top = unit + n.bit_length() - 1
+    high = 1023 if policy == mp.BINARY64 else (1 << 31) - 1
+    if top > high:
+        return (mp.INF, sign, 0, 0, p)
+    if policy == mp.UNBOUNDED and top <= -(1 << 31):
+        return (mp.ZERO, sign, 0, 0, p)
+    return (mp.NORMAL, sign, top, n * 2 ** (p - n.bit_length()), p)
+
+
+ROUND_TOPS = st.sampled_from([-1080, -1075, -1074, -1073, -1023, -1022, 0,
+                              1023, 1024, -(1 << 31), (1 << 31) - 1])
+
+
+@given(st.integers(1, (1 << 300) - 1), ROUND_TOPS, st.integers(-3, 3),
+       st.sampled_from([2, 11, 24, 53, 54, 113, 120, 200]),
+       st.sampled_from([mp.UNBOUNDED, mp.BINARY64]),
+       st.sampled_from([1, -1]), st.integers(0, 3))
+@settings(max_examples=3000, deadline=None)
+@example(0b1011, 0, 0, 2, mp.UNBOUNDED, 1, 0)  # carry to 2**p
+@example(0b101, 0, 0, 2, mp.UNBOUNDED, -1, 0)  # tie to even, down
+@example(0b111, 0, 0, 2, mp.UNBOUNDED, 1, 0)  # tie to even, up
+@example(1, -1075, 0, 53, mp.BINARY64, 1, 0)  # half the least subnormal
+@example(3, -1075, 0, 53, mp.BINARY64, 1, 0)  # just above it
+def test_round_matches_fractions(m, top, off, p, policy, sign, tail):
+    # `tail` low bits set or cleared make ties and carries common
+    if tail == 1:
+        m = m >> 8 << 8 | 0x80
+    elif tail == 2:
+        m |= 0xFF
+    e_lsb = top + off - m.bit_length() + 1
+    v = mp._round(sign, m, e_lsb, p, policy)
+    assert (v.cls, v.sign, v.exp, v.mant, v.prec) \
+        == fraction_round(sign, m, e_lsb, p, policy)
+
+
+def host_of(sign, m, e_lsb):
+    """sign * m * 2**e_lsb by float(Fraction): correctly rounded binary64,
+    +-inf past its range."""
+    try:
+        return float(sign * Fraction(m) * Fraction(2) ** e_lsb)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
+
+
+def test_to_float_guard_zero_sticky_one():
+    # 1 + 2**-52 + 2**-55 at 56 bits: the bit below the last kept one is 0,
+    # so the sticky bit below it must not make a tie
+    m = (1 << 55) | (1 << 3) | 1
+    v = mp.MPFloat(mp.NORMAL, 1, 0, m, 56)
+    assert v.to_float() == float.fromhex("0x1.0000000000001p+0") \
+        == host_of(1, m, -55)
+
+
+@given(st.integers(1, (1 << 120) - 1), st.integers(-1140, 1100),
+       st.sampled_from([1, -1]))
+@settings(max_examples=3000, deadline=None)
+@example((1 << 56) - 1, -1074 - 56, 1)  # just below the least subnormal
+@example((1 << 53) + 1, -1074 - 54, -1)  # above half of it: -2**-1074
+@example(1, -1075, -1)  # half of it: -0.0
+@example((1 << 54) - 1, -1076, 1)  # a subnormal rounding up to 2**-1022
+@example((1 << 53) - 1, 971, 1)  # the largest double
+@example((1 << 54) - 1, 970, 1)  # rounds past it: inf
+@example((1 << 54) - 1, 970, -1)
+def test_to_float_matches_fractions(m, e_lsb, sign):
+    nb = m.bit_length()
+    v = mp.MPFloat(mp.NORMAL, sign, e_lsb + nb - 1, m << max(0, 2 - nb),
+                   max(2, nb))
+    got, want = v.to_float(), host_of(sign, m, e_lsb)
+    assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+def test_to_float_of_other_classes():
+    assert bits_of(mp.zero(120, -1).to_float()) == 1 << 63
+    assert bits_of(mp.zero(24).to_float()) == 0
+    assert mp.inf(-1, 200).to_float() == -math.inf
+    assert math.isnan(mp.nan(120).to_float())
+    # far below the subnormals and far above the range, at any precision
+    tiny = mp.MPFloat(mp.NORMAL, -1, -(1 << 30), 3 << 118, 120)
+    assert bits_of(tiny.to_float()) == 1 << 63
+    assert mp.MPFloat(mp.NORMAL, 1, 1 << 30, 1 << 23, 24).to_float() \
+        == math.inf
 
 
 # ------------------------------------------------------ decimal conversion
