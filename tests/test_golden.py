@@ -148,7 +148,8 @@ def run_commands():
 def run_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden_run")
     files = {"edge": EDGE_ROWS, "square": SQUARE_PROGRAM,
-             "square_rows": SQUARE_ROWS, "mix": MIX_PROGRAM}
+             "square_rows": SQUARE_ROWS, "mix": MIX_PROGRAM,
+             "wide": WIDE_ARGS}
     for name, text in files.items():
         (d / name).write_text(text)
     return {name: str(d / name) for name in files}
@@ -472,3 +473,33 @@ BARRIER_DIGESTS = {
 @pytest.mark.parametrize("name, argv", list(barrier_commands()))
 def test_barriered_run_matches_golden_digest(name, argv, run_files, capsys):
     assert run_digest(argv, run_files, capsys) == BARRIER_DIGESTS[name]
+
+
+# `oracle` on arguments whose results, and the sums, products and
+# quotients that form them, leave binary64's exponent range: recorded
+# before add, sub, mul and div rounded such results through `_round`.  At
+# --precision 53 and 24 the oracle's own arithmetic runs at that width.
+WIDE_ARGS = """\
+exp 800
+exp -800
+cosh 800
+sinh -800
+tanh 800
+pow 10 400
+exp10 -400
+hypot 1e300 1e300
+log 1e-400
+"""
+ORACLE_DIGESTS = {
+    "256": "5785ff17e6d99fa8597e3447579d64bcc7dd405596d0d6690d05b36a82c8e852",
+    "53": "e3c7a68c3ecfe1b9f91c335b56ed7e2a1fc23d8dd7fd4b24df16134398fe052e",
+    "24": "cd39633dd22d0b7ba69f0cb7e26a8774ca3c644d94835216791bbe0c5585bed6",
+}
+
+
+@pytest.mark.parametrize("precision", list(ORACLE_DIGESTS))
+def test_oracle_of_wide_arguments_matches_golden_digest(precision, run_files,
+                                                        capsys):
+    argv = ["oracle", "--digits", "30", "--precision", precision,
+            "--file", "{wide}"]
+    assert run_digest(argv, run_files, capsys) == ORACLE_DIGESTS[precision]
