@@ -16,9 +16,10 @@ the engine has no arithmetic or rounding of its own; fadd, fsub and fmul
 call `mpfloat._nearest` directly, and fdiv `mpfloat.div`, which rounds two
 normal operands once from one integer division; one call per operation.
 An input that already has p_orig bits inside the normal range is admitted
-without rounding.  A host-float original crosses back to `MPFloat` only
-where a caller or the shadow needs one: `RunTrace.result`, once it is
-read, `ErrorSample.original`, and the shadow side of word writes.
+as it is: `mpfloat.round_to` returns such a value unrounded.  A host-float
+original crosses back to `MPFloat` only where a caller or the shadow needs
+one: `RunTrace.result`, once it is read, `ErrorSample.original`, and the
+shadow side of word writes.
 Stream-mode errors are `mpfloat._rel_err_host`'s, computed from the host
 float directly, and equal the `MPFloat` computation
 (`mpfloat._rel_err_float`) bit for bit.
@@ -170,11 +171,7 @@ def make_dual(value, cfg):
     At p_orig = 53 the original lane is the rounded value as a host
     float."""
     p = cfg.p_orig
-    o = value
-    # a value of p bits inside the normal range rounds to itself
-    if o.prec != p or not (mp._B64_EMIN <= o.exp <= mp._B64_EMAX if p == 53
-                           else -mp._EXP_LIMIT < o.exp < mp._EXP_LIMIT):
-        o = mp.round_to(value, p, mp.policy_for(p))
+    o = mp.round_to(value, p, mp.policy_for(p))
     s = mp.extend(o, cfg.p_shadow)
     return DualValue(o.to_float() if p == 53 else o, s)
 

@@ -7,14 +7,17 @@ policies exist: UNBOUNDED (exponent limited only by sanity bounds) and
 BINARY64 (IEEE double range: subnormal rounding, overflow to infinity).
 One rounding rule serves both: `_round` rounds an exact sign * m * 2**e
 nearest-even to p bits, its last kept bit raised to 2**-1074 under
-BINARY64, then applies the policy's overflow and underflow limits.  Every
-rounding goes through it but the two inline hot paths below;
+BINARY64, then applies the policy's overflow and underflow limits;
 `MPFloat.to_float` is its binary64 rounding as a host float.
-Under UNBOUNDED, add, sub and mul of two normal values round their exact
-integer result inline in `_nearest`, which the engine also calls directly;
+Arithmetic forms each exact result in one place for both policies
+(BINARY64 takes p = 53).  add, sub and mul of two normal values form an
+exact integer result in `_nearest`, which the engine also calls directly;
 an addend too far below the other to count beyond its sign stands in as
-one bit (`_sticky`).  `div` of two normal values rounds one integer
-quotient of p + 1 or p + 2 bits inline, its remainder the sticky bit.
+one bit (`_sticky`).  `div` of two normal values forms one integer
+quotient of p + 1 or p + 2 bits, its remainder the sticky bit.  Both round
+to p bits inline when the rounded exponent lies in binary64's normal
+range, -1022 to 1023, where the two policies round alike; any other
+result goes to `_round`, so the policy is read only there.
 Under BINARY64, decimal literals take the host's correctly rounded parse.
 All values are immutable; every operation returns a fresh value.
 
@@ -226,14 +229,14 @@ def _round_frac(sign, num, den, e2, p, policy):
 # ---------------------------------------------------------------------------
 
 
-def from_int(n, p=None, policy=UNBOUNDED):
+def from_int(n, p=None):
     if n == 0:
         return zero(p or 53)
     sign = 1 if n > 0 else -1
     m = abs(n)
     if p is None:
         p = max(2, m.bit_length())
-    return _round(sign, m, 0, p, policy)
+    return _round(sign, m, 0, p, UNBOUNDED)
 
 
 def from_binary64_bits(bits):
@@ -283,7 +286,7 @@ def to_binary64_bits(v):
     return sbit | (m53 >> shift)
 
 
-def from_float(f, p=53, policy=UNBOUNDED):
+def from_float(f, p=53):
     """Exact import of a python float, then one rounding to p bits."""
     if f and f - f == 0.0:  # finite, not zero: frexp's fraction is exact
         m, e = math.frexp(f)
@@ -293,7 +296,7 @@ def from_float(f, p=53, policy=UNBOUNDED):
         v = from_binary64_bits(struct.unpack("<Q", struct.pack("<d", f))[0])
     if p == 53:
         return v
-    return round_to(v, p, policy)
+    return round_to(v, p)
 
 
 def from_decimal_string(s, p, policy=UNBOUNDED):
@@ -361,8 +364,9 @@ def _round_decimal_approx(sign, d, e10, p, policy, w):
     return _round_enclosed(sign, lo, hi, s + e10, p, policy)
 
 
-def from_hex_string(s, p=None, policy=UNBOUNDED):
-    """Hex-float literal like 0x1.8p52. Exact unless p forces rounding."""
+def from_hex_string(s):
+    """Hex-float literal like 0x1.8p52, exact: its precision is its
+    significand's width (at least 2), its exponent held to +-2**31."""
     m = _HEX_RE.match(s.strip())
     if not m:
         raise ParseError("bad hex-float literal: %s" % quote(s))
@@ -371,11 +375,9 @@ def from_hex_string(s, p=None, policy=UNBOUNDED):
     e2 = _exponent(m.group(3))
     mant = int(int_digits + frac_digits, 16)
     if mant == 0:
-        return zero(p or 53, sign)
+        return zero(53, sign)
     e_lsb = e2 - 4 * len(frac_digits)
-    if p is None:
-        p = max(2, mant.bit_length())
-    return _round(sign, mant, e_lsb, p, policy)
+    return _round(sign, mant, e_lsb, max(2, mant.bit_length()), UNBOUNDED)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +386,15 @@ def from_hex_string(s, p=None, policy=UNBOUNDED):
 
 
 def round_to(v, p, policy=UNBOUNDED):
-    """Nearest representable value at precision p (ties to even)."""
+    """Nearest representable value at precision p (ties to even; p is 53
+    under BINARY64).  A normal value of p bits inside the policy's normal
+    range is already representable: it is returned as it is."""
     if v.cls != NORMAL:
         return MPFloat(v.cls, v.sign, 0, 0, 53 if policy == BINARY64 else p)
+    if v.prec == p and (-_EXP_LIMIT < v.exp < _EXP_LIMIT
+                        if policy == UNBOUNDED
+                        else p == 53 and _B64_EMIN <= v.exp <= _B64_EMAX):
+        return v
     return _round(v.sign, v.mant, v.exp - v.prec + 1, p, policy)
 
 
@@ -404,13 +412,16 @@ def extend(v, p):
 # ---------------------------------------------------------------------------
 
 
-def _nearest(x, y, flip, p, orig=None, put=None):
+def _nearest(x, y, flip, p, orig=None, put=None, policy=UNBOUNDED):
     """x + y (flip 1), x - y (flip -1) or x * y (flip 0) at p bits, nearest
-    even, UNBOUNDED policy.  For two normal operands the exact result is
-    formed on integer significands and rounded here; other operand classes
-    go to _special.  Given `put`, the result's relative error against the
-    host float `orig`, as _rel_err_host(result, orig, p) gives it, is
-    passed to put: a normal result's from the rounding's own fields."""
+    even, under the policy (p is 53 under BINARY64).  For two normal
+    operands the exact result is formed on integer significands and
+    rounded here when the rounded exponent lies in binary64's normal range,
+    where both policies round alike; any other result goes to _round, and
+    other operand classes to _special.  Given `put`, the result's relative
+    error against the host float `orig`, as _rel_err_host(result, orig, p)
+    gives it, is passed to put: a normal result's from the rounding's own
+    fields."""
     if x.cls == 1 and y.cls == 1:  # NORMAL
         if flip:
             ex = x.exp - x.prec
@@ -454,7 +465,7 @@ def _nearest(x, y, flip, p, orig=None, put=None):
                     q >>= 1
             else:
                 q = m << (p - nb)
-            if -_EXP_LIMIT < top < _EXP_LIMIT:
+            if -1022 <= top <= 1023:
                 v = _new(MPFloat)
                 v.cls = 1
                 v.sign = sign
@@ -464,11 +475,11 @@ def _nearest(x, y, flip, p, orig=None, put=None):
                 if put is not None:
                     put(_host_error(sign, top, q, p, orig, p, v))
                 return v
-            v = inf(sign, p) if top > 0 else zero(p, sign)
+            v = _round(sign, m, e, p, policy)
         else:
             v = MPFloat(0, 1, 0, 0, p)  # zero(p)
     else:
-        v = _special(x, y, flip, p, UNBOUNDED)
+        v = _special(x, y, flip, p, policy)
     if put is not None:
         put(_rel_err_host(v, orig, p))
     return v
@@ -509,66 +520,32 @@ def _special(a, b, flip, p, policy):
     return round_to(a, p, policy)
 
 
-def _bounded(a, b, flip, p, policy):
-    """_nearest under a bounded exponent policy."""
-    if a.cls != NORMAL or b.cls != NORMAL:
-        return _special(a, b, flip, p, policy)
-    if not flip:
-        return _round(a.sign * b.sign, a.mant * b.mant,
-                      a.exp - a.prec + b.exp - b.prec + 2, p, policy)
-    ea = a.exp - a.prec
-    eb = b.exp - b.prec
-    ma = a.sign * a.mant
-    mb = b.sign * flip * b.mant
-    # as in _nearest; the only bounded policy, BINARY64, rounds at 53 bits
-    d = ea - eb
-    if d >= 0:
-        if d > 4096:
-            mb, eb = _sticky(a, b, mb, eb, 53)
-            d = ea - eb
-        s = (ma << d) + mb
-        e = eb
-    else:
-        if d < -4096:
-            ma, ea = _sticky(b, a, ma, ea, 53)
-            d = ea - eb
-        s = ma + (mb << -d)
-        e = ea
-    if s == 0:
-        return zero(p)
-    return _round(1 if s > 0 else -1, abs(s), e + 1, p, policy)
-
-
 def add(a, b, p, policy=UNBOUNDED):
-    if policy == UNBOUNDED:
-        return _nearest(a, b, 1, p)
-    return _bounded(a, b, 1, p, policy)
+    return _nearest(a, b, 1, p, policy=policy)
 
 
 def sub(a, b, p, policy=UNBOUNDED):
-    if policy == UNBOUNDED:
-        return _nearest(a, b, -1, p)
-    return _bounded(a, b, -1, p, policy)
+    return _nearest(a, b, -1, p, policy=policy)
 
 
 def mul(a, b, p, policy=UNBOUNDED):
-    if policy == UNBOUNDED:
-        return _nearest(a, b, 0, p)
-    return _bounded(a, b, 0, p, policy)
+    return _nearest(a, b, 0, p, policy=policy)
 
 
 def div(a, b, p, policy=UNBOUNDED, orig=None, put=None):
-    """a / b at p bits under the policy; `orig` and `put` as in
-    _nearest."""
-    if a.cls == 1 and b.cls == 1 and policy == UNBOUNDED:  # NORMAL
-        # the mantissa ratio lies in (2**(na-nb-1), 2**(na-nb+1)), so q has
+    """a / b at p bits under the policy (p is 53 under BINARY64), rounded
+    inline in binary64's normal range as in _nearest; `orig` and `put` as
+    in _nearest."""
+    if a.cls == 1 and b.cls == 1:  # NORMAL
+        # the mantissa ratio lies in (2**(na-nb-1), 2**(na-nb+1)), so n has
         # p + 1 or p + 2 bits; the remainder is the sticky bit
         sh = p + 1 - a.prec + b.prec
         if sh >= 0:
-            q, r = divmod(a.mant << sh, b.mant)
+            n, r = divmod(a.mant << sh, b.mant)
         else:
-            q, r = divmod(a.mant, b.mant << -sh)
+            n, r = divmod(a.mant, b.mant << -sh)
         top = a.exp - b.exp
+        q = n
         if q >> (p + 1):
             r |= q & 1
             q >>= 1
@@ -582,7 +559,7 @@ def div(a, b, p, policy=UNBOUNDED, orig=None, put=None):
                 top += 1
         else:
             q >>= 1
-        if -_EXP_LIMIT < top < _EXP_LIMIT:
+        if -1022 <= top <= 1023:
             sign = a.sign * b.sign
             v = _new(MPFloat)
             v.cls = 1
@@ -593,15 +570,20 @@ def div(a, b, p, policy=UNBOUNDED, orig=None, put=None):
             if put is not None:
                 put(_host_error(sign, top, q, p, orig, p, v))
             return v
-    v = _div_other(a, b, p, policy)
+        # a / b is n * 2**(a.exp - b.exp - p - 1) plus the remainder, which
+        # stands in as one bit below n; r may also hold n's last bit, which
+        # lies below the rounding bit too
+        v = _round(a.sign * b.sign, n << 1 | (1 if r else 0),
+                   a.exp - b.exp - p - 2, p, policy)
+    else:
+        v = _div_other(a, b, p)
     if put is not None:
         put(_rel_err_host(v, orig, p))
     return v
 
 
-def _div_other(a, b, p, policy):
-    """div of operands that are not both normal, under a bounded policy,
-    or of a quotient past the exponent limit."""
+def _div_other(a, b, p):
+    """div of operands that are not both normal."""
     if a.cls == NAN or b.cls == NAN:
         return nan(p)
     sign = a.sign * b.sign
@@ -611,11 +593,7 @@ def _div_other(a, b, p, policy):
         return zero(p, sign)
     if b.cls == ZERO:
         return nan(p) if a.cls == ZERO else inf(sign, p)
-    if a.cls == ZERO:
-        return zero(p, sign)
-    ea = a.exp - a.prec + 1
-    eb = b.exp - b.prec + 1
-    return _round_frac(sign, a.mant, b.mant, ea - eb, p, policy)
+    return zero(p, sign)  # a is zero
 
 
 def sqrt(v, p, policy=UNBOUNDED):

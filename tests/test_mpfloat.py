@@ -253,8 +253,8 @@ def test_add_far_apart_at_wide_precisions(xprec, p):
        st.sampled_from([1, -1]))
 @settings(max_examples=500, deadline=None)
 def test_binary64_add_of_far_apart_operands(a, gap, prec, swap, flip):
-    # the exact sum of integer significands, rounded by _round: _bounded's
-    # own path before it learned to stand a far smaller operand in
+    # against the exact sum of integer significands, rounded by _round: no
+    # one-bit stand-in for the far smaller operand
     if a.cls != mp.NORMAL:
         return
     b = mp.MPFloat(mp.NORMAL, -a.sign, a.exp - gap, (1 << (prec - 1)) | 1,
@@ -265,8 +265,69 @@ def test_binary64_add_of_far_apart_operands(a, gap, prec, swap, flip):
     e = min(ea, eb)
     s = a.sign * (a.mant << (ea - e)) + flip * b.sign * (b.mant << (eb - e))
     want = mp._round(1 if s > 0 else -1, abs(s), e + 1, 53, mp.BINARY64)
-    got = mp._bounded(a, b, flip, 53, mp.BINARY64)
+    got = (mp.add if flip == 1 else mp.sub)(a, b, 53, mp.BINARY64)
     assert mpmath_ref.fields(got) == mpmath_ref.fields(want)
+
+
+def value_of(v):
+    return v.sign * Fraction(v.mant) * Fraction(2) ** (v.exp - v.prec + 1)
+
+
+@st.composite
+def binary64_cases(draw):
+    """(op, a, b): normal operands of 1 to 120 bits whose exact result
+    lies near the least subnormal, binary64's least normal or its top, a
+    pair far apart in magnitude, or one such operand added to a zero."""
+    def operand(exp):
+        m = draw(st.integers(1, (1 << 120) - 1))
+        if draw(st.booleans()):
+            m |= (1 << m.bit_length()) - 1  # all ones: carries
+        nb = m.bit_length()
+        return mp.MPFloat(mp.NORMAL, draw(st.sampled_from([1, -1])), exp,
+                          m << max(0, 2 - nb), max(2, nb))
+
+    op = draw(st.sampled_from(["add", "sub", "mul", "div"]))
+    target = draw(st.sampled_from([-1075, -1074, -1023, -1022, 1023, 1024]))
+    near = draw(st.integers(-3, 3))
+    if draw(st.integers(0, 3)) == 0:  # far apart: the smaller one is tiny
+        ea = target + near
+        eb = ea - draw(st.integers(54, 5000))
+    elif op in ("add", "sub"):
+        ea, eb = target + near, target + draw(st.integers(-3, 3))
+    else:
+        ea = draw(st.integers(-600, 600))
+        eb = target + near - ea if op == "mul" else ea - target - near
+    a, b = operand(ea), operand(eb)
+    if op in ("add", "sub") and draw(st.integers(0, 7)) == 0:
+        b = mp.zero(draw(st.sampled_from([2, 53, 120])),
+                    draw(st.sampled_from([1, -1])))
+    return (op, b, a) if draw(st.booleans()) else (op, a, b)
+
+
+@given(binary64_cases())
+@settings(max_examples=3000, deadline=None)
+# 3 * (2**-1022 - 2**-1076): a carry from below 2**-1022 up to it
+@example(("mul", mp.from_int(3),
+          mp.MPFloat(mp.NORMAL, 1, -1024, 6004799503160661, 53)))
+# 2**-1023 + 2**-1075: a tie on the subnormal grid, to even
+@example(("mul", mp.from_int(1),
+          mp.MPFloat(mp.NORMAL, 1, -1023, (1 << 52) + 1, 53)))
+# the largest double plus half its ulp: a tie that carries past 2**1024
+@example(("add", mp.MPFloat(mp.NORMAL, 1, 1023, (1 << 53) - 1, 53),
+          mp.MPFloat(mp.NORMAL, 1, 970, 1 << 52, 53)))
+def test_binary64_arithmetic_matches_fractions(case):
+    op, a, b = case
+    x, y = value_of(a), value_of(b)
+    exact = {"add": Fraction.__add__, "sub": Fraction.__sub__,
+             "mul": Fraction.__mul__, "div": Fraction.__truediv__}[op](x, y)
+    try:
+        want = float(exact)
+    except OverflowError:
+        want = math.inf if exact > 0 else -math.inf
+    got = getattr(mp, op)(a, b, 53, mp.BINARY64)
+    # exactly the double: to_binary64_bits rejects any other value
+    assert got.prec == 53
+    assert mp.to_binary64_bits(got) == bits_of(want), (op, a, b)
 
 
 def test_unbounded_policy_has_no_overflow():
