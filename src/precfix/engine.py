@@ -51,7 +51,11 @@ an integer.  Constants are admitted at compile time and bound into the
 function's namespace; no text of the program reaches the generated
 source.  The reachable basic blocks are dispatched by a balanced `if`
 tree on the block index inside one loop; exec counts are kept per
-block and the step budget is checked once per block, against its length.
+block and the step budget is checked on every entry to a block, against
+its length.  A block whose branch or jump goes back to its own start (a
+self-loop, such as a counted loop with no branch inside) runs as an inner
+`while` loop that it leaves when its branch is not taken, so its passes
+skip the dispatch.
 Each float operation is emitted from two expression tables: host-float
 expressions for the original lane at p_orig = 53, and unbounded `mpfloat`
 calls for the shadow and the `MPFloat` original lane.  A demoted shadow
@@ -66,9 +70,12 @@ a<id>)` or `div(s<a>, s<b>, p_shadow, UNBOUNDED, o<k>, a<id>)`: it rounds
 the shadow and appends the host original's error, taken from the fields
 it has just rounded; every other sampled instruction appends
 `_rel_err_host(s<k>, o<k>, p_shadow)`, or `_rel_err_float` of an `MPFloat`
-original.  The generated function counts the run's samples per block and
-notes the count at each block's first entry, from which the aggregate
-places every instruction's first sample in the batch.
+original.  Every entry to a block takes each of its sampled
+instructions once, so the generated function counts no samples: a run's
+sample count is the sum over the sampling blocks of exec count times
+samples per entry, formed at return, and at a block's first entry the
+same sum, from which the aggregate places every instruction's first
+sample in the batch.
 """
 
 from __future__ import annotations
@@ -316,10 +323,10 @@ def _compile(prog, cfg, barriers, mode):
     instruction, in the order of `run.sampled`, each taking the error as a
     host float.  The function returns (orig, shadow, stale, steps,
     exec_counts, samples, firsts) of the run: `samples` counts its stream
-    errors and firsts[j] is that count at the first entry to the j-th
-    sampling block.  `run.sampled` holds (instr_id, dst, j, offset) per
-    sampled instruction, whose first error in a run is then the
-    (firsts[j] + offset)-th."""
+    errors and firsts[j] is the count of those before the first entry to
+    the j-th sampling block.  `run.sampled` holds (instr_id, dst, j,
+    offset) per sampled instruction, whose first error in a run is then
+    the (firsts[j] + offset)-th."""
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
@@ -430,9 +437,12 @@ def _compile(prog, cfg, barriers, mode):
         return out + emit(instr.id, k, instr.dst, fused)
 
     # every block is generated, reached or not, so that constants are bound
-    # and word ops rejected in program order; only reached blocks are run
+    # and word ops rejected in program order; only reached blocks are run.
+    # A block that branches or jumps back to its own start is a self-loop,
+    # run as an inner loop until its branch is not taken
     blocks, reached = control_flow(prog)
     bodies = []
+    loops = set()
     counts = []
     for b, (lo, hi, succ) in enumerate(blocks):
         block_samples.append([])
@@ -440,6 +450,10 @@ def _compile(prog, cfg, barriers, mode):
         last = instrs[hi - 1]
         if last.op == "ret":
             body += ["ro, rs, rt = %s, %s, %s" % fop(last.srcs[0]), "break"]
+        elif last.op in ("jump", "branch") and succ[0] == b:
+            loops.add(b)
+            if last.op == "branch":
+                body += ["if not %s:" % iop(last.srcs[0]), "    break"]
         elif last.op == "jump":
             body.append("b = %d" % succ[0])
         elif last.op == "branch":
@@ -450,11 +464,19 @@ def _compile(prog, cfg, barriers, mode):
         bodies.append(body)
         counts += ["c%d" % b if b in reached else "0"] * (hi - lo)
 
-    # stream mode: a<id> appends instruction id's errors, q counts the
-    # run's samples and f<b> holds q at the first entry to block b
+    # stream mode: a<id> appends instruction id's errors; every entry to
+    # block b takes its len(block_samples[b]) samples, so the run's sample
+    # count is the sum of c<b> times that over the sampling blocks, and
+    # f<b> holds the sum at the first entry to block b
     ids = sorted(reached)
     sampling = [b for b in ids if block_samples[b]]
-    firsts = set(sampling)
+
+    def taken(skip=None):
+        return " + ".join(
+            "c%d * %d" % (b, len(block_samples[b]))
+            if len(block_samples[b]) > 1 else "c%d" % b
+            for b in sampling if b != skip) or "0"
+
     sampled = tuple((iid, dst, j, off) for j, b in enumerate(sampling)
                     for off, (iid, dst) in enumerate(block_samples[b]))
     src = ["def run(ins, sink, ri):"]
@@ -469,8 +491,7 @@ def _compile(prog, cfg, barriers, mode):
                                                  for s in sampled))
     src += ["    n = 0", "    b = 0",
             "    %s = 0" % " = ".join(["c%d" % b for b in ids]
-                                      + ["q"] + ["f%d" % b
-                                                 for b in sampling]),
+                                      + ["f%d" % b for b in sampling]),
             "    while True:"]
 
     def dispatch(ids, pad):
@@ -483,16 +504,19 @@ def _compile(prog, cfg, barriers, mode):
         else:
             b = ids[0]
             lo, hi, _ = blocks[b]
-            first = ["if c%d == 1:" % b, "    f%d = q" % b,
-                     "q += %d" % len(block_samples[b])] \
-                if b in firsts else []
-            src.extend(pad + ln for ln in [
-                "n += %d" % (hi - lo), "if n > %d:" % cfg.max_steps,
-                "    raise _over()", "c%d += 1" % b] + first + bodies[b])
+            first = ["if not c%d:" % b, "    f%d = %s" % (b, taken(b))] \
+                if block_samples[b] else []
+            entry = ["n += %d" % (hi - lo), "if n > %d:" % cfg.max_steps,
+                     "    raise _over()", "c%d += 1" % b] + bodies[b]
+            if b in loops:
+                entry = ["while True:"] + ["    " + ln for ln in entry]
+                if instrs[hi - 1].op == "branch":
+                    entry.append("b = %d" % (b + 1))
+            src.extend(pad + ln for ln in first + entry)
 
     dispatch(ids, "        ")
-    src.append("    return ro, rs, rt, n, [%s], q, [%s]" % (
-        ", ".join(counts), ", ".join("f%d" % b for b in sampling)))
+    src.append("    return ro, rs, rt, n, [%s], %s, [%s]" % (
+        ", ".join(counts), taken(), ", ".join("f%d" % b for b in sampling)))
     exec(compile("\n".join(src) + "\n", "<precfix>", "exec"), ns)
     run = ns["run"]
     run.sampled = sampled
@@ -507,7 +531,9 @@ def _compiled(prog, cfg, barriers, mode):
     """The compiled function, from the cache when it is there.  The key
     holds the config's fields, which hash faster than the config.  The
     barriers are checked when compiling, and on a hit again unless they
-    are the very set checked then: {True} and {1.0} equal {1}."""
+    are the very set checked last: {True} and {1.0} equal {1}.  A set that
+    passes on a hit is kept, so that a caller passing one set object again
+    and again has it checked once."""
     cache = prog.compiled
     key = (cfg.p_orig, cfg.p_shadow, cfg.max_steps, barriers, mode)
     run = cache.get(key)
@@ -520,6 +546,7 @@ def _compiled(prog, cfg, barriers, mode):
         cache[key] = run
     elif run.barriers is not barriers:
         check_barriers(prog, barriers)
+        run.barriers = barriers
     return run
 
 

@@ -24,10 +24,13 @@ All values are immutable; every operation returns a fresh value.
 The relative error |shadow - original| / |shadow| as a host float, which
 the engine samples in stream mode, is `_rel_err_float` for an MPFloat
 original and `_rel_err_host` for a host-float one; the two agree bit for
-bit.  Lanes too far apart for the exact integer difference take a closed
-form: 1 when the original lies below half an ulp of the shadow at
-p_shadow, else |original| / |shadow| rounded once, which a host original
-far above the shadow forms from its own mantissa.  Given a host original
+bit.  A host original whose last bit lies on or not far above the
+shadow's is read as an integer count of the shadow's last bit from one
+`math.ldexp` (`_host_error`).  Lanes too far apart for the exact integer
+difference take a closed form: 1 when the original lies below half an
+ulp of the shadow at p_shadow, else |original| / |shadow| rounded once,
+which a host original far above the shadow forms from its own mantissa.
+Given a host original
 and a sink, `_nearest` and `div` pass that error for the value they have
 just rounded, from its fields, without reading them back.
 """
@@ -752,20 +755,39 @@ def _rel_err_host(shadow, orig, p_shadow):
 
 def _host_error(sign, exp, mant, prec, orig, p_shadow, shadow):
     """_rel_err_host of the normal `shadow`, whose fields the caller has at
-    hand: sign, exp, mant and prec."""
+    hand: sign, exp, mant and prec.
+
+    First, x is orig in units of the shadow's last bit.  It is exact, and
+    an integer, exactly when 2**52 <= |x| < 2**652: when orig's last bit
+    lies on the shadow's or at most 599 binades above it (-600 < t <= 0
+    below), where the general path aligns orig to the shadow and divides
+    the difference by the shadow's mantissa.  So the error is the same,
+    bit for bit, without frexp or a shift.  Everything else (t > 0,
+    t <= -600, a zero or non-finite orig, an ldexp or a float(mant) out
+    of range) takes the general path."""
+    try:
+        x = math.ldexp(orig, prec - 1 - exp)
+        if 4503599627370496.0 <= abs(x) < 2.0 ** 652:
+            b = int(x)
+            d = mant - b if sign > 0 else mant + b
+            if not d:
+                return 0.0
+            return float(abs(d)) / float(mant)
+    except OverflowError:
+        pass
     if orig - orig == 0.0:
         if not orig:
             return 1.0
         f, e = math.frexp(orig)
         # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
         t = exp - prec + 54 - e
-        if -600 < t < 600:
+        # -600 < t <= 0 reaches here only when float(mant) or float(|d|)
+        # overflowed in the first branch, which takes a shadow of 1024 bits
+        # or more: the far-below test is then false, and _rel_err_float
+        # answers
+        if 0 < t < 600:
+            a = mant << t
             b = int(f * 9007199254740992.0)
-            if t >= 0:
-                a = mant << t
-            else:
-                a = mant
-                b <<= -t
             d = a - b if sign > 0 else a + b
             if d == 0:
                 return 0.0

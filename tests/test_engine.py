@@ -406,6 +406,28 @@ def test_bad_barriers_raise_on_every_call():
     assert tr.result.orig.to_float() == 3.0
 
 
+def test_equal_barrier_sets_are_checked_once_per_set(monkeypatch):
+    # the fixer and `eval` build new, equal sets; each is checked on its
+    # first call, and not again on the rows after it
+    prog = tac.parse_program(ROUND)
+    rows = [[dec(v)] for v in ("2.6", "-1.4", "0.5", "7.25")]
+    checked = []
+    check = engine.check_barriers
+    monkeypatch.setattr(engine, "check_barriers",
+                        lambda p, b: (checked.append(b), check(p, b)))
+    first, second = frozenset({1}), frozenset([1])
+    assert first == second and first is not second
+    detector.collect(prog, rows, CFG, first)
+    detector.collect(prog, rows, CFG, second)
+    assert [b is first for b in checked] == [True, False]
+    assert checked[1] is second
+    # a bad set found by an equal good one still raises on every call
+    for _ in range(2):
+        with pytest.raises(engine.BadBarrier):
+            detector.collect(prog, rows, CFG, frozenset({True}))
+    assert len(checked) == 4
+
+
 def test_result_converts_once_read():
     prog = tac.parse_program(ROUND)
     tr = engine.execute(prog, [dec("2.6")], CFG, sample_mode="none")

@@ -14,7 +14,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from precfix import cli, corpus, engine, tac
 from precfix import mpfloat as mp
@@ -519,6 +519,136 @@ def test_fused_calls_on_the_edges():
         assert check_fused("add", p, w, w, 5e-324) == 1.0
         check_fused("mul", p, low, top, 5e-324)
         check_fused("div", p, w, mp.extend(mp.from_float(3.0), 120), 0.5)
+
+
+# -- the original in units of the shadow's last bit ---------------------------
+
+
+def shadow_at(sign, exp, mant, p):
+    return mp.MPFloat(mp.NORMAL, sign, exp, mant, p)
+
+
+def scaled(v, k):
+    """v times 2**k, exactly."""
+    return shadow_at(v.sign, v.exp + k, v.mant, v.prec)
+
+
+@st.composite
+def unit_pairs(draw):
+    """(shadow, host original, p_shadow): the original's last bit 2**t
+    shadow units above the shadow's, with t near 0, near -600, near the
+    lanes' being of one size, or anywhere from -700 to 50, at p_shadow 53
+    to 1200 and around 1024, where the shadow's mantissa may not fit a
+    host float; or an original of any encoding.  The shadow's mantissa is
+    a power of two, all ones, or random bits, with which a quotient of two
+    rounded host floats shows its double rounding."""
+    p = draw(st.one_of(st.integers(53, 60), st.integers(53, 1200),
+                       st.sampled_from([1023, 1024, 1025])))
+    mant = (1 << (p - 1)) | draw(st.one_of(
+        st.just(0), st.just((1 << (p - 1)) - 1),
+        st.randoms(use_true_random=False).map(
+            lambda r: r.getrandbits(p - 1))))
+    sign = draw(st.sampled_from([1, -1]))
+    x = float_of(draw(b64_bits))
+    if not (x == x and x - x == 0 and x) or draw(st.integers(0, 7)) == 0:
+        return shadow_at(sign, draw(st.integers(-1200, 1200)), mant, p), x, p
+    t = draw(st.one_of(st.integers(-2, 2), st.integers(-603, -597),
+                       st.integers(50 - p, 56 - p), st.integers(-700, 50)))
+    # t = (exp - p) - (the exponent of x's last bit, frexp's e - 53)
+    exp = t + p - 54 + math.frexp(x)[1]
+    return shadow_at(sign, exp, mant, p), x, p
+
+
+ONE53 = mp.from_float(1.0)
+NEXT53 = mp.from_float(1.0000000000000002)
+ONES = {p: shadow_at(1, 0, (1 << p) - 1, p) for p in (1023, 1024, 1025)}
+POW2 = {p: shadow_at(1, 0, 1 << (p - 1), p) for p in (1023, 1024, 1025)}
+W120 = mp.extend(mp.from_float(1.5), 120)
+
+
+@given(unit_pairs())
+# |x| at 2**52 (t = 0) and just below it (t = 1)
+@example((ONE53, 1.0, 53))
+@example((NEXT53, 1.0, 53))
+@example((NEXT53, 0.9999999999999999, 53))
+@example((mp.extend(NEXT53, 120), 2.0**-67, 120))
+@example((mp.extend(NEXT53, 120), math.nextafter(2.0**-67, 0), 120))
+# |x| just below 2**652 (t = -599) and at it (t = -600)
+@example((ONE53, math.nextafter(2.0**600, 0), 53))
+@example((ONE53, 2.0**600, 53))
+@example((NEXT53, -math.nextafter(2.0**600, 0), 53))
+@example((shadow_at(1, 0, 0xC000000000000134 << 56, 120), 1.25 * 2.0**533,
+          120))
+# p_shadow 1023 to 1025: the shadow's mantissa all ones, so that
+# float(mant) overflows from 1024 on, inside and at the edge of the range
+@example((ONES[1023], 2.0**-400, 1023))
+@example((ONES[1024], 2.0**-400, 1024))
+@example((ONES[1025], 2.0**-400, 1025))
+@example((POW2[1023], 2.0**-370, 1023))
+@example((POW2[1024], 2.0**-371, 1024))
+@example((POW2[1024], math.nextafter(2.0**-371, 0), 1024))
+@example((POW2[1025], 2.0**-372, 1025))
+@example((ONES[1024], -2.0**-371, 1024))
+# lanes of one size at p_shadow 1024 (t = -970), where the error is the
+# quotient rounded twice, unlike float(|d|) / float(mant)
+@example((mp.extend(mp.from_float(1.5), 1024), 0.3, 1024))
+# ldexp overflows: a shadow near 2**-1000 against an original of 1.0
+@example((scaled(ONE53, -1000), 1.0, 53))
+@example((scaled(W120, -1000), -1.0, 120))
+# subnormal, signed zero, infinite and NaN originals
+@example((shadow_at(1, -1074, 1 << 52, 53), 5e-324, 53))
+@example((shadow_at(-1, -1074, 1 << 52, 53), 5e-324, 53))
+@example((scaled(W120, -1030), 1e-310, 120))
+@example((W120, 5e-324, 120))
+@example((W120, 0.0, 120))
+@example((W120, -0.0, 120))
+@example((W120, math.inf, 120))
+@example((W120, -math.inf, 120))
+@example((W120, math.nan, 120))
+# an original of the opposite sign
+@example((W120, -1.5, 120))
+@example((mp.neg(W120), 1.5, 120))
+@settings(max_examples=1500, deadline=None)
+def test_host_error_in_shadow_units_matches_mpfloat_error(pair):
+    """_host_error, _rel_err_host and the fused calls whose exact result
+    is the shadow give _rel_err_float's error bit for bit."""
+    shadow, x, p = pair
+    want = struct.pack("<d", mp._rel_err_float(shadow, mp.from_float(x), p))
+    assert struct.pack("<d", mp._host_error(
+        shadow.sign, shadow.exp, shadow.mant, p, x, p, shadow)) == want
+    assert struct.pack("<d", mp._rel_err_host(shadow, x, p)) == want
+    one = shadow_at(1, 0, 1 << (p - 1), p)
+    for op, a, b in (("add", scaled(shadow, -1), scaled(shadow, -1)),
+                     ("sub", scaled(shadow, 1), shadow),
+                     ("mul", shadow, one), ("div", shadow, one)):
+        got = []
+        assert fields(fused(op, a, b, p, x, got.append)) == fields(shadow)
+        assert [struct.pack("<d", e) for e in got] == [want]
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0**-400, 1.0, 5e-324, math.nan])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_a_raising_sink_is_called_once(op, x):
+    """A sink's error propagates from a fused call, after one call, even
+    an OverflowError, whichever path the original's error takes."""
+    calls = []
+
+    def put(e):
+        calls.append(e)
+        raise OverflowError("sink")
+
+    a = scaled(W120, -1000) if x == 1.0 else W120
+    with pytest.raises(OverflowError, match="sink"):
+        fused(op, a, W120, 120, x, put)
+    assert len(calls) == 1
+    # and through a program's callable sink
+    calls.clear()
+    prog = tac.parse_program("func f(x) -> y\n  y = %s x, x\n  ret y\n"
+                             % ("f" + op))
+    with pytest.raises(OverflowError, match="sink"):
+        engine.execute(prog, [mp.from_float(x)], CFG,
+                       sample_mode=lambda i, d, e: put(e))
+    assert len(calls) == 1
 
 
 # -- whole programs ---------------------------------------------------------

@@ -1,8 +1,10 @@
 """Random TAC programs through the parser, the printer and the engine.
 
 The generator draws valid programs over every opcode in `tac.OPCODES`:
-forward branches and jumps, early returns, and at most one counted loop,
-so every program terminates.  Variable names include dotted names, Python
+forward branches and jumps, early returns, a counted loop and an outer
+counted loop around it, each optional, so every program terminates.  A
+loop with no branch or label inside is one block that branches to its own
+start, and the outer loop enters it again and again.  Variable names include dotted names, Python
 keywords and builtins, and names shaped like the engine's generated locals,
 none of which may reach the generated code.
 """
@@ -12,7 +14,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from precfix import cli, engine, tac
+from precfix import cli, detector, engine, tac
 from precfix import mpfloat as mp
 
 CFG = engine.EngineConfig()
@@ -28,8 +30,9 @@ INT_LITS = ["0", "1", "3", "-1", "20", "63", "64", "0xFFFFFFFF",
             "0x80000000", "0x3FF00000"]
 INPUTS = [0.0, -0.0, 1.0, -2.5, 0.1, 3.75, 1e-300, -1e300, 123456.789,
           4503599627370496.5, math.inf, math.nan, 5e-324]
-# reserved for the loop, outside NAMES
+# reserved for the loops, outside NAMES
 LOOP_I, LOOP_C, LOOP_LABEL = "loop.i", "loop.c", "loop_top"
+OUTER_I, OUTER_C, OUTER_LABEL = "outer.i", "outer.c", "outer_top"
 
 BODY_OPS = [op for op, (_, d) in tac.OPCODES.items() if d is not None]
 
@@ -85,18 +88,31 @@ def programs(draw):
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))),
                      ["ret %s" % draw(st.sampled_from(fvars))])
+
+    def counted_loop(i, c, label, lo, hi):
+        """Run lines[lo:hi] 1 to 12 times, counting in i."""
+        count = draw(st.integers(1, 12))
+        lines.insert(hi, ["%s = iadd %s, 1" % (i, i),
+                          "%s = icmp lt, %s, %d" % (c, i, count),
+                          "branch %s, %s" % (c, label)])
+        lines.insert(lo, ["%s = iconst 0" % i, "%s:" % label])
+
+    # the outer loop holds the inner one, if any, whose two chunks then lie
+    # at lo and hi - 1
+    lo, hi = len(lines) - 1, 0
     if draw(st.booleans()):
         lo = draw(st.integers(0, len(lines) - 1))
         hi = draw(st.integers(lo + 1, len(lines)))
-        count = draw(st.integers(1, 12))
-        lines.insert(hi, ["%s = iadd %s, 1" % (LOOP_I, LOOP_I),
-                          "%s = icmp lt, %s, %d" % (LOOP_C, LOOP_I, count),
-                          "branch %s, %s" % (LOOP_C, LOOP_LABEL)])
-        lines.insert(lo, ["%s = iconst 0" % LOOP_I, "%s:" % LOOP_LABEL])
+        counted_loop(LOOP_I, LOOP_C, LOOP_LABEL, lo, hi)
+        hi += 2
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, lo))
+        hi = draw(st.integers(max(hi, lo + 1), len(lines)))
+        counted_loop(OUTER_I, OUTER_C, OUTER_LABEL, lo, hi)
     init = ["%s = fconst %s" % (v, draw(st.sampled_from(FLOAT_LITS)))
             for v in fvars[n_params:]]
     init += ["%s = iconst %s" % (v, draw(st.sampled_from(INT_LITS)))
-             for v in ivars + [LOOP_I]]
+             for v in ivars + [LOOP_I, OUTER_I]]
     text = ["func f(%s) -> result" % ", ".join(params),
             "  const two = 2.0"]
     text += ["  " + ln for ln in init]
@@ -245,6 +261,48 @@ def test_step_budget_is_exact(text, steps):
         with pytest.raises(engine.StepBudgetExceeded):
             engine.execute(prog, x, engine.EngineConfig(max_steps=steps - 1),
                            sample_mode=mode)
+
+
+# a self-looping block entered three times, each time for ten passes
+NESTED = """
+func f(x) -> s
+  s = fconst 0.0
+  j = iconst 0
+outer:
+  i = iconst 0
+top:
+  s = fadd s, x
+  i = iadd i, 1
+  c = icmp lt, i, 10
+  branch c, top
+  j = iadd j, 1
+  d = icmp lt, j, 3
+  branch d, outer
+  ret s
+"""
+
+
+def test_step_budget_is_exact_in_a_self_loop_in_stream_mode():
+    prog = tac.parse_program(NESTED)
+    x = [mp.from_float(0.1)]
+    steps = 2 + 3 * (1 + 4 * 10 + 3) + 1
+    cfg = engine.EngineConfig(max_steps=steps)
+    agg = detector.ErrorAggregate(prog.name)
+    t = engine.execute(prog, x, cfg, sample_mode=agg)
+    assert t.steps == steps
+    assert t.exec_counts == [1, 1, 3, 30, 30, 30, 30, 3, 3, 3, 1]
+    assert [agg.instrs[i].m for i in (0, 3)] == [1, 30]
+    # the run's sample count, s = fconst and then thirty fadds, and the
+    # count at the first entry to each sampling block
+    run = engine._compiled(prog, cfg, frozenset(), "stream")
+    out = run([engine.make_dual(x[0], cfg)], agg.sinks(run.sampled), 0)
+    assert out[5:] == (31, [0, 1])
+    # every smaller budget stops the run, inside the loop or out of it
+    for budget in range(1, steps):
+        cfg = engine.EngineConfig(max_steps=budget)
+        with pytest.raises(engine.StepBudgetExceeded):
+            engine.execute(prog, x, cfg,
+                           sample_mode=detector.ErrorAggregate(prog.name))
 
 
 def test_max_steps_must_be_positive():

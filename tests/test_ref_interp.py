@@ -195,6 +195,50 @@ def test_first_ordinals_of_instructions_first_run_late(p_o, p_s, barriers):
         == [0, 1, 2, 3, 9, 10]
 
 
+# LATE's loop block entered twice per row by an outer loop: a block that
+# branches to its own start, with two samples, first run in a later row
+NESTED = """
+func f(x) -> y
+  y = fmov x
+  c = icmp gt, x, 1.0
+  branch c, big
+  y = fmul y, 3.0
+  jump done
+big:
+  j = iconst 0
+outer:
+  i = iconst 0
+top:
+  y = fdiv y, 3.0
+  t = fadd y, 0.1
+  i = iadd i, 1
+  k = icmp lt, i, 3
+  branch k, top
+  j = iadd j, 1
+  m = icmp lt, j, 2
+  branch m, outer
+done:
+  y = fadd y, x
+  z = fsqrt y
+  ret z
+"""
+
+
+@pytest.mark.parametrize("p_o, p_s", [(53, 120), (24, 200)])
+@pytest.mark.parametrize("barriers", [frozenset(), frozenset({3, 8})])
+def test_first_ordinals_in_a_self_loop_entered_again(p_o, p_s, barriers):
+    prog = tac.parse_program(NESTED)
+    rows = [mp.from_float(x) for x in (0.5, -4.0, 2.0, 0.75, 5.0, 1e300)]
+    cfg = engine.EngineConfig(p_o, p_s)
+    check_batch(prog, cfg, barriers, [[x] for x in rows])
+    agg = detector.collect(prog, rows, cfg, barriers, THRESHOLDS)
+    # rows 0 and 1 sample instructions 0, 3, 15 and 16; row 2 then runs
+    # 0, and 7 and 8 six times, before 15 and 16
+    assert [agg.instrs[i].first_ordinal for i in (0, 3, 15, 16, 7, 8)] \
+        == [0, 1, 2, 3, 9, 10]
+    assert [agg.instrs[i].m for i in (0, 7, 8, 15)] == [6, 18, 18, 6]
+
+
 # a partial word write that leaves the shadow stale or replays it, whose
 # staleness fabs, fneg and fmov carry to the result
 STALE = """
