@@ -4,9 +4,9 @@ The generator draws valid programs over every opcode in `tac.OPCODES`:
 forward branches and jumps, early returns, a counted loop and an outer
 counted loop around it, each optional, so every program terminates.  A
 loop with no branch or label inside is one block that branches to its own
-start, and the outer loop enters it again and again.  Variable names include dotted names, Python
-keywords and builtins, and names shaped like the engine's generated locals,
-none of which may reach the generated code.
+start, and the outer loop enters it again and again.  Variable names
+include dotted names, Python keywords and builtins, and names shaped like
+the engine's generated locals, none of which may reach the generated code.
 """
 
 import math
