@@ -124,9 +124,6 @@ class ErrorAggregate:
         self._index = {t: j for j, t in enumerate(self.thresholds)}
         self._accs = {}
         self._ordinal = 0
-        self._pending = 0
-        self._sampled = self._sinks = None
-        self._unseen = ()
 
     def _acc(self, instr_id, dst):
         acc = self._accs.get(instr_id)
@@ -147,37 +144,26 @@ class ErrorAggregate:
     def sinks(self, sampled):
         """For the engine: the append of each sampled instruction's buffer,
         `sampled` being (instr_id, dst, ...) per instruction."""
-        if sampled is not self._sampled:
-            self._sampled = sampled
-            self._sinks = [self._acc(s[0], s[1]).errors.append
-                           for s in sampled]
-            self._unseen = [s for s in sampled if s[0] not in self.instrs]
-        return self._sinks
+        return [self._acc(s[0], s[1]).errors.append for s in sampled]
 
-    def end_run(self, counts, samples, firsts):
-        """For the engine, after a run through `sinks`: the run's exec
-        counts, its number of samples and where each sampled instruction's
-        first one fell (see engine._compile)."""
-        if self._unseen:
-            unseen = []
-            for s in self._unseen:
-                iid, _, j, offset = s
-                if counts[iid]:
-                    acc = self.instrs[iid] = self._accs[iid]
-                    acc.first_ordinal = self._ordinal + firsts[j] + offset
-                else:
-                    unseen.append(s)
-            self._unseen = unseen
-        self._ordinal += samples
-        self._pending += samples
-        if self._pending >= FOLD_SIZE:
-            self.flush()
-
-    def flush(self):
-        """Fold every buffered error into the tallies."""
+    def fold(self, taken=0):
+        """Fold every buffered error into the tallies.  For the engine,
+        after a row that brought its batch's samples to `taken`: the count
+        at which to fold next."""
         for acc in self._accs.values():
             self._fold(acc)
-        self._pending = 0
+        return taken + FOLD_SIZE
+
+    def end_run(self, sampled, counts, samples, firsts, runs):
+        """For the engine, after a batch through `sinks`: its exec counts,
+        its number of samples, where each sampled instruction's first one
+        fell (see engine._compile) and its number of runs."""
+        for iid, _, j, offset in sampled:
+            if counts[iid] and iid not in self.instrs:
+                acc = self.instrs[iid] = self._accs[iid]
+                acc.first_ordinal = self._ordinal + firsts[j] + offset
+        self._ordinal += samples
+        self.n += runs
 
     def _fold(self, acc):
         buf = acc.errors
@@ -216,17 +202,14 @@ class ErrorAggregate:
 
 
 def collect(prog, rows, engine_cfg, barriers=frozenset(), thresholds=None):
-    """Run every input row of a batch, with each error sample appended by
-    the generated code to its instruction's buffer in one ErrorAggregate,
-    which can answer at `thresholds`.  A failed run stops the batch and
-    its EngineError propagates."""
+    """Run every input row of a batch in one engine call, with each error
+    sample appended by the generated code to its instruction's buffer in
+    one ErrorAggregate, which can answer at `thresholds`.  A failed run
+    stops the batch and its EngineError propagates."""
     agg = ErrorAggregate(prog.name, thresholds)
-    for idx, row in enumerate(rows):
-        if isinstance(row, mp.MPFloat):
-            row = [row]
-        eng.execute(prog, row, engine_cfg, barriers, idx, sample_mode=agg)
-        agg.n += 1
-    agg.flush()
+    eng.execute_rows(prog, ([r] if isinstance(r, mp.MPFloat) else r
+                            for r in rows), engine_cfg, barriers, agg)
+    agg.fold()
     return agg
 
 
@@ -264,7 +247,7 @@ def _moments(acc):
 
 def stats_for(agg, e0, p0=0.5, p1=0.1):
     """Per-instruction statistics at one threshold, in static id order."""
-    agg.flush()
+    agg.fold()
     out = []
     for iid, acc in sorted(agg.instrs.items()):
         mean, mx = _moments(acc)

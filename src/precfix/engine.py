@@ -18,7 +18,7 @@ normal operands once from one integer division; one call per operation.
 An input that already has p_orig bits inside the normal range is admitted
 as it is: `mpfloat.round_to` returns such a value unrounded.  A host-float
 original crosses back to `MPFloat` only where a caller or the shadow needs
-one: `RunTrace.result`, once it is read, `ErrorSample.original`, and the
+one: `RunTrace.result`, once per batch, `ErrorSample.original`, and the
 shadow side of word writes.
 Stream-mode errors are `mpfloat._rel_err_host`'s, computed from the host
 float directly, and equal the `MPFloat` computation
@@ -41,6 +41,8 @@ shadow rounded to binary64.
 
 Programs are compiled once per (program, config, barriers, sampling mode)
 into one generated Python function, kept in a bounded cache on the program.
+One call runs a batch of rows, admitting each only when it reaches it, and
+`execute` is a batch of one.
 A `tac.TacProgram` is valid by construction and immutable, so the engine
 checks no program structure: it reads the basic blocks, their successors
 and reachability from `tac.control_flow` and variable types from
@@ -50,20 +52,20 @@ a float, t<k> for its staleness in programs with word writes, and i<k> for
 an integer.  Constants are admitted at compile time and bound into the
 function's namespace; no text of the program reaches the generated
 source.  The reachable basic blocks are dispatched by a balanced `if`
-tree on the block index inside one loop; exec counts are kept per
-block and the step budget is checked on every entry to a block, against
-its length.  A block whose branch or jump goes back to its own start (a
-self-loop, such as a counted loop with no branch inside) runs as an inner
-`while` loop that it leaves when its branch is not taken, so its passes
-skip the dispatch.
+tree on the block index inside one loop per row; exec counts are kept
+per block and the row's step budget is checked on every entry to a block,
+against its length.  A block whose branch or jump goes back to its own
+start (a self-loop, such as a counted loop with no branch inside) runs as
+an inner `while` loop that it leaves when its branch is not taken, so its
+passes skip the dispatch.
 Each float operation is emitted from two expression tables: host-float
 expressions for the original lane at p_orig = 53, and unbounded `mpfloat`
 calls for the shadow and the `MPFloat` original lane.  A demoted shadow
 takes the original lane's table.
 
 In stream mode each sampled instruction appends its error through a local
-a<id> bound once per run: to its buffer in a `detector.ErrorAggregate`, or
-to a caller's sink(instr_id, dst, err) through a `functools.partial`.
+a<id> bound once per batch: to its buffer in a `detector.ErrorAggregate`,
+or to a caller's sink(instr_id, dst, err) through a `functools.partial`.
 Nothing else is done per sample.  At p_orig = 53 an unbarriered fadd, fsub,
 fmul or fdiv is one call, `_nearest(s<a>, s<b>, flip, p_shadow, o<k>,
 a<id>)` or `div(s<a>, s<b>, p_shadow, UNBOUNDED, o<k>, a<id>)`: it rounds
@@ -71,11 +73,11 @@ the shadow and appends the host original's error, taken from the fields
 it has just rounded; every other sampled instruction appends
 `_rel_err_host(s<k>, o<k>, p_shadow)`, or `_rel_err_float` of an `MPFloat`
 original.  Every entry to a block takes each of its sampled
-instructions once, so the generated function counts no samples: a run's
-sample count is the sum over the sampling blocks of exec count times
-samples per entry, formed at return, and at a block's first entry the
-same sum, from which the aggregate places every instruction's first
-sample in the batch.
+instructions once, so the generated function counts no samples: the
+batch's sample count is the sum over the sampling blocks of exec count
+times samples per entry.  Exec counts run on across the rows, so the sum
+at a block's first entry places every instruction's first sample in the
+batch, and a row that brings it to the aggregate's mark folds the buffers.
 """
 
 from __future__ import annotations
@@ -158,19 +160,10 @@ class ErrorSample:
 
 @dataclass
 class RunTrace:
-    lanes: tuple  # (orig, shadow, stale) as the run left them
+    result: DualValue  # the last row's, its original an MPFloat
     samples: list
     exec_counts: list
     steps: int
-
-    @functools.cached_property
-    def result(self):
-        """The result register, its original an MPFloat: a host float
-        converts here, once read."""
-        orig, shadow, stale = self.lanes
-        if isinstance(orig, float):
-            orig = mp.from_float(orig)
-        return DualValue(orig, shadow, stale)
 
 
 def make_dual(value, cfg):
@@ -302,7 +295,7 @@ _NS = {"_near": mp._nearest, "_div": mp.div, "_sqrt": mp.sqrt,
        "_sample": _full_sample, "_rnd": mp.round_to, "_ext": mp.extend,
        "_fbits": _float_bits, "_setw": _set_word, "_makef": _make_word,
        "_unb": mp.UNBOUNDED, "_tf": mp.MPFloat.to_float,
-       "_ff": mp.from_float}
+       "_ff": mp.from_float, "_inf": math.inf}
 _WORD_OPS = ("get_hi", "get_lo", "make_f", "set_hi", "set_lo")
 _M = str(_INT_MASK)
 _INT_EXPR = {"iadd": "({0} + {1}) & " + _M, "isub": "({0} - {1}) & " + _M,
@@ -317,16 +310,17 @@ _CMP_PRED = {"lt": "(-1,)", "le": "(-1, 0)", "gt": "(1,)", "ge": "(0, 1)",
 
 
 def _compile(prog, cfg, barriers, mode):
-    """One Python function run(ins, sink, ri) for the program.  `ins` holds
-    the admitted inputs as DualValues.  In "full" mode `sink` takes
-    ErrorSamples; in "stream" mode it holds one append per sampled
-    instruction, in the order of `run.sampled`, each taking the error as a
-    host float.  The function returns (orig, shadow, stale, steps,
-    exec_counts, samples, firsts) of the run: `samples` counts its stream
-    errors and firsts[j] is the count of those before the first entry to
-    the j-th sampling block.  `run.sampled` holds (instr_id, dst, j,
-    offset) per sampled instruction, whose first error in a run is then
-    the (firsts[j] + offset)-th."""
+    """One Python function run(rows, sink, ri, fold) for the program, whose
+    rows hold admitted inputs as DualValues and are indexed from ri.  In
+    "full" mode `sink` takes ErrorSamples; in "stream" mode it holds one
+    append per sampled instruction, in the order of `run.sampled`, each
+    taking the error as a host float, and `fold` is the aggregate's or None.
+    It returns the last row's (orig, shadow, stale), Nones without rows, the
+    batch's exec_counts, its count of stream errors, firsts, and the index
+    after its last row: firsts[j] counts the stream errors before the first
+    entry to the j-th sampling block.
+    `run.sampled` holds (instr_id, dst, j, offset) per sampled instruction,
+    whose first error in the batch is then the (firsts[j] + offset)-th."""
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
@@ -464,10 +458,9 @@ def _compile(prog, cfg, barriers, mode):
         bodies.append(body)
         counts += ["c%d" % b if b in reached else "0"] * (hi - lo)
 
-    # stream mode: a<id> appends instruction id's errors; every entry to
-    # block b takes its len(block_samples[b]) samples, so the run's sample
-    # count is the sum of c<b> times that over the sampling blocks, and
-    # f<b> holds the sum at the first entry to block b
+    # stream mode: the batch's sample count is the sum of c<b> times
+    # len(block_samples[b]) over the sampling blocks, f<b> holds it at the
+    # first entry to block b, and a row that brings it to nf folds
     ids = sorted(reached)
     sampling = [b for b in ids if block_samples[b]]
 
@@ -479,20 +472,24 @@ def _compile(prog, cfg, barriers, mode):
 
     sampled = tuple((iid, dst, j, off) for j, b in enumerate(sampling)
                     for off, (iid, dst) in enumerate(block_samples[b]))
-    src = ["def run(ins, sink, ri):"]
-    for j, name in enumerate(prog.params):
-        k = regs[name]
-        src += ["    o%d = ins[%d].orig" % (k, j),
-                "    s%d = ins[%d].shadow" % (k, j)]
-        if track:
-            src.append("    t%d = ins[%d].stale" % (k, j))
+    src = ["def run(rows, sink, ri, fold):"]
     if sampled:
         src.append("    %s, = sink" % ", ".join("a%d" % s[0]
                                                  for s in sampled))
-    src += ["    n = 0", "    b = 0",
-            "    %s = 0" % " = ".join(["c%d" % b for b in ids]
+    src += ["    %s = 0" % " = ".join(["c%d" % b for b in ids]
                                       + ["f%d" % b for b in sampling]),
-            "    while True:"]
+            "    ro = rs = rt = None"]
+    folds = mode == "stream" and sampling
+    if folds:
+        src.append("    nf = 0 if fold else _inf")
+    src.append("    for ins in rows:")
+    for j, name in enumerate(prog.params):
+        k = regs[name]
+        src += ["        o%d = ins[%d].orig" % (k, j),
+                "        s%d = ins[%d].shadow" % (k, j)]
+        if track:
+            src.append("        t%d = ins[%d].stale" % (k, j))
+    src += ["        n = 0", "        b = 0", "        while True:"]
 
     def dispatch(ids, pad):
         if len(ids) > 1:
@@ -514,8 +511,12 @@ def _compile(prog, cfg, barriers, mode):
                     entry.append("b = %d" % (b + 1))
             src.extend(pad + ln for ln in first + entry)
 
-    dispatch(ids, "        ")
-    src.append("    return ro, rs, rt, n, [%s], %s, [%s]" % (
+    dispatch(ids, "            ")
+    if folds:
+        src += ["        if %s >= nf:" % taken(),
+                "            nf = fold(%s)" % taken()]
+    src.append("        ri += 1")
+    src.append("    return ro, rs, rt, [%s], %s, [%s], ri" % (
         ", ".join(counts), taken(), ", ".join("f%d" % b for b in sampling)))
     exec(compile("\n".join(src) + "\n", "<precfix>", "exec"), ns)
     run = ns["run"]
@@ -530,23 +531,17 @@ _CACHE_SIZE = 32
 def _compiled(prog, cfg, barriers, mode):
     """The compiled function, from the cache when it is there.  The key
     holds the config's fields, which hash faster than the config.  The
-    barriers are checked when compiling, and on a hit again unless they
-    are the very set checked last: {True} and {1.0} equal {1}.  A set that
-    passes on a hit is kept, so that a caller passing one set object again
-    and again has it checked once."""
+    barriers are checked on every call, a hit included: {True} and {1.0}
+    equal {1}."""
+    check_barriers(prog, barriers)
     cache = prog.compiled
     key = (cfg.p_orig, cfg.p_shadow, cfg.max_steps, barriers, mode)
     run = cache.get(key)
     if run is None:
-        check_barriers(prog, barriers)
         run = _compile(prog, cfg, barriers, mode)
-        run.barriers = barriers
         if len(cache) >= _CACHE_SIZE:
             del cache[next(iter(cache))]
         cache[key] = run
-    elif run.barriers is not barriers:
-        check_barriers(prog, barriers)
-        run.barriers = barriers
     return run
 
 
@@ -562,20 +557,27 @@ def check_barriers(prog, barriers):
             raise BadBarrier("instruction %d has no destination" % b)
 
 
-def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
-            run_index=0, sample_mode="full"):
-    """Run one input vector.  sample_mode: "full" records ErrorSample
-    objects with exact errors, "none" skips error tracking entirely, a
-    callable sink(instr_id, dst, err) receives each error as a host float,
-    and a tally (`detector.ErrorAggregate`) has each error appended to its
-    instruction's buffer, through `tally.sinks(sampled)`, and is told the
-    run's counts through `tally.end_run(exec_counts, samples, firsts)`.
-    """
+def _checked(prog, inputs):
     if len(inputs) != len(prog.params):
         raise EngineError("%s takes %d input(s), got %d"
                           % (prog.name, len(prog.params), len(inputs)))
+    return inputs
+
+
+def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
+                 sample_mode="full", run_index=0):
+    """Run input vectors in one call, indexed from run_index; each row's
+    arity is checked as it is reached, and a failed row stops the batch.
+    sample_mode: "full" records ErrorSample objects with exact errors,
+    "none" skips error tracking entirely, a callable sink(instr_id, dst,
+    err) receives each error as a host float, and a tally
+    (`detector.ErrorAggregate`) has each error appended to its
+    instruction's buffer through `tally.sinks(sampled)`, folded by
+    `tally.fold`, and counted by `tally.end_run` (see _compile).  The
+    trace holds the last row's result and the whole batch's samples, exec
+    counts and steps."""
     samples = []
-    tally = None
+    tally = fold = None
     if sample_mode == "full" or sample_mode == "none":
         mode = sample_mode
     elif callable(sample_mode):
@@ -586,17 +588,29 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
         raise ValueError("bad sample_mode %r" % (sample_mode,))
     run = _compiled(prog, cfg, frozenset(barriers), mode)
     if tally is not None:
-        sink = tally.sinks(run.sampled)
+        sink, fold = tally.sinks(run.sampled), tally.fold
     elif mode == "stream":
         sink = [functools.partial(sample_mode, iid, dst)
                 for iid, dst, _, _ in run.sampled]
     else:
         sink = samples.append if mode == "full" else None
-    orig, shadow, stale, steps, counts, taken, firsts = run(
-        [make_dual(v, cfg) for v in inputs], sink, run_index)
+    orig, shadow, stale, counts, taken, firsts, end = run(
+        ([make_dual(v, cfg) for v in _checked(prog, row)] for row in rows),
+        sink, run_index, fold)
     if tally is not None:
-        tally.end_run(counts, taken, firsts)
-    return RunTrace((orig, shadow, stale), samples, counts, steps)
+        tally.end_run(run.sampled, counts, taken, firsts, end - run_index)
+    if isinstance(orig, float):
+        orig = mp.from_float(orig)
+    return RunTrace(DualValue(orig, shadow, stale), samples, counts,
+                    sum(counts))
+
+
+def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
+            run_index=0, sample_mode="full"):
+    """Run one input vector: its arity checked before anything is
+    compiled, then a batch of one (see execute_rows)."""
+    return execute_rows(prog, (_checked(prog, inputs),), cfg, barriers,
+                        sample_mode, run_index)
 
 
 _SAMPLE = ("%s_id%d\nORIGINAL:       %s\nSHADOW VALUE:   %s\n"

@@ -135,6 +135,20 @@ def test_bad_program_file_is_exit_1(tmp_path, capsys):
     assert "never assigned" in err
 
 
+@pytest.mark.parametrize("command", [["detect"], ["detect", "--sweep"],
+                                     ["fix"], ["run"]])
+def test_grid_rows_for_a_two_input_program_are_exit_1(tmp_path, capsys,
+                                                      command):
+    # a --grid row holds one input: the first row's arity check stops the
+    # batch before anything is written
+    f = tmp_path / "two.tac"
+    f.write_text("func f(x, y) -> z\n  z = fadd x, y\n  ret z\n")
+    code, out, err = run_cli(capsys, *command, "--program", str(f),
+                             "--grid=-2,2,3")
+    assert (code, out) == (1, "")
+    assert err == "error: f takes 2 input(s), got 1\n"
+
+
 def test_zero_max_iterations_is_exit_1(capsys):
     code, out, err = run_cli(capsys, "fix", "--kernel", "round_kernel",
                              "--grid=-5,5,21", "--max-iterations", "0")

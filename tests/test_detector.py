@@ -103,18 +103,30 @@ def test_collect_from_runs():
     assert r.flagged == [1]
 
 
-def test_failed_runs_excluded_from_n(monkeypatch):
+def recorded(rows, read):
+    """The rows, each index appended to `read` as the row is taken."""
+    for i, row in enumerate(rows):
+        read.append(i)
+        yield row
+
+
+def test_failed_runs_excluded_from_n():
     # A failed run stops the batch: collect raises and no aggregate, and so
-    # no n, is returned; no row after the failing one is run.
-    calls = []
-    real = engine.execute
-    monkeypatch.setattr(engine, "execute",
-                        lambda *a, **kw: calls.append(a[4]) or real(*a, **kw))
+    # no n, is returned; no row after the failing one is read, whether the
+    # first row fails or a middle one.
+    read = []
     k = corpus.get_kernel("accum_kernel")
     with pytest.raises(engine.StepBudgetExceeded):
-        detector.collect(k.program, corpus.grid("0", "1", 3),
+        detector.collect(k.program, recorded(corpus.grid("0", "1", 3), read),
                          engine.EngineConfig(max_steps=5))
-    assert calls == [0]
+    assert read == [0]
+    read.clear()
+    prog = tac.parse_program("func f(x) -> y\n  t = fmul x, x\n"
+                             "  y = ffloor t\n  ret y\n")
+    rows = [mp.from_float(2.5), mp.inf(), mp.from_float(1.0)]
+    with pytest.raises(engine.NonFiniteFloor):
+        detector.collect(prog, recorded(rows, read), CFG)
+    assert read == [0, 1]
 
 
 def test_config_validation():
@@ -284,24 +296,31 @@ def test_untallied_threshold_raises():
                                         ("union_scale_kernel", 40),
                                         ("accum_kernel", 2)])
 def test_fused_tallies_equal_added_ones(name, rows):
-    # the generated code's appends, folded every few samples, against the
-    # same errors passed one by one to add
+    # the generated code's appends, folded every few samples, in one batch
+    # and in batches of one row, against the same errors passed one by one
+    # to add
     k = corpus.get_kernel(name)
     xs = corpus.grid(k.domain[0], k.domain[1], rows)
     det = detector.DetectionConfig(first_order="dynamic")
+    per_row = detector.ErrorAggregate(k.program.name, det.thresholds)
     with mock.patch.object(detector, "FOLD_SIZE", 7):
         fused = detector.collect(k.program, xs, CFG,
                                  thresholds=det.thresholds)
+        for x in xs:
+            engine.execute(k.program, [x], CFG, sample_mode=per_row)
     added = detector.ErrorAggregate(k.program.name, det.thresholds)
     for i, x in enumerate(xs):
         engine.execute(k.program, [x], CFG, run_index=i,
                        sample_mode=added.add)
     added.n = len(xs)
-    for a, b in zip(detector.sweep(fused, det), detector.sweep(added, det)):
-        assert a.report.to_dict() == b.report.to_dict()
-        assert a.report.first_flagged == b.report.first_flagged
-    assert [(i, a.first_ordinal) for i, a in sorted(fused.instrs.items())] \
-        == [(i, a.first_ordinal) for i, a in sorted(added.instrs.items())]
+    for agg in (fused, per_row):
+        for a, b in zip(detector.sweep(agg, det),
+                        detector.sweep(added, det)):
+            assert a.report.to_dict() == b.report.to_dict()
+            assert a.report.first_flagged == b.report.first_flagged
+        assert [(i, a.first_ordinal) for i, a in sorted(agg.instrs.items())] \
+            == [(i, a.first_ordinal)
+                for i, a in sorted(added.instrs.items())]
 
 
 def _peak_bytes(prog, rows):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from precfix import tac, engine, detector
 from precfix import mpfloat as mp
+from test_detector import recorded
 
 CFG = engine.EngineConfig()
 
@@ -267,24 +268,23 @@ def test_determinism():
     assert text and text == [engine.format_sample(s) for s in b.samples]
 
 
-def test_run_batch_collects_failures(monkeypatch):
+def test_run_batch_collects_failures():
     # The batch runner is detector.collect: the first failed run stops it
-    # and its EngineError propagates, on the first row or a middle one.
-    calls = []
-    real = engine.execute
-    monkeypatch.setattr(engine, "execute",
-                        lambda *a, **kw: calls.append(a[4]) or real(*a, **kw))
+    # and its EngineError propagates, on the first row or a middle one,
+    # and no row after it is read.
+    read = []
     prog = tac.parse_program(ROUND)
     with pytest.raises(engine.StepBudgetExceeded):
-        detector.collect(prog, [dec("1.0"), dec("2.0")],
+        detector.collect(prog, recorded([dec("1.0"), dec("2.0")], read),
                          engine.EngineConfig(max_steps=1))
-    assert calls == [0]
-    calls.clear()
+    assert read == [0]
+    read.clear()
     prog = tac.parse_program("func f(x) -> y\n  t = fmul x, x\n"
                              "  y = ffloor t\n  ret y\n")
     with pytest.raises(engine.NonFiniteFloor):
-        detector.collect(prog, [dec("2.5"), mp.inf(), dec("1.0")], CFG)
-    assert calls == [0, 1]
+        detector.collect(prog, recorded([dec("2.5"), mp.inf(), dec("1.0")],
+                                        read), CFG)
+    assert read == [0, 1]
 
 
 def test_input_arity_checked():
@@ -407,8 +407,8 @@ def test_bad_barriers_raise_on_every_call():
 
 
 def test_equal_barrier_sets_are_checked_once_per_set(monkeypatch):
-    # the fixer and `eval` build new, equal sets; each is checked on its
-    # first call, and not again on the rows after it
+    # the fixer builds new, equal sets; collect checks each once per batch,
+    # not again for each row
     prog = tac.parse_program(ROUND)
     rows = [[dec(v)] for v in ("2.6", "-1.4", "0.5", "7.25")]
     checked = []
@@ -426,16 +426,6 @@ def test_equal_barrier_sets_are_checked_once_per_set(monkeypatch):
         with pytest.raises(engine.BadBarrier):
             detector.collect(prog, rows, CFG, frozenset({True}))
     assert len(checked) == 4
-
-
-def test_result_converts_once_read():
-    prog = tac.parse_program(ROUND)
-    tr = engine.execute(prog, [dec("2.6")], CFG, sample_mode="none")
-    assert tr.lanes[0] == 3.0 and isinstance(tr.lanes[0], float)
-    assert "result" not in vars(tr)
-    assert tr.result is tr.result
-    assert tr.result.orig == mp.from_float(3.0)
-    assert tr.result.shadow is tr.lanes[1]
 
 
 SKIP = """

@@ -72,7 +72,7 @@ def _step(op, arity, p=120):
 def host_op(op, *xs):
     """The host-float original lane of `y = op xs...`."""
     ins = [engine.DualValue(x, mp.extend(mp.from_float(x), 120)) for x in xs]
-    return _step(op, len(xs))(ins, None, 0)[0]
+    return _step(op, len(xs))([ins], None, 0, None)[0]
 
 
 @given(b64_bits, b64_bits, st.sampled_from(["fadd", "fsub", "fmul", "fdiv"]))
@@ -210,7 +210,7 @@ def test_admission_of_values_with_p_orig_bits(p, sign, frac, off, top):
 def test_shadow_arith_matches_mpmath(case):
     op, p, a, b = case
     ins = [engine.DualValue(1.0, a), engine.DualValue(2.0, b)]
-    orig, shadow = _step("f" + op, 2, p)(ins, None, 0)[:2]
+    orig, shadow = _step("f" + op, 2, p)([ins], None, 0, None)[:2]
     assert fields(shadow) == mpmath_ref.reference(op, a, b, p)
     assert orig == {"add": 3.0, "sub": -1.0, "mul": 2.0}[op]
 

@@ -261,6 +261,15 @@ def test_step_budget_is_exact(text, steps):
         with pytest.raises(engine.StepBudgetExceeded):
             engine.execute(prog, x, engine.EngineConfig(max_steps=steps - 1),
                            sample_mode=mode)
+    # the budget holds per row, not per batch
+    for mode in ("none", "full", detector.ErrorAggregate(prog.name)):
+        t = engine.execute_rows(prog, [x] * 3,
+                                engine.EngineConfig(max_steps=steps), (),
+                                mode)
+        assert t.steps == 3 * steps
+    with pytest.raises(engine.StepBudgetExceeded):
+        detector.collect(prog, [x] * 3,
+                         engine.EngineConfig(max_steps=steps - 1))
 
 
 # a self-looping block entered three times, each time for ten passes
@@ -295,8 +304,9 @@ def test_step_budget_is_exact_in_a_self_loop_in_stream_mode():
     # the run's sample count, s = fconst and then thirty fadds, and the
     # count at the first entry to each sampling block
     run = engine._compiled(prog, cfg, frozenset(), "stream")
-    out = run([engine.make_dual(x[0], cfg)], agg.sinks(run.sampled), 0)
-    assert out[5:] == (31, [0, 1])
+    out = run([[engine.make_dual(x[0], cfg)]], agg.sinks(run.sampled), 0,
+              None)
+    assert out[4:] == (31, [0, 1], 1)
     # every smaller budget stops the run, inside the loop or out of it
     for budget in range(1, steps):
         cfg = engine.EngineConfig(max_steps=budget)

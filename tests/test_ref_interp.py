@@ -2,7 +2,8 @@
 
 Random programs from test_programs' generator run in both, with random
 barriers, p_orig in {24, 53} and p_shadow from p_orig up to 400.  Result lanes,
-staleness, exec counts, steps and every full-mode sample field must agree;
+staleness, exec counts, steps and every full-mode sample field must agree,
+row by row and summed over one `execute_rows` call of the whole batch;
 the stream errors, through a callable sink and through the aggregate that
 `detector.collect` fills from the generated code, must be the engine's
 host-float relative errors of the reference's lanes.
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from precfix import detector, engine, tac
 from precfix import mpfloat as mp
 import ref_interp as ref
-from test_programs import INPUTS, programs
+from test_programs import INPUTS, LOOP, NESTED as OUTER, programs
 
 THRESHOLDS = (1e-300, 1e-16, 1e-8, 1e-2, 1.0, 1e300)
 
@@ -135,7 +136,7 @@ def check_run(prog, row, cfg, barriers, idx, want):
 
 def check_batch(prog, cfg, barriers, rows):
     interp = ref.Interp(prog, cfg.p_orig, cfg.p_shadow, barriers)
-    stream = []
+    stream, wants = [], []
     for idx, row in enumerate(rows):
         try:
             want = interp.run(row)
@@ -147,6 +148,16 @@ def check_batch(prog, cfg, barriers, rows):
                 detector.collect(prog, rows, cfg, barriers, THRESHOLDS)
             return
         stream += check_run(prog, row, cfg, barriers, idx, want)
+        wants.append(want)
+    # one call runs every row: its exec counts are the sums of the rows',
+    # they add up to the rows' steps, and each sample has its row's index
+    batch = engine.execute_rows(prog, rows, cfg, barriers)
+    assert batch.exec_counts \
+        == [sum(c) for c in zip(*(w.exec_counts for w in wants))]
+    assert sum(batch.exec_counts) == batch.steps \
+        == sum(w.steps for w in wants)
+    assert [(x.instr_id, x.run_index) for x in batch.samples] \
+        == [(x.instr_id, i) for i, w in enumerate(wants) for x in w.samples]
     agg = detector.collect(prog, rows, cfg, barriers, THRESHOLDS)
     assert fused_aggregate(agg) == plain_aggregate(stream, len(rows))
 
@@ -237,6 +248,21 @@ def test_first_ordinals_in_a_self_loop_entered_again(p_o, p_s, barriers):
     assert [agg.instrs[i].first_ordinal for i in (0, 3, 15, 16, 7, 8)] \
         == [0, 1, 2, 3, 9, 10]
     assert [agg.instrs[i].m for i in (0, 7, 8, 15)] == [6, 18, 18, 6]
+
+
+@pytest.mark.parametrize("text", [LOOP, OUTER])
+@pytest.mark.parametrize("p_o, p_s", [(53, 120), (24, 200)])
+@pytest.mark.parametrize("barrier", [False, True])
+def test_counted_loops_follow_reference_across_a_batch(text, p_o, p_s,
+                                                       barrier):
+    # test_programs' counted loop, and its self-loop that an outer loop
+    # enters three times, over rows of one batch, with or without a
+    # barrier on the loop's fadd
+    prog = tac.parse_program(text)
+    barriers = frozenset(i.id for i in prog.instrs
+                         if barrier and i.op == "fadd")
+    rows = [[mp.from_float(x)] for x in (0.1, -2.0, 0.0, 1e300, math.inf)]
+    check_batch(prog, engine.EngineConfig(p_o, p_s), barriers, rows)
 
 
 # a partial word write that leaves the shadow stale or replays it, whose
