@@ -24,15 +24,18 @@ All values are immutable; every operation returns a fresh value.
 The relative error |shadow - original| / |shadow| as a host float, which
 the engine samples in stream mode, is `_rel_err_float` for an MPFloat
 original and `_rel_err_host` for a host-float one; the two agree bit for
-bit.  A host original whose last bit lies on or not far above the
-shadow's is read as an integer count of the shadow's last bit from one
-`math.ldexp` (`_host_error`).  Lanes too far apart for the exact integer
-difference take a closed form: 1 when the original lies below half an
-ulp of the shadow at p_shadow, else |original| / |shadow| rounded once,
-which a host original far above the shadow forms from its own mantissa.
-Given a host original
-and a sink, `_nearest` and `div` pass that error for the value they have
-just rounded, from its fields, without reading them back.
+bit.  Its conventions for a pair that is not both normal (0, 1 or inf)
+live in `relative_error` alone, which `_rel_err_float` calls for such a
+pair.  Two normal lanes whose lowest bits lie within 600 binades take the
+exact integer difference; a host original whose last bit lies on or not
+far above the shadow's is read as an integer count of the shadow's last
+bit from one `math.ldexp` (`_host_error`).  Lanes too far apart for the
+exact integer difference take a closed form: 1 when the original lies
+below half an ulp of the shadow at p_shadow, else |original| / |shadow|
+rounded once, which a host original far above the shadow forms from its
+own mantissa.  Given a host original and a sink, `_nearest` and `div`
+pass that error for the value they have just rounded, from its fields,
+without reading them back.
 """
 
 from __future__ import annotations
@@ -680,7 +683,10 @@ def relative_error(exact, approx, p_work=120, diff=None):
     """|exact - approx| / |exact| with totalizing conventions.
 
     exact == 0 and approx == 0 gives 0; exact == 0 otherwise gives +inf;
-    a NaN anywhere gives +inf (the "exceeds every threshold" sentinel).
+    two infinities of one sign give 0, any other infinity +inf; a NaN
+    anywhere gives +inf (the "exceeds every threshold" sentinel).  These
+    are the only copy of the conventions: _rel_err_float takes them from
+    here.
     `diff`, when given, is exact - approx already rounded to p_work bits.
     """
     if exact.cls == NAN or approx.cls == NAN:
@@ -698,36 +704,30 @@ def relative_error(exact, approx, p_work=120, diff=None):
 
 
 def _rel_err_float(shadow, orig, p_shadow):
-    """Relative error as a host float; inf under the usual conventions.
-    The difference is formed exactly on aligned integer significands, so
-    the only inaccuracy is the final float division."""
-    if shadow.cls == NORMAL and orig.cls == NORMAL:
-        t = (shadow.exp - shadow.prec) - (orig.exp - orig.prec)
-        if -600 < t < 600:
-            if t >= 0:
-                a = shadow.mant << t
-                b = orig.mant
-            else:
-                a = shadow.mant
-                b = orig.mant << -t
-            d = a - b if shadow.sign == orig.sign else a + b
-            if d == 0:
-                return 0.0
-            try:
-                return float(abs(d)) / float(a)
-            except OverflowError:
-                pass  # too wide for a host float: take the quotient below
-    if shadow.cls == NAN or orig.cls == NAN:
-        return math.inf
-    if shadow.cls == INF or orig.cls == INF:
-        if shadow.cls == INF and orig.cls == INF \
-                and shadow.sign == orig.sign:
+    """Relative error as a host float.  A pair that is not both normal
+    takes relative_error's conventions (0, 1 or inf).  Two normal lanes
+    whose lowest bits lie within 600 binades form the difference exactly
+    on aligned integer significands, so the only inaccuracy is the final
+    float division; lanes further apart take a closed form, and
+    significands too wide for a host float take the quotient rounded at
+    p_shadow and then to 53 bits."""
+    if shadow.cls != NORMAL or orig.cls != NORMAL:
+        return relative_error(shadow, orig, p_shadow).to_float()
+    t = (shadow.exp - shadow.prec) - (orig.exp - orig.prec)
+    if -600 < t < 600:
+        if t >= 0:
+            a = shadow.mant << t
+            b = orig.mant
+        else:
+            a = shadow.mant
+            b = orig.mant << -t
+        d = a - b if shadow.sign == orig.sign else a + b
+        if d == 0:
             return 0.0
-        return math.inf
-    if shadow.cls == ZERO:
-        return 0.0 if orig.cls == ZERO else math.inf
-    if orig.cls == ZERO:
-        return 1.0
+        try:
+            return float(abs(d)) / float(a)
+        except OverflowError:
+            pass  # too wide for a host float: take the quotient below
     # Far apart: a value below half the smaller ulp spacing at p_shadow
     # around the other, which p_shadow bits represent, leaves the rounded
     # difference equal to that other value.
@@ -736,11 +736,7 @@ def _rel_err_float(shadow, orig, p_shadow):
     if orig.prec <= p_shadow and shadow.exp < orig.exp - p_shadow - 1:
         return _far_quotient(orig.mant, orig.prec, orig.exp, shadow)
     # exponents or significands beyond host-float range: quotient first
-    d = sub(shadow, orig, p_shadow)
-    if d.cls == ZERO:
-        return 0.0
-    q = abs(div(d, shadow, 53).to_float())
-    return q if q == q else math.inf
+    return abs(div(sub(shadow, orig, p_shadow), shadow, 53).to_float())
 
 
 def _rel_err_host(shadow, orig, p_shadow):
@@ -757,14 +753,16 @@ def _host_error(sign, exp, mant, prec, orig, p_shadow, shadow):
     """_rel_err_host of the normal `shadow`, whose fields the caller has at
     hand: sign, exp, mant and prec.
 
-    First, x is orig in units of the shadow's last bit.  It is exact, and
-    an integer, exactly when 2**52 <= |x| < 2**652: when orig's last bit
-    lies on the shadow's or at most 599 binades above it (-600 < t <= 0
-    below), where the general path aligns orig to the shadow and divides
-    the difference by the shadow's mantissa.  So the error is the same,
-    bit for bit, without frexp or a shift.  Everything else (t > 0,
-    t <= -600, a zero or non-finite orig, an ldexp or a float(mant) out
-    of range) takes the general path."""
+    It answers the three cases stream samples take.  First, x is orig in
+    units of the shadow's last bit.  It is exact, and an integer, exactly
+    when 2**52 <= |x| < 2**652: when orig's last bit lies on the shadow's
+    or at most 599 binades above it, where _rel_err_float aligns orig to
+    the shadow and divides the difference by the shadow's mantissa.  So
+    the error is the same, bit for bit, without frexp or a shift.  A zero
+    orig gives 1, and a shadow far below orig _rel_err_float's closed-form
+    quotient.  Everything else (orig's last bit below the shadow's, or 600
+    or more binades above it, a non-finite orig, an ldexp or a float(mant)
+    out of range) goes to _rel_err_float."""
     try:
         x = math.ldexp(orig, prec - 1 - exp)
         if 4503599627370496.0 <= abs(x) < 2.0 ** 652:
@@ -780,22 +778,7 @@ def _host_error(sign, exp, mant, prec, orig, p_shadow, shadow):
             return 1.0
         f, e = math.frexp(orig)
         # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
-        t = exp - prec + 54 - e
-        # -600 < t <= 0 reaches here only when float(mant) or float(|d|)
-        # overflowed in the first branch, which takes a shadow of 1024 bits
-        # or more: the far-below test is then false, and _rel_err_float
-        # answers
-        if 0 < t < 600:
-            a = mant << t
-            b = int(f * 9007199254740992.0)
-            d = a - b if sign > 0 else a + b
-            if d == 0:
-                return 0.0
-            try:
-                return float(abs(d)) / float(a)
-            except OverflowError:
-                pass
-        elif p_shadow >= 53 and exp < e - p_shadow - 2:
+        if p_shadow >= 53 and exp < e - p_shadow - 2:
             # _rel_err_float's quotient for a shadow far below orig
             return _far_quotient(int(abs(f) * 9007199254740992.0), 53, e - 1,
                                  shadow)

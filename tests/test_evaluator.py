@@ -133,3 +133,16 @@ def test_skipped_counts_domain_errors():
     rows, skipped = evaluator.evaluate(log_kernel, xs, CFG)
     assert skipped == 3  # -1, -0.5, 0 are outside the log domain
     assert len(rows) == 1
+
+
+def test_mp_lane_is_the_hp_run_without_barriers(exp_rows):
+    """With no barriers the MP value is the HP run's shadow, not a second
+    run of the same function on the same row; with barriers it is a run
+    of its own."""
+    k = corpus.get_kernel("exp_kernel")
+    rows, _ = evaluator.evaluate(k, corpus.grid("-1", "1", 5), CFG)
+    assert len(rows) == 5
+    for r in rows:
+        assert r.mp_ is r.hp
+        assert mp.cmp(r.err_mp, r.err_hp) == 0
+    assert all(r.mp_ is not r.hp for r in exp_rows[0])

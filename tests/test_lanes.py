@@ -432,6 +432,109 @@ def test_rel_err_float_wide_shadow_takes_exact_fallback():
     assert mp._rel_err_host(shadow, 1.5, 1100) == 1.0
 
 
+# Each class as a host float, in the order of NON_NORMAL's rows and columns.
+CLASSES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -1.5]
+
+# The error of each pair of classes that is not two normal numbers, shadow
+# down and original across: 0 is 0.0, 1 is 1.0 and i is inf.
+NON_NORMAL = """
+        +0  -0  +inf -inf nan +1.5 -1.5
++0      0   0   i    i    i   i    i
+-0      0   0   i    i    i   i    i
++inf    i   i   0    i    i   i    i
+-inf    i   i   i    0    i   i    i
+nan     i   i   i    i    i   i    i
++1.5    1   1   i    i    i   .    .
+-1.5    1   1   i    i    i   .    .
+"""
+
+
+@pytest.mark.parametrize("p_s", [24, 53, 120])
+def test_non_normal_pairs_take_the_conventions(p_s):
+    """The error of every pair that is not both normal, written out rather
+    than taken from relative_error, which _rel_err_float now calls for
+    them."""
+    value = {"0": 0.0, "1": 1.0, "i": math.inf}
+    rows = [line.split()[1:] for line in NON_NORMAL.strip().splitlines()[1:]]
+    checked = 0
+    for s, row in zip(CLASSES, rows):
+        shadow = mp.from_float(s, p_s)
+        for x, cell in zip(CLASSES, row):
+            if cell == ".":
+                continue
+            want = struct.pack("<d", value[cell])
+            assert struct.pack("<d", mp._rel_err_float(
+                shadow, mp.from_float(x), p_s)) == want, (s, x)
+            assert struct.pack("<d", mp._rel_err_host(shadow, x, p_s)) \
+                == want, (s, x)
+            checked += 1
+    assert checked == 45
+
+
+HOST_MANT = 0x1B7E151628AED3  # an odd 53-bit significand
+
+
+def _tie_mantissa(p, odd):
+    """A p-bit mantissa whose rounding to 53 bits is a tie, which goes to
+    even: down, or up when `odd` sets its 53rd bit."""
+    return (1 << (p - 1)) | (int(odd) << (p - 53)) | (1 << (p - 54))
+
+
+# float.hex of the error of a host original of significand HOST_MANT whose
+# last bit lies t binades below the last bit of a p-bit shadow at exponent
+# 0, by (p, odd, t): with the shadow's sign and with the other sign.  At
+# t = 600 the lanes are far apart; below it the exact difference, whose
+# rounding the original moves off the tie, decides.
+BELOW_SHADOW = {
+    (120, False, 1): ("0x1.0000000000000p+0", "0x1.0000000000001p+0"),
+    (120, False, 52): ("0x1.0000000000000p+0", "0x1.0000000000001p+0"),
+    (120, False, 599): ("0x1.0000000000000p+0", "0x1.0000000000001p+0"),
+    (120, False, 600): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (120, True, 1): ("0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
+    (120, True, 52): ("0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
+    (120, True, 599): ("0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
+    (120, True, 600): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (200, False, 1): ("0x1.0000000000000p+0", "0x1.0000000000001p+0"),
+    (200, False, 52): ("0x1.0000000000000p+0", "0x1.0000000000001p+0"),
+    (200, False, 599): ("0x1.0000000000000p+0", "0x1.0000000000001p+0"),
+    (200, False, 600): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (200, True, 1): ("0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
+    (200, True, 52): ("0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
+    (200, True, 599): ("0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
+    (200, True, 600): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+}
+
+
+def _host_errors(shadow, x, p):
+    """The error of the normal `shadow` against the host float `x` by each
+    of its three entry points."""
+    return [mp._host_error(shadow.sign, shadow.exp, shadow.mant, shadow.prec,
+                           x, p, shadow),
+            mp._rel_err_host(shadow, x, p),
+            mp._rel_err_float(shadow, mp.from_float(x), p)]
+
+
+@pytest.mark.parametrize("key", sorted(BELOW_SHADOW))
+def test_host_original_below_the_shadows_last_bit(key):
+    p, odd, t = key
+    shadow = mp.MPFloat(mp.NORMAL, 1, 0, _tie_mantissa(p, odd), p)
+    for sign, want in zip((1, -1), BELOW_SHADOW[key]):
+        x = sign * math.ldexp(HOST_MANT, 1 - p - t)
+        o = mp.from_float(x)
+        assert (shadow.exp - shadow.prec) - (o.exp - o.prec) == t
+        assert [e.hex() for e in _host_errors(shadow, x, p)] == [want] * 3
+
+
+def test_host_original_equal_to_a_narrower_shadow():
+    # a 24-bit shadow equal to the original, whose last bit lies 29
+    # binades below the shadow's: the exact difference is 0
+    x = 1.0 + 2.0**-23
+    shadow = mp.from_float(x, 24)
+    o = mp.from_float(x)
+    assert (shadow.exp - shadow.prec) - (o.exp - o.prec) == 29
+    assert [e.hex() for e in _host_errors(shadow, x, 24)] == ["0x0.0p+0"] * 3
+
+
 # -- the fused shadow calls of stream mode at p_orig = 53 --------------------
 
 FLIPS = {"add": 1, "sub": -1, "mul": 0}
