@@ -1,7 +1,8 @@
 """Command-line front end: run, detect, fix, eval, oracle.
 
 Exit codes: 0 success, 1 for bad input (arguments, program text, domain
-errors, programs the engine cannot run), 2 for anything unexpected.
+errors, programs the engine cannot run) and, silently, for a stdout whose
+reader closed it, 2 for anything unexpected.
 Diagnostics go to stderr; machine output goes to stdout or --output.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import mpfloat as mp
@@ -366,6 +368,12 @@ def main(argv=None):
             mp.ParseError, tr.DomainError, detector.NoConvergence,
             engine.EngineError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # point fd 1 at devnull so that the interpreter's final flush of
+        # stdout cannot fail again; an in-process stdout may have no fd
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except Exception as exc:  # noqa: BLE001 - exit-code contract
         print("internal error: %r" % exc, file=sys.stderr)

@@ -276,8 +276,6 @@ class DetectionReport:
         def err_str(x):
             if x is None:
                 return None
-            if math.isinf(x):
-                return "inf"
             return mp.to_sci_string(mp.from_float(x), 30)
 
         return {

@@ -212,16 +212,6 @@ def _host_floor(x):
     return float(math.floor(x))
 
 
-def _host_cmp(a, b):
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    if a == b:
-        return 0
-    return None
-
-
 def _mp_floor(v, p):
     if v.cls == mp.INF or v.cls == mp.NAN:
         raise NonFiniteFloor("floor needs a finite value")
@@ -295,16 +285,19 @@ _NS = {"_near": mp._nearest, "_div": mp.div, "_sqrt": mp.sqrt,
        "_sample": _full_sample, "_rnd": mp.round_to, "_ext": mp.extend,
        "_fbits": _float_bits, "_setw": _set_word, "_makef": _make_word,
        "_unb": mp.UNBOUNDED, "_tf": mp.MPFloat.to_float,
-       "_ff": mp.from_float, "_inf": math.inf}
+       "_ff": mp.from_float, "_inf": math.inf, "_cmp": mp.cmp}
 _WORD_OPS = ("get_hi", "get_lo", "make_f", "set_hi", "set_lo")
 _M = str(_INT_MASK)
 _INT_EXPR = {"iadd": "({0} + {1}) & " + _M, "isub": "({0} - {1}) & " + _M,
              "iand": "{0} & {1}", "ior": "{0} | {1}", "ixor": "{0} ^ {1}",
              "ishl": "({0} << ({1} & 63)) & " + _M,
              "ishr": "(({0} - ({0} >> 63 << 64)) >> ({1} & 63)) & " + _M}
+# Python's comparisons: of signed ints, and of host floats as IEEE 754 has
+# them (NaN unordered, -0 == +0)
 _INT_PRED = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==",
              "ne": "!="}
-# the lane's cmp results (-1/0/1, None when unordered) each predicate accepts
+# the MPFloat original lane's mp.cmp results (-1/0/1, None when unordered)
+# each predicate accepts
 _CMP_PRED = {"lt": "(-1,)", "le": "(-1, 0)", "gt": "(1,)", "ge": "(0, 1)",
              "eq": "(0,)", "ne": "(-1, 1, None)"}
 
@@ -324,8 +317,7 @@ def _compile(prog, cfg, barriers, mode):
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
-    ns = dict(_NS, _rel=mp._rel_err_host if host else mp._rel_err_float,
-              _ocmp=_host_cmp if host else mp.cmp)
+    ns = dict(_NS, _rel=mp._rel_err_host if host else mp._rel_err_float)
     ns["_over"] = functools.partial(
         StepBudgetExceeded, "%s exceeded %d steps" % (prog.name,
                                                       cfg.max_steps))
@@ -423,11 +415,14 @@ def _compile(prog, cfg, barriers, mode):
                                                           iop(srcs[1])))]
         elif op == "icmp":
             pred, x, y = srcs[0][1], srcs[1], srcs[2]
-            if is_float(x) or is_float(y):
-                return ["i%d = 1 if _ocmp(%s, %s) in %s else 0"
+            if not (is_float(x) or is_float(y)):
+                x, y = signed(x), signed(y)
+            elif host:
+                x, y = fop(x)[0], fop(y)[0]
+            else:
+                return ["i%d = 1 if _cmp(%s, %s) in %s else 0"
                         % (k, fop(x)[0], fop(y)[0], _CMP_PRED[pred])]
-            return ["i%d = 1 if %s %s %s else 0"
-                    % (k, signed(x), _INT_PRED[pred], signed(y))]
+            return ["i%d = 1 if %s %s %s else 0" % (k, x, _INT_PRED[pred], y)]
         return out + emit(instr.id, k, instr.dst, fused)
 
     # every block is generated, reached or not, so that constants are bound

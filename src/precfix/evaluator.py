@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 from . import mpfloat as mp
@@ -27,18 +26,6 @@ from . import transcendental as tr
 
 class EvaluationError(Exception):
     pass
-
-
-@dataclass
-class EvaluationRow:
-    x: mp.MPFloat
-    s: mp.MPFloat
-    op: mp.MPFloat
-    hp: mp.MPFloat
-    mp_: mp.MPFloat
-    err_op: mp.MPFloat
-    err_hp: mp.MPFloat
-    err_mp: mp.MPFloat
 
 
 @dataclass
@@ -53,9 +40,11 @@ class SummaryTable:
 
 def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
              barriers=frozenset(), oracle_cfg=tr.DEFAULT):
-    """One EvaluationRow per input, with errors taken at oracle precision.
-    The MP lane runs only when `barriers` is not empty; with none, its
-    value is the HP run's shadow."""
+    """(rows, skipped): one (err_op, err_hp, err_mp) row per input, the
+    relative errors of the three lanes against the oracle, taken at oracle
+    precision; `skipped` counts inputs outside the oracle's domain.  The
+    MP lane runs only when `barriers` is not empty; with none, err_mp is
+    the err_hp object itself."""
     if kernel.oracle_fn is None:
         raise EvaluationError("kernel %s has no reference function"
                               % kernel.name)
@@ -66,25 +55,19 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
     rows = []
     skipped = 0
     for x in inputs:
-        hp_t = eng.execute(prog, [x], engine_cfg, sample_mode="none")
-        op_v = hp_t.result.orig
-        hp_v = hp_t.result.shadow
+        hp = eng.execute(prog, [x], engine_cfg, sample_mode="none").result
         if barriers:
             mp_v = eng.execute(prog, [x], engine_cfg, barriers,
                                sample_mode="none").result.shadow
-        else:  # the same compiled function on the same row: the HP run
-            mp_v = hp_v
         try:
             s_v = tr.derived_fn(kernel.oracle_fn,
                                 [mp.extend(x, p_s)], oracle_cfg)
         except tr.DomainError:
             skipped += 1
             continue
-        rows.append(EvaluationRow(
-            x, s_v, op_v, hp_v, mp_v,
-            mp.relative_error(s_v, op_v, p_s),
-            mp.relative_error(s_v, hp_v, p_s),
-            mp.relative_error(s_v, mp_v, p_s)))
+        err_hp = mp.relative_error(s_v, hp.shadow, p_s)
+        err_mp = mp.relative_error(s_v, mp_v, p_s) if barriers else err_hp
+        rows.append((mp.relative_error(s_v, hp.orig, p_s), err_hp, err_mp))
     return rows, skipped
 
 
@@ -100,26 +83,25 @@ def _lt(a, b):
 
 
 def summarize(kernel_name, rows, skipped=0, p_s=256):
-    """Lane-vs-lane percentages and per-lane average errors."""
+    """Lane-vs-lane percentages and per-lane average errors of evaluate's
+    (err_op, err_hp, err_mp) rows."""
     if not rows:
         raise EvaluationError("no evaluation rows for %s" % kernel_name)
     n = len(rows)
     t = SummaryTable(kernel_name, n, skipped)
     pairs = (
-        ("M>=L", lambda r: _le(r.err_mp, r.err_op)),
-        ("M>L", lambda r: _lt(r.err_mp, r.err_op)),
-        ("M>=H", lambda r: _le(r.err_mp, r.err_hp)),
-        ("M>H", lambda r: _lt(r.err_mp, r.err_hp)),
-        ("H>=L", lambda r: _le(r.err_hp, r.err_op)),
-        ("H>L", lambda r: _lt(r.err_hp, r.err_op)),
+        ("M>=L", lambda op, hp, mp_: _le(mp_, op)),
+        ("M>L", lambda op, hp, mp_: _lt(mp_, op)),
+        ("M>=H", lambda op, hp, mp_: _le(mp_, hp)),
+        ("M>H", lambda op, hp, mp_: _lt(mp_, hp)),
+        ("H>=L", lambda op, hp, mp_: _le(hp, op)),
+        ("H>L", lambda op, hp, mp_: _lt(hp, op)),
     )
     for key, pred in pairs:
-        t.pct[key] = 100.0 * sum(1 for r in rows if pred(r)) / n
-    for lane, get in (("OP", lambda r: r.err_op),
-                      ("HP", lambda r: r.err_hp),
-                      ("MP", lambda r: r.err_mp)):
-        finite = [get(r) for r in rows if get(r).cls == mp.NORMAL
-                  or get(r).cls == mp.ZERO]
+        t.pct[key] = 100.0 * sum(1 for r in rows if pred(*r)) / n
+    for j, lane in enumerate(("OP", "HP", "MP")):
+        finite = [r[j] for r in rows if r[j].cls == mp.NORMAL
+                  or r[j].cls == mp.ZERO]
         t.inf_counts[lane] = n - len(finite)
         if finite:
             total = mp.zero(p_s)
@@ -146,12 +128,10 @@ def table_to_dict(t):
     }
 
 
-def report(tables, fmt="text"):
-    """Render one or more SummaryTable objects as text, json, or csv."""
-    if isinstance(tables, SummaryTable):
-        tables = [tables]
+def report(t, fmt="text"):
+    """Render a SummaryTable as text, json (a one-element list), or csv."""
     if fmt == "json":
-        return json.dumps([table_to_dict(t) for t in tables], indent=2)
+        return json.dumps([table_to_dict(t)], indent=2)
     if fmt == "csv":
         buf = io.StringIO()
         keys = ["M>=L", "M>L", "M>=H", "M>H", "H>=L", "H>L"]
@@ -159,26 +139,22 @@ def report(tables, fmt="text"):
         w.writerow(["kernel", "rows", "skipped"] + keys
                    + ["avg_OP", "avg_HP", "avg_MP",
                       "inf_OP", "inf_HP", "inf_MP"])
-        for t in tables:
-            w.writerow([t.kernel, t.rows, t.skipped]
-                       + ["%.2f" % t.pct[k] for k in keys]
-                       + [_avg_str(t.avg[l]) for l in ("OP", "HP", "MP")]
-                       + [t.inf_counts[l] for l in ("OP", "HP", "MP")])
+        w.writerow([t.kernel, t.rows, t.skipped]
+                   + ["%.2f" % t.pct[k] for k in keys]
+                   + [_avg_str(t.avg[l]) for l in ("OP", "HP", "MP")]
+                   + [t.inf_counts[l] for l in ("OP", "HP", "MP")])
         return buf.getvalue()
     if fmt == "text":
-        lines = []
-        for t in tables:
-            lines.append("%s  (%d rows, %d skipped)"
-                         % (t.kernel, t.rows, t.skipped))
-            lines.append("  " + "  ".join("%s %6.2f%%" % (k, t.pct[k])
-                                          for k in ("M>=L", "M>L", "M>=H",
-                                                    "M>H", "H>=L", "H>L")))
-            for lane in ("OP", "HP", "MP"):
-                avg = t.avg[lane]
-                lines.append("  avg %s: %s%s" % (
-                    lane,
-                    _avg_str(avg, 15) if avg is not None else "n/a",
-                    "  (+%d inf)" % t.inf_counts[lane]
-                    if t.inf_counts[lane] else ""))
+        lines = ["%s  (%d rows, %d skipped)" % (t.kernel, t.rows, t.skipped),
+                 "  " + "  ".join("%s %6.2f%%" % (k, t.pct[k])
+                                  for k in ("M>=L", "M>L", "M>=H",
+                                            "M>H", "H>=L", "H>L"))]
+        for lane in ("OP", "HP", "MP"):
+            avg = t.avg[lane]
+            lines.append("  avg %s: %s%s" % (
+                lane,
+                _avg_str(avg, 15) if avg is not None else "n/a",
+                "  (+%d inf)" % t.inf_counts[lane]
+                if t.inf_counts[lane] else ""))
         return "\n".join(lines) + "\n"
     raise ValueError("unknown format %r" % fmt)

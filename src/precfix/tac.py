@@ -545,24 +545,3 @@ def pretty_print(prog, barriers=frozenset()):
             lines.append("  %s" % body)
     return "\n".join(lines) + "\n"
 
-
-def programs_equal(a, b):
-    """Structural equality used by the parse/print round-trip checks."""
-    if (a.name, a.params, a.return_var) != (b.name, b.params, b.return_var):
-        return False
-    if a.labels != b.labels or len(a.instrs) != len(b.instrs):
-        return False
-    for x, y in zip(a.instrs, b.instrs):
-        if (x.id, x.op, x.dst) != (y.id, y.op, y.dst):
-            return False
-        if len(x.srcs) != len(y.srcs):
-            return False
-        for sx, sy in zip(x.srcs, y.srcs):
-            if sx[0] != sy[0]:
-                return False
-            if sx[0] == FLIT:
-                if mp.cmp(sx[1], sy[1]) != 0:
-                    return False
-            elif sx[1] != sy[1]:
-                return False
-    return True

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -551,3 +553,30 @@ def test_trace_of_a_row_without_float_writes(tmp_path, capsys):
     assert code == 0
     assert out == ("input 2.0000000000000000e0\n  OP: 2.0000000000000000e0\n"
                    "  HP: 2.0000000000000000000000000000000000000e0\n\n\n")
+
+
+def test_closed_stdout_pipe_is_a_silent_exit_1():
+    # 2,000 rows write far more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after one line
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "precfix.cli", "run", "--kernel",
+         "cancel_kernel", "--grid=0.1,0.2,2000", "--p-orig", "113",
+         "--p-shadow", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"input ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "internal error" not in err
+    assert "Exception ignored" not in err
+
+
+def test_closed_pipe_in_process_is_exit_1(monkeypatch, capsys):
+    # capsys's stdout has no file descriptor to point at devnull
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setitem(cli._COMMANDS, "run", closed)
+    assert run_cli(capsys, "run", "--kernel", "round_kernel") == (1, "", "")

@@ -118,11 +118,31 @@ def test_host_unary_ops_match_binary64(bits):
             == mp.to_binary64_bits(mp.round_to(mp.floor(v), 53, B64))
 
 
+# the mp.cmp results (-1/0/1, None when unordered) each icmp predicate
+# accepts, and a program per predicate that returns 1.0 when it holds
+ACCEPTS = {"lt": (-1,), "le": (-1, 0), "gt": (1,), "ge": (0, 1),
+           "eq": (0,), "ne": (-1, 1, None)}
+CMP_PROGS = {pred: tac.parse_program(
+    "func f(x, y) -> z\n  c = icmp %s, x, y\n  branch c, yes\n"
+    "  z = fconst 0.0\n  ret z\nyes:\n  z = fconst 1.0\n  ret z\n" % pred)
+    for pred in ACCEPTS}
+
+
 @given(b64_bits, b64_bits)
 @settings(max_examples=1000, deadline=None)
+@example(0, 1 << 63)
+@example(0x7FF8 << 48, 0x7FF8 << 48)
+@example(0x7FF0 << 48, 0x7FF0 << 48)
+@example(1, 0)
 def test_host_compare_matches_binary64(ba, bb):
-    assert engine._host_cmp(float_of(ba), float_of(bb)) \
-        == mp.cmp(mp.from_binary64_bits(ba), mp.from_binary64_bits(bb))
+    """A float icmp at 53:120, run through the engine, against mp.cmp of
+    the same binary64 values."""
+    a, b = mp.from_binary64_bits(ba), mp.from_binary64_bits(bb)
+    c = mp.cmp(a, b)
+    for pred, prog in CMP_PROGS.items():
+        got = engine.execute(prog, [a, b], CFG, sample_mode="none")
+        assert got.result.orig.to_float() \
+            == (1.0 if c in ACCEPTS[pred] else 0.0), pred
 
 
 def test_icmp_on_nan_is_false_except_ne():

@@ -62,7 +62,7 @@ def test_comments_and_blank_lines_ignored():
 def test_round_trip_plain():
     p = tac.parse_program(LOOP)
     q = tac.parse_program(tac.pretty_print(p))
-    assert tac.programs_equal(p, q)
+    assert p == q
 
 
 def test_round_trip_with_barriers():
@@ -73,7 +73,7 @@ def test_round_trip_with_barriers():
     assert 'computeErr("y", &y, 1);' in text
     # annotations are tolerated on the way back in
     q = tac.parse_program(text)
-    assert tac.programs_equal(p, q)
+    assert p == q
 
 
 def test_float_literal_operands():
@@ -265,14 +265,6 @@ def test_float_const_in_int_context_rejected():
           "  b = iadd a, k\n  y = fmov x\n  ret y\n"
     with pytest.raises(tac.TacSyntaxError):
         tac.parse_program(bad)
-
-
-def test_programs_equal_distinguishes_literals():
-    a = tac.parse_program("func f(x) -> y\n  y = fmul x, 2.5\n  ret y\n")
-    b = tac.parse_program("func f(x) -> y\n  y = fmul x, 2.25\n  ret y\n")
-    assert not tac.programs_equal(a, b)
-    c = tac.parse_program("func f(x) -> y\n  y = fmul x, 2.50\n  ret y\n")
-    assert tac.programs_equal(a, c)
 
 
 def test_exact_literal_precision_beyond_binary64():
