@@ -4,15 +4,23 @@ Exit codes: 0 success, 1 for bad input (arguments, program text, domain
 errors, programs the engine cannot run) and, silently, for a stdout whose
 reader closed it, 2 for anything unexpected.
 Diagnostics go to stderr; machine output goes to stdout or --output.
+
+`run --trace` formats each sample as the engine makes it.  A row's header
+needs the row's result, so its trace text is held until the row ends: in
+a list of up to _TRACE_CHUNK samples, then in a spool that keeps
+_SPOOL_SIZE bytes in memory and the rest in a temporary file.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from . import mpfloat as mp
 from . import tac, engine, detector, corpus, evaluator, transcendental as tr
@@ -52,7 +60,10 @@ def _add_output(parser):
     parser.add_argument("--output", help="write here instead of stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and then shared: every
+    call in the process returns the same parser."""
     ap = argparse.ArgumentParser(
         prog="precfix",
         description="detect and fix precision-specific operations in "
@@ -204,10 +215,44 @@ def _emit(args, text):
         fh.write(text)
 
 
-# a row is written at once, its trace included, up to this many samples;
-# a longer trace goes out this many samples at a time, so the text held
-# at once stays bounded
+# samples of a row's trace formatted and held as text at once; past this
+# many the text moves to the row's spool
 _TRACE_CHUNK = 256
+# bytes of trace text a spool keeps in memory before it moves to disk
+_SPOOL_SIZE = 2 << 20
+
+
+class _TraceSpool:
+    """The consumer `run --trace` hands engine.execute: each ErrorSample is
+    formatted as the engine makes it, and the row's text is held in a list
+    of up to _TRACE_CHUNK samples, and past that in a temporary file that
+    keeps _SPOOL_SIZE bytes in memory and the rest on disk.  A row's
+    text is written after its header, which needs the row's result."""
+
+    def __init__(self, file):
+        self.file = file
+        self.texts = []
+
+    def append(self, sample):
+        texts = self.texts
+        if len(texts) == _TRACE_CHUNK:
+            # a sample always follows what the file holds
+            self.file.write("\n\n".join(texts) + "\n\n")
+            texts.clear()
+        texts.append(engine.format_sample(sample))
+
+    def write_row(self, out, head):
+        """head, then the row's samples, to out; the spool is then empty."""
+        f = self.file
+        if f.tell():
+            out.write(head)
+            f.seek(0)
+            shutil.copyfileobj(f, out)
+            f.seek(0)
+            f.truncate()
+            head = ""
+        out.write(head + "\n\n".join(self.texts) + "\n")
+        self.texts.clear()
 
 
 def cmd_run(args):
@@ -219,26 +264,21 @@ def cmd_run(args):
     digits = corpus.digits_for(cfg.p_orig)
     # each row is written once it has run: a failing row leaves the rows
     # before it in the output
-    with _open_output(args) as out:
+    with _open_output(args) as out, \
+            tempfile.SpooledTemporaryFile(_SPOOL_SIZE, "w+",
+                                         encoding="utf-8") as file:
+        spool = _TraceSpool(file) if args.trace else "none"
         for i, x in enumerate(inputs):
-            tr_ = engine.execute(prog, [x], cfg, barriers, i,
-                                 "full" if args.trace else "none")
-            text = "%sinput %s\n  OP: %s\n  HP: %s\n" % (
+            tr_ = engine.execute(prog, [x], cfg, barriers, i, spool)
+            head = "%sinput %s\n  OP: %s\n  HP: %s\n" % (
                 "\n" if i else "", mp.to_sci_string(x, digits),
                 mp.to_sci_string(tr_.result.orig, digits),
                 mp.to_sci_string(tr_.result.shadow,
                                  corpus.digits_for(cfg.p_shadow)))
             if args.trace:
-                text += "\n"
-                samples = tr_.samples
-                for j in range(0, len(samples), _TRACE_CHUNK):
-                    text += "\n\n".join(map(engine.format_sample,
-                                            samples[j:j + _TRACE_CHUNK]))
-                    if j + _TRACE_CHUNK < len(samples):
-                        out.write(text + "\n\n")
-                        text = ""
-                text += "\n"
-            out.write(text)
+                spool.write_row(out, head + "\n")
+            else:
+                out.write(head)
     return 0
 
 

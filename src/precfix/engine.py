@@ -63,6 +63,11 @@ expressions for the original lane at p_orig = 53, and unbounded `mpfloat`
 calls for the shadow and the `MPFloat` original lane.  A demoted shadow
 takes the original lane's table.
 
+In full mode each sampled instruction passes an `ErrorSample`, its errors
+exact, to one append: that of the trace's `samples` list, or of a caller's
+consumer (any object with `append`), which then sees each sample as it is
+made while the engine keeps none.
+
 In stream mode each sampled instruction appends its error through a local
 a<id> bound once per batch: to its buffer in a `detector.ErrorAggregate`,
 or to a caller's sink(instr_id, dst, err) through a `functools.partial`.
@@ -563,18 +568,24 @@ def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
                  sample_mode="full", run_index=0):
     """Run input vectors in one call, indexed from run_index; each row's
     arity is checked as it is reached, and a failed row stops the batch.
-    sample_mode: "full" records ErrorSample objects with exact errors,
-    "none" skips error tracking entirely, a callable sink(instr_id, dst,
-    err) receives each error as a host float, and a tally
+    sample_mode: "full" records ErrorSample objects with exact errors in
+    the trace's samples, and an object with `append` (a list, or a caller's
+    consumer) is handed each of them as it is made instead; "none" skips
+    error tracking entirely, a callable sink(instr_id, dst, err) receives
+    each error as a host float, and a tally
     (`detector.ErrorAggregate`) has each error appended to its
     instruction's buffer through `tally.sinks(sampled)`, folded by
     `tally.fold`, and counted by `tally.end_run` (see _compile).  The
-    trace holds the last row's result and the whole batch's samples, exec
-    counts and steps."""
+    trace holds the last row's result, the whole batch's samples under
+    "full", and its exec counts and steps."""
     samples = []
-    tally = fold = None
-    if sample_mode == "full" or sample_mode == "none":
+    sink = tally = fold = None
+    if sample_mode == "none":
         mode = sample_mode
+    elif sample_mode == "full":
+        mode, sink = sample_mode, samples.append
+    elif hasattr(sample_mode, "append"):
+        mode, sink = "full", sample_mode.append
     elif callable(sample_mode):
         mode = "stream"
     elif hasattr(sample_mode, "sinks"):
@@ -587,8 +598,6 @@ def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
     elif mode == "stream":
         sink = [functools.partial(sample_mode, iid, dst)
                 for iid, dst, _, _ in run.sampled]
-    else:
-        sink = samples.append if mode == "full" else None
     orig, shadow, stale, counts, taken, firsts, end = run(
         ([make_dual(v, cfg) for v in _checked(prog, row)] for row in rows),
         sink, run_index, fold)
@@ -619,6 +628,9 @@ def format_sample(sample):
                       _sci15(sample.rel_err))
 
 
+_LOG10_2 = mp._LOG10_2
+_scaled = mp._round_scaled_exact
+_TEN15 = 10**15
 # _sci15 of the other classes, by (class, sign): zeros print unsigned
 _SPECIAL15 = {(mp.NAN, 1): "nan", (mp.NAN, -1): "nan", (mp.INF, 1): "inf",
               (mp.INF, -1): "-inf", (mp.ZERO, 1): "0.00000000000000 * 10^0",
@@ -626,9 +638,22 @@ _SPECIAL15 = {(mp.NAN, 1): "nan", (mp.NAN, -1): "nan", (mp.INF, 1): "inf",
 
 
 def _sci15(v):
-    """v to 15 significant digits, correctly rounded, as d.ddd * 10^e."""
+    """v to 15 significant digits, correctly rounded, as d.ddd * 10^e:
+    mpfloat._decimal_digits at 15 digits with its constants folded in.
+    The estimate d10 is floor(log10 |v|) or one less, so only a rounding
+    to 16 digits moves it, up."""
     if v.cls != mp.NORMAL:
         return _SPECIAL15[v.cls, v.sign]
-    sign, digits, dexp = mp._decimal_digits(v, 15)
-    return "%s%s.%s * 10^%d" % ("-" if sign < 0 else "", digits[0],
-                                digits[1:], dexp)
+    m = v.mant
+    e = v.exp - v.prec + 1
+    d10 = math.floor(math.log10(m) + e * _LOG10_2 - 1e-6)
+    while True:
+        k = 14 - d10
+        # 992 is where _decimal_digits leaves _round_scaled_exact at 15
+        n = (_scaled(m, e, k) if -992 <= k <= 992
+             else mp._round_scaled(m, e, k, 15))
+        if n < _TEN15:
+            s = str(n)
+            return ("-%s.%s * 10^%d" if v.sign < 0 else "%s.%s * 10^%d") % (
+                s[0], s[1:], d10)
+        d10 += 1

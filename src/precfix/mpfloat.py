@@ -645,6 +645,10 @@ def neg(v):
 
 
 def abs_(v):
+    """|v|: v itself when its sign is already positive (values are
+    immutable)."""
+    if v.sign > 0:
+        return v
     return MPFloat(v.cls, 1, v.exp, v.mant, v.prec)
 
 
@@ -735,7 +739,13 @@ def _rel_err_float(shadow, orig, p_shadow):
         return 1.0
     if orig.prec <= p_shadow and shadow.exp < orig.exp - p_shadow - 1:
         return _far_quotient(orig.mant, orig.prec, orig.exp, shadow)
-    # exponents or significands beyond host-float range: quotient first
+    return _wide_error(shadow, orig, p_shadow)
+
+
+def _wide_error(shadow, orig, p_shadow):
+    """_rel_err_float of lanes whose exponents or significands lie beyond
+    host-float range: the quotient first, of the difference rounded at
+    p_shadow, then rounded to 53 bits."""
     return abs(div(sub(shadow, orig, p_shadow), shadow, 53).to_float())
 
 
@@ -760,19 +770,26 @@ def _host_error(sign, exp, mant, prec, orig, p_shadow, shadow):
     the shadow and divides the difference by the shadow's mantissa.  So
     the error is the same, bit for bit, without frexp or a shift.  A zero
     orig gives 1, and a shadow far below orig _rel_err_float's closed-form
-    quotient.  Everything else (orig's last bit below the shadow's, or 600
-    or more binades above it, a non-finite orig, an ldexp or a float(mant)
+    quotient.  An aligned difference or mantissa too wide for a host float
+    (a shadow of 1,023 bits or more) takes _rel_err_float's last resort,
+    _wide_error, at once.  Everything else (orig's last bit below the
+    shadow's, or 600 or more binades above it, a non-finite orig, an ldexp
     out of range) goes to _rel_err_float."""
     try:
         x = math.ldexp(orig, prec - 1 - exp)
-        if 4503599627370496.0 <= abs(x) < 2.0 ** 652:
-            b = int(x)
-            d = mant - b if sign > 0 else mant + b
-            if not d:
-                return 0.0
-            return float(abs(d)) / float(mant)
     except OverflowError:
-        pass
+        x = math.inf
+    if 4503599627370496.0 <= abs(x) < 2.0 ** 652:
+        b = int(x)
+        d = mant - b if sign > 0 else mant + b
+        if not d:
+            return 0.0
+        try:
+            return float(abs(d)) / float(mant)
+        except OverflowError:
+            # neither of _rel_err_float's far-apart forms applies to lanes
+            # this close, so it would end in the same quotient
+            return _wide_error(shadow, from_float(orig), p_shadow)
     if orig - orig == 0.0:
         if not orig:
             return 1.0

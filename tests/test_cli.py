@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -280,6 +282,36 @@ def test_usage_errors_are_exit_1(capsys, argv):
     assert "error:" in err
 
 
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    # the parser is built on the first call and shared; a sequence of
+    # different subcommands, a rejected one among them, gives the exit
+    # codes and output of a parser built fresh for each command
+    f = tmp_path / "exprs.txt"
+    f.write_text("exp 1\n")
+    commands = [
+        ["run", "--kernel", "round_kernel", "--input", "single:2.5",
+         "--trace"],
+        ["detect", "--kernel", "cancel_kernel", "--grid=1,2,3", "--bogus"],
+        ["detect", "--kernel", "cancel_kernel", "--grid=1,2,3", "--sweep"],
+        ["eval", "--kernel", "exp_kernel", "--grid=-1,1,3", "--format",
+         "csv"],
+        ["fix", "--kernel", "round_kernel", "--grid=-5,5,11",
+         "--emit-program"],
+        ["oracle", "--file", str(f), "--digits", "12"],
+        ["run", "--kernel", "cancel_kernel", "--grid", "-1,1,5"],
+        ["eval", "--kernel", "exp_kernel", "--grid=-1,1,3"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in commands]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 1, 0, 0, 0, 0, 1, 0]
+
+
 def test_help_is_exit_0(capsys):
     code, out, _ = run_cli(capsys, "detect", "--help")
     assert code == 0
@@ -522,27 +554,74 @@ def test_oracle_prints_more_digits_than_int_str_allows(capsys,
     assert out == "%s.%s\n" % (digits[0], digits[1:])
 
 
+def loop_program(path, loops):
+    """A one-input program of 1 + loops samples: a self-loop of one fadd."""
+    path.write_text("func f(x) -> s\n  s = fmov x\n  i = iconst 0\n"
+                    "  c = icmp lt, i, %d\n  branch c, top\n  ret s\n"
+                    "top:\n  s = fadd s, x\n  i = iadd i, 1\n"
+                    "  c = icmp lt, i, %d\n  branch c, top\n  ret s\n"
+                    % (loops, loops))
+    return tac.parse_program(path.read_text())
+
+
 @pytest.mark.parametrize("loops", [0, 254, 255, 256, 511, 600])
 def test_trace_rows_of_any_length_join_every_sample(tmp_path, capsys,
-                                                    loops):
-    # 1 + loops samples: a long row is written in pieces (cli._TRACE_CHUNK)
-    # that must join to the same text as one piece
+                                                    monkeypatch, loops):
+    # 1 + loops samples, formatted as the engine makes them: past
+    # cli._TRACE_CHUNK samples a row's text moves to its spool, which goes
+    # to disk past cli._SPOOL_SIZE bytes (at once when that is 1).
+    # Either way the row reads as a full-mode run's samples joined whole
     src = tmp_path / "loop.tac"
-    src.write_text("func f(x) -> s\n  s = fmov x\n  i = iconst 0\n"
-                   "  c = icmp lt, i, %d\n  branch c, top\n  ret s\n"
-                   "top:\n  s = fadd s, x\n  i = iadd i, 1\n"
-                   "  c = icmp lt, i, %d\n  branch c, top\n  ret s\n"
-                   % (loops, loops))
-    code, out, _ = run_cli(capsys, "run", "--program", str(src), "--input",
-                           "single:0.1", "--p-orig", "24", "--trace")
-    assert code == 0
-    prog = tac.parse_program(src.read_text())
+    prog = loop_program(src, loops)
     samples = engine.execute(prog, [mp.from_decimal_string("0.1", 24)],
                              engine.EngineConfig(24, 120)).samples
     assert len(samples) == 1 + loops
-    head = out.split("\n\n", 1)[0] + "\n\n"
-    assert out == head + "\n\n".join(map(engine.format_sample,
-                                          samples)) + "\n"
+    for size in (cli._SPOOL_SIZE, 1):
+        monkeypatch.setattr(cli, "_SPOOL_SIZE", size)
+        code, out, _ = run_cli(capsys, "run", "--program", str(src),
+                               "--input", "single:0.1", "--p-orig", "24",
+                               "--trace")
+        assert code == 0
+        head = out.split("\n\n", 1)[0] + "\n\n"
+        assert out == head + "\n\n".join(map(engine.format_sample,
+                                              samples)) + "\n"
+
+
+def test_long_trace_rows_spill_to_disk_in_bounded_memory(tmp_path,
+                                                         monkeypatch):
+    # two rows of 6,001 samples, about 1 MB of text each: with the spool
+    # held to 64 KiB in memory, each row's text goes through its disk file,
+    # and the output equals the run held in memory.  The peak stays below
+    # 2 MB; keeping a row's samples until it ends (about 0.6 KB each)
+    # peaks near 7 MB
+    src = tmp_path / "loop.tac"
+    loop_program(src, 6000)
+    rows = tmp_path / "rows.in"
+    rows.write_text("0.1\n0.3\n")
+    rolled = []
+    real = tempfile.SpooledTemporaryFile.rollover
+    monkeypatch.setattr(tempfile.SpooledTemporaryFile, "rollover",
+                        lambda self: rolled.append(self) or real(self))
+
+    def run(size, out):
+        monkeypatch.setattr(cli, "_SPOOL_SIZE", size)
+        assert cli.main(["run", "--program", str(src), "--input",
+                         "file:%s" % rows, "--p-orig", "24", "--trace",
+                         "--output", str(out)]) == 0
+
+    run(1 << 40, tmp_path / "memory.out")
+    assert rolled == []
+    tracemalloc.start()
+    try:
+        run(1 << 16, tmp_path / "spool.out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rolled) == 1  # the first row's; the second's reuses it
+    text = (tmp_path / "memory.out").read_text()
+    assert text.count("RELATIVE ERROR") == 2 * 6001
+    assert (tmp_path / "spool.out").read_text() == text
+    assert peak < 2 << 20
 
 
 def test_trace_of_a_row_without_float_writes(tmp_path, capsys):

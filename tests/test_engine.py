@@ -1,9 +1,12 @@
 """Shadow-engine semantics: dual lanes, barriers, word writes, controls."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import decimal
+from fractions import Fraction
 
-from precfix import tac, engine, detector
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from precfix import tac, engine, detector, corpus
 from precfix import mpfloat as mp
 from test_detector import recorded
 
@@ -502,3 +505,132 @@ def test_full_sample_errors_are_the_defined_roundings(case):
     sample = engine._full_sample(0, 0, "y", o, s, p_s)
     assert _fields(sample.abs_err) == _fields(mp.sub(s, o, max(p_s, 60)))
     assert _fields(sample.rel_err) == _fields(mp.relative_error(s, o, p_s))
+
+
+# -- full-mode samples handed to a caller's consumer ------------------------
+
+
+def sample_fields(s):
+    return (s.instr_id, s.run_index, s.dst) + tuple(
+        (v.cls, v.sign, v.exp, v.mant, v.prec)
+        for v in (s.original, s.shadow, s.abs_err, s.rel_err))
+
+
+class Texts:
+    """A consumer that keeps each sample's trace text and nothing else."""
+
+    def __init__(self):
+        self.texts = []
+
+    def append(self, sample):
+        self.texts.append(engine.format_sample(sample))
+
+
+# word operations need p_orig = 53
+WORD_KERNELS = {name for name, k in corpus.builtin_kernels().items()
+                if any(i.op in engine._WORD_OPS for i in k.program.instrs)}
+
+
+@pytest.mark.parametrize("name, p_orig, p_shadow", [
+    (name, p_o, p_s) for name in sorted(corpus.builtin_kernels())
+    for p_o, p_s in ((53, 120), (24, 200))
+    if p_o == 53 or name not in WORD_KERNELS])
+def test_append_consumer_gets_the_full_mode_samples(name, p_orig, p_shadow):
+    """An object with `append` passed as sample_mode receives, in order,
+    the samples "full" mode keeps in RunTrace.samples, and the trace keeps
+    none of them; the row's result and counts are the same."""
+    k = corpus.get_kernel(name)
+    cfg = engine.EngineConfig(p_orig, p_shadow)
+    for i, x in enumerate(corpus.grid(k.domain[0], k.domain[1], 7, p_orig)):
+        full = engine.execute(k.program, [x], cfg, frozenset(), i, "full")
+        got, texts = [], Texts()
+        for consumer in (got, texts):
+            tr = engine.execute(k.program, [x], cfg, frozenset(), i,
+                                consumer)
+            assert tr.samples == []
+            assert (tr.exec_counts, tr.steps) == (full.exec_counts,
+                                                  full.steps)
+            assert tr.result.orig.to_float() == full.result.orig.to_float()
+        assert full.samples
+        assert list(map(sample_fields, got)) \
+            == list(map(sample_fields, full.samples))
+        assert texts.texts == list(map(engine.format_sample, full.samples))
+
+
+# -- the trace's 15-digit numbers against decimal ----------------------------
+
+
+_DEC15 = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN,
+                         Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def ref_sci15(v):
+    """_sci15's text from decimal: the value's exact Fraction divided at 15
+    digits, ties to even."""
+    if v.cls == mp.NAN:
+        return "nan"
+    if v.cls == mp.INF:
+        return "-inf" if v.sign < 0 else "inf"
+    if v.cls == mp.ZERO:
+        return "0.00000000000000 * 10^0"
+    x = v.sign * Fraction(v.mant) * Fraction(2) ** (v.exp - v.prec + 1)
+    q = _DEC15.divide(decimal.Decimal(x.numerator),
+                      decimal.Decimal(x.denominator))
+    sign, digits, exp = q.as_tuple()
+    ds = "".join(map(str, digits)).ljust(15, "0")
+    return "%s%s.%s * 10^%d" % ("-" if sign else "", ds[0], ds[1:],
+                                exp + len(digits) - 1)
+
+
+SCI_PRECISIONS = (24, 53, 113, 200, 1100)
+
+
+@st.composite
+def sci_values(draw):
+    """Normal values at the trace's precisions: random significands, or
+    short ones (n * 2**j, often an exact decimal), at exponents near 0,
+    and past +-3,300, where the rounding takes _round_scaled (|k| > 992)."""
+    p = draw(st.sampled_from(SCI_PRECISIONS))
+    short = draw(st.integers(1, 1 << 20))
+    mant = draw(st.one_of(
+        st.integers(1 << (p - 1), (1 << p) - 1),
+        st.just(short << (p - short.bit_length()))))
+    exp = draw(st.one_of(st.integers(-80, 80), st.integers(-4000, 4000),
+                         st.integers(-40000, 40000)))
+    return mp.MPFloat(mp.NORMAL, draw(st.sampled_from([1, -1])), exp, mant,
+                      p)
+
+
+@given(sci_values())
+@example(mp.MPFloat(mp.NORMAL, 1, 3400, (1 << 200) - 1, 200))
+@example(mp.MPFloat(mp.NORMAL, -1, -3300, 1 << 1099, 1100))
+@example(mp.MPFloat(mp.NORMAL, 1, 40000, 0xC00000, 24))
+@example(mp.MPFloat(mp.NORMAL, 1, -40000, (1 << 53) - 1, 53))
+@settings(max_examples=400, deadline=None)
+def test_sci15_matches_decimal(v):
+    assert engine._sci15(v) == ref_sci15(v)
+
+
+@pytest.mark.parametrize("p", SCI_PRECISIONS)
+def test_sci15_specials_and_ties(p):
+    """Zeros print unsigned; exact decimal ties at 15 digits round to
+    even: 2**-22 = 2.384185791015625e-7, and integers 10n + 5 of 16
+    digits, below 2**53 so exact from p 53, of either sign."""
+    for v, want in ((mp.zero(p), "0.00000000000000 * 10^0"),
+                    (mp.zero(p, -1), "0.00000000000000 * 10^0"),
+                    (mp.inf(1, p), "inf"), (mp.inf(-1, p), "-inf"),
+                    (mp.nan(p), "nan")):
+        assert engine._sci15(v) == ref_sci15(v) == want
+    ties = [mp.MPFloat(mp.NORMAL, sign, -22, 1 << (p - 1), p)
+            for sign in (1, -1)]
+    if p >= 53:
+        ties += [mp.from_int(n, p) for n in (
+            1000000000000005, 1000000000000015, 4503599627370495,
+            9007199254740985, -2718281828459045, -2718281828459055)]
+    for v in ties:
+        assert engine._sci15(v) == ref_sci15(v)
+    assert [engine._sci15(v) for v in ties[:2]] == [
+        "2.38418579101562 * 10^-7", "-2.38418579101562 * 10^-7"]
+    if p >= 53:
+        assert [engine._sci15(v) for v in ties[2:4]] == [
+            "1.00000000000000 * 10^15", "1.00000000000002 * 10^15"]
