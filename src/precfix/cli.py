@@ -223,11 +223,12 @@ _SPOOL_SIZE = 2 << 20
 
 
 class _TraceSpool:
-    """The consumer `run --trace` hands engine.execute: each ErrorSample is
-    formatted as the engine makes it, and the row's text is held in a list
-    of up to _TRACE_CHUNK samples, and past that in a temporary file that
-    keeps _SPOOL_SIZE bytes in memory and the rest on disk.  A row's
-    text is written after its header, which needs the row's result."""
+    """The consumer `run --trace` hands engine.execute_rows: each
+    ErrorSample is formatted as the engine makes it, and the row's text is
+    held in a list of up to _TRACE_CHUNK samples, and past that in a
+    temporary file that keeps _SPOOL_SIZE bytes in memory and the rest on
+    disk.  A row's text is written after its header, which needs the row's
+    result."""
 
     def __init__(self, file):
         self.file = file
@@ -262,23 +263,33 @@ def cmd_run(args):
     barriers = _parse_barriers(getattr(args, "barriers", None), prog)
     inputs = _load_inputs(args, kernel, cfg.p_orig)
     digits = corpus.digits_for(cfg.p_orig)
-    # each row is written once it has run: a failing row leaves the rows
-    # before it in the output
+    s_digits = corpus.digits_for(cfg.p_shadow)
+    x = None  # the input of the row running now
+
+    def rows():
+        nonlocal x
+        for x in inputs:
+            yield (x,)
+
+    def on_row(i, orig, shadow, stale):
+        head = "%sinput %s\n  OP: %s\n  HP: %s\n" % (
+            "\n" if i else "", mp.to_sci_string(x, digits),
+            mp.to_sci_string(orig, digits), mp.to_sci_string(shadow, s_digits))
+        if args.trace:
+            spool.write_row(out, head + "\n")
+        else:
+            out.write(head)
+
+    # all rows run in one batch, each written once it has run: a failing
+    # row leaves the rows before it in the output
     with _open_output(args) as out, \
             tempfile.SpooledTemporaryFile(_SPOOL_SIZE, "w+",
                                          encoding="utf-8") as file:
         spool = _TraceSpool(file) if args.trace else "none"
-        for i, x in enumerate(inputs):
-            tr_ = engine.execute(prog, [x], cfg, barriers, i, spool)
-            head = "%sinput %s\n  OP: %s\n  HP: %s\n" % (
-                "\n" if i else "", mp.to_sci_string(x, digits),
-                mp.to_sci_string(tr_.result.orig, digits),
-                mp.to_sci_string(tr_.result.shadow,
-                                 corpus.digits_for(cfg.p_shadow)))
-            if args.trace:
-                spool.write_row(out, head + "\n")
-            else:
-                out.write(head)
+        if inputs:  # nothing is compiled without rows
+            engine.check_arity(prog, 1)
+            engine.execute_rows(prog, rows(), cfg, barriers, spool, 0,
+                                on_row)
     return 0
 
 

@@ -42,7 +42,12 @@ shadow rounded to binary64.
 Programs are compiled once per (program, config, barriers, sampling mode)
 into one generated Python function, kept in a bounded cache on the program.
 One call runs a batch of rows, admitting each only when it reaches it, and
-`execute` is a batch of one.
+`execute` is a batch of one.  After each row the function hands the row's
+result to the caller's per-row hook, if there is one, as on_row(index,
+orig, shadow, stale): `run` writes each row from it and `evaluate`
+collects each lane's results, so `collect`, `run` and each lane of
+`evaluate` are one call per batch, and the hook costs a row without one
+a single `is None` test.
 A `tac.TacProgram` is valid by construction and immutable, so the engine
 checks no program structure: it reads the basic blocks, their successors
 and reachability from `tac.control_flow` and variable types from
@@ -308,8 +313,10 @@ _CMP_PRED = {"lt": "(-1,)", "le": "(-1, 0)", "gt": "(1,)", "ge": "(0, 1)",
 
 
 def _compile(prog, cfg, barriers, mode):
-    """One Python function run(rows, sink, ri, fold) for the program, whose
-    rows hold admitted inputs as DualValues and are indexed from ri.  In
+    """One Python function run(rows, sink, ri, fold, done=None) for the
+    program, whose rows hold admitted inputs as DualValues and are indexed
+    from ri.  After each row, done(ri, orig, shadow, stale) is called with
+    the row's result, its original an MPFloat, unless done is None.  In
     "full" mode `sink` takes ErrorSamples; in "stream" mode it holds one
     append per sampled instruction, in the order of `run.sampled`, each
     taking the error as a host float, and `fold` is the aggregate's or None.
@@ -472,7 +479,7 @@ def _compile(prog, cfg, barriers, mode):
 
     sampled = tuple((iid, dst, j, off) for j, b in enumerate(sampling)
                     for off, (iid, dst) in enumerate(block_samples[b]))
-    src = ["def run(rows, sink, ri, fold):"]
+    src = ["def run(rows, sink, ri, fold, done=None):"]
     if sampled:
         src.append("    %s, = sink" % ", ".join("a%d" % s[0]
                                                  for s in sampled))
@@ -515,7 +522,9 @@ def _compile(prog, cfg, barriers, mode):
     if folds:
         src += ["        if %s >= nf:" % taken(),
                 "            nf = fold(%s)" % taken()]
-    src.append("        ri += 1")
+    src += ["        if done is not None:",
+            "            done(ri, %s, rs, rt)" % ("_ff(ro)" if host else "ro"),
+            "        ri += 1"]
     src.append("    return ro, rs, rt, [%s], %s, [%s], ri" % (
         ", ".join(counts), taken(), ", ".join("f%d" % b for b in sampling)))
     exec(compile("\n".join(src) + "\n", "<precfix>", "exec"), ns)
@@ -557,17 +566,25 @@ def check_barriers(prog, barriers):
             raise BadBarrier("instruction %d has no destination" % b)
 
 
-def _checked(prog, inputs):
-    if len(inputs) != len(prog.params):
+def check_arity(prog, n):
+    """Raise EngineError unless prog takes n inputs."""
+    if n != len(prog.params):
         raise EngineError("%s takes %d input(s), got %d"
-                          % (prog.name, len(prog.params), len(inputs)))
+                          % (prog.name, len(prog.params), n))
+
+
+def _checked(prog, inputs):
+    check_arity(prog, len(inputs))
     return inputs
 
 
 def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
-                 sample_mode="full", run_index=0):
+                 sample_mode="full", run_index=0, on_row=None):
     """Run input vectors in one call, indexed from run_index; each row's
     arity is checked as it is reached, and a failed row stops the batch.
+    on_row, unless None, is called after each row as on_row(index, orig,
+    shadow, stale) with the row's result, its original an MPFloat, so a
+    row that fails leaves the rows before it handed over.
     sample_mode: "full" records ErrorSample objects with exact errors in
     the trace's samples, and an object with `append` (a list, or a caller's
     consumer) is handed each of them as it is made instead; "none" skips
@@ -600,7 +617,7 @@ def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
                 for iid, dst, _, _ in run.sampled]
     orig, shadow, stale, counts, taken, firsts, end = run(
         ([make_dual(v, cfg) for v in _checked(prog, row)] for row in rows),
-        sink, run_index, fold)
+        sink, run_index, fold, on_row)
     if tally is not None:
         tally.end_run(run.sampled, counts, taken, firsts, end - run_index)
     if isinstance(orig, float):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -38,37 +39,70 @@ class SummaryTable:
     inf_counts: dict = field(default_factory=dict)
 
 
+# rows each lane runs in one engine call: the lanes' results are held
+# for this many rows at a time
+_CHUNK = 1024
+
+
 def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
              barriers=frozenset(), oracle_cfg=tr.DEFAULT):
     """(rows, skipped): one (err_op, err_hp, err_mp) row per input, the
     relative errors of the three lanes against the oracle, taken at oracle
     precision; `skipped` counts inputs outside the oracle's domain.  The
-    MP lane runs only when `barriers` is not empty; with none, err_mp is
-    the err_hp object itself."""
+    inputs run in chunks of _CHUNK rows, one engine call per lane and
+    chunk.  The MP lane runs only when `barriers` is not empty; with none,
+    err_mp is the err_hp object itself.  A failing run raises the error of
+    the lowest-index failing row, its HP lane before its MP lane, once the
+    rows before it are scored."""
     if kernel.oracle_fn is None:
         raise EvaluationError("kernel %s has no reference function"
                               % kernel.name)
     if not inputs:
         raise EvaluationError("no inputs to evaluate")
     prog = kernel.program
+    eng.check_arity(prog, 1)
     p_s = oracle_cfg.p_s
     rows = []
     skipped = 0
-    for x in inputs:
-        hp = eng.execute(prog, [x], engine_cfg, sample_mode="none").result
+    it = iter(inputs)
+    while chunk := list(itertools.islice(it, _CHUNK)):
+        hp, failed = _lane(prog, chunk, engine_cfg, frozenset())
+        mp_v = hp
         if barriers:
-            mp_v = eng.execute(prog, [x], engine_cfg, barriers,
-                               sample_mode="none").result.shadow
-        try:
-            s_v = tr.derived_fn(kernel.oracle_fn,
-                                [mp.extend(x, p_s)], oracle_cfg)
-        except tr.DomainError:
-            skipped += 1
-            continue
-        err_hp = mp.relative_error(s_v, hp.shadow, p_s)
-        err_mp = mp.relative_error(s_v, mp_v, p_s) if barriers else err_hp
-        rows.append((mp.relative_error(s_v, hp.orig, p_s), err_hp, err_mp))
+            # only the rows before HP's first failure, so an MP failure is
+            # always at a lower index
+            mp_v, failed_mp = _lane(prog, chunk[:len(hp)], engine_cfg,
+                                    barriers)
+            if failed_mp is not None:
+                failed = failed_mp
+        for x, (orig, shadow), (_, mp_shadow) in zip(chunk, hp, mp_v):
+            try:
+                s_v = tr.derived_fn(kernel.oracle_fn,
+                                    [mp.extend(x, p_s)], oracle_cfg)
+            except tr.DomainError:
+                skipped += 1
+                continue
+            err_hp = mp.relative_error(s_v, shadow, p_s)
+            err_mp = (mp.relative_error(s_v, mp_shadow, p_s) if barriers
+                      else err_hp)
+            rows.append((mp.relative_error(s_v, orig, p_s), err_hp, err_mp))
+        if failed is not None:
+            raise failed
     return rows, skipped
+
+
+def _lane(prog, xs, cfg, barriers):
+    """([(orig, shadow)] of the rows of xs that ran, in one engine call,
+    and the exception that stopped the call, or None).  Nothing is
+    compiled without rows."""
+    out = []
+    if xs:
+        try:
+            eng.execute_rows(prog, ([x] for x in xs), cfg, barriers, "none",
+                             on_row=lambda i, o, s, t: out.append((o, s)))
+        except Exception as exc:  # noqa: BLE001 - raised in row order
+            return out, exc
+    return out, None
 
 
 def _le(a, b):

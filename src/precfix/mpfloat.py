@@ -924,28 +924,25 @@ def _round_scaled(m, e, k, digits):
 def _decimal_digits(v, digits):
     """(sign, digit string of given length, decimal exponent of first digit)."""
     m, e = v.mant, v.exp - v.prec + 1
-    # 10**digits
-    top = _POW5[digits] << digits if digits < _POW5_SIZE else 10**digits
     # _round_scaled goes straight to _round_scaled_exact up to this |k|
     near = 32 * digits + 512
     # floor(log10 |v|) or one less: the float error of the logarithm is
-    # far below the margin for every |exp| < 2**31, so the loop only
-    # moves up, and it stops at the first exponent whose rounding has
-    # `digits` digits, the correctly rounded one
+    # far below the margin for every |exp| < 2**31, so the rounding never
+    # has too few digits, and the loop only moves up, stopping at the
+    # first exponent whose rounding has `digits` digits, the correctly
+    # rounded one
     d10 = math.floor(math.log10(m) + e * _LOG10_2 - 1e-6)
     while True:
         k = digits - 1 - d10
-        if -near <= k <= near:
-            n = _round_scaled_exact(m, e, k)
-        else:
-            n = _round_scaled(m, e, k, digits)
-        if n >= top:
-            d10 += 1
-        elif 10 * n < top:
-            d10 -= 1
-        else:
-            ds = str(n) if digits <= _STR_DIGITS else _digit_string(n, digits)
-            return v.sign, ds, d10
+        n = (_round_scaled_exact(m, e, k) if -near <= k <= near
+             else _round_scaled(m, e, k, digits))
+        if digits <= _STR_DIGITS:
+            ds = str(n)
+            if len(ds) == digits:
+                return v.sign, ds, d10
+        elif n < 10**digits:
+            return v.sign, _digit_string(n, digits), d10
+        d10 += 1
 
 
 def _digit_string(n, width):
@@ -981,14 +978,13 @@ def to_decimal_string(v, digits):
 
 def to_sci_string(v, digits):
     """Scientific form d.dddd...e<exp> with `digits` significant digits."""
-    if v.cls == NAN:
-        return "nan"
-    if v.cls == INF:
-        return "-inf" if v.sign < 0 else "inf"
-    if v.cls == ZERO:
+    if v.cls != NORMAL:
+        if v.cls == NAN:
+            return "nan"
+        if v.cls == INF:
+            return "-inf" if v.sign < 0 else "inf"
         mant = "0." + "0" * (digits - 1) if digits > 1 else "0"
         return ("-" if v.sign < 0 else "") + mant + "e0"
     sign, ds, d10 = _decimal_digits(v, digits)
-    prefix = "-" if sign < 0 else ""
-    mant = ds[0] + ("." + ds[1:] if digits > 1 else "")
-    return "%s%se%d" % (prefix, mant, d10)
+    return "%s%s%s%se%d" % ("-" if sign < 0 else "", ds[0],
+                            "." if digits > 1 else "", ds[1:], d10)

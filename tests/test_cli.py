@@ -659,3 +659,89 @@ def test_closed_pipe_in_process_is_exit_1(monkeypatch, capsys):
         raise BrokenPipeError(32, "Broken pipe")
     monkeypatch.setitem(cli._COMMANDS, "run", closed)
     assert run_cli(capsys, "run", "--kernel", "round_kernel") == (1, "", "")
+
+
+# -- one batch per run, one per eval lane and chunk ---------------------------
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_comments_only_input_to_a_word_op_kernel_is_empty(tmp_path, capsys,
+                                                          trace):
+    # no row, so nothing is compiled: exp_kernel's word operations would
+    # fail to compile at p_orig 24
+    f = tmp_path / "in.txt"
+    f.write_text("# nothing but comments\n\n# and blank lines\n")
+    code, out, err = run_cli(capsys, "run", "--kernel", "exp_kernel",
+                             "--input", "file:%s" % f, "--p-orig", "24",
+                             "--p-shadow", "200", *trace)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_arity_is_reported_before_a_compile_error(tmp_path, capsys):
+    prog = tmp_path / "two.tac"
+    prog.write_text("func f(x, y) -> z\n  h = get_hi x\n  z = fadd x, y\n"
+                    "  ret z\n")
+    code, out, err = run_cli(capsys, "run", "--program", str(prog),
+                             "--input", "single:1", "--p-orig", "24",
+                             "--p-shadow", "200")
+    assert (code, out, err) == (1, "", "error: f takes 2 input(s), got 1\n")
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_failing_middle_row_keeps_earlier_rows_on_stdout(tmp_path, capsys,
+                                                         trace):
+    prog = tmp_path / "f.tac"
+    prog.write_text("func f(x) -> y\n  t = fmul x, 1e300\n  y = ffloor t\n"
+                    "  ret y\n")
+    good, rows = tmp_path / "good.txt", tmp_path / "rows.txt"
+    good.write_text("1.5\n2.5\n")
+    rows.write_text("1.5\n2.5\n1e10\n3.5\n")
+    argv = ["run", "--program", str(prog), *trace, "--input"]
+    code, want, _ = run_cli(capsys, *argv, "file:%s" % good)
+    assert code == 0 and want.count("input ") == 2
+    code, out, err = run_cli(capsys, *argv, "file:%s" % rows)
+    assert (code, out, err) == (1, want, "error: floor needs a finite value\n")
+
+
+# the HP lane's shadow stays finite; a barrier on z demotes it through
+# set_hi's stale shadow, which overflows binary64 once x > 5e7, so the MP
+# lane's floor fails; x > 1e20 then spins past the step budget in both
+MPFAIL = """func mpfail(x) -> w
+  t0 = fdiv x, 3.0
+  t = fmul t0, 0x1p1000
+  y = set_hi t, 1072693248
+  z = fmul y, 1.0
+  w = ffloor z
+  c = icmp gt, x, 1e20
+  branch c, spin
+  ret w
+spin:
+  jump spin
+"""
+FLOOR_ERR = "error: floor needs a finite value\n"
+STEPS_ERR = "error: mpfail exceeded 100 steps\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1024])
+@pytest.mark.parametrize("rows, barriers, want", [
+    ("1 2", "3", ""),
+    ("1 1e9 1e30", "3", FLOOR_ERR),   # row 1's MP lane fails first
+    ("1 1e30 1e9", "3", STEPS_ERR),   # row 1's HP lane, before its MP lane
+    ("1 1e9 1e30", "", STEPS_ERR),    # no MP lane
+])
+def test_eval_reports_the_first_failing_rows_error(tmp_path, capsys,
+                                                   monkeypatch, chunk, rows,
+                                                   barriers, want):
+    from precfix import evaluator
+    kernel = corpus.Kernel("mpfail", MPFAIL, "sqrt", ("1", "2", 3))
+    monkeypatch.setattr(corpus, "get_kernel", lambda name: kernel)
+    monkeypatch.setattr(cli, "_engine_cfg", lambda args: engine.EngineConfig(
+        args.p_orig, args.p_shadow, max_steps=100))
+    monkeypatch.setattr(evaluator, "_CHUNK", chunk)
+    f = tmp_path / "in.txt"
+    f.write_text(rows.replace(" ", "\n") + "\n")
+    code, out, err = run_cli(capsys, "eval", "--kernel", "mpfail",
+                             "--input", "file:%s" % f, "--format", "text",
+                             *(["--barriers", barriers] if barriers else []))
+    assert (code, err) == ((1, want) if want else (0, ""))
+    assert (out == "") == bool(want)

@@ -765,6 +765,30 @@ def test_round_scaled_exact_matches_fractions(m, e, k):
     assert mp._round_scaled_exact(m, e, k) == round(x)
 
 
+def ref_sci_string(v, digits):
+    sign, ds, d10 = ref_decimal_digits(v, digits)
+    return "%s%s%se%d" % ("-" if sign < 0 else "", ds[0],
+                          "." + ds[1:] if digits > 1 else "", d10)
+
+
+@given(st.one_of(mpmath_ref.mpfloats(200, PRINT_EXPS),
+                 mpmath_ref.mpfloats(120, st.integers(-14000, 14000)),
+                 mpmath_ref.mpfloats(24, st.integers(-150, 150)),
+                 decimal_ties().map(lambda case: case[0])),
+       st.integers(1, 70))
+@example(mp.MPFloat(mp.NORMAL, 1, -1, 2, 2), 2)  # 0.5
+@example(mp.from_int(99995), 4)  # carries to 1.000e5
+@example(mp.from_int(-10**20), 2)
+@example(mp.from_float(5e-324), 17)
+@example(mp.from_float(-1.7976931348623157e308), 62)
+@settings(max_examples=1500, deadline=None)
+def test_sci_string_matches_fractions(v, digits):
+    # the lean loop (2 to _STR_DIGITS digits) and the general path agree
+    # with exact rationals on every normal value
+    if v.cls == mp.NORMAL:
+        assert mp.to_sci_string(v, digits) == ref_sci_string(v, digits)
+
+
 @pytest.mark.parametrize("exp", [146964308, -146964308, 632557226,
                                  -632557226, 2**31 - 1, -2**31 + 1])
 def test_decimal_digits_just_below_a_power_of_ten(exp):
@@ -784,6 +808,8 @@ def test_decimal_digits_just_below_a_power_of_ten(exp):
     if not -mp._EXP_LIMIT < v.exp < mp._EXP_LIMIT:
         pytest.skip("past the exponent limit")
     assert mp._decimal_digits(v, 15) == (1, str(n), d10)
+    assert mp.to_sci_string(v, 15) == "%s.%se%d" % (str(n)[0], str(n)[1:],
+                                                    d10)
     assert str(n).startswith("99999999999999")
 
 

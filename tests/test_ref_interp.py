@@ -14,7 +14,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from precfix import detector, engine, tac
+from precfix import corpus, detector, engine, tac
 from precfix import mpfloat as mp
 import ref_interp as ref
 from test_programs import INPUTS, LOOP, NESTED as OUTER, programs
@@ -312,3 +312,107 @@ def test_exact_zero_sums_follow_reference(p_o, p_s, barriers):
     rows = [[mp.from_float(x)] for x in (1.0, -2.5, 0.0, -0.0, 5e-324,
                                          1e300, math.inf, math.nan)]
     check_batch(prog, engine.EngineConfig(p_o, p_s), barriers, rows)
+
+
+# -- the per-row hook --------------------------------------------------------
+
+# a barrier per built-in kernel: the fixer's on the magic-constant kernels,
+# accum's loop fadd and cancel's first add
+KERNEL_BARRIERS = {"round_kernel": 1, "exp_kernel": 3, "sin_kernel": 2,
+                   "union_scale_kernel": 3, "accum_kernel": 2,
+                   "cancel_kernel": 0}
+HOOK_INPUTS = (0.5, -2.75, 3.0, 1e300, -1e-310, 0.0, math.inf)
+
+
+def hooked(prog, rows, cfg, barriers, mode, run_index=0):
+    """What on_row receives from one execute_rows call, as comparable
+    keys, and the call's trace."""
+    got = []
+    trace = engine.execute_rows(
+        prog, rows, cfg, barriers, mode, run_index,
+        lambda i, o, s, t: got.append((i, key(o), o.prec, key(s), s.prec,
+                                       t)))
+    return got, trace
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BARRIERS))
+@pytest.mark.parametrize("p_o, p_s", [(53, 120), (24, 200), (113, 200)])
+@pytest.mark.parametrize("barred", [False, True])
+def test_on_row_hands_each_row_its_result(name, p_o, p_s, barred):
+    # in every sample mode, row i's hook gets what execute gives for that
+    # row alone and what the reference computes
+    prog = corpus.get_kernel(name).program
+    cfg = engine.EngineConfig(p_o, p_s)
+    barriers = frozenset({KERNEL_BARRIERS[name]} if barred else ())
+    xs = HOOK_INPUTS[:2] if name == "accum_kernel" else HOOK_INPUTS
+    rows = [[mp.round_to(mp.from_float(x), p_o)] for x in xs]
+    modes = ("none", "full", detector.ErrorAggregate(prog.name, THRESHOLDS))
+    interp = ref.Interp(prog, p_o, p_s, barriers)
+    try:
+        wants = [interp.run(row) for row in rows]
+    except ref.RefError:  # word operations below p_orig 53
+        for mode in modes:
+            with pytest.raises(engine.EngineError):
+                hooked(prog, rows, cfg, barriers, mode)
+        return
+    want = []
+    for i, (row, w) in enumerate(zip(rows, wants)):
+        alone = engine.execute(prog, row, cfg, barriers,
+                               sample_mode="none").result
+        wo, ws, wstale = w.result
+        wo = ref.from_host(wo) if p_o == 53 else wo
+        assert (key(alone.orig), key(alone.shadow), alone.stale) \
+            == (rkey(wo), rkey(ws), wstale)
+        want.append((i, key(alone.orig), p_o, key(alone.shadow), p_s,
+                     alone.stale))
+    for mode in modes:
+        got, trace = hooked(prog, rows, cfg, barriers, mode)
+        assert got == want
+        assert trace.steps == sum(w.steps for w in wants)
+
+
+def test_on_row_full_mode_indices_run_on_across_rows():
+    # each row's samples come before its hook and carry its index
+    prog = tac.parse_program(LATE)
+    rows = [[mp.from_float(x)] for x in (0.5, -4.0, 2.0, 5.0)]
+    events = []
+
+    class Consumer:
+        def append(self, sample):
+            events.append(("sample", sample.run_index))
+
+    engine.execute_rows(prog, rows, engine.EngineConfig(), frozenset(),
+                        Consumer(), 7, lambda i, o, s, t:
+                        events.append(("row", i)))
+    rows_seen = [i for kind, i in events if kind == "row"]
+    assert rows_seen == [7, 8, 9, 10]
+    row = iter(rows_seen)
+    current = next(row)
+    for kind, i in events:
+        assert i == current
+        if kind == "row":
+            current = next(row, None)
+    assert current is None
+
+
+FLOOR = """
+func f(x) -> y
+  t = fmul x, 1e300
+  y = ffloor t
+  ret y
+"""
+
+
+@pytest.mark.parametrize("mode", ["none", "full", "aggregate"])
+def test_a_failing_row_stops_the_batch_after_earlier_rows(mode):
+    # 1e10 * 1e300 overflows: the third row fails, the first two were
+    # handed over and the fourth never runs
+    prog = tac.parse_program(FLOOR)
+    if mode == "aggregate":
+        mode = detector.ErrorAggregate(prog.name, THRESHOLDS)
+    rows = [[mp.from_float(x)] for x in (1.5, 2.5, 1e10, 3.5)]
+    got = []
+    with pytest.raises(engine.NonFiniteFloor):
+        engine.execute_rows(prog, rows, engine.EngineConfig(), frozenset(),
+                            mode, 0, lambda i, o, s, t: got.append(i))
+    assert got == [0, 1]
