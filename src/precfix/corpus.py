@@ -265,36 +265,21 @@ def get_kernel(name):
                        % (name, sorted(builtin_kernels()))) from None
 
 
-def _as_scaled_int(v):
-    """(signed integer significand, base-2 exponent of its unit)."""
-    if v.cls == mp.ZERO:
-        return 0, 0
-    if v.cls != mp.NORMAL:
-        raise ValueError("grid endpoints must be finite")
-    return v.sign * v.mant, v.exp - v.prec + 1
-
-
 class Grid(Sequence):
-    """count points lo + i*(hi-lo)/count for i in [0, count), each the
-    result of a single rounding of the exact rational value to p bits.
-    Point i is computed when it is read, so a grid of any count takes the
-    same memory."""
+    """count points lo + i*(hi-lo)/count for i in [0, count), each one
+    rounding to p bits of the exact rational value, the decimal endpoints
+    read exactly: point 0 is lo as `--input` rounds it, a zero unsigned.
+    Points are computed when read: no count or endpoint gap grows memory."""
 
     def __init__(self, lo, hi, count, p=53):
         if count < 1:
             raise ValueError("count must be positive")
         if count > sys.maxsize:
             raise ValueError("count must be at most %d" % sys.maxsize)
-        if isinstance(lo, str):
-            lo = mp.from_decimal_string(lo, 64)
-        if isinstance(hi, str):
-            hi = mp.from_decimal_string(hi, 64)
-        ml, el = _as_scaled_int(lo)
-        mh, eh = _as_scaled_int(hi)
-        e = min(el, eh) if ml and mh else (el if ml else eh)
-        self._ml = ml << (el - e) if ml else 0
-        self._mh = mh << (eh - e) if mh else 0
-        self._e = e
+        self._ends = (mp._decimal(lo), mp._decimal(hi))
+        if any(d and mp._round_decimal(s, d, e, p, mp.UNBOUNDED).cls == mp.INF
+               for s, d, e in self._ends):
+            raise ValueError("grid endpoints must be finite")
         self._count = count
         self._p = p
         self._policy = mp.policy_for(p)
@@ -311,14 +296,51 @@ class Grid(Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError("grid index out of range")
-        num = self._ml * (n - i) + self._mh * i
-        if num == 0:
-            return mp.zero(self._p)
-        return mp._round_frac(1 if num > 0 else -1, abs(num), n, self._e,
-                              self._p, self._policy)
+        (sl, dl, el), (sh, dh, eh) = self._ends
+        return _point(sl * dl * (n - i), el, sh * dh * i, eh, n, self._p,
+                      self._policy)
 
 
 grid = Grid
+_GUARD = 64  # bits between a grid point's rounding and a first stand-in
+
+
+def _point(a, ea, b, eb, n, p, policy):
+    """(a * 10**ea + b * 10**eb) / n rounded once to p bits.  The terms are
+    aligned exactly unless the smaller, b after a swap, lies below 10**(ea
+    - m): then one digit of its sign there stands in for it, as in
+    `mpfloat._sticky`.  The point lies strictly between a's term alone and
+    with the stand-in, so it rounds as both do when they round alike.  Else
+    the stand-in moves below Q = 5**min(ea, 0) * 2**min(u, ea), a divisor
+    of a * 10**ea and of n times each rounding boundary near: the point and
+    the stand-in then lie between the same two multiples of Q."""
+    L = math.log2(10)
+
+    def rnd(a, ea):  # a * 10**ea / n rounded once, a zero unsigned
+        return mp._round_decimal(1 if a > 0 else -1, abs(a), ea, p, policy,
+                                 n) if a else mp.zero(p)
+
+    def below(m):  # |b| * 10**eb < 10**(ea - m), judged from bit lengths
+        return b.bit_length() + (eb - ea + m) * L < -1
+
+    if not a or b and a.bit_length() + ea * L < b.bit_length() + eb * L:
+        a, ea, b, eb = b, eb, a, ea
+    if b:
+        m = (p + _GUARD) // 3 + 1
+        if below(m):
+            v = rnd(a, ea)
+            if mp.cmp(v, rnd(a * 10**m + (1 if b > 0 else -1), ea - m)) == 0:
+                return v
+            # u lies at or below the exponent of the boundaries' spacing
+            u = math.floor(a.bit_length() - n.bit_length() + ea * L) - p - 4
+            m = ea + 2 - math.floor(min(ea, 0) * math.log10(5)
+                                    + min(u, ea) * math.log10(2))
+        if below(m):
+            a, ea = a * 10**m + (1 if b > 0 else -1), ea - m
+        else:
+            e = min(ea, eb)
+            a, ea = a * 10**(ea - e) + b * 10**(eb - e), e
+    return rnd(a, ea)
 
 
 def digits_for(p):

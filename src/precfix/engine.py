@@ -55,14 +55,14 @@ and reachability from `tac.control_flow` and variable types from
 Registers become locals named by index: o<k> and s<k> for the two lanes of
 a float, t<k> for its staleness in programs with word writes, and i<k> for
 an integer.  Constants are admitted at compile time and bound into the
-function's namespace; no text of the program reaches the generated
-source.  The reachable basic blocks are dispatched by a balanced `if`
-tree on the block index inside one loop per row; exec counts are kept
-per block and the row's step budget is checked on every entry to a block,
-against its length.  A block whose branch or jump goes back to its own
-start (a self-loop, such as a counted loop with no branch inside) runs as
-an inner `while` loop that it leaves when its branch is not taken, so its
-passes skip the dispatch.
+function's namespace, a decimal literal rounded from its text; no text of
+the program reaches the generated source.  The reachable basic blocks are
+dispatched by a balanced `if` tree on the block index inside one loop per
+row; exec counts are kept per block and the row's step budget is checked on
+every entry to a block, against its length.  A block whose branch or jump
+goes back to its own start (a self-loop, such as a counted loop with no
+branch inside) runs as an inner `while` loop that it leaves when its branch
+is not taken, so its passes skip the dispatch.
 Each float operation is emitted from two expression tables: host-float
 expressions for the original lane at p_orig = 53, and unbounded `mpfloat`
 calls for the shadow and the `MPFloat` original lane.  A demoted shadow
@@ -348,7 +348,10 @@ def _compile(prog, cfg, barriers, mode):
         if operand[0] == "var":
             k = regs[operand[1]]
             return "o%d" % k, "s%d" % k, "t%d" % k if track else "False"
-        dv = make_dual(operand[1], cfg)
+        value = operand[1]
+        if isinstance(value, str):  # a decimal literal, rounded once
+            value = mp.from_decimal_string(value, p_o, mp.policy_for(p_o))
+        dv = make_dual(value, cfg)
         return bind(dv.orig), bind(dv.shadow), "False"
 
     def iop(operand):

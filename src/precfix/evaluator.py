@@ -51,9 +51,9 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
     precision; `skipped` counts inputs outside the oracle's domain.  The
     inputs run in chunks of _CHUNK rows, one engine call per lane and
     chunk.  The MP lane runs only when `barriers` is not empty; with none,
-    err_mp is the err_hp object itself.  A failing run raises the error of
-    the lowest-index failing row, its HP lane before its MP lane, once the
-    rows before it are scored."""
+    err_mp is the err_hp object itself.  A failing run raises at once the
+    error of the lowest-index failing row, its HP lane before its MP
+    lane."""
     if kernel.oracle_fn is None:
         raise EvaluationError("kernel %s has no reference function"
                               % kernel.name)
@@ -66,15 +66,15 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
     skipped = 0
     it = iter(inputs)
     while chunk := list(itertools.islice(it, _CHUNK)):
-        hp, failed = _lane(prog, chunk, engine_cfg, frozenset())
-        mp_v = hp
-        if barriers:
-            # only the rows before HP's first failure, so an MP failure is
-            # always at a lower index
-            mp_v, failed_mp = _lane(prog, chunk[:len(hp)], engine_cfg,
-                                    barriers)
-            if failed_mp is not None:
-                failed = failed_mp
+        hp = []
+        try:
+            _lane(prog, chunk, engine_cfg, frozenset(), hp)
+        except Exception:
+            if barriers:  # an MP failure on the rows before HP's goes first
+                _lane(prog, chunk[:len(hp)], engine_cfg, barriers, [])
+            raise
+        mp_v = _lane(prog, chunk, engine_cfg, barriers, []) if barriers \
+            else hp
         for x, (orig, shadow), (_, mp_shadow) in zip(chunk, hp, mp_v):
             try:
                 s_v = tr.derived_fn(kernel.oracle_fn,
@@ -86,23 +86,17 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
             err_mp = (mp.relative_error(s_v, mp_shadow, p_s) if barriers
                       else err_hp)
             rows.append((mp.relative_error(s_v, orig, p_s), err_hp, err_mp))
-        if failed is not None:
-            raise failed
     return rows, skipped
 
 
-def _lane(prog, xs, cfg, barriers):
-    """([(orig, shadow)] of the rows of xs that ran, in one engine call,
-    and the exception that stopped the call, or None).  Nothing is
+def _lane(prog, xs, cfg, barriers, out):
+    """out, with (orig, shadow) appended for each row of xs in one engine
+    call; a failing row raises, the rows before it appended.  Nothing is
     compiled without rows."""
-    out = []
     if xs:
-        try:
-            eng.execute_rows(prog, ([x] for x in xs), cfg, barriers, "none",
-                             on_row=lambda i, o, s, t: out.append((o, s)))
-        except Exception as exc:  # noqa: BLE001 - raised in row order
-            return out, exc
-    return out, None
+        eng.execute_rows(prog, ([x] for x in xs), cfg, barriers, "none",
+                         on_row=lambda i, o, s, t: out.append((o, s)))
+    return out
 
 
 def _le(a, b):

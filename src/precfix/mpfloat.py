@@ -18,7 +18,8 @@ quotient of p + 1 or p + 2 bits, its remainder the sticky bit.  Both round
 to p bits inline when the rounded exponent lies in binary64's normal
 range, -1022 to 1023, where the two policies round alike; any other
 result goes to `_round`, so the policy is read only there.
-Under BINARY64, decimal literals take the host's correctly rounded parse.
+Every decimal (input row, TAC literal, `corpus.Grid` point) is rounded
+once, exactly, by `_round_decimal`, or under BINARY64 by the host's parse.
 All values are immutable; every operation returns a fresh value.
 
 The relative error |shadow - original| / |shadow| as a host float, which
@@ -67,9 +68,6 @@ _B64_EMIN = -1022
 _B64_QUANTUM = -1074  # lsb exponent of the smallest subnormal
 
 _EXP_LIMIT = 1 << 31  # spec sanity bound on exponent magnitude
-# an unbounded decimal literal of magnitude at least 10**(_DEC_INF - 1)
-# overflows, one below 10**_DEC_ZERO underflows
-_DEC_INF, _DEC_ZERO = 646456995, -646456994
 
 # significant digits a decimal literal may have; leading and trailing zeros
 # do not count
@@ -78,7 +76,7 @@ MAX_DECIMAL_DIGITS = 4000
 # stands in for any larger magnitude
 _EXP_DIGITS = 12
 
-_DEC_RE = re.compile(r"^[+-]?\d+(\.\d+)?([eE][+-]?\d+)?$")
+_DEC_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?(?:[eE]([+-]?\d+))?$")
 _HEX_RE = re.compile(
     r"^[+-]?0[xX]([0-9a-fA-F]+)(?:\.([0-9a-fA-F]*))?[pP]([+-]?\d+)$"
 )
@@ -219,17 +217,6 @@ def _round_enclosed(sign, lo, hi, e, p, policy=UNBOUNDED):
     return None
 
 
-def _round_frac(sign, num, den, e2, p, policy):
-    """Round sign * (num/den) * 2**e2 (num, den > 0) with one rounding."""
-    shift = p + 2 - (num.bit_length() - den.bit_length())
-    if shift >= 0:
-        q, r = divmod(num << shift, den)
-    else:
-        q, r = divmod(num, den << -shift)
-    sig = (q << 1) | (1 if r else 0)
-    return _round(sign, sig, e2 - shift - 1, p, policy)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -306,68 +293,64 @@ def from_float(f, p=53):
 
 
 def from_decimal_string(s, p, policy=UNBOUNDED):
-    s = s.strip()
-    if not _DEC_RE.match(s):
-        raise ParseError("bad decimal literal: %s" % quote(s))
-    sign = 1
-    if s[0] in "+-":
-        if s[0] == "-":
-            sign = -1
-        s = s[1:]
-    mant_part, _, exp_part = s.partition("e") if "e" in s else s.partition("E")
-    int_part, _, frac_part = mant_part.partition(".")
-    digits = (int_part + frac_part).lstrip("0")
-    if not digits:
+    """A decimal literal rounded once to p bits, under BINARY64 by the host."""
+    sign, d, e10 = _decimal(s)
+    if not d:
         return zero(p, sign)
+    if policy == BINARY64:
+        return from_float(float(s))
+    return _round_decimal(sign, d, e10, p, policy)
+
+
+def _decimal(s):
+    """(sign, d, e10) of a decimal literal: its value sign * d * 10**e10."""
+    m = _DEC_RE.match(s.strip())
+    if not m:
+        raise ParseError("bad decimal literal: %s" % quote(s.strip()))
+    sign, int_part, frac_part, exp_part = m.groups("")
+    digits = (int_part + frac_part).lstrip("0")
     sig = digits.rstrip("0")
-    e10 = _exponent(exp_part) - len(frac_part) + len(digits) - len(sig)
-    digits = sig
-    if len(digits) > MAX_DECIMAL_DIGITS:
+    if len(sig) > MAX_DECIMAL_DIGITS:
         raise ParseError("decimal literal with more than %d significant "
                          "digits" % MAX_DECIMAL_DIGITS)
-    if policy == BINARY64:
-        # the host's parse is correctly rounded binary64, subnormals,
-        # overflow and underflow included
-        f = float(s)
-        return from_float(-f if sign < 0 else f)
-    d = int(digits)
-    top = e10 + len(digits)  # 10**(top - 1) <= |value| < 10**top
-    if top >= _DEC_INF:
-        return inf(sign, p)
-    if top <= _DEC_ZERO:
-        return zero(p, sign)
-    w = p + 64
-    while 8 * w < abs(e10):
-        v = _round_decimal_approx(sign, d, e10, p, policy, w)
-        if v is not None:
-            return v
-        w *= 2
-    return _round_decimal_exact(sign, d, e10, p, policy)
+    return (-1 if sign == "-" else 1, int(sig or "0"),
+            _exponent(exp_part) - len(frac_part) + len(digits) - len(sig))
 
 
 def _exponent(text):
     """The value of a literal's exponent digits (optionally signed; empty
     for none), capped in magnitude at 10**_EXP_DIGITS."""
+    if len(text) <= _EXP_DIGITS:  # the common case, read at once
+        return int(text or 0)
     mag = text.lstrip("+-").lstrip("0")
     e = int(mag or "0") if len(mag) <= _EXP_DIGITS else 10**_EXP_DIGITS
     return -e if text.startswith("-") else e
 
 
-def _round_decimal_exact(sign, d, e10, p, policy):
-    """sign * d * 10**e10 rounded once to p bits under the policy."""
+def _round_decimal(sign, d, e10, p, policy, den=1):
+    """sign * d * 10**e10 / den (d, den > 0) rounded once to p bits under
+    the policy.  While |e10| exceeds 8 * w, w-bit bounds on 5**|e10|
+    (_pow5_bounds) enclose the value, and w doubles until they decide the
+    rounding; exact integers settle the rest, exact ties among them.  A
+    value far past the policy's range is decided by the first bounds."""
+    w = p + 64
+    while 8 * w < abs(e10):
+        lo, hi, s = _pow5_bounds(d, e10, w)
+        # floor and ceiling of lo / den and hi / den, kept to w bits
+        t = den.bit_length()
+        v = _round_enclosed(sign, (lo << t) // den, -(-(hi << t) // den),
+                            s + e10 - t, p, policy)
+        if v is not None:
+            return v
+        w *= 2
     if e10 >= 0:
-        return _round(sign, d * 5**e10, e10, p, policy)
-    return _round_frac(sign, d, 5**-e10, e10, p, policy)
-
-
-def _round_decimal_approx(sign, d, e10, p, policy, w):
-    """_round_decimal_exact from _pow5_bounds, or None when their error
-    leaves the rounding open."""
-    bounds = _pow5_bounds(d, e10, w)
-    if bounds is None:
-        return None
-    lo, hi, s = bounds
-    return _round_enclosed(sign, lo, hi, s + e10, p, policy)
+        d *= 5**e10
+    else:
+        den *= 5**-e10
+    # a quotient of p + 2 bits or more; the remainder is the sticky bit
+    shift = p + 2 - d.bit_length() + den.bit_length()
+    q, r = divmod(d << shift, den) if shift >= 0 else divmod(d, den << -shift)
+    return _round(sign, q << 1 | (1 if r else 0), e10 - shift - 1, p, policy)
 
 
 def from_hex_string(s):
@@ -874,13 +857,11 @@ def _round_scaled_exact(m, e, k):
 
 def _pow5_bounds(m, k, w):
     """(lo, hi, s) with lo * 2**s < m * 5**k <= hi * 2**s, from a w-bit
-    bound on 5**|k|, or None when w leaves no room for one.  lo and hi have
-    about w bits or more."""
+    bound on 5**|k|.  lo and hi have about w bits or more."""
     F, f = _pow5_floor(abs(k), w)
-    # the relative error of the bounds is below 2**-slack
+    # the bounds' relative error is below 2**-slack, and slack >= 1: w >= 66
+    # and |k| < 2**41, a literal's exponent being capped and a value's held
     slack = w - abs(k).bit_length() - 2
-    if slack < 1:
-        return None
     if k >= 0:
         a = m * F
         return a - 1, a + (a >> slack) + 1, f
@@ -894,10 +875,7 @@ def _round_scaled_approx(m, e, k, w):
     leaves the rounding open.  The exact value x lies in
     (lo * 2**s, hi * 2**s], and the rounding is decided when no
     half-integer does."""
-    bounds = _pow5_bounds(m << w if k >= 0 else m, k, w)
-    if bounds is None:
-        return None
-    lo, hi, s = bounds
+    lo, hi, s = _pow5_bounds(m << w if k >= 0 else m, k, w)
     s += e + k - (w if k >= 0 else 0)
     if s >= 0:
         return None

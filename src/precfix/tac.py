@@ -2,8 +2,8 @@
 
 Variables are mutable registers, not SSA.  Float registers hold dual-lane
 values in the engine; integer registers are 64-bit two's complement.
-Float literals are stored exactly at parse time and rounded once to the
-engine's original precision when a run is set up.
+A decimal float literal keeps its text, which the engine rounds once to
+the original precision when it compiles; a hex literal is exact.
 
 A `TacProgram` is immutable and valid by construction: building one runs
 `validate`.  This module alone knows a program's structure, its variable
@@ -96,7 +96,7 @@ class Diagnostic:
 class ConstDef:
     name: str
     text: str
-    fval: MPFloat  # exact value (never rounded)
+    fval: MPFloat | str  # a decimal float's text, else the exact value
     is_int: bool
     ival: int | None = None
 
@@ -150,7 +150,8 @@ def _parse_float_literal(text, line_no):
     try:
         if "x" in text or "X" in text:
             return mp.from_hex_string(text)
-        return mp.from_decimal_string(text, 300)
+        mp._decimal(text)
+        return text
     except mp.ParseError as exc:
         raise TacSyntaxError(line_no, str(exc)) from exc
 
@@ -339,6 +340,8 @@ def _operand_fits(kind, operand):
         return False
     if tag == PRED:
         return payload in PREDS
+    if tag == FLIT and isinstance(payload, str):  # a decimal literal's text
+        return mp._DEC_RE.match(payload.strip()) is not None
     return isinstance(payload, _PAYLOADS[tag])
 
 

@@ -7,7 +7,11 @@ cos and atan of `transcendental` must return, with mpmath.libmp rounding to
 nearest at p bits.  mpmath has neither an exponent limit nor signed zeros,
 so the two mpfloat rules are applied here: a rounded exponent at or beyond
 +-2^31 gives +-inf or +-0, and the sign of a zero follows IEEE 754.
+`rounded_fraction` rounds an exact `fractions.Fraction` with nothing but
+rational arithmetic, the reference for decimal text.
 """
+
+from fractions import Fraction
 
 from hypothesis import strategies as st
 from mpmath import libmp
@@ -23,6 +27,34 @@ _MPF_FN = {"exp": libmp.mpf_exp, "ln": libmp.mpf_log, "sin": libmp.mpf_sin,
 
 def fields(v):
     return (v.cls, v.sign, v.exp, v.mant, v.prec)
+
+
+def rounded_fraction(q, p, policy=mp.UNBOUNDED, zero_sign=1):
+    """fields() of the rational q rounded to nearest, ties to even, at p
+    bits: under BINARY64 at 53 bits, no bit below 2**-1074 and +-inf from
+    2**1024 on; under UNBOUNDED +-inf or +-0 at an exponent of +-2**31 or
+    past it.  A zero q takes zero_sign."""
+    if policy == mp.BINARY64:
+        p = 53
+    if not q:
+        return fields(mp.zero(p, zero_sign))
+    sign = 1 if q > 0 else -1
+    q = abs(q)
+    top = q.numerator.bit_length() - q.denominator.bit_length()
+    if Fraction(2) ** top > q:
+        top -= 1  # now 2**top <= q < 2**(top + 1)
+    unit = top - p + 1
+    if policy == mp.BINARY64:
+        unit = max(unit, -1074)
+    n = round(q / Fraction(2) ** unit)  # Fraction rounds ties to even
+    if not n:
+        return fields(mp.zero(p, sign))
+    top = unit + n.bit_length() - 1
+    if top > 1023 if policy == mp.BINARY64 else top >= LIMIT:
+        return fields(mp.inf(sign, p))
+    if top <= -LIMIT:
+        return fields(mp.zero(p, sign))
+    return (mp.NORMAL, sign, top, n << p >> n.bit_length(), p)
 
 
 def _to_mpf(v):

@@ -3,7 +3,8 @@
 It follows the semantics the engine's module docstring states, one
 instruction at a time over the parsed program, and shares no code with the
 engine and no arithmetic with `mpfloat`: `mpfloat` and `tac` are used only
-to read the parsed program and its literals.
+to read the parsed program and its literals.  A decimal literal is rounded
+from its text here, through `fractions.Fraction`.
 
 Every float register holds an original lane, a shadow lane and a staleness
 flag.  The shadow lane, and the original lane at p_orig other than 53, is
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
+from fractions import Fraction
 
 from mpmath import libmp
 
@@ -76,6 +78,23 @@ def limited(r):
 
 def rounded(x, p):
     return limited(libmp.mpf_pos(x, p, RND)) if _normal(x) else x
+
+
+def from_text(text, p):
+    """A decimal literal rounded once to nearest at p bits, a host float
+    at 53, from its exact value as a Fraction; a zero keeps the text's
+    sign."""
+    q = Fraction(text)
+    negative = text.strip().startswith("-")
+    if p == 53:
+        try:
+            f = float(q)  # the integer quotient, correctly rounded
+        except OverflowError:
+            f = math.inf
+        return math.copysign(f, -1.0 if negative else 1.0)
+    if not q:
+        return _zero(negative)
+    return limited(libmp.from_rational(q.numerator, q.denominator, p, RND))
 
 
 def from_mpfloat(v):
@@ -316,8 +335,12 @@ class Interp:
             if instr.dst is not None:
                 self.types.setdefault(instr.dst, OPCODES[instr.op][1])
 
-    # a value entering the original lane, and its exact shadow
+    # a value entering the original lane, and its exact shadow; a decimal
+    # literal's text is rounded once, at p_orig
     def admit(self, v):
+        if isinstance(v, str):
+            o = from_text(v, self.p_o)
+            return o, from_host(o) if self.host else o
         x = from_mpfloat(v)
         if self.host:
             o = to_host(x)

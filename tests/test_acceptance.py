@@ -33,19 +33,6 @@ def default_grids(kernels):
     return {name: corpus.default_inputs(k) for name, k in kernels.items()}
 
 
-class _MaxAgg:
-    """Streaming sample sink tracking the largest relative error."""
-
-    def __init__(self):
-        self.max_err = 0.0
-        self.count = 0
-
-    def __call__(self, iid, dst, err):
-        self.count += 1
-        if err > self.max_err:
-            self.max_err = err
-
-
 def test_criterion_01_binary32_representation():
     v = mp.from_decimal_string("0.1", 24)
     got = mp.to_decimal_string(v, 27)
@@ -183,14 +170,15 @@ def test_criterion_07_oracle_standards():
 
 
 def test_criterion_08_engine_invariants(kernels, default_grids):
-    # degenerate shadow precision: every sampled error is exactly zero
+    # degenerate shadow precision: every sampled error is exactly zero, as
+    # the production path's fused tallies count them
     cfg_eq = engine.EngineConfig(p_orig=53, p_shadow=53)
     ok = True
     for name, k in kernels.items():
-        agg = _MaxAgg()
-        for i, x in enumerate(default_grids[name]):
-            engine.execute(k.program, [x], cfg_eq, sample_mode=agg)
-        ok = ok and agg.max_err == 0.0 and agg.count > 0
+        accs = detector.collect(k.program, default_grids[name],
+                                cfg_eq).instrs.values()
+        ok = ok and sum(a.m for a in accs) > 0 and all(
+            a.max_err == 0.0 and not a.inf_count for a in accs)
 
     # original lane is barrier-invariant
     rng = random.Random(5)

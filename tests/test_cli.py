@@ -1,5 +1,6 @@
 """Command-line interface tests via main(argv)."""
 
+import gc
 import io
 import json
 import math
@@ -622,6 +623,55 @@ def test_long_trace_rows_spill_to_disk_in_bounded_memory(tmp_path,
     assert text.count("RELATIVE ERROR") == 2 * 6001
     assert (tmp_path / "spool.out").read_text() == text
     assert peak < 2 << 20
+
+
+def test_a_grid_endpoint_rounds_as_input_single_does(capsys):
+    # read at 64 bits first, 0.1 would start the grid at p113 at
+    # 1.00000000000000000001355252715606881e-1
+    argv = ["run", "--kernel", "cancel_kernel", "--p-orig", "113",
+            "--p-shadow", "200"]
+    _, grid, _ = run_cli(capsys, *argv, "--grid=0.1,0.2,2")
+    _, single, _ = run_cli(capsys, *argv, "--input", "single:0.1")
+    assert grid.split("\n")[0] == single.split("\n")[0] \
+        == "input 1.00000000000000000000000000000000005e-1"
+
+
+def test_a_literal_rounds_once_at_p53(tmp_path, capsys):
+    # just above the midpoint between 1 and the next binary64 value: a
+    # first rounding at 300 bits would give the midpoint itself, then 1.0
+    text = "1.00000000000000011102230246251565404236316680908203125" \
+        + "0" * 300 + "1"
+    prog = tmp_path / "c.tac"
+    prog.write_text("func f(x) -> y\n  c = fconst %s\n  y = fadd x, c\n"
+                    "  ret y\n" % text)
+    code, out, _ = run_cli(capsys, "run", "--program", str(prog), "--input",
+                           "single:0")
+    assert code == 0 and float(text) == 1.0000000000000002
+    assert out.split("\n")[1] == "  OP: 1.0000000000000002e0"
+
+
+def test_repeated_commands_retain_no_memory(tmp_path):
+    # a long-lived process: the second pass of a command matrix keeps
+    # almost nothing the first did not, its caches being filled already
+    out = str(tmp_path / "out")
+    matrix = [[*cmd, "--kernel", k, "--grid=-1,1,8", "--output", out]
+              for k in ("exp_kernel", "sin_kernel")
+              for cmd in (["run", "--trace"], ["detect", "--sweep"],
+                          ["fix"], ["eval"])]
+
+    def once():
+        for argv in matrix:
+            assert cli.main(argv) == 0
+
+    once()
+    tracemalloc.start()
+    try:
+        once()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 << 10
 
 
 def test_trace_of_a_row_without_float_writes(tmp_path, capsys):

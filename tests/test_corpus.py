@@ -2,6 +2,7 @@
 
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from precfix import tac, corpus
 from precfix import mpfloat as mp
-from mpmath_ref import fields
+from mpmath_ref import fields, rounded_fraction
 
 
 def test_all_kernels_parse_and_validate():
@@ -52,11 +53,7 @@ def test_grid_single_rounding():
     lo, hi = Fraction(-1), Fraction(1)
     for i, v in enumerate(g):
         exact = lo + i * (hi - lo) / 7
-        want = mp._round_frac(
-            -1 if exact < 0 else 1,
-            abs(exact.numerator), exact.denominator, 0, 53, mp.BINARY64) \
-            if exact != 0 else mp.zero()
-        assert mp.cmp(v, want) == 0
+        assert fields(v) == rounded_fraction(exact, 53, mp.BINARY64)
 
 
 @given(st.integers(min_value=1, max_value=50))
@@ -77,15 +74,18 @@ def test_grid_validation():
         corpus.grid("0", "1", 0)
     with pytest.raises(ValueError):
         corpus.grid("0", "1", sys.maxsize + 1)
+    # past the unbounded range, 2**(2**31); below it, an endpoint is read
+    for lo in ("2e646456993", "-1e700000000", "1e999999999999"):
+        with pytest.raises(ValueError, match="grid endpoints must be finite"):
+            corpus.grid(lo, "1", 3, 113)
+    assert corpus.grid("1e646456993", "1", 3, 113)[0].cls == mp.NORMAL
+    assert corpus.grid("1e-700000000", "1", 3, 113)[0].cls == mp.ZERO
 
 
 def exact_point(lo, hi, count, i, p=53):
     """lo + i*(hi-lo)/count rounded once to p bits, from Fractions."""
     exact = Fraction(lo) + i * (Fraction(hi) - Fraction(lo)) / count
-    if exact == 0:
-        return mp.zero(p)
-    return mp._round_frac(-1 if exact < 0 else 1, abs(exact.numerator),
-                          exact.denominator, 0, p, mp.policy_for(p))
+    return rounded_fraction(exact, p, mp.policy_for(p))
 
 
 def test_grid_points_are_computed_when_read():
@@ -94,7 +94,7 @@ def test_grid_points_are_computed_when_read():
     g = corpus.grid("1", "2", count)
     assert len(g) == count
     for i in (0, 10**17, count - 1):
-        assert fields(g[i]) == fields(exact_point(1, 2, count, i))
+        assert fields(g[i]) == exact_point(1, 2, count, i)
     assert fields(g[-1]) == fields(g[count - 1])
     assert time.perf_counter() - t0 < 1
     with pytest.raises(IndexError):
@@ -111,8 +111,71 @@ def test_grid_is_a_sequence():
         == [fields(v) for v in pts[2:7:2]]
     assert [fields(v) for v in reversed(g)] \
         == [fields(v) for v in reversed(pts)]
-    assert all(fields(v) == fields(exact_point(-3, 5, 9, i, 24))
+    assert all(fields(v) == exact_point(-3, 5, 9, i, 24)
                for i, v in enumerate(pts))
+
+
+@pytest.mark.parametrize("n", [10**6, 4 * 10**7, 6 * 10**8])
+def test_far_apart_endpoints_take_bounded_memory(n):
+    # aligned to one exponent, 1e-n and 1en would take memory in
+    # proportion to n
+    lo, hi = "1e-%d" % n, "1e%d" % n
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        pts = list(corpus.grid(lo, hi, 3, 113))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and elapsed < 1
+    # lo's term, far below hi's, moves no rounding
+    assert fields(pts[0]) == fields(mp.from_decimal_string(lo, 113))
+    assert [fields(v) for v in pts[1:]] \
+        == [fields(v) for v in corpus.grid("0", hi, 3, 113)[1:]]
+
+
+def test_far_apart_endpoints_round_as_fractions():
+    for lo, hi in (("1e-400", "1e400"), ("-3.5e-700", "2.25"),
+                   ("7e300", "-1e-9"), ("1", "1e-2000")):
+        for p in (24, 53, 113):
+            for i, v in enumerate(corpus.grid(lo, hi, 3, p)):
+                assert fields(v) == exact_point(lo, hi, 3, i, p), (lo, hi, i)
+
+
+@pytest.mark.parametrize("tiny", ["1e-400", "-1e-400", "1e-600000000",
+                                  "-1e-600000000"])
+def test_a_far_term_breaks_a_tie_by_its_sign(tiny):
+    # point 1 of 3 is 2/3 * lo + tiny / 3, and 2/3 * lo is 1 + 2**-113, a
+    # tie at p113: the stand-in for tiny's term must sit below every
+    # rounding boundary's spacing, not just below 10**-m
+    lo = Fraction(3, 2) * (1 + Fraction(1, 2**113))
+    text = "%de-114" % (lo * 10**114)
+    tracemalloc.start()
+    try:
+        got = fields(corpus.grid(text, tiny, 3, 113)[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    up = 1 + Fraction(1, 2**112) if tiny[0] != "-" else Fraction(1)
+    assert got == rounded_fraction(up, 113) and peak < 1 << 20
+
+
+@given(st.integers(1, 10**30), st.integers(-60, 60), st.integers(1, 9),
+       st.integers(-300, -40), st.sampled_from([1, -1]),
+       st.integers(2, 9))
+@settings(max_examples=300, deadline=None)
+def test_a_stand_in_next_to_the_rounding_still_rounds_exactly(
+        dl, el, dh, gap, sign, count):
+    # with the first stand-in one digit below lo's digits, its enclosure
+    # is often open, and the stand-in must move down below Q
+    lo, hi = "%de%d" % (dl, el), "%s%de%d" % ("-" if sign < 0 else "",
+                                             dh, el + gap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_GUARD", -24)
+        pts = list(corpus.grid(lo, hi, count, 24))
+    assert [fields(v) for v in pts] \
+        == [exact_point(lo, hi, count, i, 24) for i in range(count)]
 
 
 def test_digits_for():

@@ -566,23 +566,30 @@ def decimal_literals(draw):
     return p, text, sign, d, e10
 
 
+def decimal_value(sign, d, e10, den=1):
+    return sign * Fraction(d) * Fraction(10) ** e10 / den
+
+
 @given(decimal_literals(), st.sampled_from([mp.UNBOUNDED, mp.BINARY64]))
 @settings(max_examples=300, deadline=None)
 def test_bounded_literal_parsing_matches_exact(case, policy):
     p, text, sign, d, e10 = case
     got = mp.from_decimal_string(text, p, policy)
-    want = mp._round_decimal_exact(sign, d, e10, p, policy)
-    assert mpmath_ref.fields(got) == mpmath_ref.fields(want), text
+    want = mpmath_ref.rounded_fraction(decimal_value(sign, d, e10), p, policy)
+    assert mpmath_ref.fields(got) == want, text
 
 
-@given(decimal_literals(), st.integers(40, 600))
+@given(decimal_literals(), st.integers(1, 2**63 - 1))
+# a tie at p = 24, so the bounded path widens once, then gives way
+@example((24, "", 1, ((1 << 24) | 1) * 5**710 * 3**61, -710), 3**61)
 @settings(max_examples=300, deadline=None)
-def test_decimal_rounding_paths_agree(case, w):
+def test_decimal_rounding_paths_agree(case, den):
+    # the bounded powers of five, widened until they decide, and the exact
+    # integers behind them round sign * d * 10**e10 / den as Fractions do
     p, text, sign, d, e10 = case
-    exact = mp._round_decimal_exact(sign, d, e10, p, mp.UNBOUNDED)
-    approx = mp._round_decimal_approx(sign, d, e10, p, mp.UNBOUNDED, w)
-    assert approx is None \
-        or mpmath_ref.fields(approx) == mpmath_ref.fields(exact)
+    got = mp._round_decimal(sign, d, e10, p, mp.UNBOUNDED, den)
+    assert mpmath_ref.fields(got) == mpmath_ref.rounded_fraction(
+        decimal_value(sign, d, e10, den), p), (text, den)
 
 
 @st.composite
@@ -616,8 +623,9 @@ def binary64_literals(draw):
 def test_binary64_literals_match_exact_rounding(case):
     text, sign, d, e10 = case
     got = mp.from_decimal_string(text, 53, mp.BINARY64)
-    want = mp._round_decimal_exact(sign, d, e10, 53, mp.BINARY64)
-    assert mpmath_ref.fields(got) == mpmath_ref.fields(want), text
+    want = mpmath_ref.rounded_fraction(decimal_value(sign, d, e10), 53,
+                                       mp.BINARY64)
+    assert mpmath_ref.fields(got) == want, text
 
 
 @pytest.mark.parametrize("text", ["-0", "-0.000e5", "-0e-999", "+0.0",

@@ -78,10 +78,8 @@ def test_round_trip_with_barriers():
 
 def test_float_literal_operands():
     p = tac.parse_program("func f(x) -> y\n  y = fmul x, 2.5\n  ret y\n")
-    kind, val, text = p.instrs[0].srcs[1]
-    assert kind == tac.FLIT
-    assert val.to_float() == 2.5
-    assert text == "2.5"
+    # a decimal literal's payload is its text, rounded when compiled
+    assert p.instrs[0].srcs[1] == (tac.FLIT, "2.5", "2.5")
 
 
 def test_negative_and_hex_int_literals():
@@ -268,12 +266,14 @@ def test_float_const_in_int_context_rejected():
 
 
 def test_exact_literal_precision_beyond_binary64():
-    # 30 significant digits survive parsing without premature rounding
+    # all 27 significant digits survive parsing: nothing is rounded before
+    # the engine rounds the text at p_orig
     p = tac.parse_program(
         "func f(x) -> y\n  y = fmul x, 0.100000001490116119384765625\n"
         "  ret y\n")
     lit = p.instrs[0].srcs[1][1]
-    assert mp.to_decimal_string(lit, 27) == "0.100000001490116119384765625"
+    assert lit == "0.100000001490116119384765625"
+    assert mp.to_decimal_string(mp.from_decimal_string(lit, 90), 27) == lit
 
 
 def test_long_names_in_diagnostics_are_quoted_clipped():
@@ -369,8 +369,10 @@ def test_label_target_that_is_not_an_integer_is_a_diagnostic():
 
 
 _NAMES = ["x", "y", "t", "i", "c"]
+# a decimal literal's payload is its text, which the engine rounds
 _VALUES = [mp.from_int(3), mp.from_decimal_string("0.1", 300), mp.zero(),
-           mp.inf(-1), mp.nan(), mp.from_hex_string("0x1.8p52")]
+           mp.inf(-1), mp.nan(), mp.from_hex_string("0x1.8p52"), "0.1",
+           "-0"]
 _OPERANDS = st.one_of(
     st.tuples(st.just(tac.VAR), st.sampled_from(_NAMES)),
     st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES)),
@@ -382,7 +384,7 @@ _OPERANDS = st.one_of(
     st.tuples(st.sampled_from([tac.VAR, "bogus"])),
     st.tuples(st.just("bogus"), st.sampled_from(_NAMES)),
     st.tuples(st.sampled_from([tac.FLIT, tac.ILIT, tac.VAR]),
-              st.sampled_from([1.5, None, 7])),
+              st.sampled_from([1.5, None, 7, "1e"])),
 )
 # operands that fit each operand kind, variables typed as their names
 # are assigned below, so that many drawn programs build
@@ -530,14 +532,15 @@ def test_bad_parameter_names():
     ("k", "x", (tac.FLIT, 7)), ("k", "flit", (tac.FLIT, 7)),
     ("k", "ilit", (tac.ILIT, 7)), ("v", "f", (tac.VAR, "v")),
     ("v", "x", (tac.VAR, "v")), ("3", "x", (tac.ILIT, 3)),
-    ("0x1F", "v", (tac.ILIT, 31)), ("3", "f", (tac.FLIT, 3)),
-    ("3.5", "x", (tac.FLIT, 3.5)), ("1e2", "v", (tac.FLIT, 100)),
-    ("-4", "i", (tac.ILIT, -4)), ("2", "flit", (tac.FLIT, 2)),
+    ("0x1F", "v", (tac.ILIT, 31)), ("3", "f", (tac.FLIT, "3")),
+    ("3.5", "x", (tac.FLIT, "3.5")), ("1e2", "v", (tac.FLIT, "1e2")),
+    ("-4", "i", (tac.ILIT, -4)), ("2", "flit", (tac.FLIT, "2")),
 ])
 def test_one_operand_path(text, kind, want):
+    # a decimal literal's payload is its text, a const's its value
     consts = {"k": tac.ConstDef("k", "7", mp.from_int(7), True, 7)}
     got = tac._parse_operand(text, kind, consts, 1)
-    value = got[1].to_float() if got[0] == tac.FLIT else got[1]
+    value = got[1].to_float() if isinstance(got[1], mp.MPFloat) else got[1]
     assert (got[0], value) == want
 
 
