@@ -303,8 +303,8 @@ def cmd_detect(args):
                            else (det.e0,))
     if args.sweep:
         payload = [
-            {"e0": e.e0, "p0": e.p0, "report": e.report.to_dict()}
-            for e in detector.sweep(agg, det)
+            {"e0": r.e0, "p0": r.p0, "report": r.to_dict()}
+            for r in detector.sweep(agg, det)
         ]
     else:
         payload = detector.detect(agg, det).to_dict()

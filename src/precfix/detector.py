@@ -324,26 +324,17 @@ def _first(ids, stats, first_order):
     return min(ids, key=ordinal.__getitem__)
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    e0: float
-    p0: float
-    report: DetectionReport
-
-
 def sweep(agg, cfg=DetectionConfig()):
-    """For each e0 of DEFAULT_E0_SWEEP, report at the strictest p0 of
+    """For each e0 of DEFAULT_E0_SWEEP, the report at the strictest p0 of
     DEFAULT_P0_SWEEP that flags something (the last p0 otherwise)."""
-    entries = []
+    reports = []
     for e0 in DEFAULT_E0_SWEEP:
-        chosen = None
         for p0 in DEFAULT_P0_SWEEP:
             r = detect(agg, cfg, e0=e0, p0=p0)
-            chosen = SweepEntry(e0, p0, r)
             if r.flagged:
                 break
-        entries.append(chosen)
-    return entries
+        reports.append(r)
+    return reports
 
 
 @dataclass

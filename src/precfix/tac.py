@@ -341,7 +341,11 @@ def _operand_fits(kind, operand):
     if tag == PRED:
         return payload in PREDS
     if tag == FLIT and isinstance(payload, str):  # a decimal literal's text
-        return mp._DEC_RE.match(payload.strip()) is not None
+        try:
+            mp._decimal(payload)
+        except mp.ParseError:
+            return False
+        return True
     return isinstance(payload, _PAYLOADS[tag])
 
 

@@ -83,13 +83,13 @@ def test_sweep_stops_at_strictest_flagging_p0():
     for e in entries:
         # 0.65 ratio: misses p0=0.7, caught at 0.6
         assert e.p0 == 0.6
-        assert e.report.flagged == [0]
+        assert e.flagged == [0]
 
 
 def test_sweep_reports_empty_when_nothing_flags():
     agg = synthetic_agg({0: ("a", [0.0] * 100)}, 100)
     entries = detector.sweep(agg, detector.DetectionConfig())
-    assert [e.report.flagged for e in entries] == [[]] * 4
+    assert [e.flagged for e in entries] == [[]] * 4
     assert [e.e0 for e in entries] == [1e-2, 1e-4, 1e-6, 1e-8]
 
 
@@ -234,14 +234,14 @@ def test_sweep_matches_linear_detect(per_instr, n):
     entries = detector.sweep(agg, SWEEP_CFG)
     for entry in entries:
         linear = detector.detect(agg, SWEEP_CFG, entry.e0, entry.p0)
-        assert entry.report.to_dict() == linear.to_dict()
+        assert entry.to_dict() == linear.to_dict()
         assert [(s.instr_id, s.m, s.k, s.inf_count, s.max_err, s.mean_err,
-                 s.flagged) for s in entry.report.stats] \
+                 s.flagged) for s in entry.stats] \
             == _linear_report(per_instr, n, entry.e0, entry.p0,
                               SWEEP_CFG.p1)
     again = detector.sweep(agg, SWEEP_CFG)
-    assert [e.report.to_dict() for e in again] \
-        == [e.report.to_dict() for e in entries]
+    assert [e.to_dict() for e in again] \
+        == [e.to_dict() for e in entries]
 
 
 # errors for the tallies: zeros, subnormals, values whose sums overflow the
@@ -316,8 +316,8 @@ def test_fused_tallies_equal_added_ones(name, rows):
     for agg in (fused, per_row):
         for a, b in zip(detector.sweep(agg, det),
                         detector.sweep(added, det)):
-            assert a.report.to_dict() == b.report.to_dict()
-            assert a.report.first_flagged == b.report.first_flagged
+            assert a.to_dict() == b.to_dict()
+            assert a.first_flagged == b.first_flagged
         assert [(i, a.first_ordinal) for i, a in sorted(agg.instrs.items())] \
             == [(i, a.first_ordinal)
                 for i, a in sorted(added.instrs.items())]

@@ -361,6 +361,15 @@ def test_hand_built_instructions_off_the_opcode_table_are_diagnostics(
     assert message in str(exc.value)
 
 
+def test_decimal_text_past_the_digit_bound_is_a_diagnostic():
+    # once built, and failed only when the engine compiled it
+    body = [tac.TacInstr(0, "fconst", "y", ((tac.FLIT, "1" * 5000),)),
+            tac.TacInstr(1, "ret", None, ((tac.VAR, "y"),))]
+    with pytest.raises(tac.TacValidationError) as exc:
+        tac.TacProgram("f", ["x"], body, "y")
+    assert "fconst operand 0 is no flit operand" in str(exc.value)
+
+
 def test_label_target_that_is_not_an_integer_is_a_diagnostic():
     body = [tac.TacInstr(0, "ret", None, ((tac.VAR, "x"),))]
     with pytest.raises(tac.TacValidationError) as exc:
