@@ -272,6 +272,8 @@ def cmd_run(args):
             yield (x,)
 
     def on_row(i, orig, shadow, stale):
+        if cfg.p_orig == 53:  # the host-float original lane
+            orig = mp.from_float(orig)
         head = "%sinput %s\n  OP: %s\n  HP: %s\n" % (
             "\n" if i else "", mp.to_sci_string(x, digits),
             mp.to_sci_string(orig, digits), mp.to_sci_string(shadow, s_digits))

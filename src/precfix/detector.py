@@ -181,14 +181,20 @@ class ErrorAggregate:
             acc.inf_count += infs
             buf[:] = kept
             s = None
+        top = -math.inf
         if buf:
             top = max(buf)
             acc.max_err = top if acc.max_err is None else max(acc.max_err,
                                                               top)
         survivors = buf
+        ks = acc.ks
         for j, t in enumerate(self.thresholds):
+            if t >= top:  # sorted thresholds: none has survivors from here
+                for i in range(j, len(ks)):
+                    ks[i] += infs
+                break
             survivors = [e for e in survivors if e > t]
-            acc.ks[j] += len(survivors) + infs
+            ks[j] += len(survivors) + infs
         acc.total += _exact_sum(buf, s)
         buf.clear()
 

@@ -15,11 +15,15 @@ always an `MPFloat`.  Every `MPFloat` operation is an `mpfloat` call, so
 the engine has no arithmetic or rounding of its own; fadd, fsub and fmul
 call `mpfloat._nearest` directly, and fdiv `mpfloat.div`, which rounds two
 normal operands once from one integer division; one call per operation.
-An input that already has p_orig bits inside the normal range is admitted
-as it is: `mpfloat.round_to` returns such a value unrounded.  A host-float
-original crosses back to `MPFloat` only where a caller or the shadow needs
-one: `RunTrace.result`, once per batch, `ErrorSample.original`, and the
-shadow side of word writes.
+A value enters the engine, as a row's input or as a constant, by one rule
+(`_admit`): rounded to p_orig under `mpfloat.policy_for(p_orig)`, the
+shadow that value extended exactly to p_shadow, and at p_orig = 53 the
+original that value as a host float.  An input that already has p_orig
+bits inside the normal range is admitted as it is: `mpfloat.round_to`
+returns such a value unrounded.  A host-float original crosses back to
+`MPFloat` only where a caller or the shadow needs one: `RunTrace.result`,
+once per batch, `ErrorSample.original`, and the shadow side of word
+writes; the per-row hook below gets it as the lane holds it.
 Stream-mode errors are `mpfloat._rel_err_host`'s, computed from the host
 float directly, and equal the `MPFloat` computation
 (`mpfloat._rel_err_float`) bit for bit.
@@ -41,28 +45,34 @@ shadow rounded to binary64.
 
 Programs are compiled once per (program, config, barriers, sampling mode)
 into one generated Python function, kept in a bounded cache on the program.
-One call runs a batch of rows, admitting each only when it reaches it, and
-`execute` is a batch of one.  After each row the function hands the row's
-result to the caller's per-row hook, if there is one, as on_row(index,
-orig, shadow, stale): `run` writes each row from it and `evaluate`
-collects each lane's results, so `collect`, `run` and each lane of
-`evaluate` are one call per batch, and the hook costs a row without one
-a single `is None` test.
+One call runs a batch of rows, each a sequence of input values, and
+`execute` is a batch of one.  The function checks a row's arity and admits
+its inputs only when it reaches the row, so a batch of any length holds
+one row at a time and a bad row stops the batch after the rows before it.
+After each row the function hands the row's result to the caller's per-row
+hook, if there is one, as on_row(index, orig, shadow, stale), the original
+as the lane holds it (a host float at p_orig = 53): `run` writes each row
+from it and `evaluate` collects each lane's results, so `collect`, `run`
+and each lane of `evaluate` are one call per batch, and the hook costs a
+row without one a single `is None` test.  A batch's result is a
+`DualValue`, its original an `MPFloat`.
 A `tac.TacProgram` is valid by construction and immutable, so the engine
 checks no program structure: it reads the basic blocks, their successors
 and reachability from `tac.control_flow` and variable types from
 `TacProgram.types`, and only generates code.
 Registers become locals named by index: o<k> and s<k> for the two lanes of
 a float, t<k> for its staleness in programs with word writes, and i<k> for
-an integer.  Constants are admitted at compile time and bound into the
-function's namespace, a decimal literal rounded from its text; no text of
-the program reaches the generated source.  The reachable basic blocks are
-dispatched by a balanced `if` tree on the block index inside one loop per
-row; exec counts are kept per block and the row's step budget is checked on
-every entry to a block, against its length.  A block whose branch or jump
-goes back to its own start (a self-loop, such as a counted loop with no
-branch inside) runs as an inner `while` loop that it leaves when its branch
-is not taken, so its passes skip the dispatch.
+an integer, a 64-bit word; a signed comparison reads a word below 2**63
+as it is and a larger one as the word minus 2**64 (a literal is read so
+at compile time).  Constants are admitted at compile time and
+bound into the function's namespace, a decimal literal rounded from its
+text; no text of the program reaches the generated source.  The reachable
+basic blocks are dispatched by a balanced `if` tree on the block index
+inside one loop per row; exec counts are kept per block and the row's step
+budget is checked on every entry to a block, against its length.  A block
+whose branch or jump goes back to its own start (a self-loop, such as a
+counted loop with no branch inside) runs as an inner `while` loop that it
+leaves when its branch is not taken, so its passes skip the dispatch.
 Each float operation is emitted from two expression tables: host-float
 expressions for the original lane at p_orig = 53, and unbounded `mpfloat`
 calls for the shadow and the `MPFloat` original lane.  A demoted shadow
@@ -79,8 +89,9 @@ or to a caller's sink(instr_id, dst, err) through a `functools.partial`.
 Nothing else is done per sample.  At p_orig = 53 an unbarriered fadd, fsub,
 fmul or fdiv is one call, `_nearest(s<a>, s<b>, flip, p_shadow, o<k>,
 a<id>)` or `div(s<a>, s<b>, p_shadow, UNBOUNDED, o<k>, a<id>)`: it rounds
-the shadow and appends the host original's error, taken from the fields
-it has just rounded; every other sampled instruction appends
+the shadow and appends the host original's error, which `_nearest` forms
+inline from the fields it has just rounded when the original lies in
+`_host_error`'s exact-integer case; every other sampled instruction appends
 `_rel_err_host(s<k>, o<k>, p_shadow)`, or `_rel_err_float` of an `MPFloat`
 original.  Every entry to a block takes each of its sampled
 instructions once, so the generated function counts no samples: the
@@ -101,6 +112,7 @@ from . import mpfloat as mp
 from .tac import control_flow
 
 _INT_MASK = (1 << 64) - 1
+_SIGN_BIT = 1 << 63
 _NAN_BITS = 0x7FF8 << 48
 _DOUBLE = struct.Struct("<d")
 _WORD64 = struct.Struct("<Q")
@@ -176,14 +188,19 @@ class RunTrace:
     steps: int
 
 
+def _admit(value, p_o, p_s, policy):
+    """(orig, shadow) of a value entering the engine, a row's input or a
+    constant: the value rounded to p_orig under `policy` (policy_for(p_o)),
+    and that extended exactly to p_shadow.  At p_orig = 53 the original is
+    the rounded value as a host float."""
+    o = mp.round_to(value, p_o, policy)
+    return (o.to_float() if p_o == 53 else o), mp.extend(o, p_s)
+
+
 def make_dual(value, cfg):
-    """Admit a value into the engine: round to p_orig, extend the shadow.
-    At p_orig = 53 the original lane is the rounded value as a host
-    float."""
+    """A value admitted into the engine, as a DualValue."""
     p = cfg.p_orig
-    o = mp.round_to(value, p, mp.policy_for(p))
-    s = mp.extend(o, cfg.p_shadow)
-    return DualValue(o.to_float() if p == 53 else o, s)
+    return DualValue(*_admit(value, p, cfg.p_shadow, mp.policy_for(p)))
 
 
 # -- the host-float original lane (p_orig = 53) ------------------------------
@@ -295,7 +312,8 @@ _NS = {"_near": mp._nearest, "_div": mp.div, "_sqrt": mp.sqrt,
        "_sample": _full_sample, "_rnd": mp.round_to, "_ext": mp.extend,
        "_fbits": _float_bits, "_setw": _set_word, "_makef": _make_word,
        "_unb": mp.UNBOUNDED, "_tf": mp.MPFloat.to_float,
-       "_ff": mp.from_float, "_inf": math.inf, "_cmp": mp.cmp}
+       "_ff": mp.from_float, "_inf": math.inf, "_cmp": mp.cmp,
+       "_admit": _admit}
 _WORD_OPS = ("get_hi", "get_lo", "make_f", "set_hi", "set_lo")
 _M = str(_INT_MASK)
 _INT_EXPR = {"iadd": "({0} + {1}) & " + _M, "isub": "({0} - {1}) & " + _M,
@@ -314,12 +332,14 @@ _CMP_PRED = {"lt": "(-1,)", "le": "(-1, 0)", "gt": "(1,)", "ge": "(0, 1)",
 
 def _compile(prog, cfg, barriers, mode):
     """One Python function run(rows, sink, ri, fold, done=None) for the
-    program, whose rows hold admitted inputs as DualValues and are indexed
-    from ri.  After each row, done(ri, orig, shadow, stale) is called with
-    the row's result, its original an MPFloat, unless done is None.  In
-    "full" mode `sink` takes ErrorSamples; in "stream" mode it holds one
-    append per sampled instruction, in the order of `run.sampled`, each
-    taking the error as a host float, and `fold` is the aggregate's or None.
+    program, whose rows are sequences of input values, indexed from ri.
+    Each row's arity is checked (check_arity's error) and its inputs are
+    admitted (_admit) when the loop reaches it.  After each row, done(ri,
+    orig, shadow, stale) is called with the row's result, the original as
+    the lane holds it, unless done is None.  In "full" mode `sink` takes
+    ErrorSamples; in "stream" mode it holds one append per sampled
+    instruction, in the order of `run.sampled`, each taking the error as a
+    host float, and `fold` is the aggregate's or None.
     It returns the last row's (orig, shadow, stale), Nones without rows, the
     batch's exec_counts, its count of stream errors, firsts, and the index
     after its last row: firsts[j] counts the stream errors before the first
@@ -329,7 +349,9 @@ def _compile(prog, cfg, barriers, mode):
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
-    ns = dict(_NS, _rel=mp._rel_err_host if host else mp._rel_err_float)
+    policy = mp.policy_for(p_o)
+    ns = dict(_NS, _rel=mp._rel_err_host if host else mp._rel_err_float,
+              _pol=policy, _arity=functools.partial(check_arity, prog))
     ns["_over"] = functools.partial(
         StepBudgetExceeded, "%s exceeded %d steps" % (prog.name,
                                                       cfg.max_steps))
@@ -350,9 +372,9 @@ def _compile(prog, cfg, barriers, mode):
             return "o%d" % k, "s%d" % k, "t%d" % k if track else "False"
         value = operand[1]
         if isinstance(value, str):  # a decimal literal, rounded once
-            value = mp.from_decimal_string(value, p_o, mp.policy_for(p_o))
-        dv = make_dual(value, cfg)
-        return bind(dv.orig), bind(dv.shadow), "False"
+            value = mp.from_decimal_string(value, p_o, policy)
+        o, s = _admit(value, p_o, p_s, policy)
+        return bind(o), bind(s), "False"
 
     def iop(operand):
         if operand[0] == "var":
@@ -360,10 +382,13 @@ def _compile(prog, cfg, barriers, mode):
         return "%d" % (operand[1] & _INT_MASK)
 
     def signed(operand):
+        """The 64-bit word as a signed integer; a word below 2**63, the
+        common case, is read as it is, with no arithmetic."""
         if operand[0] == "var":
-            return "({0} - ({0} >> 63 << 64))".format(iop(operand))
+            return "({0} if {0} < {1} else {0} - {2})".format(
+                iop(operand), _SIGN_BIT, _INT_MASK + 1)
         v = operand[1] & _INT_MASK
-        return "(%d)" % (v - (v >> 63 << 64))
+        return "%d" % (v if v < _SIGN_BIT else v - _INT_MASK - 1)
 
     def is_float(operand):
         if operand[0] == "var":
@@ -492,13 +517,20 @@ def _compile(prog, cfg, barriers, mode):
     folds = mode == "stream" and sampling
     if folds:
         src.append("    nf = 0 if fold else _inf")
-    src.append("    for ins in rows:")
-    for j, name in enumerate(prog.params):
-        k = regs[name]
-        src += ["        o%d = ins[%d].orig" % (k, j),
-                "        s%d = ins[%d].shadow" % (k, j)]
+    # each row is checked for its arity and admitted once it is reached
+    params = [regs[name] for name in prog.params]
+    src += ["    for ins in rows:",
+            "        try:",
+            "            %s, = ins" % ", ".join("x%d" % k for k in params)
+            if params else "            () = ins",
+            "        except ValueError:",
+            "            _arity(len(ins))",
+            "            raise"]
+    for k in params:
+        src.append("        o%d, s%d = _admit(x%d, %d, %d, _pol)"
+                   % (k, k, k, p_o, p_s))
         if track:
-            src.append("        t%d = ins[%d].stale" % (k, j))
+            src.append("        t%d = False" % k)
     src += ["        n = 0", "        b = 0", "        while True:"]
 
     def dispatch(ids, pad):
@@ -526,7 +558,7 @@ def _compile(prog, cfg, barriers, mode):
         src += ["        if %s >= nf:" % taken(),
                 "            nf = fold(%s)" % taken()]
     src += ["        if done is not None:",
-            "            done(ri, %s, rs, rt)" % ("_ff(ro)" if host else "ro"),
+            "            done(ri, ro, rs, rt)",
             "        ri += 1"]
     src.append("    return ro, rs, rt, [%s], %s, [%s], ri" % (
         ", ".join(counts), taken(), ", ".join("f%d" % b for b in sampling)))
@@ -576,18 +608,15 @@ def check_arity(prog, n):
                           % (prog.name, len(prog.params), n))
 
 
-def _checked(prog, inputs):
-    check_arity(prog, len(inputs))
-    return inputs
-
-
 def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
                  sample_mode="full", run_index=0, on_row=None):
-    """Run input vectors in one call, indexed from run_index; each row's
-    arity is checked as it is reached, and a failed row stops the batch.
-    on_row, unless None, is called after each row as on_row(index, orig,
-    shadow, stale) with the row's result, its original an MPFloat, so a
-    row that fails leaves the rows before it handed over.
+    """Run input vectors, sequences of values, in one call, indexed from
+    run_index; the generated function checks each row's arity and admits
+    it as it reaches it, and a failed row stops the batch.  on_row, unless
+    None, is called after each row as on_row(index, orig, shadow, stale)
+    with the row's result, the original as the lane holds it (a host float
+    at p_orig 53, else an MPFloat), so a row that fails leaves the rows
+    before it handed over.
     sample_mode: "full" records ErrorSample objects with exact errors in
     the trace's samples, and an object with `append` (a list, or a caller's
     consumer) is handed each of them as it is made instead; "none" skips
@@ -619,8 +648,7 @@ def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
         sink = [functools.partial(sample_mode, iid, dst)
                 for iid, dst, _, _ in run.sampled]
     orig, shadow, stale, counts, taken, firsts, end = run(
-        ([make_dual(v, cfg) for v in _checked(prog, row)] for row in rows),
-        sink, run_index, fold, on_row)
+        rows, sink, run_index, fold, on_row)
     if tally is not None:
         tally.end_run(run.sampled, counts, taken, firsts, end - run_index)
     if isinstance(orig, float):
@@ -633,8 +661,9 @@ def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
             run_index=0, sample_mode="full"):
     """Run one input vector: its arity checked before anything is
     compiled, then a batch of one (see execute_rows)."""
-    return execute_rows(prog, (_checked(prog, inputs),), cfg, barriers,
-                        sample_mode, run_index)
+    check_arity(prog, len(inputs))
+    return execute_rows(prog, (inputs,), cfg, barriers, sample_mode,
+                        run_index)
 
 
 _SAMPLE = ("%s_id%d\nORIGINAL:       %s\nSHADOW VALUE:   %s\n"

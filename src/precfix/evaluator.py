@@ -62,6 +62,7 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
     prog = kernel.program
     eng.check_arity(prog, 1)
     p_s = oracle_cfg.p_s
+    host = engine_cfg.p_orig == 53  # originals come as host floats
     rows = []
     skipped = 0
     it = iter(inputs)
@@ -85,14 +86,17 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
             err_hp = mp.relative_error(s_v, shadow, p_s)
             err_mp = (mp.relative_error(s_v, mp_shadow, p_s) if barriers
                       else err_hp)
+            if host:
+                orig = mp.from_float(orig)
             rows.append((mp.relative_error(s_v, orig, p_s), err_hp, err_mp))
     return rows, skipped
 
 
 def _lane(prog, xs, cfg, barriers, out):
     """out, with (orig, shadow) appended for each row of xs in one engine
-    call; a failing row raises, the rows before it appended.  Nothing is
-    compiled without rows."""
+    call, the original as the lane holds it (a host float at p_orig 53); a
+    failing row raises, the rows before it appended.  Nothing is compiled
+    without rows."""
     if xs:
         eng.execute_rows(prog, ([x] for x in xs), cfg, barriers, "none",
                          on_row=lambda i, o, s, t: out.append((o, s)))

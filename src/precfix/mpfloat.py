@@ -36,7 +36,7 @@ below half an ulp of the shadow at p_shadow, else |original| / |shadow|
 rounded once, which a host original far above the shadow forms from its
 own mantissa.  Given a host original and a sink, `_nearest` and `div`
 pass that error for the value they have just rounded, from its fields,
-without reading them back.
+without reading them back; `_nearest` forms the exact-integer case inline.
 """
 
 from __future__ import annotations
@@ -409,8 +409,10 @@ def _nearest(x, y, flip, p, orig=None, put=None, policy=UNBOUNDED):
     where both policies round alike; any other result goes to _round, and
     other operand classes to _special.  Given `put`, the result's relative
     error against the host float `orig`, as _rel_err_host(result, orig, p)
-    gives it, is passed to put: a normal result's from the rounding's own
-    fields."""
+    gives it, is passed to put, once, after the error is formed.  A result
+    rounded here takes it from the rounding's own fields: inline when orig
+    lies in _host_error's exact-integer case, else from one _host_error
+    call."""
     if x.cls == 1 and y.cls == 1:  # NORMAL
         if flip:
             ex = x.exp - x.prec
@@ -461,8 +463,24 @@ def _nearest(x, y, flip, p, orig=None, put=None, policy=UNBOUNDED):
                 v.exp = top
                 v.mant = q
                 v.prec = p
-                if put is not None:
-                    put(_host_error(sign, top, q, p, orig, p, v))
+                if put is None:
+                    return v
+                # _host_error's exact-integer case, inline: u is orig in
+                # units of v's last bit
+                try:
+                    u = math.ldexp(orig, p - 1 - top)
+                except OverflowError:
+                    u = math.inf
+                if 4503599627370496.0 <= abs(u) < 2.0 ** 652:
+                    b = int(u)
+                    d = q - b if sign > 0 else q + b
+                    try:
+                        err = float(abs(d)) / float(q) if d else 0.0
+                    except OverflowError:
+                        err = _wide_error(v, from_float(orig), p)
+                else:
+                    err = _host_error(sign, top, q, p, orig, p, v)
+                put(err)
                 return v
             v = _round(sign, m, e, p, policy)
         else:
@@ -744,7 +762,9 @@ def _rel_err_host(shadow, orig, p_shadow):
 
 def _host_error(sign, exp, mant, prec, orig, p_shadow, shadow):
     """_rel_err_host of the normal `shadow`, whose fields the caller has at
-    hand: sign, exp, mant and prec.
+    hand: sign, exp, mant and prec.  `_nearest` forms the first case below
+    inline, from the fields it has just rounded, and calls this for the
+    others; `div` and `_rel_err_host` call it for every case.
 
     It answers the three cases stream samples take.  First, x is orig in
     units of the shadow's last bit.  It is exact, and an integer, exactly

@@ -59,20 +59,21 @@ b64_bits = st.one_of(
 
 
 @functools.lru_cache(maxsize=None)
-def _step(op, arity, p=120):
-    """The generated function of the program `y = op a[, b]` at p_orig = 53
-    and p_shadow = p."""
+def _step(op, arity, p=120, p_o=53):
+    """The generated function of the program `y = op a[, b]` at p_orig =
+    p_o and p_shadow = p."""
     params = ", ".join("ab"[:arity])
     prog = tac.parse_program("func f(%s) -> y\n  y = %s %s\n  ret y\n"
                              % (params, op, params))
-    return engine._compiled(prog, engine.EngineConfig(53, p), frozenset(),
+    return engine._compiled(prog, engine.EngineConfig(p_o, p), frozenset(),
                             "none")
 
 
 def host_op(op, *xs):
-    """The host-float original lane of `y = op xs...`."""
-    ins = [engine.DualValue(x, mp.extend(mp.from_float(x), 120)) for x in xs]
-    return _step(op, len(xs))([ins], None, 0, None)[0]
+    """The host-float original lane of `y = op xs...`, the host floats xs
+    admitted as the row's inputs."""
+    return _step(op, len(xs))([[mp.from_float(x) for x in xs]], None, 0,
+                              None)[0]
 
 
 @given(b64_bits, b64_bits, st.sampled_from(["fadd", "fsub", "fmul", "fdiv"]))
@@ -225,14 +226,17 @@ def test_admission_of_values_with_p_orig_bits(p, sign, frac, off, top):
 # -- the shadow of fadd/fsub/fmul -------------------------------------------
 
 
-@given(mpmath_ref.cases(["add", "sub", "mul"], 53, 400))
+@given(st.integers(54, 400).flatmap(
+    lambda p: mpmath_ref.cases(["add", "sub", "mul"], p, p)))
 @settings(max_examples=1500, deadline=None)
 def test_shadow_arith_matches_mpmath(case):
+    # at p_orig = p_shadow = p the operands, of at most p bits, are
+    # admitted exactly, and both lanes are the same mpfloat call
     op, p, a, b = case
-    ins = [engine.DualValue(1.0, a), engine.DualValue(2.0, b)]
-    orig, shadow = _step("f" + op, 2, p)([ins], None, 0, None)[:2]
+    assert a.prec <= p and b.prec <= p
+    orig, shadow = _step("f" + op, 2, p, p)([[a, b]], None, 0, None)[:2]
     assert fields(shadow) == mpmath_ref.reference(op, a, b, p)
-    assert orig == {"add": 3.0, "sub": -1.0, "mul": 2.0}[op]
+    assert fields(orig) == fields(shadow)
 
 
 # -- stream-mode errors -----------------------------------------------------
@@ -572,10 +576,11 @@ def fused(op, a, b, p, orig=None, put=None):
 def fused_cases(draw):
     """(op, p_shadow, a, b, host original): operands as mpmath_ref.cases
     draws them (every class, near-cancelling, at either end of the
-    exponent range, far apart) or an exact-zero sum, at p_shadow 53 or
-    1100; the original near the unfused result, at any binary64 exponent
-    (far above or below it), subnormal, or any encoding."""
-    p = draw(st.sampled_from([53, 1100]))
+    exponent range, far apart) or an exact-zero sum, at p_shadow 53, 120,
+    1023 to 1025, where float(mant) overflows from 1024 on, or 1100; the
+    original near the unfused result, at any binary64 exponent (far above
+    or below it), subnormal, or any encoding."""
+    p = draw(st.sampled_from([53, 120, 1023, 1024, 1025, 1100]))
     op, _, a, b = draw(mpmath_ref.cases(["add", "sub", "mul", "div"], p, p))
     if a.cls == mp.NORMAL and draw(st.integers(0, 7)) == 0:
         op = draw(st.sampled_from(["add", "sub"]))
@@ -608,7 +613,33 @@ def check_fused(op, p, a, b, x):
     return got[0]
 
 
+ONE = {p: mp.extend(mp.from_float(1.0), p) for p in (53, 120, 1024)}
+TWO = mp.extend(mp.from_float(2.0), 120)
+ALL_ONES = mp.MPFloat(mp.NORMAL, 1, 0, (1 << 1024) - 1, 1024)
+
+
 @given(fused_cases())
+# u, the original in units of the result's last bit, at 2**52, the inline
+# case's lower bound, and just below it, where _host_error takes it
+@example(("mul", 53, ONE[53], ONE[53], 1.0))
+@example(("mul", 53, ONE[53], ONE[53], math.nextafter(1.0, 0)))
+@example(("add", 120, ONE[120], ONE[120], 2.0**-66))
+@example(("add", 120, ONE[120], ONE[120], math.nextafter(2.0**-66, 0)))
+# just below 2**652, the upper bound, and at it
+@example(("mul", 53, ONE[53], ONE[53], math.nextafter(2.0**600, 0)))
+@example(("mul", 53, ONE[53], ONE[53], 2.0**600))
+@example(("sub", 120, TWO, ONE[120], -math.nextafter(2.0**533, 0)))
+@example(("sub", 120, TWO, ONE[120], -(2.0**533)))
+# past the upper bound, where the inline quotient of two rounded host
+# floats would differ from the closed form in its last bit
+@example(("mul", 120, mp.MPFloat(mp.NORMAL, 1, 0,
+                                 0x82DB7307D4BEDC51431193E6C3F339, 120),
+          ONE[120], float.fromhex("0x1.a648a06839eb9p+533")))
+# at p_shadow 1024 float(mant) overflows inside the case, and at 2**652
+# it would
+@example(("mul", 1024, ALL_ONES, ONE[1024], 2.0**-400))
+@example(("mul", 1024, ALL_ONES, ONE[1024], math.nextafter(2.0**-371, 0)))
+@example(("mul", 1024, ALL_ONES, ONE[1024], 2.0**-371))
 @settings(max_examples=2000, deadline=None)
 def test_fused_calls_match_the_unfused_ones(case):
     check_fused(*case)
@@ -772,6 +803,45 @@ def test_a_raising_sink_is_called_once(op, x):
         engine.execute(prog, [mp.from_float(x)], CFG,
                        sample_mode=lambda i, d, e: put(e))
     assert len(calls) == 1
+
+
+# x for a fused 1.5 + 1.5 at p_shadow p, and whether _host_error forms its
+# error: 3.0 and 2.5 lie in _nearest's inline case, and at p 1100 so does
+# 2**-500, whose difference is too wide for a host float; 2**-400 lies
+# below the result's last bit, and a NaN or a zero has no units
+INLINE = [(120, 3.0, 0), (120, 2.5, 0), (1100, 2.0**-500, 0),
+          (120, 2.0**-400, 1), (120, math.nan, 1), (53, 0.0, 1)]
+
+
+@pytest.mark.parametrize("p, x, calls", INLINE)
+def test_a_fused_sample_is_formed_once(monkeypatch, p, x, calls):
+    """_nearest forms the error of an original in its inline case itself,
+    and of any other once, through _host_error; the sink is called once,
+    also when it raises an OverflowError inside the inline case."""
+    w = mp.extend(mp.from_float(1.5), p)
+    want = [struct.pack("<d", mp._rel_err_host(mp.add(w, w, p), x, p))]
+    real = mp._host_error
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mp, "_host_error", counted)
+    got = []
+    fused("add", w, w, p, x, got.append)
+    assert [struct.pack("<d", e) for e in got] == want
+    assert len(seen) == calls
+    got.clear()
+
+    def put(e):
+        got.append(e)
+        raise OverflowError("sink")
+
+    with pytest.raises(OverflowError, match="sink"):
+        fused("add", w, w, p, x, put)
+    assert [struct.pack("<d", e) for e in got] == want
+    assert len(seen) == 2 * calls
 
 
 # -- whole programs ---------------------------------------------------------

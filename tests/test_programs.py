@@ -212,7 +212,8 @@ INT_REFERENCE = {
 PRED_REFERENCE = {"lt": "__lt__", "le": "__le__", "gt": "__gt__",
                   "ge": "__ge__", "eq": "__eq__", "ne": "__ne__"}
 U64 = st.one_of(st.integers(0, MASK), st.sampled_from(
-    [0, 1, 63, 64, 1 << 63, MASK, MASK - 1, 0x80000000, 0xFFFFFFFF]))
+    [0, 1, 63, 64, (1 << 63) - 1, 1 << 63, MASK, MASK - 1, 0x80000000,
+     0xFFFFFFFF]))
 
 
 def _holds(lines):
@@ -232,8 +233,11 @@ def test_integer_ops_are_twos_complement(op, pred, x, y):
     want = INT_REFERENCE[op](x, y)
     assert _holds(["a = iconst %d" % x, "b = iconst %d" % y,
                    "r = %s a, b" % op, "c = icmp eq, r, %d" % want]) == 1.0
+    holds = float(getattr(_signed(x), PRED_REFERENCE[pred])(_signed(y)))
     assert _holds(["a = iconst %d" % x, "c = icmp %s, a, %d" % (pred, y)]) \
-        == float(getattr(_signed(x), PRED_REFERENCE[pred])(_signed(y)))
+        == holds
+    assert _holds(["a = iconst %d" % x, "b = iconst %d" % y,
+                   "c = icmp %s, a, b" % pred]) == holds
 
 
 STRAIGHT = "func f(x) -> y\n  y = fadd x, x\n  y = fmul y, y\n  ret y\n"
@@ -304,8 +308,7 @@ def test_step_budget_is_exact_in_a_self_loop_in_stream_mode():
     # the run's sample count, s = fconst and then thirty fadds, and the
     # count at the first entry to each sampling block
     run = engine._compiled(prog, cfg, frozenset(), "stream")
-    out = run([[engine.make_dual(x[0], cfg)]], agg.sinks(run.sampled), 0,
-              None)
+    out = run([x], agg.sinks(run.sampled), 0, None)
     assert out[4:] == (31, [0, 1], 1)
     # every smaller budget stops the run, inside the loop or out of it
     for budget in range(1, steps):

@@ -326,12 +326,18 @@ HOOK_INPUTS = (0.5, -2.75, 3.0, 1e300, -1e-310, 0.0, math.inf)
 
 def hooked(prog, rows, cfg, barriers, mode, run_index=0):
     """What on_row receives from one execute_rows call, as comparable
-    keys, and the call's trace."""
+    keys, and the call's trace.  The original comes as the lane holds it:
+    a host float at p_orig 53."""
     got = []
-    trace = engine.execute_rows(
-        prog, rows, cfg, barriers, mode, run_index,
-        lambda i, o, s, t: got.append((i, key(o), o.prec, key(s), s.prec,
-                                       t)))
+
+    def on_row(i, o, s, t):
+        if cfg.p_orig == 53:
+            assert type(o) is float
+            o = mp.from_float(o)
+        got.append((i, key(o), o.prec, key(s), s.prec, t))
+
+    trace = engine.execute_rows(prog, rows, cfg, barriers, mode, run_index,
+                                on_row)
     return got, trace
 
 
@@ -416,3 +422,95 @@ def test_a_failing_row_stops_the_batch_after_earlier_rows(mode):
         engine.execute_rows(prog, rows, engine.EngineConfig(), frozenset(),
                             mode, 0, lambda i, o, s, t: got.append(i))
     assert got == [0, 1]
+
+
+# -- rows admitted by the generated function ---------------------------------
+
+ADMIT = """
+func f(x, y) -> a
+  a = fmov x
+  b = fmov y
+  ret a
+"""
+
+
+def dec(text, p):
+    return mp.from_decimal_string(text, p)
+
+
+# rows of values at other precisions and of every class, two per batch,
+# each batch then given a third row of the wrong arity
+ADMIT_ROWS = {
+    (53, 120): [
+        [[dec("0.1", 113), dec("0.1", 24)],
+         [dec("1e-320", 113), mp.from_float(5e-324)]],
+        [[mp.zero(53), mp.zero(53, -1)], [mp.inf(1), mp.inf(-1)]],
+        [[mp.nan(), dec("1e400", 113)], [dec("-2.5e-310", 24),
+                                         dec("1e-400", 113)]],
+    ],
+    (24, 200): [
+        [[mp.from_float(0.1), mp.from_float(-1e300)],
+         [mp.from_float(5e-324), mp.from_float(2.0**-1022 * 1.5)]],
+        [[mp.zero(53, -1), mp.zero(24)], [mp.inf(-1, 113), mp.nan(113)]],
+        [[dec("0.1", 113), dec("1e-400", 113)],
+         [dec("16777217", 53), dec("-16777219", 200)]],
+    ],
+}
+
+
+@pytest.mark.parametrize("p_o, p_s", sorted(ADMIT_ROWS))
+@pytest.mark.parametrize("batch", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["none", "full", "aggregate"])
+@pytest.mark.parametrize("bad", [1, 3])
+def test_rows_are_admitted_as_make_dual_admits_a_value(p_o, p_s, batch,
+                                                       mode, bad):
+    # each row's inputs, admitted by the generated function, are the
+    # lanes make_dual and the reference give, sample by sample and in
+    # the row's result; a third row of `bad` inputs stops the batch with
+    # the arity message after the first two rows are handed over
+    prog = tac.parse_program(ADMIT)
+    cfg = engine.EngineConfig(p_o, p_s)
+    rows = ADMIT_ROWS[p_o, p_s][batch]
+    interp = ref.Interp(prog, p_o, p_s, frozenset())
+    wants = [interp.run(row) for row in rows]
+
+    def lanes(v):
+        dv = engine.make_dual(v, cfg)
+        o = mp.from_float(dv.orig) if p_o == 53 else dv.orig
+        return key(o), o.prec, key(dv.shadow), dv.shadow.prec
+
+    def ref_lanes(o, s):
+        return rkey(o), p_o, rkey(s), p_s
+
+    for row, want in zip(rows, wants):
+        assert [lanes(v) for v in row] \
+            == [ref_lanes(x.original, x.shadow) for x in want.samples]
+    samples = []
+    if mode == "full":
+        sample_mode = samples
+    elif mode == "aggregate":
+        sample_mode = detector.ErrorAggregate(prog.name, THRESHOLDS)
+    else:
+        sample_mode = mode
+    with pytest.raises(engine.EngineError) as exc:
+        hooked(prog, rows + [[rows[0][0]] * bad], cfg, frozenset(),
+               sample_mode)
+    assert str(exc.value) == "f takes 2 input(s), got %d" % bad
+    if mode == "aggregate":
+        sample_mode = detector.ErrorAggregate(prog.name, THRESHOLDS)
+    got, trace = hooked(prog, rows, cfg, frozenset(), sample_mode)
+    assert got == [(i,) + lanes(row[0]) + (False,)
+                   for i, row in enumerate(rows)]
+    assert got == [(i,) + ref_lanes(interp.exact(w.result[0]), w.result[1])
+                   + (False,) for i, w in enumerate(wants)]
+    assert trace.steps == sum(w.steps for w in wants)
+    if mode == "full":
+        # the failed batch's two rows, then the whole one's
+        assert [(x.run_index, x.instr_id, key(x.original), x.original.prec,
+                 key(x.shadow), x.shadow.prec) for x in samples] \
+            == 2 * [(i, j) + lanes(v) for i, row in enumerate(rows)
+                    for j, v in enumerate(row)]
+    if mode == "aggregate":
+        sample_mode.fold()
+        assert fused_aggregate(sample_mode) == plain_aggregate(
+            [e for w in wants for e in stream_errors(w, cfg)], len(rows))
