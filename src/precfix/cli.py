@@ -288,10 +288,7 @@ def cmd_run(args):
             tempfile.SpooledTemporaryFile(_SPOOL_SIZE, "w+",
                                          encoding="utf-8") as file:
         spool = _TraceSpool(file) if args.trace else "none"
-        if inputs:  # nothing is compiled without rows
-            engine.check_arity(prog, 1)
-            engine.execute_rows(prog, rows(), cfg, barriers, spool, 0,
-                                on_row)
+        engine.execute_rows(prog, rows(), cfg, barriers, spool, 0, on_row)
     return 0
 
 

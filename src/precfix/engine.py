@@ -24,9 +24,10 @@ returns such a value unrounded.  A host-float original crosses back to
 `MPFloat` only where a caller or the shadow needs one: `RunTrace.result`,
 once per batch, `ErrorSample.original`, and the shadow side of word
 writes; the per-row hook below gets it as the lane holds it.
-Stream-mode errors are `mpfloat._rel_err_host`'s, computed from the host
-float directly, and equal the `MPFloat` computation
-(`mpfloat._rel_err_float`) bit for bit.
+Stream-mode errors at p_orig = 53 are `mpfloat._rel_err_host`'s, the one
+function that forms the error of a host-float original (`_nearest` inlines
+its commonest case), computed from the host float directly, and equal the
+`MPFloat` computation (`mpfloat._rel_err_float`) bit for bit.
 
 Word-level bit operations (get_hi/get_lo/make_f/set_hi/set_lo) act on the
 binary64 encoding of the original lane, so they need p_orig = 53; every
@@ -46,9 +47,12 @@ shadow rounded to binary64.
 Programs are compiled once per (program, config, barriers, sampling mode)
 into one generated Python function, kept in a bounded cache on the program.
 One call runs a batch of rows, each a sequence of input values, and
-`execute` is a batch of one.  The function checks a row's arity and admits
-its inputs only when it reaches the row, so a batch of any length holds
-one row at a time and a bad row stops the batch after the rows before it.
+`execute` is a batch of one.  `execute_rows` admits every batch by one
+rule, whatever the command: it checks the barriers, compiles nothing for a
+batch without rows, and checks the first row's arity before it compiles.
+The function checks each later row's arity and admits its inputs only when
+it reaches the row, so a batch of any length holds one row at a time and a
+bad row stops the batch after the rows before it.
 After each row the function hands the row's result to the caller's per-row
 hook, if there is one, as on_row(index, orig, shadow, stale), the original
 as the lane holds it (a host float at p_orig = 53): `run` writes each row
@@ -89,11 +93,12 @@ or to a caller's sink(instr_id, dst, err) through a `functools.partial`.
 Nothing else is done per sample.  At p_orig = 53 an unbarriered fadd, fsub,
 fmul or fdiv is one call, `_nearest(s<a>, s<b>, flip, p_shadow, o<k>,
 a<id>)` or `div(s<a>, s<b>, p_shadow, UNBOUNDED, o<k>, a<id>)`: it rounds
-the shadow and appends the host original's error, which `_nearest` forms
+the shadow and appends the host original's error: `_nearest` forms it
 inline from the fields it has just rounded when the original lies in
-`_host_error`'s exact-integer case; every other sampled instruction appends
-`_rel_err_host(s<k>, o<k>, p_shadow)`, or `_rel_err_float` of an `MPFloat`
-original.  Every entry to a block takes each of its sampled
+`_rel_err_host`'s exact-integer case, and any other result of `_nearest`
+or `div` takes one `_rel_err_host` call.  Every other sampled instruction
+appends `_rel_err_host(s<k>, o<k>, p_shadow)`, or `_rel_err_float` of an
+`MPFloat` original.  Every entry to a block takes each of its sampled
 instructions once, so the generated function counts no samples: the
 batch's sample count is the sum over the sampling blocks of exec count
 times samples per entry.  Exec counts run on across the rows, so the sum
@@ -104,6 +109,7 @@ batch, and a row that brings it to the aggregate's mark folds the buffers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -574,10 +580,7 @@ _CACHE_SIZE = 32
 
 def _compiled(prog, cfg, barriers, mode):
     """The compiled function, from the cache when it is there.  The key
-    holds the config's fields, which hash faster than the config.  The
-    barriers are checked on every call, a hit included: {True} and {1.0}
-    equal {1}."""
-    check_barriers(prog, barriers)
+    holds the config's fields, which hash faster than the config."""
     cache = prog.compiled
     key = (cfg.p_orig, cfg.p_shadow, cfg.max_steps, barriers, mode)
     run = cache.get(key)
@@ -611,8 +614,13 @@ def check_arity(prog, n):
 def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
                  sample_mode="full", run_index=0, on_row=None):
     """Run input vectors, sequences of values, in one call, indexed from
-    run_index; the generated function checks each row's arity and admits
-    it as it reaches it, and a failed row stops the batch.  on_row, unless
+    run_index.  One admission rule serves every caller: the barriers are
+    checked on every call, a cached program's included ({True} and {1.0}
+    equal {1}); a batch without rows compiles nothing and returns a trace
+    of no samples, zero exec counts and steps and a result of Nones; and
+    the first row's arity is checked before the program is compiled.  The
+    generated function checks each later row's arity and admits each row
+    as it reaches it, and a failed row stops the batch.  on_row, unless
     None, is called after each row as on_row(index, orig, shadow, stale)
     with the row's result, the original as the lane holds it (a host float
     at p_orig 53, else an MPFloat), so a row that fails leaves the rows
@@ -641,14 +649,22 @@ def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
         mode, tally = "stream", sample_mode
     else:
         raise ValueError("bad sample_mode %r" % (sample_mode,))
-    run = _compiled(prog, cfg, frozenset(barriers), mode)
+    barriers = frozenset(barriers)
+    check_barriers(prog, barriers)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return RunTrace(DualValue(None, None, None), samples,
+                        [0] * len(prog.instrs), 0)
+    check_arity(prog, len(first))
+    run = _compiled(prog, cfg, barriers, mode)
     if tally is not None:
         sink, fold = tally.sinks(run.sampled), tally.fold
     elif mode == "stream":
         sink = [functools.partial(sample_mode, iid, dst)
                 for iid, dst, _, _ in run.sampled]
     orig, shadow, stale, counts, taken, firsts, end = run(
-        rows, sink, run_index, fold, on_row)
+        itertools.chain((first,), rows), sink, run_index, fold, on_row)
     if tally is not None:
         tally.end_run(run.sampled, counts, taken, firsts, end - run_index)
     if isinstance(orig, float):
@@ -659,9 +675,7 @@ def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
 
 def execute(prog, inputs, cfg=EngineConfig(), barriers=frozenset(),
             run_index=0, sample_mode="full"):
-    """Run one input vector: its arity checked before anything is
-    compiled, then a batch of one (see execute_rows)."""
-    check_arity(prog, len(inputs))
+    """Run one input vector, a batch of one (see execute_rows)."""
     return execute_rows(prog, (inputs,), cfg, barriers, sample_mode,
                         run_index)
 

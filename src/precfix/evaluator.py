@@ -39,6 +39,13 @@ class SummaryTable:
     inf_counts: dict = field(default_factory=dict)
 
 
+# summarize's lane pairs (a, b), as indices into evaluate's rows, with the
+# keys of the shares of rows whose error in lane a is at most, and below,
+# that in lane b
+_PAIRS = ((2, 0, "M>=L", "M>L"), (2, 1, "M>=H", "M>H"), (1, 0, "H>=L", "H>L"))
+_KEYS = tuple(key for pair in _PAIRS for key in pair[2:])
+_LANES = ("OP", "HP", "MP")
+
 # rows each lane runs in one engine call: the lanes' results are held
 # for this many rows at a time
 _CHUNK = 1024
@@ -60,7 +67,6 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
     if not inputs:
         raise EvaluationError("no inputs to evaluate")
     prog = kernel.program
-    eng.check_arity(prog, 1)
     p_s = oracle_cfg.p_s
     host = engine_cfg.p_orig == 53  # originals come as host floats
     rows = []
@@ -95,23 +101,10 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
 def _lane(prog, xs, cfg, barriers, out):
     """out, with (orig, shadow) appended for each row of xs in one engine
     call, the original as the lane holds it (a host float at p_orig 53); a
-    failing row raises, the rows before it appended.  Nothing is compiled
-    without rows."""
-    if xs:
-        eng.execute_rows(prog, ([x] for x in xs), cfg, barriers, "none",
-                         on_row=lambda i, o, s, t: out.append((o, s)))
+    failing row raises, the rows before it appended."""
+    eng.execute_rows(prog, ([x] for x in xs), cfg, barriers, "none",
+                     on_row=lambda i, o, s, t: out.append((o, s)))
     return out
-
-
-def _le(a, b):
-    """a <= b for totalized errors (inf compares as larger than finite)."""
-    c = mp.cmp(a, b)
-    return c is not None and c <= 0
-
-
-def _lt(a, b):
-    c = mp.cmp(a, b)
-    return c is not None and c < 0
 
 
 def summarize(kernel_name, rows, skipped=0, p_s=256):
@@ -121,17 +114,13 @@ def summarize(kernel_name, rows, skipped=0, p_s=256):
         raise EvaluationError("no evaluation rows for %s" % kernel_name)
     n = len(rows)
     t = SummaryTable(kernel_name, n, skipped)
-    pairs = (
-        ("M>=L", lambda op, hp, mp_: _le(mp_, op)),
-        ("M>L", lambda op, hp, mp_: _lt(mp_, op)),
-        ("M>=H", lambda op, hp, mp_: _le(mp_, hp)),
-        ("M>H", lambda op, hp, mp_: _lt(mp_, hp)),
-        ("H>=L", lambda op, hp, mp_: _le(hp, op)),
-        ("H>L", lambda op, hp, mp_: _lt(hp, op)),
-    )
-    for key, pred in pairs:
-        t.pct[key] = 100.0 * sum(1 for r in rows if pred(*r)) / n
-    for j, lane in enumerate(("OP", "HP", "MP")):
+    for a, b, le, lt in _PAIRS:
+        # an unordered pair (a NaN) counts for neither key
+        cs = [mp.cmp(r[a], r[b]) for r in rows]
+        below = cs.count(-1)
+        t.pct[le] = 100.0 * (below + cs.count(0)) / n
+        t.pct[lt] = 100.0 * below / n
+    for j, lane in enumerate(_LANES):
         finite = [r[j] for r in rows if r[j].cls == mp.NORMAL
                   or r[j].cls == mp.ZERO]
         t.inf_counts[lane] = n - len(finite)
@@ -166,22 +155,20 @@ def report(t, fmt="text"):
         return json.dumps([table_to_dict(t)], indent=2)
     if fmt == "csv":
         buf = io.StringIO()
-        keys = ["M>=L", "M>L", "M>=H", "M>H", "H>=L", "H>L"]
         w = csv.writer(buf)
-        w.writerow(["kernel", "rows", "skipped"] + keys
-                   + ["avg_OP", "avg_HP", "avg_MP",
-                      "inf_OP", "inf_HP", "inf_MP"])
+        w.writerow(["kernel", "rows", "skipped", *_KEYS]
+                   + ["avg_" + lane for lane in _LANES]
+                   + ["inf_" + lane for lane in _LANES])
         w.writerow([t.kernel, t.rows, t.skipped]
-                   + ["%.2f" % t.pct[k] for k in keys]
-                   + [_avg_str(t.avg[l]) for l in ("OP", "HP", "MP")]
-                   + [t.inf_counts[l] for l in ("OP", "HP", "MP")])
+                   + ["%.2f" % t.pct[k] for k in _KEYS]
+                   + [_avg_str(t.avg[lane]) for lane in _LANES]
+                   + [t.inf_counts[lane] for lane in _LANES])
         return buf.getvalue()
     if fmt == "text":
         lines = ["%s  (%d rows, %d skipped)" % (t.kernel, t.rows, t.skipped),
                  "  " + "  ".join("%s %6.2f%%" % (k, t.pct[k])
-                                  for k in ("M>=L", "M>L", "M>=H",
-                                            "M>H", "H>=L", "H>L"))]
-        for lane in ("OP", "HP", "MP"):
+                                  for k in _KEYS)]
+        for lane in _LANES:
             avg = t.avg[lane]
             lines.append("  avg %s: %s%s" % (
                 lane,

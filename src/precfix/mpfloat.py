@@ -30,13 +30,14 @@ live in `relative_error` alone, which `_rel_err_float` calls for such a
 pair.  Two normal lanes whose lowest bits lie within 600 binades take the
 exact integer difference; a host original whose last bit lies on or not
 far above the shadow's is read as an integer count of the shadow's last
-bit from one `math.ldexp` (`_host_error`).  Lanes too far apart for the
+bit from one `math.ldexp` (`_rel_err_host`).  Lanes too far apart for the
 exact integer difference take a closed form: 1 when the original lies
 below half an ulp of the shadow at p_shadow, else |original| / |shadow|
 rounded once, which a host original far above the shadow forms from its
 own mantissa.  Given a host original and a sink, `_nearest` and `div`
-pass that error for the value they have just rounded, from its fields,
-without reading them back; `_nearest` forms the exact-integer case inline.
+pass that error for the value they have just rounded, from one
+`_rel_err_host` call; `_nearest` forms the exact-integer case inline, from
+the rounding's own fields, and calls `_rel_err_host` for any other result.
 """
 
 from __future__ import annotations
@@ -409,10 +410,10 @@ def _nearest(x, y, flip, p, orig=None, put=None, policy=UNBOUNDED):
     where both policies round alike; any other result goes to _round, and
     other operand classes to _special.  Given `put`, the result's relative
     error against the host float `orig`, as _rel_err_host(result, orig, p)
-    gives it, is passed to put, once, after the error is formed.  A result
-    rounded here takes it from the rounding's own fields: inline when orig
-    lies in _host_error's exact-integer case, else from one _host_error
-    call."""
+    gives it, is passed to put, once, after the error is formed: inline,
+    from the rounding's own fields, when the result is rounded here and
+    orig lies in _rel_err_host's exact-integer case with a difference and
+    mantissa that fit a host float, else from one _rel_err_host call."""
     if x.cls == 1 and y.cls == 1:  # NORMAL
         if flip:
             ex = x.exp - x.prec
@@ -465,7 +466,7 @@ def _nearest(x, y, flip, p, orig=None, put=None, policy=UNBOUNDED):
                 v.prec = p
                 if put is None:
                     return v
-                # _host_error's exact-integer case, inline: u is orig in
+                # _rel_err_host's exact-integer case, inline: u is orig in
                 # units of v's last bit
                 try:
                     u = math.ldexp(orig, p - 1 - top)
@@ -477,12 +478,12 @@ def _nearest(x, y, flip, p, orig=None, put=None, policy=UNBOUNDED):
                     try:
                         err = float(abs(d)) / float(q) if d else 0.0
                     except OverflowError:
-                        err = _wide_error(v, from_float(orig), p)
-                else:
-                    err = _host_error(sign, top, q, p, orig, p, v)
-                put(err)
-                return v
-            v = _round(sign, m, e, p, policy)
+                        pass  # too wide for a host float: the tail's _wide_error
+                    else:
+                        put(err)
+                        return v
+            else:
+                v = _round(sign, m, e, p, policy)
         else:
             v = MPFloat(0, 1, 0, 0, p)  # zero(p)
     else:
@@ -541,8 +542,9 @@ def mul(a, b, p, policy=UNBOUNDED):
 
 def div(a, b, p, policy=UNBOUNDED, orig=None, put=None):
     """a / b at p bits under the policy (p is 53 under BINARY64), rounded
-    inline in binary64's normal range as in _nearest; `orig` and `put` as
-    in _nearest."""
+    inline in binary64's normal range as in _nearest.  Given `put`, the
+    result's error against the host float `orig` is passed to put once,
+    from one _rel_err_host call."""
     if a.cls == 1 and b.cls == 1:  # NORMAL
         # the mantissa ratio lies in (2**(na-nb-1), 2**(na-nb+1)), so n has
         # p + 1 or p + 2 bits; the remainder is the sticky bit
@@ -567,21 +569,18 @@ def div(a, b, p, policy=UNBOUNDED, orig=None, put=None):
         else:
             q >>= 1
         if -1022 <= top <= 1023:
-            sign = a.sign * b.sign
             v = _new(MPFloat)
             v.cls = 1
-            v.sign = sign
+            v.sign = a.sign * b.sign
             v.exp = top
             v.mant = q
             v.prec = p
-            if put is not None:
-                put(_host_error(sign, top, q, p, orig, p, v))
-            return v
-        # a / b is n * 2**(a.exp - b.exp - p - 1) plus the remainder, which
-        # stands in as one bit below n; r may also hold n's last bit, which
-        # lies below the rounding bit too
-        v = _round(a.sign * b.sign, n << 1 | (1 if r else 0),
-                   a.exp - b.exp - p - 2, p, policy)
+        else:
+            # a / b is n * 2**(a.exp - b.exp - p - 1) plus the remainder,
+            # which stands in as one bit below n; r may also hold n's last
+            # bit, which lies below the rounding bit too
+            v = _round(a.sign * b.sign, n << 1 | (1 if r else 0),
+                       a.exp - b.exp - p - 2, p, policy)
     else:
         v = _div_other(a, b, p)
     if put is not None:
@@ -752,56 +751,50 @@ def _wide_error(shadow, orig, p_shadow):
 
 def _rel_err_host(shadow, orig, p_shadow):
     """_rel_err_float(shadow, from_float(orig), p_shadow) for a host float
-    `orig`, without building the MPFloat on the common path or when the
-    shadow lies far below the original."""
-    if shadow.cls == NORMAL:
-        return _host_error(shadow.sign, shadow.exp, shadow.mant, shadow.prec,
-                           orig, p_shadow, shadow)
-    return _rel_err_float(shadow, from_float(orig), p_shadow)
+    `orig`, bit for bit, without building the MPFloat for the cases stream
+    samples take.  `_nearest` forms the first case inline, from the fields
+    it has just rounded, and calls this for every other result; `div` calls
+    this for every result.
 
-
-def _host_error(sign, exp, mant, prec, orig, p_shadow, shadow):
-    """_rel_err_host of the normal `shadow`, whose fields the caller has at
-    hand: sign, exp, mant and prec.  `_nearest` forms the first case below
-    inline, from the fields it has just rounded, and calls this for the
-    others; `div` and `_rel_err_host` call it for every case.
-
-    It answers the three cases stream samples take.  First, x is orig in
-    units of the shadow's last bit.  It is exact, and an integer, exactly
-    when 2**52 <= |x| < 2**652: when orig's last bit lies on the shadow's
-    or at most 599 binades above it, where _rel_err_float aligns orig to
-    the shadow and divides the difference by the shadow's mantissa.  So
-    the error is the same, bit for bit, without frexp or a shift.  A zero
-    orig gives 1, and a shadow far below orig _rel_err_float's closed-form
-    quotient.  An aligned difference or mantissa too wide for a host float
-    (a shadow of 1,023 bits or more) takes _rel_err_float's last resort,
-    _wide_error, at once.  Everything else (orig's last bit below the
-    shadow's, or 600 or more binades above it, a non-finite orig, an ldexp
+    For a normal shadow, x is orig in units of the shadow's last bit.  It
+    is exact, and an integer, exactly when 2**52 <= |x| < 2**652: when
+    orig's last bit lies on the shadow's or at most 599 binades above it,
+    where _rel_err_float aligns orig to the shadow and divides the
+    difference by the shadow's mantissa.  So the error is the same, bit for
+    bit, without frexp or a shift.  A zero orig gives 1, and a shadow far
+    below orig _rel_err_float's closed-form quotient.  An aligned
+    difference or mantissa too wide for a host float (a shadow of 1,023
+    bits or more) takes _rel_err_float's last resort, _wide_error, at once.
+    Everything else (a shadow that is not normal, orig's last bit below the
+    shadow's or 600 or more binades above it, a non-finite orig, an ldexp
     out of range) goes to _rel_err_float."""
-    try:
-        x = math.ldexp(orig, prec - 1 - exp)
-    except OverflowError:
-        x = math.inf
-    if 4503599627370496.0 <= abs(x) < 2.0 ** 652:
-        b = int(x)
-        d = mant - b if sign > 0 else mant + b
-        if not d:
-            return 0.0
+    if shadow.cls == 1:  # NORMAL
+        mant = shadow.mant
+        exp = shadow.exp
         try:
-            return float(abs(d)) / float(mant)
+            x = math.ldexp(orig, shadow.prec - 1 - exp)
         except OverflowError:
-            # neither of _rel_err_float's far-apart forms applies to lanes
-            # this close, so it would end in the same quotient
-            return _wide_error(shadow, from_float(orig), p_shadow)
-    if orig - orig == 0.0:
-        if not orig:
-            return 1.0
-        f, e = math.frexp(orig)
-        # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
-        if p_shadow >= 53 and exp < e - p_shadow - 2:
-            # _rel_err_float's quotient for a shadow far below orig
-            return _far_quotient(int(abs(f) * 9007199254740992.0), 53, e - 1,
-                                 shadow)
+            x = math.inf
+        if 4503599627370496.0 <= abs(x) < 2.0 ** 652:
+            b = int(x)
+            d = mant - b if shadow.sign > 0 else mant + b
+            if not d:
+                return 0.0
+            try:
+                return float(abs(d)) / float(mant)
+            except OverflowError:
+                # neither of _rel_err_float's far-apart forms applies to
+                # lanes this close, so it would end in the same quotient
+                return _wide_error(shadow, from_float(orig), p_shadow)
+        if orig - orig == 0.0:
+            if not orig:
+                return 1.0
+            f, e = math.frexp(orig)
+            # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
+            if p_shadow >= 53 and exp < e - p_shadow - 2:
+                # _rel_err_float's quotient for a shadow far below orig
+                return _far_quotient(int(abs(f) * 9007199254740992.0), 53,
+                                     e - 1, shadow)
     return _rel_err_float(shadow, from_float(orig), p_shadow)
 
 

@@ -791,14 +791,59 @@ def test_comments_only_input_to_a_word_op_kernel_is_empty(tmp_path, capsys,
     assert (code, out, err) == (0, "", "")
 
 
+def _empty_report(e0="9.99999999999999954748111825886e-7"):
+    return {"program": "exp_kernel", "runs": 0, "e0": e0, "p0": 0.5,
+            "p1": 0.1, "flagged": [], "first_flagged": None,
+            "instructions": []}
+
+
+@pytest.mark.parametrize("argv", [["detect"], ["detect", "--sweep"], ["fix"],
+                                  ["fix", "--emit-program"],
+                                  ["eval", "--auto-fix"]],
+                         ids=["detect", "sweep", "fix", "emit", "eval"])
+def test_comments_only_input_to_a_word_op_kernel_is_an_empty_batch(
+        tmp_path, capsys, argv):
+    # every command admits a batch by one rule: without rows nothing is
+    # compiled, so detect and fix report no runs, and eval has no inputs
+    f = tmp_path / "in.txt"
+    f.write_text("# nothing but comments\n\n# and blank lines\n")
+    code, out, err = run_cli(capsys, *argv, "--kernel", "exp_kernel",
+                             "--input", "file:%s" % f, "--p-orig", "24",
+                             "--p-shadow", "200")
+    if argv[0] == "eval":
+        assert (code, out, err) == (1, "", "error: no inputs to evaluate\n")
+        return
+    assert (code, err) == (0, "")
+    if "--emit-program" in argv:
+        prog = corpus.get_kernel("exp_kernel").program
+        assert out == tac.pretty_print(prog, frozenset())
+    elif "--sweep" in argv:  # one empty report per threshold
+        got = json.loads(out)
+        assert len(got) == 4
+        assert all(r["report"] == _empty_report(r["report"]["e0"])
+                   for r in got)
+    elif argv == ["fix"]:
+        assert json.loads(out) == {"program": "exp_kernel", "barriers": [],
+                                   "converged": True,
+                                   "iterations": [_empty_report()]}
+    else:
+        assert json.loads(out) == _empty_report()
+
+
 def test_arity_is_reported_before_a_compile_error(tmp_path, capsys):
+    # every command checks the first row's arity before it compiles the
+    # program, whose get_hi would not compile at p_orig 24
     prog = tmp_path / "two.tac"
     prog.write_text("func f(x, y) -> z\n  h = get_hi x\n  z = fadd x, y\n"
                     "  ret z\n")
-    code, out, err = run_cli(capsys, "run", "--program", str(prog),
-                             "--input", "single:1", "--p-orig", "24",
-                             "--p-shadow", "200")
-    assert (code, out, err) == (1, "", "error: f takes 2 input(s), got 1\n")
+    for argv in (["run"], ["run", "--trace"], ["detect"],
+                 ["detect", "--sweep"], ["fix"]):
+        for inputs in (["--input", "single:1"], ["--grid=-2,2,3"]):
+            code, out, err = run_cli(capsys, *argv, "--program", str(prog),
+                                     *inputs, "--p-orig", "24",
+                                     "--p-shadow", "200")
+            assert (code, out, err) == (
+                1, "", "error: f takes 2 input(s), got 1\n"), argv + inputs
 
 
 @pytest.mark.parametrize("trace", [[], ["--trace"]])

@@ -530,11 +530,9 @@ BELOW_SHADOW = {
 
 
 def _host_errors(shadow, x, p):
-    """The error of the normal `shadow` against the host float `x` by each
-    of its three entry points."""
-    return [mp._host_error(shadow.sign, shadow.exp, shadow.mant, shadow.prec,
-                           x, p, shadow),
-            mp._rel_err_host(shadow, x, p),
+    """The error of the normal `shadow` against the host float `x` from
+    the host float and from its MPFloat."""
+    return [mp._rel_err_host(shadow, x, p),
             mp._rel_err_float(shadow, mp.from_float(x), p)]
 
 
@@ -546,7 +544,7 @@ def test_host_original_below_the_shadows_last_bit(key):
         x = sign * math.ldexp(HOST_MANT, 1 - p - t)
         o = mp.from_float(x)
         assert (shadow.exp - shadow.prec) - (o.exp - o.prec) == t
-        assert [e.hex() for e in _host_errors(shadow, x, p)] == [want] * 3
+        assert [e.hex() for e in _host_errors(shadow, x, p)] == [want] * 2
 
 
 def test_host_original_equal_to_a_narrower_shadow():
@@ -556,7 +554,7 @@ def test_host_original_equal_to_a_narrower_shadow():
     shadow = mp.from_float(x, 24)
     o = mp.from_float(x)
     assert (shadow.exp - shadow.prec) - (o.exp - o.prec) == 29
-    assert [e.hex() for e in _host_errors(shadow, x, 24)] == ["0x0.0p+0"] * 3
+    assert [e.hex() for e in _host_errors(shadow, x, 24)] == ["0x0.0p+0"] * 2
 
 
 # -- the fused shadow calls of stream mode at p_orig = 53 --------------------
@@ -620,7 +618,7 @@ ALL_ONES = mp.MPFloat(mp.NORMAL, 1, 0, (1 << 1024) - 1, 1024)
 
 @given(fused_cases())
 # u, the original in units of the result's last bit, at 2**52, the inline
-# case's lower bound, and just below it, where _host_error takes it
+# case's lower bound, and just below it, where _rel_err_host takes it
 @example(("mul", 53, ONE[53], ONE[53], 1.0))
 @example(("mul", 53, ONE[53], ONE[53], math.nextafter(1.0, 0)))
 @example(("add", 120, ONE[120], ONE[120], 2.0**-66))
@@ -764,12 +762,10 @@ W120 = mp.extend(mp.from_float(1.5), 120)
 @example((mp.neg(W120), 1.5, 120))
 @settings(max_examples=1500, deadline=None)
 def test_host_error_in_shadow_units_matches_mpfloat_error(pair):
-    """_host_error, _rel_err_host and the fused calls whose exact result
-    is the shadow give _rel_err_float's error bit for bit."""
+    """_rel_err_host and the fused calls whose exact result is the shadow
+    give _rel_err_float's error bit for bit."""
     shadow, x, p = pair
     want = struct.pack("<d", mp._rel_err_float(shadow, mp.from_float(x), p))
-    assert struct.pack("<d", mp._host_error(
-        shadow.sign, shadow.exp, shadow.mant, p, x, p, shadow)) == want
     assert struct.pack("<d", mp._rel_err_host(shadow, x, p)) == want
     one = shadow_at(1, 0, 1 << (p - 1), p)
     for op, a, b in (("add", scaled(shadow, -1), scaled(shadow, -1)),
@@ -805,29 +801,30 @@ def test_a_raising_sink_is_called_once(op, x):
     assert len(calls) == 1
 
 
-# x for a fused 1.5 + 1.5 at p_shadow p, and whether _host_error forms its
-# error: 3.0 and 2.5 lie in _nearest's inline case, and at p 1100 so does
-# 2**-500, whose difference is too wide for a host float; 2**-400 lies
-# below the result's last bit, and a NaN or a zero has no units
-INLINE = [(120, 3.0, 0), (120, 2.5, 0), (1100, 2.0**-500, 0),
+# x for a fused 1.5 + 1.5 at p_shadow p, and how many _rel_err_host calls
+# form its error: 3.0 and 2.5 lie in _nearest's inline case; at p 1100 so
+# does 2**-500, but its difference is too wide for a host float; 2**-400
+# lies below the result's last bit, and a NaN or a zero has no units
+INLINE = [(120, 3.0, 0), (120, 2.5, 0), (1100, 2.0**-500, 1),
           (120, 2.0**-400, 1), (120, math.nan, 1), (53, 0.0, 1)]
 
 
 @pytest.mark.parametrize("p, x, calls", INLINE)
 def test_a_fused_sample_is_formed_once(monkeypatch, p, x, calls):
     """_nearest forms the error of an original in its inline case itself,
-    and of any other once, through _host_error; the sink is called once,
-    also when it raises an OverflowError inside the inline case."""
+    and of any other through one _rel_err_host call; the sink is called
+    once, also when it raises an OverflowError inside the inline case."""
     w = mp.extend(mp.from_float(1.5), p)
-    want = [struct.pack("<d", mp._rel_err_host(mp.add(w, w, p), x, p))]
-    real = mp._host_error
+    want = [struct.pack("<d", mp._rel_err_float(mp.add(w, w, p),
+                                                mp.from_float(x), p))]
+    real = mp._rel_err_host
     seen = []
 
     def counted(*args):
         seen.append(args)
         return real(*args)
 
-    monkeypatch.setattr(mp, "_host_error", counted)
+    monkeypatch.setattr(mp, "_rel_err_host", counted)
     got = []
     fused("add", w, w, p, x, got.append)
     assert [struct.pack("<d", e) for e in got] == want
