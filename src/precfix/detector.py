@@ -12,7 +12,7 @@ instruction, re-runs the batch, and repeats until nothing is flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import mpfloat as mp
 from . import engine as eng
@@ -90,7 +90,7 @@ class _InstrAcc:
     threshold of the aggregate."""
 
     __slots__ = ("dst", "errors", "folded", "inf_count", "max_err", "total",
-                 "ks", "first_ordinal")
+                 "ks")
 
     def __init__(self, dst, n_thresholds):
         self.dst = dst
@@ -100,7 +100,6 @@ class _InstrAcc:
         self.max_err = None
         self.total = 0
         self.ks = [0] * n_thresholds
-        self.first_ordinal = None
 
     @property
     def m(self):
@@ -112,18 +111,19 @@ class ErrorAggregate:
     answer the detection rule at each of `thresholds` (by default those of
     DetectionConfig()) and at no other.  Errors enter through `add`, or
     straight from the engine's generated code (see `collect`); either way
-    they are buffered and folded into bounded tallies."""
+    they are buffered and folded into bounded tallies.  `instrs` holds the
+    instructions that produced a sample in the order of their first
+    samples, the dynamic first order."""
 
     def __init__(self, program, thresholds=None):
         self.program = program
         self.n = 0
-        self.instrs = {}  # the instructions that produced a sample
+        self.instrs = {}
         self.thresholds = tuple(sorted(set(
             DetectionConfig().thresholds if thresholds is None
             else thresholds)))
         self._index = {t: j for j, t in enumerate(self.thresholds)}
         self._accs = {}
-        self._ordinal = 0
 
     def _acc(self, instr_id, dst):
         acc = self._accs.get(instr_id)
@@ -135,16 +135,15 @@ class ErrorAggregate:
         acc = self.instrs.get(instr_id)
         if acc is None:
             acc = self.instrs[instr_id] = self._acc(instr_id, dst)
-            acc.first_ordinal = self._ordinal
-        self._ordinal += 1
         acc.errors.append(err)
         if len(acc.errors) >= FOLD_SIZE:
             self._fold(acc)
 
     def sinks(self, sampled):
         """For the engine: the append of each sampled instruction's buffer,
-        `sampled` being (instr_id, dst, ...) per instruction."""
-        return [self._acc(s[0], s[1]).errors.append for s in sampled]
+        `sampled` being one tuple of (instr_id, dst) per sampling block."""
+        return [self._acc(iid, dst).errors.append
+                for block in sampled for iid, dst in block]
 
     def fold(self, taken=0):
         """Fold every buffered error into the tallies.  For the engine,
@@ -154,15 +153,14 @@ class ErrorAggregate:
             self._fold(acc)
         return taken + FOLD_SIZE
 
-    def end_run(self, sampled, counts, samples, firsts, runs):
-        """For the engine, after a batch through `sinks`: its exec counts,
-        its number of samples, where each sampled instruction's first one
-        fell (see engine._compile) and its number of runs."""
-        for iid, _, j, offset in sampled:
-            if counts[iid] and iid not in self.instrs:
-                acc = self.instrs[iid] = self._accs[iid]
-                acc.first_ordinal = self._ordinal + firsts[j] + offset
-        self._ordinal += samples
+    def end_run(self, sampled, firsts, runs):
+        """For the engine, after a batch through `sinks`: the indices into
+        `sampled` of the blocks it entered, in the order of their first
+        entries (see engine._compile), and its number of runs.  Each
+        block's instructions not yet in `instrs` join it in that order."""
+        for j in firsts:
+            for iid, _ in sampled[j]:
+                self.instrs.setdefault(iid, self._accs[iid])
         self.n += runs
 
     def _fold(self, acc):
@@ -223,7 +221,6 @@ def collect(prog, rows, engine_cfg, barriers=frozenset(), thresholds=None):
 class InstrStats:
     instr_id: int
     dst: str
-    n: int
     m: int
     k: int
     inf_count: int
@@ -232,7 +229,6 @@ class InstrStats:
     err_ratio: float
     exec_ratio: float
     flagged: bool
-    first_ordinal: int
 
 
 def _moments(acc):
@@ -251,19 +247,19 @@ def _moments(acc):
     return mean, mx
 
 
-def stats_for(agg, e0, p0=0.5, p1=0.1):
-    """Per-instruction statistics at one threshold, in static id order."""
+def stats_for(agg, cfg):
+    """Per-instruction statistics under the rule of cfg, a
+    DetectionConfig, at its e0, p0 and p1, in static id order."""
     agg.fold()
     out = []
     for iid, acc in sorted(agg.instrs.items()):
         mean, mx = _moments(acc)
-        k = agg.k(acc, e0)
+        k = agg.k(acc, cfg.e0)
         err_ratio = k / acc.m if acc.m else 0.0
         exec_ratio = acc.m / agg.n if agg.n else 0.0
-        flagged = acc.m > 0 and err_ratio > p0 and exec_ratio >= p1
-        out.append(InstrStats(iid, acc.dst, agg.n, acc.m, k, acc.inf_count,
-                              mx, mean, err_ratio, exec_ratio, flagged,
-                              acc.first_ordinal))
+        flagged = acc.m > 0 and err_ratio > cfg.p0 and exec_ratio >= cfg.p1
+        out.append(InstrStats(iid, acc.dst, acc.m, k, acc.inf_count, mx,
+                              mean, err_ratio, exec_ratio, flagged))
     return out
 
 
@@ -310,24 +306,25 @@ class DetectionReport:
         }
 
 
-def detect(agg, cfg=DetectionConfig(), e0=None, p0=None):
-    e0 = cfg.e0 if e0 is None else e0
-    p0 = cfg.p0 if p0 is None else p0
-    stats = stats_for(agg, e0, p0, cfg.p1)
+def detect(agg, cfg=DetectionConfig()):
+    """The report of the detection rule at cfg's e0, p0 and p1, its first
+    flagged instruction in cfg's first order."""
+    stats = stats_for(agg, cfg)
     flagged = [s.instr_id for s in stats if s.flagged]
-    return DetectionReport(agg.program, agg.n, e0, p0, cfg.p1, stats,
-                           flagged, _first(flagged, stats, cfg.first_order))
+    return DetectionReport(agg.program, agg.n, cfg.e0, cfg.p0, cfg.p1,
+                           stats, flagged,
+                           _first(flagged, agg, cfg.first_order))
 
 
-def _first(ids, stats, first_order):
+def _first(ids, agg, first_order):
     """The instruction of `ids` to fix first: the lowest static id, or the
-    one whose first sample came earliest in the batch; None when empty."""
+    one whose first sample came earliest, the first of them in
+    `agg.instrs`; None when empty."""
     if not ids:
         return None
     if first_order == "static":
         return min(ids)
-    ordinal = {s.instr_id: s.first_ordinal for s in stats}
-    return min(ids, key=ordinal.__getitem__)
+    return next(i for i in agg.instrs if i in ids)
 
 
 def sweep(agg, cfg=DetectionConfig()):
@@ -336,7 +333,7 @@ def sweep(agg, cfg=DetectionConfig()):
     reports = []
     for e0 in DEFAULT_E0_SWEEP:
         for p0 in DEFAULT_P0_SWEEP:
-            r = detect(agg, cfg, e0=e0, p0=p0)
+            r = detect(agg, replace(cfg, e0=e0, p0=p0))
             if r.flagged:
                 break
         reports.append(r)
@@ -363,7 +360,7 @@ def fix_iteratively(prog, inputs, engine_cfg=eng.EngineConfig(),
         report = detect(agg, det_cfg)
         log.append(report)
         first = _first([i for i in report.flagged if i not in barriers],
-                       report.stats, det_cfg.first_order)
+                       agg, det_cfg.first_order)
         if first is None:
             return FixResult(frozenset(barriers), log, True)
         barriers.add(first)

@@ -101,9 +101,10 @@ appends `_rel_err_host(s<k>, o<k>, p_shadow)`, or `_rel_err_float` of an
 `MPFloat` original.  Every entry to a block takes each of its sampled
 instructions once, so the generated function counts no samples: the
 batch's sample count is the sum over the sampling blocks of exec count
-times samples per entry.  Exec counts run on across the rows, so the sum
-at a block's first entry places every instruction's first sample in the
-batch, and a row that brings it to the aggregate's mark folds the buffers.
+times samples per entry, and a row that brings it to the aggregate's mark
+folds the buffers.  A block's instructions sample in a fixed order, so the
+order of the blocks' first entries in the batch, which each first entry
+appends to a list, is the order of the instructions' first samples.
 """
 
 from __future__ import annotations
@@ -201,12 +202,6 @@ def _admit(value, p_o, p_s, policy):
     the rounded value as a host float."""
     o = mp.round_to(value, p_o, policy)
     return (o.to_float() if p_o == 53 else o), mp.extend(o, p_s)
-
-
-def make_dual(value, cfg):
-    """A value admitted into the engine, as a DualValue."""
-    p = cfg.p_orig
-    return DualValue(*_admit(value, p, cfg.p_shadow, mp.policy_for(p)))
 
 
 # -- the host-float original lane (p_orig = 53) ------------------------------
@@ -347,11 +342,11 @@ def _compile(prog, cfg, barriers, mode):
     instruction, in the order of `run.sampled`, each taking the error as a
     host float, and `fold` is the aggregate's or None.
     It returns the last row's (orig, shadow, stale), Nones without rows, the
-    batch's exec_counts, its count of stream errors, firsts, and the index
-    after its last row: firsts[j] counts the stream errors before the first
-    entry to the j-th sampling block.
-    `run.sampled` holds (instr_id, dst, j, offset) per sampled instruction,
-    whose first error in the batch is then the (firsts[j] + offset)-th."""
+    batch's exec_counts, firsts and the index after its last row.
+    `run.sampled` holds one tuple of (instr_id, dst) per sampling block, in
+    the order its instructions sample, and firsts the indices j into it in
+    the order of the blocks' first entries in the batch: the order of the
+    sampled instructions' first errors."""
     p_o, p_s = cfg.p_orig, cfg.p_shadow
     host = p_o == 53
     instrs = prog.instrs
@@ -499,26 +494,22 @@ def _compile(prog, cfg, barriers, mode):
         bodies.append(body)
         counts += ["c%d" % b if b in reached else "0"] * (hi - lo)
 
-    # stream mode: the batch's sample count is the sum of c<b> times
-    # len(block_samples[b]) over the sampling blocks, f<b> holds it at the
-    # first entry to block b, and a row that brings it to nf folds
+    # stream mode: the j-th sampling block's first entry appends j to fs;
+    # the batch's sample count is the sum of c<b> times
+    # len(block_samples[b]) over the sampling blocks, and a row that brings
+    # it to nf folds
     ids = sorted(reached)
     sampling = [b for b in ids if block_samples[b]]
-
-    def taken(skip=None):
-        return " + ".join(
-            "c%d * %d" % (b, len(block_samples[b]))
-            if len(block_samples[b]) > 1 else "c%d" % b
-            for b in sampling if b != skip) or "0"
-
-    sampled = tuple((iid, dst, j, off) for j, b in enumerate(sampling)
-                    for off, (iid, dst) in enumerate(block_samples[b]))
+    taken = " + ".join("c%d * %d" % (b, len(block_samples[b]))
+                       if len(block_samples[b]) > 1 else "c%d" % b
+                       for b in sampling)
+    sampled = tuple(tuple(block_samples[b]) for b in sampling)
     src = ["def run(rows, sink, ri, fold, done=None):"]
     if sampled:
-        src.append("    %s, = sink" % ", ".join("a%d" % s[0]
-                                                 for s in sampled))
-    src += ["    %s = 0" % " = ".join(["c%d" % b for b in ids]
-                                      + ["f%d" % b for b in sampling]),
+        src += ["    %s, = sink" % ", ".join("a%d" % iid for block in sampled
+                                              for iid, _ in block),
+                "    fs = []"]
+    src += ["    %s = 0" % " = ".join("c%d" % b for b in ids),
             "    ro = rs = rt = None"]
     folds = mode == "stream" and sampling
     if folds:
@@ -549,7 +540,8 @@ def _compile(prog, cfg, barriers, mode):
         else:
             b = ids[0]
             lo, hi, _ = blocks[b]
-            first = ["if not c%d:" % b, "    f%d = %s" % (b, taken(b))] \
+            first = ["if not c%d:" % b,
+                     "    fs.append(%d)" % sampling.index(b)] \
                 if block_samples[b] else []
             entry = ["n += %d" % (hi - lo), "if n > %d:" % cfg.max_steps,
                      "    raise _over()", "c%d += 1" % b] + bodies[b]
@@ -561,13 +553,13 @@ def _compile(prog, cfg, barriers, mode):
 
     dispatch(ids, "            ")
     if folds:
-        src += ["        if %s >= nf:" % taken(),
-                "            nf = fold(%s)" % taken()]
+        src += ["        if %s >= nf:" % taken,
+                "            nf = fold(%s)" % taken]
     src += ["        if done is not None:",
             "            done(ri, ro, rs, rt)",
             "        ri += 1"]
-    src.append("    return ro, rs, rt, [%s], %s, [%s], ri" % (
-        ", ".join(counts), taken(), ", ".join("f%d" % b for b in sampling)))
+    src.append("    return ro, rs, rt, [%s], %s, ri" % (
+        ", ".join(counts), "fs" if sampled else "[]"))
     exec(compile("\n".join(src) + "\n", "<precfix>", "exec"), ns)
     run = ns["run"]
     run.sampled = sampled
@@ -629,12 +621,13 @@ def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
     the trace's samples, and an object with `append` (a list, or a caller's
     consumer) is handed each of them as it is made instead; "none" skips
     error tracking entirely, a callable sink(instr_id, dst, err) receives
-    each error as a host float, and a tally
-    (`detector.ErrorAggregate`) has each error appended to its
-    instruction's buffer through `tally.sinks(sampled)`, folded by
-    `tally.fold`, and counted by `tally.end_run` (see _compile).  The
-    trace holds the last row's result, the whole batch's samples under
-    "full", and its exec counts and steps."""
+    each error as a host float, and a tally (`detector.ErrorAggregate`)
+    has each error appended to its instruction's buffer through
+    `tally.sinks(sampled)`, folded by `tally.fold`, and its runs counted
+    and the order of its instructions' first samples given by
+    `tally.end_run` (see _compile).  The trace holds the last row's
+    result, the whole batch's samples under "full", and its exec counts
+    and steps."""
     samples = []
     sink = tally = fold = None
     if sample_mode == "none":
@@ -662,11 +655,11 @@ def execute_rows(prog, rows, cfg=EngineConfig(), barriers=frozenset(),
         sink, fold = tally.sinks(run.sampled), tally.fold
     elif mode == "stream":
         sink = [functools.partial(sample_mode, iid, dst)
-                for iid, dst, _, _ in run.sampled]
-    orig, shadow, stale, counts, taken, firsts, end = run(
+                for block in run.sampled for iid, dst in block]
+    orig, shadow, stale, counts, firsts, end = run(
         itertools.chain((first,), rows), sink, run_index, fold, on_row)
     if tally is not None:
-        tally.end_run(run.sampled, counts, taken, firsts, end - run_index)
+        tally.end_run(run.sampled, firsts, end - run_index)
     if isinstance(orig, float):
         orig = mp.from_float(orig)
     return RunTrace(DualValue(orig, shadow, stale), samples, counts,

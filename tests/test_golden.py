@@ -13,7 +13,9 @@ Precisions (p_orig:p_shadow) pinned by each table:
   at 53:120, and without word operations (an MPFloat original lane) at
   24:200 and 113:200; `detect --sweep` and `fix` at 53:1100; two
   --program files at 53:120 and 24:200; `eval` at 53:120, and with
-  barriers at 53:200 and 53:1100; one `run` at 53:1000000.
+  barriers at 53:200 and 53:1100; one `run` at 53:1000000; `fix` in both
+  first orders of a program where they barrier different instructions, at
+  53:120 and 24:200.
 - `RUN_DIGESTS` and `BARRIER_DIGESTS`: `run` and `run --trace` at 53:120,
   24:200 and 113:200.
 - `ORACLE_DIGESTS`: `oracle` at precisions 256, 53 and 24.
@@ -79,11 +81,27 @@ neg:
   z = fadd x, y
   ret z
 """
+# two flagged roundings, instruction 6 always run before instruction 2: the
+# static first order fixes 2 and then 6, the dynamic one 6 alone
+ORDER_PROGRAM = """\
+func order(x) -> y
+  const toint = 0x1.8p52
+  jump second
+first:
+  t1 = fadd y, toint
+  y = fsub t1, toint
+  ret y
+second:
+  u = fmul x, 3.0
+  v = fadd u, toint
+  y = fsub v, toint
+  jump first
+"""
 
 
 def commands():
-    """(name, argv) of each golden command; "{nested}" and "{cmpf}" stand
-    for the files `run_files` writes.  A test id holds its command's index,
+    """(name, argv) of each golden command; "{nested}", "{cmpf}" and
+    "{order}" stand for the files `run_files` writes.  A test id holds its command's index,
     so new commands go last."""
     for kernel, grid in GRIDS.items():
         for mode, argv in MODES.items():
@@ -123,6 +141,10 @@ def commands():
     yield "run round_kernel p53/p1000000", [
         "run", "--kernel", "round_kernel", "--input", "single:1",
         "--p-shadow", "1000000", "--p-oracle", "1000000"]
+    for pair in ("p53/p120", "p24/p200"):
+        for mode in ("fix-static", "fix-dynamic"):
+            yield "%s order %s" % (mode, pair), MODES[mode] + [
+                "--program", "{order}", "--grid=-2,2,5"] + PAIRS[pair]
 
 
 DIGESTS = {
@@ -225,6 +247,10 @@ DIGESTS = {
     "eval-csv sin_kernel": "1b9dc5060625d39f",
     "eval-plain sin_kernel": "15d3a0641eec0a93",
     "run round_kernel p53/p1000000": "5c4cfcd8d852abcc",
+    "fix-static order p53/p120": "a66866dd32f25140",
+    "fix-dynamic order p53/p120": "f4d26a34f6e45af5",
+    "fix-static order p24/p200": "6bda38feecb0efab",
+    "fix-dynamic order p24/p200": "6851f8d04b77f4b7",
 }
 
 
@@ -271,7 +297,7 @@ def run_files(tmp_path_factory):
     files = {"edge": EDGE_ROWS, "square": SQUARE_PROGRAM,
              "square_rows": SQUARE_ROWS, "mix": MIX_PROGRAM,
              "wide": WIDE_ARGS, "nested": NESTED_PROGRAM,
-             "cmpf": CMPF_PROGRAM}
+             "cmpf": CMPF_PROGRAM, "order": ORDER_PROGRAM}
     for name, text in files.items():
         (d / name).write_text(text)
     return {name: str(d / name) for name in files}

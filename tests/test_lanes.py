@@ -198,10 +198,10 @@ def test_word_ops_match_binary64_encoding(bits):
 @given(mpmath_ref.mpfloats(300, st.integers(-1200, 1200)))
 @settings(max_examples=500, deadline=None)
 def test_admission_rounds_to_binary64(v):
-    dv = engine.make_dual(v, CFG)
+    o, s = engine._admit(v, 53, 120, B64)
     want = mp.round_to(v, 53, B64)
-    assert host_bits(dv.orig) == mp.to_binary64_bits(want)
-    assert fields(dv.shadow) == fields(mp.extend(want, 120))
+    assert host_bits(o) == mp.to_binary64_bits(want)
+    assert fields(s) == fields(mp.extend(want, 120))
 
 
 @given(st.sampled_from([53, 24, 113]), st.sampled_from([1, -1]),
@@ -216,11 +216,11 @@ def test_admission_of_values_with_p_orig_bits(p, sign, frac, off, top):
         exp = mp._EXP_LIMIT - off if top else -mp._EXP_LIMIT + off
     v = mp.MPFloat(mp.NORMAL, sign, exp, (1 << (p - 1)) | frac % (1 << (p - 1)),
                    p)
-    dv = engine.make_dual(v, engine.EngineConfig(p, 200))
+    o, s = engine._admit(v, p, 200, mp.policy_for(p))
     want = mp.round_to(v, p, mp.policy_for(p))
-    orig = mp.from_float(dv.orig) if p == 53 else dv.orig
+    orig = mp.from_float(o) if p == 53 else o
     assert fields(orig) == fields(want)
-    assert fields(dv.shadow) == fields(mp.extend(want, 200))
+    assert fields(s) == fields(mp.extend(want, 200))
 
 
 # -- the shadow of fadd/fsub/fmul -------------------------------------------

@@ -305,11 +305,11 @@ def test_step_budget_is_exact_in_a_self_loop_in_stream_mode():
     assert t.steps == steps
     assert t.exec_counts == [1, 1, 3, 30, 30, 30, 30, 3, 3, 3, 1]
     assert [agg.instrs[i].m for i in (0, 3)] == [1, 30]
-    # the run's sample count, s = fconst and then thirty fadds, and the
-    # count at the first entry to each sampling block
+    # the sampling blocks, s = fconst's and then the fadd's, in the order
+    # of their first entries, and the index after the row
     run = engine._compiled(prog, cfg, frozenset(), "stream")
     out = run([x], agg.sinks(run.sampled), 0, None)
-    assert out[4:] == (31, [0, 1], 1)
+    assert out[4:] == ([0, 1], 1)
     # every smaller budget stops the run, inside the loop or out of it
     for budget in range(1, steps):
         cfg = engine.EngineConfig(max_steps=budget)

@@ -60,14 +60,14 @@ def stream_errors(run, cfg):
 
 
 def plain_aggregate(stream, n):
-    """Per instruction (dst, m, inf count, max, mean, k per threshold,
-    first ordinal) from a list of every sample of a batch."""
-    errs, first, dsts = {}, {}, {}
-    for ordinal, (iid, dst, e) in enumerate(stream):
+    """(id, (dst, m, inf count, max, mean, k per threshold)) per
+    instruction, in the order of its first sample, from a list of every
+    sample of a batch."""
+    errs, dsts = {}, {}
+    for iid, dst, e in stream:
         errs.setdefault(iid, []).append(e)
-        first.setdefault(iid, ordinal)
         dsts[iid] = dst
-    out = {}
+    out = []
     for iid, es in errs.items():
         finite = [e for e in es if e < math.inf]
         infs = len(es) - len(finite)
@@ -76,20 +76,22 @@ def plain_aggregate(stream, n):
         except OverflowError:
             mean = math.inf
         mx = math.inf if infs else max(finite, default=0.0)
-        out[iid] = (dsts[iid], len(es), infs, mx, mean,
-                    [infs + sum(1 for e in finite if e > t)
-                     for t in THRESHOLDS], first[iid])
+        out.append((iid, (dsts[iid], len(es), infs, mx, mean,
+                          [infs + sum(1 for e in finite if e > t)
+                           for t in THRESHOLDS])))
     return n, out
 
 
 def fused_aggregate(agg):
-    stats = {t: detector.stats_for(agg, t) for t in THRESHOLDS}
+    """plain_aggregate's figures from the tallies, in the order of
+    `agg.instrs`."""
+    stats = {t: detector.stats_for(agg, detector.DetectionConfig(e0=t))
+             for t in THRESHOLDS}
     out = {}
     for j, s in enumerate(stats[THRESHOLDS[0]]):
         out[s.instr_id] = (s.dst, s.m, s.inf_count, s.max_err, s.mean_err,
-                           [stats[t][j].k for t in THRESHOLDS],
-                           s.first_ordinal)
-    return agg.n, out
+                           [stats[t][j].k for t in THRESHOLDS])
+    return agg.n, [(iid, out[iid]) for iid in agg.instrs]
 
 
 @st.composite
@@ -202,8 +204,7 @@ def test_first_ordinals_of_instructions_first_run_late(p_o, p_s, barriers):
     agg = detector.collect(prog, rows, cfg, barriers, THRESHOLDS)
     # rows 0 and 1 sample instructions 0, 3, 11 and 12; row 2 then runs
     # 0, and 6 and 7 three times
-    assert [agg.instrs[i].first_ordinal for i in (0, 3, 11, 12, 6, 7)] \
-        == [0, 1, 2, 3, 9, 10]
+    assert list(agg.instrs) == [0, 3, 11, 12, 6, 7]
 
 
 # LATE's loop block entered twice per row by an outer loop: a block that
@@ -245,8 +246,7 @@ def test_first_ordinals_in_a_self_loop_entered_again(p_o, p_s, barriers):
     agg = detector.collect(prog, rows, cfg, barriers, THRESHOLDS)
     # rows 0 and 1 sample instructions 0, 3, 15 and 16; row 2 then runs
     # 0, and 7 and 8 six times, before 15 and 16
-    assert [agg.instrs[i].first_ordinal for i in (0, 3, 15, 16, 7, 8)] \
-        == [0, 1, 2, 3, 9, 10]
+    assert list(agg.instrs) == [0, 3, 15, 16, 7, 8]
     assert [agg.instrs[i].m for i in (0, 7, 8, 15)] == [6, 18, 18, 6]
 
 
@@ -465,7 +465,7 @@ ADMIT_ROWS = {
 def test_rows_are_admitted_as_make_dual_admits_a_value(p_o, p_s, batch,
                                                        mode, bad):
     # each row's inputs, admitted by the generated function, are the
-    # lanes make_dual and the reference give, sample by sample and in
+    # lanes _admit and the reference give, sample by sample and in
     # the row's result; a third row of `bad` inputs stops the batch with
     # the arity message after the first two rows are handed over
     prog = tac.parse_program(ADMIT)
@@ -475,9 +475,9 @@ def test_rows_are_admitted_as_make_dual_admits_a_value(p_o, p_s, batch,
     wants = [interp.run(row) for row in rows]
 
     def lanes(v):
-        dv = engine.make_dual(v, cfg)
-        o = mp.from_float(dv.orig) if p_o == 53 else dv.orig
-        return key(o), o.prec, key(dv.shadow), dv.shadow.prec
+        o, s = engine._admit(v, p_o, p_s, mp.policy_for(p_o))
+        o = mp.from_float(o) if p_o == 53 else o
+        return key(o), o.prec, key(s), s.prec
 
     def ref_lanes(o, s):
         return rkey(o), p_o, rkey(s), p_s
