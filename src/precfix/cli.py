@@ -9,6 +9,9 @@ Diagnostics go to stderr; machine output goes to stdout or --output.
 needs the row's result, so its trace text is held until the row ends: in
 a list of up to _TRACE_CHUNK samples, then in a spool that keeps
 _SPOOL_SIZE bytes in memory and the rest in a temporary file.
+
+Each command imports only the layers it runs, when it runs.  Calls go
+through module attributes, so a wrapper set on a layer's function is seen.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import shutil
 import sys
 import tempfile
 
+import precfix
 from . import mpfloat as mp
-from . import tac, engine, detector, corpus, evaluator, transcendental as tr
 
 class CliError(Exception):
     pass
@@ -122,6 +125,7 @@ def build_parser():
 
 
 def _load_source(args):
+    from . import corpus, tac
     if args.kernel:
         try:
             return corpus.get_kernel(args.kernel)
@@ -141,6 +145,7 @@ def _load_source(args):
 
 
 def _load_inputs(args, kernel, p_orig):
+    from . import corpus
     if args.grid:
         parts = args.grid.split(",")
         if len(parts) != 3:
@@ -169,6 +174,7 @@ def _load_inputs(args, kernel, p_orig):
 
 
 def _engine_cfg(args):
+    from . import engine
     if not args.p_orig < args.p_shadow <= args.p_oracle:
         raise CliError("need p_orig < p_shadow <= oracle precision")
     try:
@@ -178,6 +184,7 @@ def _engine_cfg(args):
 
 
 def _det_cfg(args):
+    from . import detector
     kw = dict(e0=args.e0, p0=args.p0, p1=args.p1,
               first_order=args.first_order)
     if "max_iterations" in args:  # only `fix` sets the cap
@@ -189,6 +196,7 @@ def _det_cfg(args):
 
 
 def _parse_barriers(text, prog):
+    from . import engine
     if not text:
         return frozenset()
     try:
@@ -231,8 +239,10 @@ class _TraceSpool:
     result."""
 
     def __init__(self, file):
+        from . import engine
         self.file = file
         self.texts = []
+        self.format = engine.format_sample
 
     def append(self, sample):
         texts = self.texts
@@ -240,7 +250,7 @@ class _TraceSpool:
             # a sample always follows what the file holds
             self.file.write("\n\n".join(texts) + "\n\n")
             texts.clear()
-        texts.append(engine.format_sample(sample))
+        texts.append(self.format(sample))
 
     def write_row(self, out, head):
         """head, then the row's samples, to out; the spool is then empty."""
@@ -257,6 +267,7 @@ class _TraceSpool:
 
 
 def cmd_run(args):
+    from . import corpus, engine
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
     prog = kernel.program
@@ -293,6 +304,7 @@ def cmd_run(args):
 
 
 def cmd_detect(args):
+    from . import detector
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
     det = _det_cfg(args)
@@ -312,6 +324,7 @@ def cmd_detect(args):
 
 
 def cmd_fix(args):
+    from . import detector, tac
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
     det = _det_cfg(args)
@@ -332,6 +345,7 @@ def cmd_fix(args):
 
 
 def cmd_eval(args):
+    from . import detector, evaluator, transcendental as tr
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
     prog = kernel.program
@@ -356,6 +370,7 @@ def cmd_eval(args):
 
 
 def cmd_oracle(args):
+    from . import transcendental as tr
     if args.digits < 1:
         raise CliError("--digits must be positive")
     try:
@@ -412,11 +427,14 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed its usage message
         return 1 if exc.code else 0
+    # read through the package only when an exception reaches it, the
+    # tuple loads no layer on success; a layer not loaded raised nothing
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, tac.TacSyntaxError, tac.TacValidationError,
-            mp.ParseError, tr.DomainError, detector.NoConvergence,
-            engine.EngineError) as exc:
+    except (CliError, mp.ParseError, precfix.tac.TacSyntaxError,
+            precfix.tac.TacValidationError, precfix.transcendental.DomainError,
+            precfix.detector.NoConvergence,
+            precfix.engine.EngineError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -26,8 +26,9 @@ The relative error |shadow - original| / |shadow| as a host float, which
 the engine samples in stream mode, is `_rel_err_float` for an MPFloat
 original and `_rel_err_host` for a host-float one; the two agree bit for
 bit.  Its conventions for a pair that is not both normal (0, 1 or inf)
-live in `relative_error` alone, which `_rel_err_float` calls for such a
-pair.  Two normal lanes whose lowest bits lie within 600 binades take the
+live in `relative_error`, which `_rel_err_float` calls for such a pair;
+`_rel_err_host` compares a shadow that is not normal with its original.
+Two normal lanes whose lowest bits lie within 600 binades take the
 exact integer difference; a host original whose last bit lies on or not
 far above the shadow's is read as an integer count of the shadow's last
 bit from one `math.ldexp` (`_rel_err_host`).  Lanes too far apart for the
@@ -688,9 +689,9 @@ def relative_error(exact, approx, p_work=120, diff=None):
 
     exact == 0 and approx == 0 gives 0; exact == 0 otherwise gives +inf;
     two infinities of one sign give 0, any other infinity +inf; a NaN
-    anywhere gives +inf (the "exceeds every threshold" sentinel).  These
-    are the only copy of the conventions: _rel_err_float takes them from
-    here.
+    anywhere gives +inf (the "exceeds every threshold" sentinel).
+    _rel_err_float takes the conventions from here; _rel_err_host repeats
+    them for a shadow that is not normal, and tests pin the two alike.
     `diff`, when given, is exact - approx already rounded to p_work bits.
     """
     if exact.cls == NAN or approx.cls == NAN:
@@ -765,36 +766,39 @@ def _rel_err_host(shadow, orig, p_shadow):
     below orig _rel_err_float's closed-form quotient.  An aligned
     difference or mantissa too wide for a host float (a shadow of 1,023
     bits or more) takes _rel_err_float's last resort, _wide_error, at once.
-    Everything else (a shadow that is not normal, orig's last bit below the
-    shadow's or 600 or more binades above it, a non-finite orig, an ldexp
-    out of range) goes to _rel_err_float."""
-    if shadow.cls == 1:  # NORMAL
-        mant = shadow.mant
-        exp = shadow.exp
+    A shadow that is not normal gives 0 for an equal orig (zeros of either
+    sign, infinities of one sign), else inf, a NaN included: relative_error's
+    conventions.  Everything else (orig's last bit below the shadow's or
+    600 or more binades above it, a non-finite orig, an ldexp out of range)
+    goes to _rel_err_float."""
+    if shadow.cls != 1:  # not NORMAL
+        return 0.0 if orig == shadow.to_float() else math.inf
+    mant = shadow.mant
+    exp = shadow.exp
+    try:
+        x = math.ldexp(orig, shadow.prec - 1 - exp)
+    except OverflowError:
+        x = math.inf
+    if 4503599627370496.0 <= abs(x) < 2.0 ** 652:
+        b = int(x)
+        d = mant - b if shadow.sign > 0 else mant + b
+        if not d:
+            return 0.0
         try:
-            x = math.ldexp(orig, shadow.prec - 1 - exp)
+            return float(abs(d)) / float(mant)
         except OverflowError:
-            x = math.inf
-        if 4503599627370496.0 <= abs(x) < 2.0 ** 652:
-            b = int(x)
-            d = mant - b if shadow.sign > 0 else mant + b
-            if not d:
-                return 0.0
-            try:
-                return float(abs(d)) / float(mant)
-            except OverflowError:
-                # neither of _rel_err_float's far-apart forms applies to
-                # lanes this close, so it would end in the same quotient
-                return _wide_error(shadow, from_float(orig), p_shadow)
-        if orig - orig == 0.0:
-            if not orig:
-                return 1.0
-            f, e = math.frexp(orig)
-            # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
-            if p_shadow >= 53 and exp < e - p_shadow - 2:
-                # _rel_err_float's quotient for a shadow far below orig
-                return _far_quotient(int(abs(f) * 9007199254740992.0), 53,
-                                     e - 1, shadow)
+            # neither of _rel_err_float's far-apart forms applies to
+            # lanes this close, so it would end in the same quotient
+            return _wide_error(shadow, from_float(orig), p_shadow)
+    if orig - orig == 0.0:
+        if not orig:
+            return 1.0
+        f, e = math.frexp(orig)
+        # as an MPFloat, orig has prec 53, exp e - 1 and mant |f| * 2**53
+        if p_shadow >= 53 and exp < e - p_shadow - 2:
+            # _rel_err_float's quotient for a shadow far below orig
+            return _far_quotient(int(abs(f) * 9007199254740992.0), 53,
+                                 e - 1, shadow)
     return _rel_err_float(shadow, from_float(orig), p_shadow)
 
 

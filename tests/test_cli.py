@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from precfix import cli, corpus, engine, tac
+from precfix import cli, corpus, detector, engine, tac
 from precfix import mpfloat as mp, transcendental as tr
 from mpmath_ref import rounded_fraction
 
@@ -239,7 +239,7 @@ def test_eval_auto_fix_without_reference_skips_the_fixer(capsys,
     def fix(*args, **kwargs):
         raise AssertionError("the fixer ran")
 
-    monkeypatch.setattr(cli.detector, "fix_iteratively", fix)
+    monkeypatch.setattr(detector, "fix_iteratively", fix)
     code, out, err = run_cli(capsys, "eval", "--auto-fix", "--kernel",
                              "accum_kernel", "--grid=0,1,20")
     assert (code, out) == (1, "")

@@ -457,27 +457,29 @@ def test_rel_err_float_wide_shadow_takes_exact_fallback():
 
 
 # Each class as a host float, in the order of NON_NORMAL's rows and columns.
-CLASSES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -1.5]
+CLASSES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -1.5, 5e-324]
 
 # The error of each pair of classes that is not two normal numbers, shadow
 # down and original across: 0 is 0.0, 1 is 1.0 and i is inf.
 NON_NORMAL = """
-        +0  -0  +inf -inf nan +1.5 -1.5
-+0      0   0   i    i    i   i    i
--0      0   0   i    i    i   i    i
-+inf    i   i   0    i    i   i    i
--inf    i   i   i    0    i   i    i
-nan     i   i   i    i    i   i    i
-+1.5    1   1   i    i    i   .    .
--1.5    1   1   i    i    i   .    .
+        +0  -0  +inf -inf nan +1.5 -1.5 sub
++0      0   0   i    i    i   i    i    i
+-0      0   0   i    i    i   i    i    i
++inf    i   i   0    i    i   i    i    i
+-inf    i   i   i    0    i   i    i    i
+nan     i   i   i    i    i   i    i    i
++1.5    1   1   i    i    i   .    .    .
+-1.5    1   1   i    i    i   .    .    .
+sub     1   1   i    i    i   .    .    .
 """
 
 
-@pytest.mark.parametrize("p_s", [24, 53, 120])
+@pytest.mark.parametrize("p_s", [24, 53, 120, 1100])
 def test_non_normal_pairs_take_the_conventions(p_s):
     """The error of every pair that is not both normal, written out rather
-    than taken from relative_error, which _rel_err_float now calls for
-    them."""
+    than taken from relative_error: _rel_err_float calls relative_error for
+    them, and _rel_err_host decides a shadow that is not normal by itself,
+    so the two must match the table, and each other, bit for bit."""
     value = {"0": 0.0, "1": 1.0, "i": math.inf}
     rows = [line.split()[1:] for line in NON_NORMAL.strip().splitlines()[1:]]
     checked = 0
@@ -492,7 +494,21 @@ def test_non_normal_pairs_take_the_conventions(p_s):
             assert struct.pack("<d", mp._rel_err_host(shadow, x, p_s)) \
                 == want, (s, x)
             checked += 1
-    assert checked == 45
+    assert checked == 55
+
+
+def test_a_shadow_that_is_not_normal_builds_no_mpfloat(monkeypatch):
+    """_rel_err_host decides such a shadow's error from the two lanes'
+    values, with no from_float of the original."""
+    shadows = [mp.from_float(s, 120) for s in CLASSES[:5]]
+
+    def from_float(*args):
+        raise AssertionError("from_float called")
+
+    monkeypatch.setattr(mp, "from_float", from_float)
+    for shadow in shadows:
+        for x in CLASSES:
+            mp._rel_err_host(shadow, x, 120)
 
 
 HOST_MANT = 0x1B7E151628AED3  # an odd 53-bit significand

@@ -396,6 +396,22 @@ def test_round_trip_through_extend():
         assert mp.cmp(mp.round_to(mp.extend(v, 200), 53, mp.BINARY64), v) == 0
 
 
+def test_equal_values_hash_equal_across_precisions():
+    tenth = mp.from_decimal_string("0.1", 53)
+    # 11 as a 53-bit significand with 49 trailing zero bits
+    eleven = mp.MPFloat(mp.NORMAL, 1, 3, 0b1011 << 49, 53)
+    zero = mp.zero(53)
+    for v, same in ((tenth, [mp.extend(tenth, 120), mp.extend(tenth, 1100)]),
+                    (eleven, [mp.from_float(11.0, 24), mp.extend(eleven, 120),
+                              mp.from_decimal_string("11", 1100)]),
+                    (zero, [mp.zero(53, -1), mp.zero(1100, -1),
+                            mp.zero(120)])):
+        for w in same:
+            assert v == w and hash(v) == hash(w), (v, w)
+        assert len({v, *same}) == 1
+    assert len({tenth, eleven, zero}) == 3
+
+
 # -------------------------------------------------------------- rounding
 
 def fraction_round(sign, m, e_lsb, p, policy):
