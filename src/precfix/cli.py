@@ -124,6 +124,19 @@ def build_parser():
     return ap
 
 
+def _undecodable(path, exc):
+    """The bad-input error of a file with bytes its encoding cannot read."""
+    return CliError("%s: %s" % (path, exc))
+
+
+def _lines(fh):
+    """fh's lines, an undecodable byte in them a bad-input error."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise _undecodable(fh.name, exc) from exc
+
+
 def _load_source(args):
     from . import corpus, tac
     if args.kernel:
@@ -137,6 +150,8 @@ def _load_source(args):
                 text = fh.read()
         except OSError as exc:
             raise CliError(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise _undecodable(args.program, exc) from exc
         prog = tac.parse_program(text)
         kernel = corpus.Kernel(prog.name, text, None, ("-1", "1", 1000))
         vars(kernel)["program"] = prog  # fill the cached property
@@ -167,6 +182,8 @@ def _load_inputs(args, kernel, p_orig):
                 return corpus.read_inputs(rest, p_orig)
             except (OSError, mp.ParseError) as exc:
                 raise CliError(str(exc)) from exc
+            except UnicodeDecodeError as exc:
+                raise _undecodable(rest, exc) from exc
         raise CliError("--input wants single:VALUE or file:PATH")
     if args.kernel:
         return corpus.default_inputs(kernel, p_orig)
@@ -345,12 +362,13 @@ def cmd_fix(args):
 
 
 def cmd_eval(args):
-    from . import detector, evaluator, transcendental as tr
+    from . import evaluator, transcendental as tr
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
     prog = kernel.program
     inputs = _load_inputs(args, kernel, cfg.p_orig)
     if args.auto_fix:
+        from . import detector
         det = _det_cfg(args)
         if kernel.oracle_fn is None:  # before the fixer, not after it
             raise CliError("kernel %s has no reference function"
@@ -386,7 +404,7 @@ def cmd_oracle(args):
         fh = sys.stdin
     out = []
     with fh:
-        for line_no, line in enumerate(fh, 1):
+        for line_no, line in enumerate(_lines(fh), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -13,8 +13,8 @@ import functools
 import math
 import operator
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import mpfloat as mp
 from . import tac
@@ -230,12 +230,10 @@ func cancel_kernel(x) -> y
 """
 
 
-@dataclass(frozen=True)
-class Kernel:
-    name: str
-    source: str
-    oracle_fn: str | None
-    domain: tuple  # (lo, hi, count) with lo/hi as decimal strings
+class Kernel(namedtuple("Kernel", "name source oracle_fn domain")):
+    """A kernel's name, TAC source, reference function (None without one)
+    and default domain, (lo, hi, count) with lo and hi decimal strings.
+    A kernel has a __dict__ only to hold its cached program."""
 
     @functools.cached_property
     def program(self):

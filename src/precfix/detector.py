@@ -12,7 +12,7 @@ instruction, re-runs the batch, and repeats until nothing is flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from . import mpfloat as mp
 from . import engine as eng
@@ -27,23 +27,29 @@ class NoConvergence(RuntimeError):
         self.log = log
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
-    e0: float = 1e-6
-    p0: float = 0.5
-    p1: float = 0.1
-    first_order: str = "static"  # or "dynamic"
-    max_iterations: int = 50
+class DetectionConfig(namedtuple(
+        "DetectionConfig", "e0 p0 p1 first_order max_iterations")):
+    """The detection rule's e0, p0 and p1, the fixer's first order
+    ("static" or "dynamic") and its iteration cap; every config,
+    `_replace`'s and `_make`'s too, is validated."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.p0 < 1 or not 0 < self.p1 <= 1:
+    def __new__(cls, e0=1e-6, p0=0.5, p1=0.1, first_order="static",
+                max_iterations=50):
+        self = super().__new__(cls, e0, p0, p1, first_order, max_iterations)
+        if not 0 < p0 < 1 or not 0 < p1 <= 1:
             raise ValueError("p0 in (0,1), p1 in (0,1] required")
         if not all(e > 0 for e in self.thresholds):
             raise ValueError("e0 and the e0 sweep must be positive")
-        if self.first_order not in ("static", "dynamic"):
+        if first_order not in ("static", "dynamic"):
             raise ValueError("first_order must be static or dynamic")
-        if self.max_iterations < 1:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def thresholds(self):
@@ -217,18 +223,9 @@ def collect(prog, rows, engine_cfg, barriers=frozenset(), thresholds=None):
     return agg
 
 
-@dataclass(frozen=True)
-class InstrStats:
-    instr_id: int
-    dst: str
-    m: int
-    k: int
-    inf_count: int
-    max_err: float
-    mean_err: float | None
-    err_ratio: float
-    exec_ratio: float
-    flagged: bool
+# mean_err is None without finite errors
+InstrStats = namedtuple("InstrStats", "instr_id dst m k inf_count max_err "
+                        "mean_err err_ratio exec_ratio flagged")
 
 
 def _moments(acc):
@@ -263,16 +260,17 @@ def stats_for(agg, cfg):
     return out
 
 
-@dataclass
-class DetectionReport:
-    program: str
-    n: int
-    e0: float
-    p0: float
-    p1: float
-    stats: list
-    flagged: list = field(default_factory=list)
-    first_flagged: int | None = None
+class DetectionReport(namedtuple("DetectionReport", "program n e0 p0 p1 "
+                                 "stats flagged first_flagged")):
+    """One detection's InstrStats, the ids it flags (a new list unless
+    given) and the first of them to fix, None when none is."""
+    __slots__ = ()
+
+    def __new__(cls, program, n, e0, p0, p1, stats, flagged=None,
+                first_flagged=None):
+        return super().__new__(cls, program, n, e0, p0, p1, stats,
+                               [] if flagged is None else flagged,
+                               first_flagged)
 
     def to_dict(self):
         def err_str(x):
@@ -333,18 +331,15 @@ def sweep(agg, cfg=DetectionConfig()):
     reports = []
     for e0 in DEFAULT_E0_SWEEP:
         for p0 in DEFAULT_P0_SWEEP:
-            r = detect(agg, replace(cfg, e0=e0, p0=p0))
+            r = detect(agg, cfg._replace(e0=e0, p0=p0))
             if r.flagged:
                 break
         reports.append(r)
     return reports
 
 
-@dataclass
-class FixResult:
-    barriers: frozenset
-    iterations: list  # DetectionReport per iteration, pre-barrier
-    converged: bool
+# iterations holds each iteration's DetectionReport, before its barrier
+FixResult = namedtuple("FixResult", "barriers iterations converged")
 
 
 def fix_iteratively(prog, inputs, engine_cfg=eng.EngineConfig(),

@@ -113,7 +113,7 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import mpfloat as mp
 from .tac import control_flow
@@ -141,17 +141,21 @@ class NonFiniteFloor(EngineError, ValueError):
     """ffloor of an infinity or a NaN, in either lane."""
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    p_orig: int = 53
-    p_shadow: int = 120
-    max_steps: int = 50_000_000
+class EngineConfig(namedtuple("EngineConfig", "p_orig p_shadow max_steps")):
+    """The lanes' precisions and the step budget of one row; every config,
+    `_replace`'s and `_make`'s too, is validated."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p_orig < 2 or self.p_shadow < self.p_orig:
+    def __new__(cls, p_orig=53, p_shadow=120, max_steps=50_000_000):
+        if p_orig < 2 or p_shadow < p_orig:
             raise ValueError("need 2 <= p_orig <= p_shadow")
-        if self.max_steps < 1:
+        if max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        return super().__new__(cls, p_orig, p_shadow, max_steps)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class DualValue:
@@ -187,12 +191,8 @@ class ErrorSample:
         self.rel_err = rel_err
 
 
-@dataclass
-class RunTrace:
-    result: DualValue  # the last row's, its original an MPFloat
-    samples: list
-    exec_counts: list
-    steps: int
+# result is the last row's DualValue, its original an MPFloat
+RunTrace = namedtuple("RunTrace", "result samples exec_counts steps")
 
 
 def _admit(value, p_o, p_s, policy):

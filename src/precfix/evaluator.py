@@ -18,7 +18,7 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import mpfloat as mp
 from . import engine as eng
@@ -29,14 +29,19 @@ class EvaluationError(Exception):
     pass
 
 
-@dataclass
-class SummaryTable:
-    kernel: str
-    rows: int
-    skipped: int  # oracle domain errors
-    pct: dict = field(default_factory=dict)   # "M>=L" etc. -> percent
-    avg: dict = field(default_factory=dict)   # "OP"/"HP"/"MP" -> MPFloat|None
-    inf_counts: dict = field(default_factory=dict)
+class SummaryTable(namedtuple("SummaryTable",
+                              "kernel rows skipped pct avg inf_counts")):
+    """skipped counts oracle domain errors; pct maps "M>=L" etc. to a
+    percent, avg "OP"/"HP"/"MP" to an MPFloat or None, and inf_counts each
+    lane to its count of infinite errors.  A dict not given is a new one."""
+    __slots__ = ()
+
+    def __new__(cls, kernel, rows, skipped, pct=None, avg=None,
+                inf_counts=None):
+        return super().__new__(cls, kernel, rows, skipped,
+                               {} if pct is None else pct,
+                               {} if avg is None else avg,
+                               {} if inf_counts is None else inf_counts)
 
 
 # summarize's lane pairs (a, b), as indices into evaluate's rows, with the

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections import namedtuple
 from types import MappingProxyType
 
 from . import mpfloat as mp
@@ -82,60 +81,50 @@ class TacValidationError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    kind: str  # BadInstr | UndefinedLabel | TypeMismatch | UndefinedVariable | UnassignedVariable | UnassignedReturn | DuplicateName | BadName | MissingReturn | BadId | BadLabel
-    instr_id: int  # -1 when not tied to one instruction
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "kind instr_id message")):
+    """kind: BadInstr | UndefinedLabel | TypeMismatch | UndefinedVariable |
+    UnassignedVariable | UnassignedReturn | DuplicateName | BadName |
+    MissingReturn | BadId | BadLabel; instr_id is -1 when not tied to one
+    instruction."""
+    __slots__ = ()
 
     def __str__(self):
         return "%s(instr %d): %s" % (self.kind, self.instr_id, self.message)
 
 
-@dataclass(frozen=True)
-class ConstDef:
-    name: str
-    text: str
-    fval: MPFloat | str  # a decimal float's text, else the exact value
-    is_int: bool
-    ival: int | None = None
+# fval is a decimal float's text, else the exact value
+ConstDef = namedtuple("ConstDef", "name text fval is_int ival",
+                      defaults=(None,))
+# srcs is a tuple of (kind, payload[, text]) operands
+TacInstr = namedtuple("TacInstr", "id op dst srcs")
 
 
-@dataclass(frozen=True)
-class TacInstr:
-    id: int
-    op: str
-    dst: str | None
-    srcs: tuple  # of (kind, payload[, text]) tuples
-
-
-@dataclass(frozen=True)
 class TacProgram:
     """A valid program: construction raises TacValidationError otherwise.
     params and instrs become tuples, labels and consts read-only
-    mappings."""
-    name: str
-    params: tuple
-    instrs: tuple
-    return_var: str
-    labels: Mapping = field(default_factory=dict)
-    consts: Mapping = field(default_factory=dict)
-    # the engine's compiled functions for this program, by (config,
-    # barriers, sample mode); bounded by the engine
-    compiled: dict = field(default_factory=dict, repr=False, compare=False)
-    # each variable's type, "f" or "i", in order of first appearance: the
-    # parameters ("f"), then each destination as its first assignment types it
-    types: Mapping = field(init=False, repr=False, compare=False)
+    mappings, and no attribute can be set.  Programs are equal when their
+    name, params, instrs, return_var, labels and consts are."""
+    __slots__ = ("name", "params", "instrs", "return_var", "labels",
+                 "consts", "compiled", "types")
 
-    def __post_init__(self):
+    def __init__(self, name, params, instrs, return_var, labels=(),
+                 consts=()):
         put = functools.partial(object.__setattr__, self)
-        put("params", tuple(self.params))
-        put("instrs", tuple(self.instrs))
-        put("labels", MappingProxyType(dict(self.labels)))
-        put("consts", MappingProxyType(dict(self.consts)))
+        put("name", name)
+        put("params", tuple(params))
+        put("instrs", tuple(instrs))
+        put("return_var", return_var)
+        put("labels", MappingProxyType(dict(labels)))
+        put("consts", MappingProxyType(dict(consts)))
+        # the engine's compiled functions for this program, by (config,
+        # barriers, sample mode); bounded by the engine
+        put("compiled", {})
         diags = _shape_diagnostics(self)
         if diags:
             raise TacValidationError(diags)
+        # each variable's type, "f" or "i", in order of first appearance:
+        # the parameters ("f"), then each destination as its first
+        # assignment types it
         types = dict.fromkeys(self.params, "f")
         for instr in self.instrs:
             if instr.dst is not None:
@@ -144,6 +133,25 @@ class TacProgram:
         diags = validate(self)
         if diags:
             raise TacValidationError(diags)
+
+    def _key(self):
+        return (self.name, self.params, self.instrs, self.return_var,
+                self.labels, self.consts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return ("TacProgram(name=%r, params=%r, instrs=%r, return_var=%r, "
+                "labels=%r, consts=%r)" % self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 def _parse_float_literal(text, line_no):

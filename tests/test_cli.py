@@ -142,6 +142,23 @@ def test_bad_program_file_is_exit_1(tmp_path, capsys):
     assert "never assigned" in err
 
 
+@pytest.mark.parametrize("argv, data", [
+    (["run", "--kernel", "cancel_kernel", "--input", "file:{f}"],
+     b"\xff\xfe1.0\n"),
+    (["run", "--program", "{f}", "--input", "single:1"],
+     b"func f(x) -> y\n  y = fmov x  # \xff\n  ret y\n"),
+    # the byte is met mid-iteration, after a line has been evaluated
+    (["oracle", "--file", "{f}"], b"exp 1\nexp \xff\n"),
+], ids=["input", "program", "oracle"])
+def test_undecodable_input_file_is_exit_1(tmp_path, capsys, argv, data):
+    f = tmp_path / "bad"
+    f.write_bytes(data)
+    code, out, err = run_cli(capsys, *(a.format(f=f) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: " % f), err
+    assert "can't decode byte 0xff" in err
+
+
 @pytest.mark.parametrize("command", [["detect"], ["detect", "--sweep"],
                                      ["fix"], ["run"], ["run", "--trace"]])
 def test_grid_rows_for_a_two_input_program_are_exit_1(tmp_path, capsys,

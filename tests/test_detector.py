@@ -1,6 +1,5 @@
 """Detection rule, sweeps, and the iterative fixer."""
 
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -9,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from precfix import tac, engine, corpus, detector
+from precfix import tac, engine, corpus, detector, evaluator
 from precfix import mpfloat as mp
 
 CFG = engine.EngineConfig()
@@ -234,8 +233,8 @@ def test_sweep_matches_linear_detect(per_instr, n):
                          for i, errs in per_instr.items()}, n)
     entries = detector.sweep(agg, SWEEP_CFG)
     for entry in entries:
-        linear = detector.detect(agg, dataclasses.replace(
-            SWEEP_CFG, e0=entry.e0, p0=entry.p0))
+        linear = detector.detect(agg, detector.DetectionConfig(
+            entry.e0, entry.p0, *SWEEP_CFG[2:]))
         assert entry.to_dict() == linear.to_dict()
         assert [(s.instr_id, s.m, s.k, s.inf_count, s.max_err, s.mean_err,
                  s.flagged) for s in entry.stats] \
@@ -345,3 +344,41 @@ def test_collect_memory_does_not_grow_with_rows():
         small = _peak_bytes(prog, rows[:30])
         large = _peak_bytes(prog, rows)
     assert large - small < 1000 * 8
+
+
+def test_records_share_no_state_and_configs_validate():
+    # each program, report and table has containers of its own; a
+    # program's compiled code is not part of its value
+    p, q = (tac.parse_program(corpus.ROUND_KERNEL) for _ in range(2))
+    p.compiled["key"] = None
+    assert p == q and q.compiled == {} and p != p.name
+    assert repr(p) == repr(q) and repr(p).startswith(
+        "TacProgram(name='round_kernel', params=('x',), instrs=(TacInstr(")
+    with pytest.raises(AttributeError):
+        del p.name
+    a, b = (detector.DetectionReport("f", 1, 1e-6, 0.5, 0.1, [])
+            for _ in range(2))
+    a.flagged.append(0)
+    assert b.flagged == []
+    s, t = (evaluator.SummaryTable("f", 1, 0) for _ in range(2))
+    for name in ("pct", "avg", "inf_counts"):
+        getattr(s, name)["OP"] = 1
+        assert getattr(t, name) == {}
+    # a config is checked however it is made: by keyword, by position, by
+    # _replace (as sweep derives its configs) and by _make
+    for cls, bad in [(engine.EngineConfig, {"p_orig": 1}),
+                     (engine.EngineConfig, {"p_shadow": 52}),
+                     (engine.EngineConfig, {"max_steps": 0}),
+                     (detector.DetectionConfig, {"e0": 0.0}),
+                     (detector.DetectionConfig, {"p0": 1.0}),
+                     (detector.DetectionConfig, {"p1": 0.0}),
+                     (detector.DetectionConfig, {"first_order": "random"}),
+                     (detector.DetectionConfig, {"max_iterations": 0})]:
+        good = cls()
+        fields = tuple({**good._asdict(), **bad}.values())
+        for make, args, kw in ((cls, (), bad), (cls, fields, {}),
+                               (good._replace, (), bad),
+                               (cls._make, (fields,), {})):
+            with pytest.raises(ValueError):
+                make(*args, **kw)
+        assert cls._make(good) == good._replace() == good

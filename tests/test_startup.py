@@ -31,9 +31,14 @@ def fresh(args, stdin=""):
 
 
 def loaded_after(code, *argv, stdin=""):
-    """The precfix layers in sys.modules after code runs fresh."""
-    code += ("\nprint(*(m[8:] for m in __import__('sys').modules"
-             " if m.startswith('precfix.')))")
+    """The precfix layers in sys.modules after code runs fresh.  The code
+    must load neither dataclasses nor inspect: modules that site loaded
+    before it do not count."""
+    code = ("import sys\n_before = set(sys.modules)\n" + code
+            + "\n_new = set(sys.modules) - _before"
+            "\nassert not _new & {'dataclasses', 'inspect'}, _new"
+            "\nprint(*(m[8:] for m in sys.modules"
+            " if m.startswith('precfix.')))")
     rc, out, err = fresh(["-c", code, *argv], stdin)
     assert rc == 0, err
     return set(out.splitlines()[-1].split())
@@ -57,7 +62,10 @@ def test_importing_the_package_loads_no_layer():
     (["detect", "--kernel", "exp_kernel", "--grid=0,1,3", "--sweep"],
      RUN | {"detector"}),
     (["fix", "--kernel", "exp_kernel", "--grid=0,1,3"], RUN | {"detector"}),
-    (["eval", "--kernel", "exp_kernel", "--grid=0,1,3"], LAYERS),
+    (["eval", "--kernel", "exp_kernel", "--grid=0,1,3"],
+     LAYERS - {"detector"}),
+    (["eval", "--kernel", "exp_kernel", "--grid=0,1,3", "--auto-fix"],
+     LAYERS),
     (["oracle"], {"mpfloat", "transcendental"}),
 ])
 def test_each_command_loads_only_its_layers(argv, layers):

@@ -490,7 +490,7 @@ def test_parsed_program_cannot_be_changed():
     with pytest.raises(AttributeError):
         p.params.append("z")
     for field in ("name", "instrs", "labels", "params", "compiled"):
-        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        with pytest.raises(AttributeError):
             setattr(p, field, getattr(p, field))
     assert p.labels == {"top": 2} and len(p.instrs) == 7
 
