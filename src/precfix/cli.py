@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import shutil
@@ -401,7 +402,10 @@ def cmd_oracle(args):
         except OSError as exc:
             raise CliError(str(exc)) from exc
     else:
-        fh = sys.stdin
+        # as strict as a file: the interpreter reads stdin with
+        # surrogateescape, which would pass an undecodable byte on as text
+        buf = getattr(sys.stdin, "buffer", None)
+        fh = sys.stdin if buf is None else io.TextIOWrapper(buf)
     out = []
     with fh:
         for line_no, line in enumerate(_lines(fh), 1):

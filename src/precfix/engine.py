@@ -60,10 +60,11 @@ from it and `evaluate` collects each lane's results, so `collect`, `run`
 and each lane of `evaluate` are one call per batch, and the hook costs a
 row without one a single `is None` test.  A batch's result is a
 `DualValue`, its original an `MPFloat`.
-A `tac.TacProgram` is valid by construction and immutable, so the engine
-checks no program structure: it reads the basic blocks, their successors
-and reachability from `tac.control_flow` and variable types from
-`TacProgram.types`, and only generates code.
+A `tac.TacProgram` is built only from text, which its constructor parses
+and validates, and it is immutable, so the engine checks no program
+structure: it reads the basic blocks, their successors and reachability
+from `tac.control_flow` and variable types from `TacProgram.types`, and
+only generates code.
 Registers become locals named by index: o<k> and s<k> for the two lanes of
 a float, t<k> for its staleness in programs with word writes, and i<k> for
 an integer, a 64-bit word; a signed comparison reads a word below 2**63

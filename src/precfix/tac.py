@@ -5,10 +5,11 @@ values in the engine; integer registers are 64-bit two's complement.
 A decimal float literal keeps its text, which the engine rounds once to
 the original precision when it compiles; a hex literal is exact.
 
-A `TacProgram` is immutable and valid by construction: building one runs
-`validate`.  This module alone knows a program's structure, its variable
-types (`TacProgram.types`) and basic blocks (`control_flow`), which the
-engine reads when it generates code.
+A `TacProgram` is built only from its text, which its constructor parses
+and then checks with `validate`, so every program that exists is valid,
+and it is immutable.  This module alone knows a program's structure, its
+variable types (`TacProgram.types`) and basic blocks (`control_flow`),
+which the engine reads when it generates code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from collections import namedtuple
 from types import MappingProxyType
 
 from . import mpfloat as mp
-from .mpfloat import MPFloat
 
 # operand kind tags
 VAR = "var"
@@ -82,10 +82,9 @@ class TacValidationError(ValueError):
 
 
 class Diagnostic(namedtuple("Diagnostic", "kind instr_id message")):
-    """kind: BadInstr | UndefinedLabel | TypeMismatch | UndefinedVariable |
+    """kind: UndefinedLabel | TypeMismatch | UndefinedVariable |
     UnassignedVariable | UnassignedReturn | DuplicateName | BadName |
-    MissingReturn | BadId | BadLabel; instr_id is -1 when not tied to one
-    instruction."""
+    MissingReturn; instr_id is -1 when not tied to one instruction."""
     __slots__ = ()
 
     def __str__(self):
@@ -100,28 +99,26 @@ TacInstr = namedtuple("TacInstr", "id op dst srcs")
 
 
 class TacProgram:
-    """A valid program: construction raises TacValidationError otherwise.
-    params and instrs become tuples, labels and consts read-only
+    """A valid program, built only from its TAC text: construction raises
+    TacSyntaxError, or TacValidationError for a program that parses but
+    cannot run.  params and instrs are tuples, labels and consts read-only
     mappings, and no attribute can be set.  Programs are equal when their
     name, params, instrs, return_var, labels and consts are."""
     __slots__ = ("name", "params", "instrs", "return_var", "labels",
                  "consts", "compiled", "types")
 
-    def __init__(self, name, params, instrs, return_var, labels=(),
-                 consts=()):
+    def __init__(self, text):
+        name, params, instrs, return_var, labels, consts = _parse(text)
         put = functools.partial(object.__setattr__, self)
         put("name", name)
         put("params", tuple(params))
         put("instrs", tuple(instrs))
         put("return_var", return_var)
-        put("labels", MappingProxyType(dict(labels)))
-        put("consts", MappingProxyType(dict(consts)))
+        put("labels", MappingProxyType(labels))
+        put("consts", MappingProxyType(consts))
         # the engine's compiled functions for this program, by (config,
         # barriers, sample mode); bounded by the engine
         put("compiled", {})
-        diags = _shape_diagnostics(self)
-        if diags:
-            raise TacValidationError(diags)
         # each variable's type, "f" or "i", in order of first appearance:
         # the parameters ("f"), then each destination as its first
         # assignment types it
@@ -208,9 +205,9 @@ def _split_operands(text):
     return [t.strip() for t in text.split(",")] if text.strip() else []
 
 
-def parse_program(text):
-    """Parse TAC text into a TacProgram.  Raises TacSyntaxError, or
-    TacValidationError for a program that parses but cannot run."""
+def _parse(text):
+    """The fields of a TacProgram from its TAC text; raises
+    TacSyntaxError."""
     name = None
     params = []
     return_var = None
@@ -287,7 +284,13 @@ def parse_program(text):
         raise TacSyntaxError(1, "missing func header")
     if pending_labels:
         raise TacSyntaxError(pending_labels[0][1], "label at end of function")
-    return TacProgram(name, params, instrs, return_var, labels, consts)
+    return name, params, instrs, return_var, labels, consts
+
+
+def parse_program(text):
+    """Parse TAC text into a TacProgram.  Raises TacSyntaxError, or
+    TacValidationError for a program that parses but cannot run."""
+    return TacProgram(text)
 
 
 def _successors(prog, i):
@@ -329,72 +332,9 @@ def control_flow(prog):
     return blocks, reached
 
 
-# the operand tags an operand kind admits; any other kind reads a value
-_OPERAND_TAGS = {"flit": (FLIT,), "ilit": (ILIT,), "label": (LABEL,),
-                 "pred": (PRED,)}
-_PAYLOADS = {VAR: str, FLIT: MPFloat, ILIT: int, LABEL: str, PRED: str}
-
-
-def _operand_fits(kind, operand):
-    """True for a (tag, payload[, text]) operand that an operand of this
-    kind may be: text only on literals, predicates from PREDS."""
-    if not isinstance(operand, tuple) or len(operand) not in (2, 3):
-        return False
-    tag, payload = operand[0], operand[1]
-    if tag not in _OPERAND_TAGS.get(kind, (VAR, FLIT, ILIT)):
-        return False
-    if len(operand) == 3 and not (tag in (FLIT, ILIT)
-                                  and isinstance(operand[2], str)):
-        return False
-    if tag == PRED:
-        return payload in PREDS
-    if tag == FLIT and isinstance(payload, str):  # a decimal literal's text
-        try:
-            mp._decimal(payload)
-        except mp.ParseError:
-            return False
-        return True
-    return isinstance(payload, _PAYLOADS[tag])
-
-
-def _shape_diagnostics(prog):
-    """Each instruction's opcode, destination and operands against the
-    opcode table: what the type table and every other check read."""
-    diags = []
-    for i, instr in enumerate(prog.instrs):
-        op = instr.op
-        spec = OPCODES.get(op) if isinstance(op, str) else None
-        if spec is None:
-            diags.append(Diagnostic("BadInstr", i, "unknown opcode %s"
-                                    % mp.quote(str(op))))
-            continue
-        kinds, dkind = spec
-        dst = instr.dst
-        if dkind is None and dst is not None:
-            diags.append(Diagnostic("BadInstr", i,
-                                    "%s has no destination" % op))
-        elif dkind is not None and not (isinstance(dst, str)
-                                        and _NAME_RE.match(dst)):
-            diags.append(Diagnostic("BadInstr", i, "%s needs a destination "
-                                    "name, got %s" % (op, mp.quote(str(dst)))))
-        srcs = instr.srcs
-        if not isinstance(srcs, tuple) or len(srcs) != len(kinds):
-            diags.append(Diagnostic(
-                "BadInstr", i, "%s expects %d operand(s), got %s"
-                % (op, len(kinds), len(srcs) if isinstance(srcs, tuple)
-                   else "no operand tuple")))
-            continue
-        diags += [Diagnostic("BadInstr", i, "%s operand %d is no %s operand"
-                             % (op, j, kind))
-                  for j, (kind, operand) in enumerate(zip(kinds, srcs))
-                  if not _operand_fits(kind, operand)]
-    return diags
-
-
 def validate(prog):
     """Semantic checks; returns a list of diagnostics (empty when valid).
-    Building a TacProgram runs it, after checking each instruction's shape
-    against the opcode table."""
+    Building a TacProgram runs it on the parsed program."""
     diags = []
     n = len(prog.instrs)
     var_types = prog.types
@@ -409,17 +349,6 @@ def validate(prog):
         if p in prog.params[:j]:
             diags.append(Diagnostic("DuplicateName", -1,
                                     "parameter %s is repeated" % mp.quote(p)))
-
-    # a program built directly, not parsed, may give an instruction an id
-    # other than its position, or a label a target outside the body
-    misplaced = [Diagnostic("BadId", i, "instruction %d has id %r"
-                            % (i, instr.id))
-                 for i, instr in enumerate(prog.instrs) if instr.id != i]
-    misplaced += [Diagnostic("BadLabel", -1, "label %s targets %r, outside "
-                             "0..%d" % (mp.quote(label), target, n - 1))
-                  for label, target in prog.labels.items()
-                  if not (isinstance(target, int) and 0 <= target < n)]
-    diags += misplaced
 
     # pass 1: every assignment agrees with the variable's type
     for instr in prog.instrs:
@@ -469,7 +398,6 @@ def validate(prog):
 
     if n == 0:
         diags.append(Diagnostic("UnassignedReturn", -1, "empty body"))
-    if n == 0 or misplaced:
         return diags
 
     # pass 3: definite assignment of every operand (forward must-analysis
@@ -522,12 +450,8 @@ def validate(prog):
 
 
 def _render_operand(operand):
-    kind = operand[0]
-    if kind == VAR:
-        return operand[1]
-    if kind in (FLIT, ILIT):
-        return operand[2] if len(operand) > 2 else str(operand[1])
-    return operand[1]
+    """A literal's text as written, any other operand's name."""
+    return operand[2] if operand[0] in (FLIT, ILIT) else operand[1]
 
 
 def render_instr(instr):

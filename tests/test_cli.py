@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from precfix import cli, corpus, detector, engine, tac
@@ -157,6 +158,19 @@ def test_undecodable_input_file_is_exit_1(tmp_path, capsys, argv, data):
     assert (code, out) == (1, "")
     assert err.startswith("error: %s: " % f), err
     assert "can't decode byte 0xff" in err
+
+
+def test_undecodable_stdin_is_the_decoders_error():
+    # the interpreter reads stdin with surrogateescape, which once passed
+    # the byte on as a literal: "bad decimal literal: '\udcff'"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "precfix.cli", "oracle"],
+                          input=b"exp 1\nexp \xff\n", capture_output=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode().startswith(
+        "error: <stdin>: 'utf-8' codec can't decode byte 0xff"), proc.stderr
 
 
 @pytest.mark.parametrize("command", [["detect"], ["detect", "--sweep"],
@@ -381,6 +395,32 @@ def test_trig_argument_beyond_reduction_range_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "oracle", "--file", str(f))
     assert code == 1
     assert "line 1: sin needs |x| < 2**65536" in err
+
+
+def test_oracle_at_the_ends_of_asin_acos_and_atan2(tmp_path, capsys):
+    # asin and acos at |a| = 1 take pi/2 without a square root; atan2 of
+    # two negatives takes its quotient's atan minus pi
+    f = tmp_path / "exprs.txt"
+    f.write_text("asin 1\nasin -1\nacos -1\natan2 -1 -1\n")
+    code, out, err = run_cli(capsys, "oracle", "--file", str(f),
+                             "--digits", "60")
+    assert (code, err) == (0, "")
+    with mpmath.workprec(320):
+        want = [mpmath.asin(1), mpmath.asin(-1), mpmath.acos(-1),
+                mpmath.atan2(-1, -1)]
+        for line, w in zip(out.splitlines(), want, strict=True):
+            assert abs(mpmath.mpf(line) - w) <= abs(w) * mpmath.mpf(10) ** -59
+
+
+@pytest.mark.parametrize("line, message", [
+    ("atanh 1", "atanh needs |a| < 1"),
+    ("pow -2 3", "pow needs a positive base"),
+    ("sqrt -1", "sqrt needs a nonnegative argument")])
+def test_oracle_domain_errors_are_exit_1(tmp_path, capsys, line, message):
+    f = tmp_path / "exprs.txt"
+    f.write_text("exp 1\n" + line + "\n")
+    assert run_cli(capsys, "oracle", "--file", str(f)) \
+        == (1, "", "error: line 2: %s\n" % message)
 
 
 def test_literal_with_huge_decimal_exponent_is_fast(capsys):

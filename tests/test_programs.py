@@ -38,8 +38,9 @@ BODY_OPS = [op for op, (_, d) in tac.OPCODES.items() if d is not None]
 
 
 @st.composite
-def programs(draw):
-    """TAC text of a valid, terminating program."""
+def programs(draw, ops=BODY_OPS):
+    """TAC text of a valid, terminating program, its body drawn from
+    `ops`."""
     names = draw(st.lists(st.sampled_from(NAMES), min_size=3, max_size=9,
                           unique=True))
     n_params = draw(st.integers(1, 2))
@@ -58,7 +59,7 @@ def programs(draw):
         return draw(st.sampled_from(INT_LITS))
 
     def instruction():
-        op = draw(st.sampled_from(BODY_OPS))
+        op = draw(st.sampled_from(ops))
         kinds, dkind = tac.OPCODES[op]
         if dkind == "i" and not ivars:
             op, kinds, dkind = "fmov", ("f",), "f"

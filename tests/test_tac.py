@@ -99,10 +99,20 @@ def test_syntax_errors():
         tac.parse_program("func f(x) -> y\n  y = fadd x\n  ret y\n")  # arity
     with pytest.raises(tac.TacSyntaxError):
         tac.parse_program("func f(x) -> y\n  y = fadd x, 1.0, 2.0\n  ret y\n")
+    # the last: a decimal literal past the digit bound, which the engine
+    # could not round
     for body in ("  y =\n", "  = fmov x\n", "  y = ret x\n",
-                 "  fmov x\n"):
+                 "  fmov x\n", "  y = fconst %s\n" % ("1" * 5000)):
         with pytest.raises(tac.TacSyntaxError):
             tac.parse_program("func f(x) -> y\n" + body + "  ret y\n")
+    # text without a header, and a label with no instruction after it
+    for text, message in (
+            ("", "line 1: missing func header"),
+            ("# a comment\n", "line 1: missing func header"),
+            ("func f(x) -> y\n  y = fmov x\n  ret y\nend:\n",
+             "line 4: label at end of function")):
+        with pytest.raises(tac.TacSyntaxError, match=message):
+            tac.parse_program(text)
 
 
 def test_undefined_label_diagnostic():
@@ -219,6 +229,11 @@ def test_repeated_parameter_is_a_duplicate_name():
     diags = diagnostics(bad)
     assert [(d.kind, d.instr_id) for d in diags] == [("DuplicateName", -1)]
     assert "'x' is repeated" in diags[0].message
+    # a parameter may not share a name with a const either
+    diags = diagnostics("func f(k) -> y\n  const k = 1.0\n  y = fmov k\n"
+                        "  ret y\n")
+    assert [str(d) for d in diags] \
+        == ["DuplicateName(instr -1): parameter 'k' shadows a const"]
 
 
 def test_long_literals_are_quoted_clipped():
@@ -296,187 +311,153 @@ def test_strict_is_gone():
 
 
 def test_program_built_from_an_invalid_body_raises():
-    x, y = (tac.VAR, "x"), (tac.VAR, "y")
-    body = [tac.TacInstr(0, "fmov", "y", (x,))]
+    # a program is built only from its text: its fields cannot be passed
+    with pytest.raises(TypeError):
+        tac.TacProgram("f", ["x"], [tac.TacInstr(0, "ret", None, (
+            (tac.VAR, "x"),))], "x")
+    head = "func f(x) -> y\n  y = fmov x\n"
     with pytest.raises(tac.TacValidationError) as exc:
-        tac.TacProgram("f", ["x"], body, "y")
+        tac.TacProgram(head)
     assert [d.kind for d in exc.value.diagnostics] \
         == ["MissingReturn", "UnassignedReturn"]
     with pytest.raises(tac.TacValidationError) as exc:
-        tac.TacProgram("f", ["x"], body + [tac.TacInstr(1, "jump", None, (
-            (tac.LABEL, "nowhere"),))], "y")
+        tac.TacProgram(head + "  jump nowhere\n")
     assert [d.kind for d in exc.value.diagnostics][0] == "UndefinedLabel"
     # a valid body gives a program whose fields are tuples and mappings
-    p = tac.TacProgram("f", ["x"], body + [tac.TacInstr(1, "ret", None,
-                                                         (y,))], "y")
+    p = tac.TacProgram(head + "  ret y\n")
+    assert p == tac.parse_program(head + "  ret y\n")
     assert (p.params, len(p.instrs), dict(p.types)) \
         == (("x",), 2, {"x": "f", "y": "f"})
 
 
-def test_hand_built_ids_and_label_targets_are_diagnostics():
-    x, y = (tac.VAR, "x"), (tac.VAR, "y")
-    # ids 7 and 9 at positions 0 and 1: barriers and samples would disagree
-    with pytest.raises(tac.TacValidationError) as exc:
-        tac.TacProgram("f", ["x"], [tac.TacInstr(7, "fmov", "y", (x,)),
-                                    tac.TacInstr(9, "ret", None, (y,))], "y")
-    assert [(d.kind, d.instr_id) for d in exc.value.diagnostics] \
-        == [("BadId", 0), ("BadId", 1)]
-    # a label past the last instruction, or before the first
-    for target in (2, -1):
-        body = [tac.TacInstr(0, "fmov", "y", (x,)),
-                tac.TacInstr(1, "jump", None, ((tac.LABEL, "out"),))]
-        with pytest.raises(tac.TacValidationError) as exc:
-            tac.TacProgram("f", ["x"], body, "y", {"out": target})
-        assert [d.kind for d in exc.value.diagnostics] == ["BadLabel"]
-        assert "outside 0..1" in str(exc.value)
+# The shape rule that TacProgram enforced on programs built from records,
+# kept as the reference that every parsed program must meet: an operand
+# is a (tag, payload[, text]) tuple of a tag its opcode's kind admits, with
+# text only on literals and predicates from PREDS.
+_OPERAND_TAGS = {"flit": (tac.FLIT,), "ilit": (tac.ILIT,),
+                 "label": (tac.LABEL,), "pred": (tac.PRED,)}
+_PAYLOADS = {tac.VAR: str, tac.FLIT: mp.MPFloat, tac.ILIT: int,
+             tac.LABEL: str, tac.PRED: str}
 
 
-@pytest.mark.parametrize("instr, message", [
-    (tac.TacInstr(0, "bogus", "y", ()), "unknown opcode 'bogus'"),
-    (tac.TacInstr(0, "fadd", "y", ((tac.VAR, "x"),)),
-     "fadd expects 2 operand(s), got 1"),
-    (tac.TacInstr(0, "fadd", "y", ((tac.VAR, "x"), (tac.LABEL, "x"))),
-     "fadd operand 1 is no f operand"),
-    (tac.TacInstr(0, "fconst", "y", ((tac.VAR, "x"),)),
-     "fconst operand 0 is no flit operand"),
-    (tac.TacInstr(0, "fadd", "y", ((tac.VAR, "x"), (tac.FLIT, 1.5))),
-     "fadd operand 1 is no f operand"),
-    (tac.TacInstr(0, "fmov", "y", ((tac.VAR,),)),
-     "fmov operand 0 is no f operand"),
-    (tac.TacInstr(0, "fmov", None, ((tac.VAR, "x"),)),
-     "fmov needs a destination name, got 'None'"),
-    (tac.TacInstr(0, "fmov", "2.5", ((tac.VAR, "x"),)),
-     "fmov needs a destination name, got '2.5'"),
-    (tac.TacInstr(0, "jump", "y", ((tac.LABEL, "out"),)),
-     "jump has no destination"),
-])
-def test_hand_built_instructions_off_the_opcode_table_are_diagnostics(
-        instr, message):
-    # once a KeyError from the type table, or an IndexError when run
-    body = [instr, tac.TacInstr(1, "ret", None, ((tac.VAR, "x"),))]
-    with pytest.raises(tac.TacValidationError) as exc:
-        tac.TacProgram("f", ["x"], body, "x", {"out": 1})
-    assert [(d.kind, d.instr_id) for d in exc.value.diagnostics] \
-        == [("BadInstr", 0)]
-    assert message in str(exc.value)
+def _operand_fits(kind, operand):
+    if not isinstance(operand, tuple) or len(operand) not in (2, 3):
+        return False
+    tag, payload = operand[0], operand[1]
+    if tag not in _OPERAND_TAGS.get(kind, (tac.VAR, tac.FLIT, tac.ILIT)):
+        return False
+    if len(operand) == 3 and not (tag in (tac.FLIT, tac.ILIT)
+                                  and isinstance(operand[2], str)):
+        return False
+    if tag == tac.PRED:
+        return payload in tac.PREDS
+    if tag == tac.FLIT and isinstance(payload, str):  # a decimal's text
+        try:
+            mp._decimal(payload)
+        except mp.ParseError:
+            return False
+        return True
+    return isinstance(payload, _PAYLOADS[tag])
 
 
-def test_decimal_text_past_the_digit_bound_is_a_diagnostic():
-    # once built, and failed only when the engine compiled it
-    body = [tac.TacInstr(0, "fconst", "y", ((tac.FLIT, "1" * 5000),)),
-            tac.TacInstr(1, "ret", None, ((tac.VAR, "y"),))]
-    with pytest.raises(tac.TacValidationError) as exc:
-        tac.TacProgram("f", ["x"], body, "y")
-    assert "fconst operand 0 is no flit operand" in str(exc.value)
-
-
-def test_label_target_that_is_not_an_integer_is_a_diagnostic():
-    body = [tac.TacInstr(0, "ret", None, ((tac.VAR, "x"),))]
-    with pytest.raises(tac.TacValidationError) as exc:
-        tac.TacProgram("f", ["x"], body, "x", {"out": "0"})
-    assert [d.kind for d in exc.value.diagnostics] == ["BadLabel"]
-
-
-_NAMES = ["x", "y", "t", "i", "c"]
-# a decimal literal's payload is its text, which the engine rounds
-_VALUES = [mp.from_int(3), mp.from_decimal_string("0.1", 300), mp.zero(),
-           mp.inf(-1), mp.nan(), mp.from_hex_string("0x1.8p52"), "0.1",
-           "-0"]
-_OPERANDS = st.one_of(
-    st.tuples(st.just(tac.VAR), st.sampled_from(_NAMES)),
-    st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES)),
-    st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES), st.just("1.5")),
-    st.tuples(st.just(tac.ILIT), st.integers(-3, 1 << 65)),
-    st.tuples(st.just(tac.LABEL), st.sampled_from(["a", "b", "zz"])),
-    st.tuples(st.just(tac.PRED), st.sampled_from(tac.PREDS + ("bogus",))),
-    # malformed: no payload, an unknown tag, a payload of the wrong type
-    st.tuples(st.sampled_from([tac.VAR, "bogus"])),
-    st.tuples(st.just("bogus"), st.sampled_from(_NAMES)),
-    st.tuples(st.sampled_from([tac.FLIT, tac.ILIT, tac.VAR]),
-              st.sampled_from([1.5, None, 7, "1e"])),
-)
-# operands that fit each operand kind, variables typed as their names
-# are assigned below, so that many drawn programs build
+# operand texts: float and int variables, literals of every form, the
+# consts k (integer) and h (float), labels and predicates, and text no
+# operand may be
 _FLOATS, _INTS = ["x", "y", "t"], ["i", "c"]
-
-
-def _fitting(kind):
-    if kind == "flit":
-        return st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES))
-    if kind == "ilit":
-        return st.tuples(st.just(tac.ILIT), st.integers(-3, 70))
-    if kind == "label":
-        return st.tuples(st.just(tac.LABEL), st.sampled_from(["a", "b"]))
-    if kind == "pred":
-        return st.tuples(st.just(tac.PRED), st.sampled_from(tac.PREDS))
-    if kind == "i":
-        return st.one_of(st.tuples(st.just(tac.VAR), st.sampled_from(_INTS)),
-                         st.tuples(st.just(tac.ILIT), st.integers(-3, 70)),
-                         st.tuples(st.just(tac.ILIT), st.integers(-3, 70)))
-    # mostly the parameter x, which is always assigned
-    return st.one_of(st.tuples(st.just(tac.VAR),
-                               st.sampled_from(["x", "x", "x"] + _FLOATS)),
-                     st.tuples(st.just(tac.FLIT), st.sampled_from(_VALUES)))
+_DECIMALS = ["0.1", "-0", "1.5", "1e300", "2.5e-310", "3"]
+_HEX_FLOATS = ["0x1.8p52", "-0x1p-1074", "0x1p1023"]
+_INT_TEXTS = ["0", "3", "-1", "64", "0x3FF00000", "0x1" + "0" * 17]
+_FITTING = {
+    "flit": _DECIMALS + _HEX_FLOATS + ["h", "k"],
+    "ilit": _INT_TEXTS + ["k"],
+    "label": ["a", "b"],
+    "pred": list(tac.PREDS),
+    "i": _INTS + _INT_TEXTS + ["k"],
+    "f": _FLOATS + ["x", "x"] + _DECIMALS + _HEX_FLOATS + ["h"],
+}
+_FITTING["v"] = _FLOATS + _DECIMALS + _HEX_FLOATS + ["h"]
+_ANY_TEXT = sorted({t for ts in _FITTING.values() for t in ts}
+                   | {"k", "zz", "bogus", "1e", "0x1p", "1.2.3", "0xZ",
+                      "a-b", "2.5x", ""})
+# each variable's first assignment, each line kept or not
+_PRELUDE = ["  y = fmov x", "  t = fconst 0.5", "  i = iconst 3",
+            "  c = iconst 1"]
 
 
 @st.composite
-def hand_built_programs(draw):
-    """(params, instrs, labels) from any opcode, destination, operand
-    tuple, id and label target.  A third of the programs are off the
-    opcode table or misnumbered somewhere; the rest are well-shaped."""
+def program_texts(draw):
+    """TAC text drawn line by line from the opcode table: a header, consts,
+    labels and instructions.  A third of the texts take any operand text,
+    destination, opcode or operand count somewhere; the rest take operand
+    texts that fit their kinds, so that many of them build."""
     bad = draw(st.integers(0, 2)) == 0
-    n = draw(st.integers(1, 7))
+    params = ["x"] + draw(st.lists(st.sampled_from(["y", "t", "k"]),
+                                   max_size=1))
+    lines = ["func f(%s) -> y" % ", ".join(params)]
+    lines += draw(st.lists(st.sampled_from(
+        ["  const k = 3", "  const h = 0.5", "  const h = 0x1p-3"]),
+        max_size=2, unique=True))
+    lines += [line for line in _PRELUDE if draw(st.integers(0, 5))]
     ops = sorted(tac.OPCODES)
-    instrs = []
-    for pos in range(n):
+    labels = ["a", "b", "zz"]
+    for _ in range(draw(st.integers(1, 7))):
+        if labels and draw(st.integers(0, 3)) == 0:
+            label = draw(st.sampled_from(labels))
+            lines.append("%s:" % label)
+            if not bad:
+                labels.remove(label)
+        op = draw(st.sampled_from(ops))
+        kinds, dkind = tac.OPCODES[op]
         if bad and draw(st.booleans()):
-            op = draw(st.one_of(st.sampled_from(ops),
-                                st.sampled_from(["bogus", "", "FADD"])))
-            dst = draw(st.one_of(st.none(), st.sampled_from(_NAMES),
-                                 st.just("2.5")))
-            srcs = tuple(draw(st.lists(_OPERANDS, max_size=4)))
-            iid = draw(st.one_of(st.just(pos), st.integers(-2, 9)))
+            op = draw(st.one_of(st.just(op), st.sampled_from(["bogus",
+                                                               "FADD"])))
+            dst = draw(st.sampled_from([None, "y", "i", "2.5"]))
+            srcs = draw(st.lists(st.sampled_from(_ANY_TEXT), max_size=4))
         else:
-            op = draw(st.sampled_from(ops))
-            kinds, dkind = tac.OPCODES[op]
             dst = None if dkind is None else draw(st.sampled_from(
                 _INTS if dkind == "i" else _FLOATS))
-            srcs = tuple(draw(_fitting(k)) for k in kinds)
-            iid = pos
-        instrs.append(tac.TacInstr(iid, op, dst, srcs))
-    if draw(st.integers(0, 3)):
-        instrs.append(tac.TacInstr(len(instrs), "ret", None,
-                                   (draw(_fitting("f")),)))
-    targets = st.integers(0, len(instrs) - 1)
-    if bad:
-        targets = st.one_of(targets, st.integers(-1, len(instrs)),
-                            st.just("0"))
-    labels = draw(st.dictionaries(st.sampled_from(["a", "b", "zz"]),
-                                  targets, min_size=1, max_size=3))
-    params = ["x"] + draw(st.lists(st.sampled_from(["y", "t"]), max_size=1))
-    return params, instrs, labels
+            # icmp compares two floats or two integers
+            x = draw(st.sampled_from("fi"))
+            srcs = [draw(st.sampled_from(_FITTING[x if k == "x" else k]))
+                    for k in kinds]
+        instr = "%s %s" % (op, ", ".join(srcs))
+        lines.append("  " + (instr if dst is None else "%s = %s" % (dst,
+                                                                   instr)))
+    if not bad:
+        lines.append("  ret %s" % draw(st.sampled_from(_FITTING["v"])))
+    elif draw(st.booleans()):
+        lines.append("  ret %s" % draw(st.sampled_from(_ANY_TEXT)))
+    return "\n".join(lines) + "\n"
 
 
-@given(hand_built_programs(), st.sampled_from([(24, 60), (53, 120)]),
-       st.sampled_from(["full", "none"]))
+@given(program_texts(), st.sampled_from(["full", "none"]))
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_hand_built_programs_build_and_run_or_fail_cleanly(case, precs,
-                                                           mode):
-    params, instrs, labels = case
+def test_program_texts_build_and_run_or_fail_cleanly(text, mode):
     try:
-        prog = tac.TacProgram("f", params, instrs, "y", labels)
-    except tac.TacValidationError:
+        prog = tac.parse_program(text)
+    except (tac.TacSyntaxError, tac.TacValidationError):
         event("rejected")
         return
     event("built")
-    cfg = engine.EngineConfig(*precs, max_steps=500)
-    for x in ("1.5", "-0", "1e300"):
-        try:
-            engine.execute(prog, [mp.from_decimal_string(x, 53)]
-                           * len(params), cfg, sample_mode=mode)
-        except engine.EngineError:
-            event("engine error")
+    n = len(prog.instrs)
+    assert [instr.id for instr in prog.instrs] == list(range(n))
+    assert all(type(t) is int and 0 <= t < n for t in prog.labels.values())
+    for instr in prog.instrs:
+        kinds, dkind = tac.OPCODES[instr.op]
+        assert (instr.dst is None) == (dkind is None)
+        assert instr.dst is None or tac._NAME_RE.match(instr.dst)
+        assert type(instr.srcs) is tuple and len(instr.srcs) == len(kinds)
+        assert all(_operand_fits(kind, operand)
+                   for kind, operand in zip(kinds, instr.srcs)), instr
+    for precs in ((24, 60), (53, 120)):
+        cfg = engine.EngineConfig(*precs, max_steps=500)
+        for x in ("1.5", "-0", "1e300"):
+            row = [mp.from_decimal_string(x, 53)] * len(prog.params)
+            try:
+                engine.execute_rows(prog, [row], cfg, sample_mode=mode)
+            except engine.EngineError:
+                event("engine error")
 
 
 def test_parsed_program_cannot_be_changed():
