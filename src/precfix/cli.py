@@ -1,8 +1,10 @@
 """Command-line front end: run, detect, fix, eval, oracle.
 
-Exit codes: 0 success, 1 for bad input (arguments, program text, domain
-errors, programs the engine cannot run) and, silently, for a stdout whose
-reader closed it, 2 for anything unexpected.
+Exit codes: 0 success, 1 for bad input and, silently, for a stdout whose
+reader closed it, 2 for anything unexpected.  Bad input is a
+`precfix.InputError`: each layer's errors for arguments, program text,
+numbers, domain errors and programs the engine cannot run derive from it,
+and the CLI raises it for what it rejects itself.
 Diagnostics go to stderr; machine output goes to stdout or --output.
 
 `run --trace` formats each sample as the engine makes it.  A row's header
@@ -26,11 +28,7 @@ import shutil
 import sys
 import tempfile
 
-import precfix
-from . import mpfloat as mp
-
-class CliError(Exception):
-    pass
+from . import InputError, mpfloat as mp
 
 
 def _add_source(parser):
@@ -127,7 +125,7 @@ def build_parser():
 
 def _undecodable(path, exc):
     """The bad-input error of a file with bytes its encoding cannot read."""
-    return CliError("%s: %s" % (path, exc))
+    return InputError("%s: %s" % (path, exc))
 
 
 def _lines(fh):
@@ -144,20 +142,20 @@ def _load_source(args):
         try:
             return corpus.get_kernel(args.kernel)
         except KeyError as exc:
-            raise CliError(str(exc)) from exc
+            raise InputError(str(exc)) from exc
     if args.program:
         try:
             with open(args.program) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise CliError(str(exc)) from exc
+            raise InputError(str(exc)) from exc
         except UnicodeDecodeError as exc:
             raise _undecodable(args.program, exc) from exc
         prog = tac.parse_program(text)
         kernel = corpus.Kernel(prog.name, text, None, ("-1", "1", 1000))
         vars(kernel)["program"] = prog  # fill the cached property
         return kernel
-    raise CliError("need --kernel or --program")
+    raise InputError("need --kernel or --program")
 
 
 def _load_inputs(args, kernel, p_orig):
@@ -165,40 +163,34 @@ def _load_inputs(args, kernel, p_orig):
     if args.grid:
         parts = args.grid.split(",")
         if len(parts) != 3:
-            raise CliError("--grid wants LO,HI,COUNT")
+            raise InputError("--grid wants LO,HI,COUNT")
         try:
             return corpus.grid(parts[0], parts[1], int(parts[2]), p_orig)
-        except (ValueError, mp.ParseError) as exc:
-            raise CliError("bad grid: %s" % exc) from exc
+        except ValueError as exc:
+            raise InputError("bad grid: %s" % exc) from exc
     if args.input:
         kind, _, rest = args.input.partition(":")
         if kind == "single":
-            try:
-                return [mp.from_decimal_string(rest, p_orig,
-                                               mp.policy_for(p_orig))]
-            except mp.ParseError as exc:
-                raise CliError(str(exc)) from exc
+            return [mp.from_decimal_string(rest, p_orig,
+                                           mp.policy_for(p_orig))]
         if kind == "file":
             try:
                 return corpus.read_inputs(rest, p_orig)
-            except (OSError, mp.ParseError) as exc:
-                raise CliError(str(exc)) from exc
+            except OSError as exc:
+                raise InputError(str(exc)) from exc
             except UnicodeDecodeError as exc:
                 raise _undecodable(rest, exc) from exc
-        raise CliError("--input wants single:VALUE or file:PATH")
+        raise InputError("--input wants single:VALUE or file:PATH")
     if args.kernel:
         return corpus.default_inputs(kernel, p_orig)
-    raise CliError("need --input or --grid")
+    raise InputError("need --input or --grid")
 
 
 def _engine_cfg(args):
     from . import engine
     if not args.p_orig < args.p_shadow <= args.p_oracle:
-        raise CliError("need p_orig < p_shadow <= oracle precision")
-    try:
-        return engine.EngineConfig(args.p_orig, args.p_shadow)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise InputError("need p_orig < p_shadow <= oracle precision")
+    return engine.EngineConfig(args.p_orig, args.p_shadow)
 
 
 def _det_cfg(args):
@@ -207,10 +199,7 @@ def _det_cfg(args):
               first_order=args.first_order)
     if "max_iterations" in args:  # only `fix` sets the cap
         kw["max_iterations"] = args.max_iterations
-    try:
-        return detector.DetectionConfig(**kw)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return detector.DetectionConfig(**kw)
 
 
 def _parse_barriers(text, prog):
@@ -220,7 +209,7 @@ def _parse_barriers(text, prog):
     try:
         ids = frozenset(int(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
-        raise CliError("bad --barriers list") from exc
+        raise InputError("bad --barriers list") from exc
     engine.check_barriers(prog, ids)
     return ids
 
@@ -233,7 +222,7 @@ def _open_output(args):
     try:
         return open(out, "w")
     except OSError as exc:
-        raise CliError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
 
 
 def _emit(args, text):
@@ -355,7 +344,7 @@ def cmd_fix(args):
     payload = {
         "program": prog.name,
         "barriers": sorted(result.barriers),
-        "converged": result.converged,
+        "converged": True,  # no convergence raises NoConvergence
         "iterations": [r.to_dict() for r in result.iterations],
     }
     _emit(args, json.dumps(payload, indent=2) + "\n")
@@ -363,7 +352,7 @@ def cmd_fix(args):
 
 
 def cmd_eval(args):
-    from . import evaluator, transcendental as tr
+    from . import evaluator
     kernel = _load_source(args)
     cfg = _engine_cfg(args)
     prog = kernel.program
@@ -372,18 +361,14 @@ def cmd_eval(args):
         from . import detector
         det = _det_cfg(args)
         if kernel.oracle_fn is None:  # before the fixer, not after it
-            raise CliError("kernel %s has no reference function"
-                           % kernel.name)
+            raise InputError("kernel %s has no reference function"
+                             % kernel.name)
         barriers = detector.fix_iteratively(prog, inputs, cfg, det).barriers
     else:
         barriers = _parse_barriers(args.barriers, prog)
-    ocfg = tr.OracleConfig(p_s=args.p_oracle)
-    try:
-        rows, skipped = evaluator.evaluate(kernel, inputs, cfg, barriers,
-                                           ocfg)
-        table = evaluator.summarize(kernel.name, rows, skipped, ocfg.p_s)
-    except evaluator.EvaluationError as exc:
-        raise CliError(str(exc)) from exc
+    rows, skipped = evaluator.evaluate(kernel, inputs, cfg, barriers,
+                                       args.p_oracle)
+    table = evaluator.summarize(kernel.name, rows, skipped, args.p_oracle)
     _emit(args, evaluator.report(table, args.format))
     return 0
 
@@ -391,16 +376,14 @@ def cmd_eval(args):
 def cmd_oracle(args):
     from . import transcendental as tr
     if args.digits < 1:
-        raise CliError("--digits must be positive")
-    try:
-        ocfg = tr.OracleConfig(p_s=args.precision)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise InputError("--digits must be positive")
+    if args.precision < 2:
+        raise InputError("need p_s >= 2")
     if args.file:
         try:
             fh = open(args.file)
         except OSError as exc:
-            raise CliError(str(exc)) from exc
+            raise InputError(str(exc)) from exc
     else:
         # as strict as a file: the interpreter reads stdin with
         # surrogateescape, which would pass an undecodable byte on as text
@@ -416,20 +399,20 @@ def cmd_oracle(args):
             fn, raw_args = parts[0], parts[1:]
             arity = tr.FUNCTION_ARITY.get(fn)
             if arity is None:
-                raise CliError("line %d: unknown function %r"
-                               % (line_no, fn))
+                raise InputError("line %d: unknown function %r"
+                                 % (line_no, fn))
             if len(raw_args) != arity:
-                raise CliError("line %d: %s takes %d argument(s)"
-                               % (line_no, fn, arity))
+                raise InputError("line %d: %s takes %d argument(s)"
+                                 % (line_no, fn, arity))
             try:
-                vals = [mp.from_decimal_string(a, ocfg.p_s)
+                vals = [mp.from_decimal_string(a, args.precision)
                         for a in raw_args]
             except mp.ParseError as exc:
-                raise CliError("line %d: %s" % (line_no, exc)) from exc
+                raise InputError("line %d: %s" % (line_no, exc)) from exc
             try:
-                r = tr.derived_fn(fn, vals, ocfg)
+                r = tr.derived_fn(fn, vals, args.precision)
             except tr.DomainError as exc:
-                raise CliError("line %d: %s" % (line_no, exc)) from exc
+                raise InputError("line %d: %s" % (line_no, exc)) from exc
             out.append(mp.to_decimal_string(r, args.digits))
     _emit(args, "\n".join(out) + "\n")
     return 0
@@ -449,14 +432,9 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed its usage message
         return 1 if exc.code else 0
-    # read through the package only when an exception reaches it, the
-    # tuple loads no layer on success; a layer not loaded raised nothing
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, mp.ParseError, precfix.tac.TacSyntaxError,
-            precfix.tac.TacValidationError, precfix.transcendental.DomainError,
-            precfix.detector.NoConvergence,
-            precfix.engine.EngineError) as exc:
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import mpfloat as mp
+from . import InputError, mpfloat as mp
 from . import engine as eng
 
 DEFAULT_E0_SWEEP = (1e-2, 1e-4, 1e-6, 1e-8)
 DEFAULT_P0_SWEEP = (0.7, 0.6, 0.5)
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(InputError, RuntimeError):
     def __init__(self, message, log):
         super().__init__(message)
         self.log = log
@@ -38,13 +38,13 @@ class DetectionConfig(namedtuple(
                 max_iterations=50):
         self = super().__new__(cls, e0, p0, p1, first_order, max_iterations)
         if not 0 < p0 < 1 or not 0 < p1 <= 1:
-            raise ValueError("p0 in (0,1), p1 in (0,1] required")
+            raise InputError("p0 in (0,1), p1 in (0,1] required")
         if not all(e > 0 for e in self.thresholds):
-            raise ValueError("e0 and the e0 sweep must be positive")
+            raise InputError("e0 and the e0 sweep must be positive")
         if first_order not in ("static", "dynamic"):
-            raise ValueError("first_order must be static or dynamic")
+            raise InputError("first_order must be static or dynamic")
         if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise InputError("max_iterations must be at least 1")
         return self
 
     @classmethod
@@ -339,7 +339,7 @@ def sweep(agg, cfg=DetectionConfig()):
 
 
 # iterations holds each iteration's DetectionReport, before its barrier
-FixResult = namedtuple("FixResult", "barriers iterations converged")
+FixResult = namedtuple("FixResult", "barriers iterations")
 
 
 def fix_iteratively(prog, inputs, engine_cfg=eng.EngineConfig(),
@@ -357,7 +357,7 @@ def fix_iteratively(prog, inputs, engine_cfg=eng.EngineConfig(),
         first = _first([i for i in report.flagged if i not in barriers],
                        agg, det_cfg.first_order)
         if first is None:
-            return FixResult(frozenset(barriers), log, True)
+            return FixResult(frozenset(barriers), log)
         barriers.add(first)
     raise NoConvergence("no convergence after %d iterations on %s"
                         % (det_cfg.max_iterations, prog.name), log)

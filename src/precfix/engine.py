@@ -116,7 +116,7 @@ import math
 import struct
 from collections import namedtuple
 
-from . import mpfloat as mp
+from . import InputError, mpfloat as mp
 from .tac import control_flow
 
 _INT_MASK = (1 << 64) - 1
@@ -126,7 +126,7 @@ _DOUBLE = struct.Struct("<d")
 _WORD64 = struct.Struct("<Q")
 
 
-class EngineError(Exception):
+class EngineError(InputError):
     pass
 
 
@@ -138,7 +138,7 @@ class BadBarrier(EngineError):
     pass
 
 
-class NonFiniteFloor(EngineError, ValueError):
+class NonFiniteFloor(EngineError):
     """ffloor of an infinity or a NaN, in either lane."""
 
 
@@ -149,9 +149,9 @@ class EngineConfig(namedtuple("EngineConfig", "p_orig p_shadow max_steps")):
 
     def __new__(cls, p_orig=53, p_shadow=120, max_steps=50_000_000):
         if p_orig < 2 or p_shadow < p_orig:
-            raise ValueError("need 2 <= p_orig <= p_shadow")
+            raise InputError("need 2 <= p_orig <= p_shadow")
         if max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+            raise InputError("max_steps must be at least 1")
         return super().__new__(cls, p_orig, p_shadow, max_steps)
 
     @classmethod

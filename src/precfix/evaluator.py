@@ -20,12 +20,12 @@ import itertools
 import json
 from collections import namedtuple
 
-from . import mpfloat as mp
+from . import InputError, mpfloat as mp
 from . import engine as eng
 from . import transcendental as tr
 
 
-class EvaluationError(Exception):
+class EvaluationError(InputError):
     pass
 
 
@@ -57,22 +57,21 @@ _CHUNK = 1024
 
 
 def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
-             barriers=frozenset(), oracle_cfg=tr.DEFAULT):
+             barriers=frozenset(), p_s=256):
     """(rows, skipped): one (err_op, err_hp, err_mp) row per input, the
-    relative errors of the three lanes against the oracle, taken at oracle
-    precision; `skipped` counts inputs outside the oracle's domain.  The
-    inputs run in chunks of _CHUNK rows, one engine call per lane and
-    chunk.  The MP lane runs only when `barriers` is not empty; with none,
-    err_mp is the err_hp object itself.  A failing run raises at once the
-    error of the lowest-index failing row, its HP lane before its MP
-    lane."""
+    relative errors of the three lanes against the oracle, taken at the
+    oracle precision of p_s bits; `skipped` counts inputs outside the
+    oracle's domain.  The inputs run in chunks of _CHUNK rows, one engine
+    call per lane and chunk.  The MP lane runs only when `barriers` is not
+    empty; with none, err_mp is the err_hp object itself.  A failing run
+    raises at once the error of the lowest-index failing row, its HP lane
+    before its MP lane."""
     if kernel.oracle_fn is None:
         raise EvaluationError("kernel %s has no reference function"
                               % kernel.name)
     if not inputs:
         raise EvaluationError("no inputs to evaluate")
     prog = kernel.program
-    p_s = oracle_cfg.p_s
     host = engine_cfg.p_orig == 53  # originals come as host floats
     rows = []
     skipped = 0
@@ -90,7 +89,7 @@ def evaluate(kernel, inputs, engine_cfg=eng.EngineConfig(),
         for x, (orig, shadow), (_, mp_shadow) in zip(chunk, hp, mp_v):
             try:
                 s_v = tr.derived_fn(kernel.oracle_fn,
-                                    [mp.extend(x, p_s)], oracle_cfg)
+                                    [mp.extend(x, p_s)], p_s)
             except tr.DomainError:
                 skipped += 1
                 continue

@@ -47,6 +47,8 @@ import math
 import re
 import struct
 
+from . import InputError
+
 # value classes
 ZERO = 0
 NORMAL = 1
@@ -88,7 +90,7 @@ class NotRepresentable(ValueError):
     """Value does not fit the requested binary64 encoding."""
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed numeric literal."""
 
 
@@ -253,7 +255,11 @@ def from_binary64_bits(bits):
 
 
 def to_binary64_bits(v):
-    """Inverse of from_binary64_bits; raises NotRepresentable otherwise."""
+    """Inverse of from_binary64_bits; raises NotRepresentable otherwise.
+
+    Only tests call it, as their strict binary64 reference: to_float
+    rounds any value to a double, this refuses one that is not exactly a
+    double, so comparing its bits also checks that a lane held one."""
     if v.cls == ZERO:
         return (1 << 63) if v.sign < 0 else 0
     if v.cls == INF:

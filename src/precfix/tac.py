@@ -19,7 +19,7 @@ import re
 from collections import namedtuple
 from types import MappingProxyType
 
-from . import mpfloat as mp
+from . import InputError, mpfloat as mp
 
 # operand kind tags
 VAR = "var"
@@ -69,13 +69,13 @@ _LABEL_RE = re.compile(r"^(\w+):$")
 _ANNOT_RE = re.compile(r"^(reducePrec|resumePrec|computeErr)\s*\(.*\)\s*;?$")
 
 
-class TacSyntaxError(ValueError):
+class TacSyntaxError(InputError):
     def __init__(self, line_no, message):
         super().__init__("line %d: %s" % (line_no, message))
         self.line_no = line_no
 
 
-class TacValidationError(ValueError):
+class TacValidationError(InputError):
     def __init__(self, diagnostics):
         super().__init__("; ".join(str(d) for d in diagnostics))
         self.diagnostics = diagnostics

@@ -3,14 +3,14 @@
 The primitives exp, ln, sin, cos and atan, and the constants pi, ln 2 and
 ln 10, are correctly rounded (Ziv): each is evaluated on scaled Python
 integers together with a proven bound on its error, and the result is
-rounded to p_s bits (nearest, ties to even) only when both ends of the
-bound round to the same value; otherwise it is evaluated again with more
-bits.  Results keep mpfloat's exponent limit, so exp beyond it gives inf or
-0; sin and cos reject |x| >= 2**65536, whose reduction would need pi to as
-many bits.  Derived functions compose the primitives at p_s, mirroring how
-a calculator user would chain them; in particular pow(a, c) is literally
-exp(c * ln a) so the identity pow(20, 65) == exp(65 * ln 20) holds
-bit-for-bit.
+rounded to the oracle's precision of p bits (256 unless given, at least
+2; nearest, ties to even) only when both ends of the bound round to the
+same value; otherwise it is evaluated again with more bits.  Results keep
+mpfloat's exponent limit, so exp beyond it gives inf or 0; sin and cos
+reject |x| >= 2**65536, whose reduction would need pi to as many bits.
+Derived functions compose the primitives at p, mirroring how a calculator
+user would chain them; in particular pow(a, c) is literally exp(c * ln a)
+so the identity pow(20, 65) == exp(65 * ln 20) holds bit-for-bit.
 
 A fixed-point value V at scale s stands for V * 2**-s.  Each evaluator
 returns (V, err, e): the exact result lies in [(V - err) * 2**e,
@@ -21,24 +21,13 @@ from __future__ import annotations
 
 import math
 
-from . import mpfloat as mp
+from . import InputError, mpfloat as mp
 from .mpfloat import MPFloat
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """Argument outside the mathematical domain of a function."""
 
-
-class OracleConfig:
-    __slots__ = ("p_s",)
-
-    def __init__(self, p_s=256):
-        if p_s < 2:
-            raise ValueError("need p_s >= 2")
-        self.p_s = p_s
-
-
-DEFAULT = OracleConfig()
 
 _TRIG_EXP_LIMIT = 1 << 16  # sin and cos need |x| < 2**_TRIG_EXP_LIMIT
 
@@ -264,22 +253,22 @@ def _check_finite(x, fn):
         raise DomainError("%s needs a finite argument" % fn)
 
 
-def exp_mp(x, cfg=DEFAULT):
+def exp_mp(x, p=256):
     _check_finite(x, "exp")
     if x.cls == mp.ZERO:
-        return mp.from_int(1, cfg.p_s)
+        return mp.from_int(1, p)
     if x.exp >= 31:  # |x| >= 2**31: 2**(x / ln 2) is beyond the limit
-        return mp.inf(1, cfg.p_s) if x.sign > 0 else mp.zero(cfg.p_s)
-    return _ziv(_exp_fixed, x, cfg.p_s)
+        return mp.inf(1, p) if x.sign > 0 else mp.zero(p)
+    return _ziv(_exp_fixed, x, p)
 
 
-def ln_mp(x, cfg=DEFAULT):
+def ln_mp(x, p=256):
     _check_finite(x, "ln")
     if x.cls == mp.ZERO or x.sign < 0:
         raise DomainError("ln needs a positive argument")
     if x.exp == 0 and x.mant == 1 << (x.prec - 1):
-        return mp.zero(cfg.p_s)
-    return _ziv(_ln_fixed, x, cfg.p_s)
+        return mp.zero(p)
+    return _ziv(_ln_fixed, x, p)
 
 
 def _check_trig(x, fn):
@@ -302,41 +291,41 @@ def _tiny(x, p):
     return 2 * x.exp < -(max(x.prec, p) + 4)
 
 
-def sin_mp(x, cfg=DEFAULT):
+def sin_mp(x, p=256):
     _check_trig(x, "sin")
     if x.cls == mp.ZERO:
-        return mp.zero(cfg.p_s)
-    if _tiny(x, cfg.p_s):  # |x - sin x| < |x|**3 / 6
-        return _below_cube(x, cfg.p_s)
-    return _ziv(_sin_fixed, x, cfg.p_s)
+        return mp.zero(p)
+    if _tiny(x, p):  # |x - sin x| < |x|**3 / 6
+        return _below_cube(x, p)
+    return _ziv(_sin_fixed, x, p)
 
 
-def cos_mp(x, cfg=DEFAULT):
+def cos_mp(x, p=256):
     _check_trig(x, "cos")
     if x.cls == mp.ZERO:
-        return mp.from_int(1, cfg.p_s)
-    return _ziv(_cos_fixed, x, cfg.p_s)
+        return mp.from_int(1, p)
+    return _ziv(_cos_fixed, x, p)
 
 
-def atan_mp(x, cfg=DEFAULT):
+def atan_mp(x, p=256):
     _check_finite(x, "atan")
     if x.cls == mp.ZERO:
-        return mp.zero(cfg.p_s)
-    if _tiny(x, cfg.p_s):  # |x - atan x| < |x|**3 / 3
-        return _below_cube(x, cfg.p_s)
-    return _ziv(_atan_fixed, x, cfg.p_s)
+        return mp.zero(p)
+    if _tiny(x, p):  # |x - atan x| < |x|**3 / 3
+        return _below_cube(x, p)
+    return _ziv(_atan_fixed, x, p)
 
 
-def pi_const(cfg=DEFAULT):
-    return _ziv(_const_fixed, "pi", cfg.p_s)
+def pi_const(p=256):
+    return _ziv(_const_fixed, "pi", p)
 
 
-def _ln2(cfg):
-    return _ziv(_const_fixed, "ln2", cfg.p_s)
+def _ln2(p):
+    return _ziv(_const_fixed, "ln2", p)
 
 
-def _ln10(cfg):
-    return _ziv(_const_fixed, "ln10", cfg.p_s)
+def _ln10(p):
+    return _ziv(_const_fixed, "ln10", p)
 
 
 # ---------------------------------------------------------------------------
@@ -344,38 +333,36 @@ def _ln10(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _asin(a, cfg):
-    p = cfg.p_s
+def _asin(a, p):
     one = mp.from_int(1, p)
     c = mp.cmp(mp.abs_(a), one)
     if c is None or c > 0:
         raise DomainError("asin needs |a| <= 1")
     if c == 0:
-        q = _scale2(pi_const(cfg), -1)
+        q = _scale2(pi_const(p), -1)
         return q if a.sign > 0 else mp.neg(q)
     denom = mp.sqrt(mp.sub(one, mp.mul(a, a, p), p), p)
-    return atan_mp(mp.div(a, denom, p), cfg)
+    return atan_mp(mp.div(a, denom, p), p)
 
 
-def _atan2(a, c, cfg):
-    p = cfg.p_s
+def _atan2(a, c, p):
     if c.cls == mp.ZERO:
         if a.cls == mp.ZERO:
             return mp.zero(p)
-        q = _scale2(pi_const(cfg), -1)
+        q = _scale2(pi_const(p), -1)
         return q if a.sign > 0 else mp.neg(q)
-    base = atan_mp(mp.div(a, c, p), cfg)
+    base = atan_mp(mp.div(a, c, p), p)
     if c.sign > 0:
         return base
-    pi_v = pi_const(cfg)
+    pi_v = pi_const(p)
     if a.cls != mp.ZERO and a.sign < 0:
         return mp.sub(base, pi_v, p)
     return mp.add(base, pi_v, p)
 
 
-def derived_fn(name, args, cfg=DEFAULT):
-    """Evaluate one formula-table function over MPFloat arguments."""
-    p = cfg.p_s
+def derived_fn(name, args, p=256):
+    """Evaluate one formula-table function over MPFloat arguments at p
+    bits, p >= 2."""
     one = mp.from_int(1, p)
     if name not in FUNCTION_ARITY:
         raise ValueError("unknown function: %r" % (name,))
@@ -386,38 +373,38 @@ def derived_fn(name, args, cfg=DEFAULT):
     a = args[0]
 
     if name == "asin":
-        return _asin(a, cfg)
+        return _asin(a, p)
     if name == "acos":
-        return mp.sub(_scale2(pi_const(cfg), -1), _asin(a, cfg), p)
+        return mp.sub(_scale2(pi_const(p), -1), _asin(a, p), p)
     if name == "acosh":
         if mp.cmp(a, one) < 0:
             raise DomainError("acosh needs a >= 1")
         root = mp.sqrt(mp.sub(mp.mul(a, a, p), one, p), p)
-        return ln_mp(mp.add(a, root, p), cfg)
+        return ln_mp(mp.add(a, root, p), p)
     if name == "asinh":
         root = mp.sqrt(mp.add(mp.mul(a, a, p), one, p), p)
-        return ln_mp(mp.add(a, root, p), cfg)
+        return ln_mp(mp.add(a, root, p), p)
     if name == "atan":
-        return atan_mp(a, cfg)
+        return atan_mp(a, p)
     if name == "atan2":
-        return _atan2(a, args[1], cfg)
+        return _atan2(a, args[1], p)
     if name == "atanh":
         c = mp.cmp(mp.abs_(a), one)
         if c is None or c >= 0:
             raise DomainError("atanh needs |a| < 1")
         ratio = mp.div(mp.add(one, a, p), mp.sub(one, a, p), p)
-        return _scale2(ln_mp(ratio, cfg), -1)
+        return _scale2(ln_mp(ratio, p), -1)
     if name == "cos":
-        return cos_mp(a, cfg)
+        return cos_mp(a, p)
     if name == "cosh":
-        e = exp_mp(a, cfg)
+        e = exp_mp(a, p)
         return _scale2(mp.add(e, mp.div(one, e, p), p), -1)
     if name == "exp":
-        return exp_mp(a, cfg)
+        return exp_mp(a, p)
     if name == "exp2":
-        return exp_mp(mp.mul(a, _ln2(cfg), p), cfg)
+        return exp_mp(mp.mul(a, _ln2(p), p), p)
     if name == "exp10":
-        return exp_mp(mp.mul(a, _ln10(cfg), p), cfg)
+        return exp_mp(mp.mul(a, _ln10(p), p), p)
     if name == "fmod":
         c = args[1]
         if c.cls == mp.ZERO:
@@ -428,31 +415,31 @@ def derived_fn(name, args, cfg=DEFAULT):
         b = args[1]
         return mp.sqrt(mp.add(mp.mul(a, a, p), mp.mul(b, b, p), p), p)
     if name == "log":
-        return ln_mp(a, cfg)
+        return ln_mp(a, p)
     if name == "log2":
-        return mp.div(ln_mp(a, cfg), _ln2(cfg), p)
+        return mp.div(ln_mp(a, p), _ln2(p), p)
     if name == "log10":
-        return mp.div(ln_mp(a, cfg), _ln10(cfg), p)
+        return mp.div(ln_mp(a, p), _ln10(p), p)
     if name == "pow":
         if a.cls == mp.ZERO or a.sign < 0:
             raise DomainError("pow needs a positive base")
-        return exp_mp(mp.mul(args[1], ln_mp(a, cfg), p), cfg)
+        return exp_mp(mp.mul(args[1], ln_mp(a, p), p), p)
     if name == "sin":
-        return sin_mp(a, cfg)
+        return sin_mp(a, p)
     if name == "sinh":
-        e = exp_mp(a, cfg)
+        e = exp_mp(a, p)
         return _scale2(mp.sub(e, mp.div(one, e, p), p), -1)
     if name == "sqrt":
         if a.cls == mp.NORMAL and a.sign < 0:
             raise DomainError("sqrt needs a nonnegative argument")
         return mp.sqrt(a, p)
     if name == "tan":
-        c = cos_mp(a, cfg)
+        c = cos_mp(a, p)
         if c.cls == mp.ZERO:
             raise DomainError("tan pole")
-        return mp.div(sin_mp(a, cfg), c, p)
+        return mp.div(sin_mp(a, p), c, p)
     if name == "tanh":
-        e = exp_mp(a, cfg)
+        e = exp_mp(a, p)
         ei = mp.div(one, e, p)
         return mp.div(mp.sub(e, ei, p), mp.add(e, ei, p), p)
     raise AssertionError(name)

@@ -135,35 +135,35 @@ def test_criterion_06_fixing_efficacy(kernels, default_grids):
 
 
 def test_criterion_07_oracle_standards():
-    cfg = tr.DEFAULT
-    e = tr.exp_mp(mp.from_decimal_string("-0.0277", cfg.p_s), cfg)
+    p_s = 256  # the oracle's default precision
+    e = tr.exp_mp(mp.from_decimal_string("-0.0277", p_s), p_s)
     ok = mp.to_decimal_string(e, 30) == "0.972680127073139846902979085281"
 
     twenty = mp.from_int(20)
-    p = tr.derived_fn("pow", [twenty, mp.from_int(65)], cfg)
-    via = tr.exp_mp(mp.mul(mp.from_int(65), tr.ln_mp(twenty, cfg),
-                           cfg.p_s), cfg)
-    ok = ok and mp.cmp(mp.sub(p, via, cfg.p_s), mp.zero()) == 0
+    p = tr.derived_fn("pow", [twenty, mp.from_int(65)], p_s)
+    via = tr.exp_mp(mp.mul(mp.from_int(65), tr.ln_mp(twenty, p_s),
+                           p_s), p_s)
+    ok = ok and mp.cmp(mp.sub(p, via, p_s), mp.zero()) == 0
 
     bound = mp.from_hex_string("0x1.0p-252")
     one = mp.from_int(1)
-    ln2 = tr.ln_mp(mp.from_int(2), cfg)
+    ln2 = tr.ln_mp(mp.from_int(2), p_s)
     rng = random.Random(12)
     for _ in range(5):
-        x = mp.extend(mp.from_float(rng.uniform(-8, 8)), cfg.p_s)
-        s = tr.sin_mp(x, cfg)
-        c = tr.cos_mp(x, cfg)
-        r1 = mp.abs_(mp.sub(mp.add(mp.mul(s, s, cfg.p_s),
-                                   mp.mul(c, c, cfg.p_s), cfg.p_s),
-                            one, cfg.p_s))
-        r2 = mp.abs_(mp.sub(tr.ln_mp(tr.exp_mp(x, cfg), cfg), x, cfg.p_s))
-        r3 = mp.abs_(mp.sub(tr.derived_fn("exp2", [x], cfg),
-                            tr.exp_mp(mp.mul(x, ln2, cfg.p_s), cfg),
-                            cfg.p_s))
+        x = mp.extend(mp.from_float(rng.uniform(-8, 8)), p_s)
+        s = tr.sin_mp(x, p_s)
+        c = tr.cos_mp(x, p_s)
+        r1 = mp.abs_(mp.sub(mp.add(mp.mul(s, s, p_s),
+                                   mp.mul(c, c, p_s), p_s),
+                            one, p_s))
+        r2 = mp.abs_(mp.sub(tr.ln_mp(tr.exp_mp(x, p_s), p_s), x, p_s))
+        r3 = mp.abs_(mp.sub(tr.derived_fn("exp2", [x], p_s),
+                            tr.exp_mp(mp.mul(x, ln2, p_s), p_s),
+                            p_s))
         for resid in (r1, r2, r3):
             scale = mp.abs_(x) if resid is r2 else one
             rel = resid if scale.cls == mp.ZERO \
-                else mp.div(resid, scale, cfg.p_s)
+                else mp.div(resid, scale, p_s)
             ok = ok and (rel.cls == mp.ZERO or mp.cmp(rel, bound) < 0)
     _line(7, ok, "oracle: exp(-0.0277) exact to 30 digits, pow==exp.ln, "
                  "identity residuals < 2^-252")

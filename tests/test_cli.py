@@ -16,7 +16,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from precfix import cli, corpus, detector, engine, tac
+import precfix
+from precfix import cli, corpus, detector, engine, evaluator, tac
 from precfix import mpfloat as mp, transcendental as tr
 from mpmath_ref import rounded_fraction
 
@@ -614,7 +615,7 @@ def test_oracle_prints_more_digits_than_int_str_allows(capsys,
     monkeypatch.setattr(sys, "stdin", io.StringIO("exp 1\n"))
     code, out, err = run_cli(capsys, "oracle", "--digits", "5000")
     assert (code, err) == (0, "")
-    e = tr.derived_fn("exp", [mp.from_int(1, 256)], tr.OracleConfig())
+    e = tr.derived_fn("exp", [mp.from_int(1, 256)], 256)
     digits, d10 = _exact_digits(e, 5000)
     assert d10 == 0
     assert out == "%s.%s\n" % (digits[0], digits[1:])
@@ -832,6 +833,38 @@ def test_closed_pipe_in_process_is_exit_1(monkeypatch, capsys):
     assert run_cli(capsys, "run", "--kernel", "round_kernel") == (1, "", "")
 
 
+def test_every_bad_input_error_is_an_input_error():
+    # cli.main exits 1 on precfix.InputError alone
+    for cls in (mp.ParseError, tac.TacSyntaxError, tac.TacValidationError,
+                tr.DomainError, engine.EngineError, engine.BadBarrier,
+                engine.StepBudgetExceeded, engine.NonFiniteFloor,
+                detector.NoConvergence, evaluator.EvaluationError):
+        assert issubclass(cls, precfix.InputError), cls
+    assert issubclass(precfix.InputError, ValueError)
+    assert issubclass(detector.NoConvergence, RuntimeError)
+
+
+@pytest.mark.parametrize("layer, name, exc, argv", [
+    (corpus, "digits_for", ValueError("no digits"),
+     ["run", "--kernel", "exp_kernel", "--input", "single:1"]),
+    (evaluator, "summarize", KeyError("M>=L"),
+     ["eval", "--kernel", "exp_kernel", "--grid=0,1,3"]),
+    (detector, "collect", RuntimeError("lost"),
+     ["detect", "--kernel", "exp_kernel", "--grid=0,1,3"]),
+])
+def test_plain_errors_inside_a_layer_are_exit_2(capsys, monkeypatch, layer,
+                                                name, exc, argv):
+    """A layer's plain ValueError, KeyError or RuntimeError is a fault of
+    precfix, not bad input."""
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(layer, name, fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: ")
+    assert err == "internal error: %r\n" % (exc,)
+
+
 # -- one batch per run, one per eval lane and chunk ---------------------------
 
 
@@ -948,7 +981,6 @@ STEPS_ERR = "error: mpfail exceeded 100 steps\n"
 def test_eval_reports_the_first_failing_rows_error(tmp_path, capsys,
                                                    monkeypatch, chunk, rows,
                                                    barriers, want):
-    from precfix import evaluator
     kernel = corpus.Kernel("mpfail", MPFAIL, "sqrt", ("1", "2", 3))
     monkeypatch.setattr(corpus, "get_kernel", lambda name: kernel)
     monkeypatch.setattr(cli, "_engine_cfg", lambda args: engine.EngineConfig(

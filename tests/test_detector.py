@@ -157,7 +157,6 @@ def test_fix_round_kernel():
     k = corpus.get_kernel("round_kernel")
     xs = corpus.grid("-100", "100", 250)
     res = detector.fix_iteratively(k.program, xs)
-    assert res.converged
     assert res.barriers == frozenset({1})
     assert len(res.iterations) == 2
     assert res.iterations[1].flagged == []
@@ -167,7 +166,8 @@ def test_fix_clean_program_is_noop():
     k = corpus.get_kernel("cancel_kernel")
     xs = corpus.grid("-10", "10", 100)
     res = detector.fix_iteratively(k.program, xs)
-    assert res.converged and res.barriers == frozenset()
+    assert res.barriers == frozenset()
+    assert [r.flagged for r in res.iterations] == [[]]
 
 
 def test_fix_adds_one_barrier_per_iteration():

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp
 
+from precfix import cli
 from precfix import mpfloat as mp
 from precfix import transcendental as tr
 import mpmath_ref
 
-CFG = tr.DEFAULT
+P = 256  # the oracle's default precision
 TOL = mp.from_hex_string("0x1.0p-250")  # a few ulps of slack at p_S = 256
 
 
@@ -40,13 +41,13 @@ def _rel_vs_mpmath(got, ref):
 
 
 def test_exp_known_value_30_digits():
-    x = mp.from_decimal_string("-0.0277", CFG.p_s)
-    r = tr.exp_mp(x, CFG)
+    x = mp.from_decimal_string("-0.0277", P)
+    r = tr.exp_mp(x, P)
     assert mp.to_decimal_string(r, 30) == "0.972680127073139846902979085281"
 
 
 def test_pi_30_digits():
-    assert mp.to_decimal_string(tr.pi_const(CFG), 30) \
+    assert mp.to_decimal_string(tr.pi_const(P), 30) \
         == "3.14159265358979323846264338328"
 
 
@@ -62,33 +63,33 @@ def test_primitives_against_mpmath(fn, name):
         if name == "log":
             f = abs(f) + 1e-9
         x = mp.from_float(f)
-        got = fn(mp.extend(x, CFG.p_s), CFG)
+        got = fn(mp.extend(x, P), P)
         ref = _mpmath_ref(name, f)
         assert _rel_vs_mpmath(got, ref) < 4 * bound, (name, f)
 
 
 def test_exp_of_zero_is_one():
-    r = tr.exp_mp(mp.zero(CFG.p_s), CFG)
+    r = tr.exp_mp(mp.zero(P), P)
     assert mp.cmp(r, mp.from_int(1)) == 0
 
 
 def test_ln_domain_error():
     with pytest.raises(tr.DomainError):
-        tr.ln_mp(mp.from_int(-1), CFG)
+        tr.ln_mp(mp.from_int(-1), P)
     with pytest.raises(tr.DomainError):
-        tr.ln_mp(mp.zero(CFG.p_s), CFG)
+        tr.ln_mp(mp.zero(P), P)
 
 
 def test_pow_is_composed_from_exp_and_ln():
     twenty = mp.from_int(20)
     sixty5 = mp.from_int(65)
-    p = tr.derived_fn("pow", [twenty, sixty5], CFG)
-    via = tr.exp_mp(mp.mul(sixty5, tr.ln_mp(twenty, CFG), CFG.p_s), CFG)
+    p = tr.derived_fn("pow", [twenty, sixty5], P)
+    via = tr.exp_mp(mp.mul(sixty5, tr.ln_mp(twenty, P), P), P)
     assert mp.cmp(p, via) == 0
     # within a couple of ulps of the true integer (last-bit correctness
     # is out of scope)
     exact = mp.from_int(20 ** 65)
-    rel = mp.abs_(mp.div(mp.sub(p, exact, 300), exact, CFG.p_s))
+    rel = mp.abs_(mp.div(mp.sub(p, exact, 300), exact, P))
     assert rel.cls == mp.ZERO \
         or mp.cmp(rel, mp.from_hex_string("0x1.0p-248")) < 0
 
@@ -98,22 +99,22 @@ def test_trig_identity_residual():
     bound = mp.from_hex_string("0x1.0p-252")
     one = mp.from_int(1)
     for _ in range(10):
-        x = mp.extend(mp.from_float(rng.uniform(-10, 10)), CFG.p_s)
-        s = tr.sin_mp(x, CFG)
-        c = tr.cos_mp(x, CFG)
-        total = mp.add(mp.mul(s, s, CFG.p_s), mp.mul(c, c, CFG.p_s),
-                       CFG.p_s)
-        resid = mp.abs_(mp.sub(total, one, CFG.p_s))
+        x = mp.extend(mp.from_float(rng.uniform(-10, 10)), P)
+        s = tr.sin_mp(x, P)
+        c = tr.cos_mp(x, P)
+        total = mp.add(mp.mul(s, s, P), mp.mul(c, c, P),
+                       P)
+        resid = mp.abs_(mp.sub(total, one, P))
         assert resid.cls == mp.ZERO or mp.cmp(resid, bound) < 0
 
 
 def test_ln_exp_round_trip():
     bound = mp.from_hex_string("0x1.0p-252")
     for f in (0.25, 1.0, -3.5, 17.0):
-        x = mp.extend(mp.from_float(f), CFG.p_s)
-        resid = mp.abs_(mp.sub(tr.ln_mp(tr.exp_mp(x, CFG), CFG), x,
-                               CFG.p_s))
-        rel = resid if f == 0 else mp.div(resid, mp.abs_(x), CFG.p_s)
+        x = mp.extend(mp.from_float(f), P)
+        resid = mp.abs_(mp.sub(tr.ln_mp(tr.exp_mp(x, P), P), x,
+                               P))
+        rel = resid if f == 0 else mp.div(resid, mp.abs_(x), P)
         assert rel.cls == mp.ZERO or mp.cmp(rel, bound) < 0
 
 
@@ -134,8 +135,8 @@ def test_ln_exp_round_trip():
     ("sqrt", (2.0,), "sqrt"),
 ])
 def test_derived_against_mpmath(name, args, ref_fn):
-    vals = [mp.extend(mp.from_float(a), CFG.p_s) for a in args]
-    got = tr.derived_fn(name, vals, CFG)
+    vals = [mp.extend(mp.from_float(a), P) for a in args]
+    got = tr.derived_fn(name, vals, P)
     with mpmath.workprec(320):
         if ref_fn is not None:
             ref = getattr(mpmath, ref_fn)(*[mpmath.mpf(a) for a in args])
@@ -151,19 +152,19 @@ def test_derived_against_mpmath(name, args, ref_fn):
 
 
 def test_two_argument_functions():
-    a = mp.extend(mp.from_float(3.0), CFG.p_s)
-    c = mp.extend(mp.from_float(4.0), CFG.p_s)
-    h = tr.derived_fn("hypot", [a, c], CFG)
+    a = mp.extend(mp.from_float(3.0), P)
+    c = mp.extend(mp.from_float(4.0), P)
+    h = tr.derived_fn("hypot", [a, c], P)
     assert mp.cmp(h, mp.from_int(5)) == 0
-    at = tr.derived_fn("atan2", [mp.from_int(1), mp.from_int(1)], CFG)
-    quarter_pi = mp.div(tr.pi_const(CFG), mp.from_int(4), CFG.p_s)
+    at = tr.derived_fn("atan2", [mp.from_int(1), mp.from_int(1)], P)
+    quarter_pi = mp.div(tr.pi_const(P), mp.from_int(4), P)
     assert mp.cmp(at, quarter_pi) == 0
-    fm = tr.derived_fn("fmod", [mp.from_float(7.5), mp.from_int(2)], CFG)
+    fm = tr.derived_fn("fmod", [mp.from_float(7.5), mp.from_int(2)], P)
     assert fm.to_float() == 1.5
 
 
 def test_atan2_quadrants():
-    pi = tr.pi_const(CFG)
+    pi = tr.pi_const(P)
     cases = [
         ((0.0, 1.0), 0.0),
         ((1.0, 0.0), math.pi / 2),
@@ -173,45 +174,46 @@ def test_atan2_quadrants():
     ]
     for (a, c), want in cases:
         r = tr.derived_fn("atan2", [mp.from_float(a), mp.from_float(c)],
-                          CFG)
+                          P)
         assert abs(r.to_float() - want) < 1e-15, (a, c)
     del pi
 
 
 def test_derived_domain_errors():
     with pytest.raises(tr.DomainError):
-        tr.derived_fn("asin", [mp.from_int(2)], CFG)
+        tr.derived_fn("asin", [mp.from_int(2)], P)
     with pytest.raises(tr.DomainError):
-        tr.derived_fn("acosh", [mp.from_float(0.5)], CFG)
+        tr.derived_fn("acosh", [mp.from_float(0.5)], P)
     with pytest.raises(tr.DomainError):
-        tr.derived_fn("fmod", [mp.from_int(1), mp.zero(CFG.p_s)], CFG)
+        tr.derived_fn("fmod", [mp.from_int(1), mp.zero(P)], P)
 
 
 def test_unknown_function_rejected():
     with pytest.raises(ValueError):
-        tr.derived_fn("gamma", [mp.from_int(1)], CFG)
+        tr.derived_fn("gamma", [mp.from_int(1)], P)
 
 
 def test_arity_table_covers_derived_names():
     for name, arity in tr.FUNCTION_ARITY.items():
         lit = "2.5" if name == "acosh" else "0.5"
-        args = [mp.extend(mp.from_decimal_string(lit, 53), CFG.p_s)
+        args = [mp.extend(mp.from_decimal_string(lit, 53), P)
                 for _ in range(arity)]
-        r = tr.derived_fn(name, args, CFG)
+        r = tr.derived_fn(name, args, P)
         assert r.cls in (mp.NORMAL, mp.ZERO)
 
 
-def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        tr.OracleConfig(p_s=1)
+def test_oracle_config_validation(capsys):
+    # the precision is the oracle's one setting, checked before any input
+    # is read
+    assert cli.main(["oracle", "--precision", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: need p_s >= 2\n")
     # Ziv's rounding test picks the guard bits: there is no knob for them
     with pytest.raises(TypeError):
-        tr.OracleConfig(p_s=256, guard=64)
+        tr.derived_fn("exp", [mp.from_int(1)], 256, guard=64)
 
 
 def test_reduced_precision_oracle_still_sane():
-    cfg = tr.OracleConfig(p_s=64)
-    r = tr.exp_mp(mp.from_int(1), cfg)
+    r = tr.exp_mp(mp.from_int(1), 64)
     assert abs(r.to_float() - math.e) < 1e-15
 
 
@@ -277,7 +279,7 @@ def mpfloats_normal(max_prec, exps):
 @settings(max_examples=1000, deadline=None)
 def test_primitives_are_correctly_rounded(case, p):
     name, x = case
-    got = PRIMITIVES[name](x, tr.OracleConfig(p))
+    got = PRIMITIVES[name](x, p)
     assert mpmath_ref.fields(got) == mpmath_ref.fn_reference(name, x, p)
 
 
@@ -304,7 +306,7 @@ def test_error_bounds_enclose_the_exact_value(case, w):
     ("cos", -0.0), ("atan", 0.0), ("atan", -0.0)])
 def test_exact_cases(name, x):
     for p in (2, 53, 256):
-        got = PRIMITIVES[name](mp.from_float(x), tr.OracleConfig(p))
+        got = PRIMITIVES[name](mp.from_float(x), p)
         want = mp.from_int(1, p) if name in ("exp", "cos") else mp.zero(p)
         assert mpmath_ref.fields(got) == mpmath_ref.fields(want)
 
@@ -340,7 +342,7 @@ def test_hard_cases_match_mpmath():
                   ("cos", mp.from_hex_string("0x1p-%d" % (p // 2)), p)]
     t0 = time.perf_counter()
     for name, x, p in cases:
-        got = PRIMITIVES[name](x, tr.OracleConfig(p))
+        got = PRIMITIVES[name](x, p)
         assert mpmath_ref.fields(got) == mpmath_ref.fn_reference(name, x, p), \
             (name, x, p)
     assert time.perf_counter() - t0 < 5.0
@@ -359,10 +361,9 @@ def _mpf_of(text, p=256):
     mp.from_decimal_string("1e20", 53),
 ])
 def test_large_arguments_are_fast_and_correctly_rounded(x):
-    cfg = tr.OracleConfig(256)
     t0 = time.perf_counter()
     for name in ("sin", "cos", "exp"):
-        got = PRIMITIVES[name](x, cfg)
+        got = PRIMITIVES[name](x, 256)
         assert mpmath_ref.fields(got) == mpmath_ref.fn_reference(
             name, x, 256), name
         assert time.perf_counter() - t0 < 1.0, name
@@ -373,26 +374,25 @@ def test_largest_trig_argument():
     x = _normal(1, (1 << 16) - 1, (1 << 52) | 7, 53)
     t0 = time.perf_counter()
     for name in ("sin", "cos"):
-        got = PRIMITIVES[name](x, tr.OracleConfig(256))
+        got = PRIMITIVES[name](x, 256)
         assert mpmath_ref.fields(got) == mpmath_ref.fn_reference(
             name, x, 256), name
     assert time.perf_counter() - t0 < 10.0
 
 
 def test_exp_beyond_the_exponent_limit():
-    cfg = tr.OracleConfig(256)
     for e in (31, 32, 1000, LIMIT - 1):
         for sign in (1, -1):
             x = _normal(sign, e, (1 << 255) | 3, 256)
             t0 = time.perf_counter()
-            got = tr.exp_mp(x, cfg)
+            got = tr.exp_mp(x, 256)
             assert time.perf_counter() - t0 < 1.0
             want = mp.inf(1, 256) if sign > 0 else mp.zero(256)
             assert mpmath_ref.fields(got) == mpmath_ref.fields(want)
     # just inside |x| < 2**31, where x / ln 2 still crosses the limit
     for sign in (1, -1):
         x = _normal(sign, 30, (1 << 255) | 3, 256)
-        assert mpmath_ref.fields(tr.exp_mp(x, cfg)) == \
+        assert mpmath_ref.fields(tr.exp_mp(x, 256)) == \
             mpmath_ref.fn_reference("exp", x, 256)
 
 
